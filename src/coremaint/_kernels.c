@@ -1,0 +1,327 @@
+/* Compiled traversal kernels.
+
+   Step-for-step port of _kernels_py.py (same visit order, same counters)
+   in plain C99 with no Python API.  _kernels_c.py compiles this file and
+   calls it through ctypes, which releases the GIL for the duration of a
+   call, so the level tasks of a round run in parallel.
+
+   Per-vertex scratch (visited, removed, slack, sup, csup) lives in an
+   arena shared by the tasks of a round.  A task touches only the slots of
+   vertices at its own core level, so concurrent tasks never write the same
+   slot; each call resets the slots it touched before it returns.
+
+   Counter layout: visited, removed, neg_touches, sup_evals, csup_evals. */
+
+#include <stdint.h>
+#include <stdlib.h>
+
+#define UNSET (-1)
+
+typedef struct {
+    int32_t *data;
+    int64_t size, cap;
+} Stack;
+
+typedef struct {
+    uint8_t *visited, *removed;
+    int32_t *slack, *sup, *csup;
+} Arena;
+
+typedef struct {
+    const int64_t *starts;
+    const int32_t *lens, *pool, *cores;
+    Arena a;
+    int32_t k;
+    int32_t *order;  /* visit order; a vertex is visited at most once */
+    int64_t visits;
+    Stack stack, cascade, dirty;
+    int64_t *ctr;
+    int err;
+} Task;
+
+/* Sets t->err instead of writing when the stack cannot grow. */
+static void push(Task *t, Stack *s, int32_t v)
+{
+    if (s->size == s->cap) {
+        int64_t cap = s->cap ? 2 * s->cap : 256;
+        int32_t *p = realloc(s->data, (size_t)cap * sizeof *p);
+        if (!p) {
+            t->err = 1;
+            return;
+        }
+        s->data = p;
+        s->cap = cap;
+    }
+    s->data[s->size++] = v;
+}
+
+/* ------------------------------------------------------------------
+   static peeling (bucket sort by effective degree, ties by ascending id) */
+
+int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
+            const int32_t *pool, int32_t *out)
+{
+    int32_t *deg = malloc((size_t)n * sizeof *deg);
+    int32_t *vert = malloc((size_t)n * sizeof *vert);
+    int32_t *pos = malloc((size_t)n * sizeof *pos);
+    int64_t *bin_start = NULL, *fill = NULL;
+    int32_t max_deg = 0;
+    int ok = deg && vert && pos;
+    if (ok) {
+        for (int64_t i = 0; i < n; i++) {
+            deg[i] = lens[i];
+            if (deg[i] > max_deg)
+                max_deg = deg[i];
+        }
+        bin_start = calloc((size_t)max_deg + 2, sizeof *bin_start);
+        fill = malloc(((size_t)max_deg + 2) * sizeof *fill);
+        ok = bin_start && fill;
+    }
+    if (ok) {
+        for (int64_t i = 0; i < n; i++)
+            bin_start[deg[i] + 1]++;
+        for (int32_t d = 1; d < max_deg + 2; d++)
+            bin_start[d] += bin_start[d - 1];
+        for (int32_t d = 0; d < max_deg + 2; d++)
+            fill[d] = bin_start[d];
+        for (int64_t i = 0; i < n; i++) {
+            int64_t p = fill[deg[i]]++;
+            vert[p] = (int32_t)i;
+            pos[i] = (int32_t)p;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            int32_t v = vert[i], dv = deg[v];
+            out[v] = dv;
+            const int32_t *nb = pool + starts[v];
+            for (int32_t j = 0; j < lens[v]; j++) {
+                int32_t w = nb[j], dw = deg[w];
+                if (dw > dv) {
+                    int32_t pw = pos[w];
+                    int32_t pf = (int32_t)bin_start[dw];
+                    int32_t u = vert[pf];
+                    if (u != w) {
+                        vert[pw] = u;
+                        pos[u] = pw;
+                        vert[pf] = w;
+                        pos[w] = pf;
+                    }
+                    bin_start[dw]++;
+                    deg[w] = dw - 1;
+                }
+            }
+        }
+    }
+    free(deg);
+    free(vert);
+    free(pos);
+    free(bin_start);
+    free(fill);
+    return ok ? 0 : -1;
+}
+
+/* ------------------------------------------------------------------
+   per-level maintenance kernels */
+
+/* Number of u's neighbors whose core is at least u's own (cached). */
+static int32_t support(Task *t, int32_t u)
+{
+    if (t->a.sup[u] != UNSET)
+        return t->a.sup[u];
+    const int32_t *nb = t->pool + t->starts[u];
+    int32_t cu = t->cores[u], cnt = 0;
+    for (int32_t j = 0; j < t->lens[u]; j++)
+        if (t->cores[nb[j]] >= cu)
+            cnt++;
+    t->a.sup[u] = cnt;
+    t->ctr[3]++;
+    push(t, &t->dirty, u);
+    return cnt;
+}
+
+/* Number of u's neighbors able to back a rise of u's core (cached). */
+static int32_t constrained_support(Task *t, int32_t u)
+{
+    if (t->a.csup[u] != UNSET)
+        return t->a.csup[u];
+    const int32_t *nb = t->pool + t->starts[u];
+    int32_t cu = t->cores[u], cnt = 0;
+    for (int32_t j = 0; j < t->lens[u]; j++) {
+        int32_t w = nb[j], cw = t->cores[w];
+        if (cw > cu)
+            cnt++;
+        else if (cw == cu && support(t, w) > cu)
+            cnt++;
+    }
+    t->a.csup[u] = cnt;
+    t->ctr[4]++;
+    push(t, &t->dirty, u);
+    return cnt;
+}
+
+static void mark_visited(Task *t, int32_t v)
+{
+    t->a.visited[v] = 1;
+    t->ctr[0]++;
+    t->order[t->visits++] = v;
+    push(t, &t->dirty, v);
+}
+
+static void mark_removed(Task *t, int32_t v)
+{
+    t->a.removed[v] = 1;
+    t->ctr[1]++;
+    push(t, &t->cascade, v);
+}
+
+/* Insertion flavor of the negative cascade: a vertex whose slack falls to
+   exactly the level is ruled out in turn.  Untouched vertices may be
+   driven negative, which later seeding adds back in. */
+static void rule_out_cascade(Task *t, int32_t r)
+{
+    Arena a = t->a;
+    int32_t k = t->k;
+    t->cascade.size = 0;
+    mark_removed(t, r);
+    while (t->cascade.size && !t->err) {
+        int32_t v = t->cascade.data[--t->cascade.size];
+        const int32_t *nb = t->pool + t->starts[v];
+        for (int32_t j = 0; j < t->lens[v]; j++) {
+            int32_t w = nb[j];
+            if (t->cores[w] != k)
+                continue;
+            if (!a.visited[w] && a.sup[w] == UNSET && a.slack[w] == 0)
+                push(t, &t->dirty, w);
+            a.slack[w]--;
+            t->ctr[2]++;
+            if (a.slack[w] == k && !a.removed[w])
+                mark_removed(t, w);
+        }
+    }
+}
+
+/* Deletion flavor: same-level neighbors are seeded with their support on
+   first touch, then decremented; falling below the level removes them. */
+static void drop_cascade(Task *t, int32_t r)
+{
+    Arena a = t->a;
+    int32_t k = t->k;
+    t->cascade.size = 0;
+    mark_removed(t, r);
+    while (t->cascade.size && !t->err) {
+        int32_t v = t->cascade.data[--t->cascade.size];
+        const int32_t *nb = t->pool + t->starts[v];
+        for (int32_t j = 0; j < t->lens[v]; j++) {
+            int32_t w = nb[j];
+            if (t->cores[w] != k)
+                continue;
+            if (!a.visited[w]) {
+                mark_visited(t, w);
+                a.slack[w] += support(t, w);
+            }
+            a.slack[w]--;
+            t->ctr[2]++;
+            if (a.slack[w] < k && !a.removed[w])
+                mark_removed(t, w);
+        }
+    }
+}
+
+static void delete_check(Task *t, int32_t r)
+{
+    if (!t->a.visited[r]) {
+        mark_visited(t, r);
+        t->a.slack[r] = support(t, r);
+    }
+    if (!t->a.removed[r] && t->a.slack[r] < t->k)
+        drop_cascade(t, r);
+}
+
+/* Keeps, in visit order, the visited vertices whose removed flag equals
+   keep_removed; resets every touched arena slot; frees the work stacks.
+   Returns the kept count (the ids are left at the front of t->order), or
+   -1 when a stack could not grow. */
+static int64_t finish(Task *t, int keep_removed)
+{
+    Arena a = t->a;
+    int64_t cnt = 0;
+    for (int64_t i = 0; i < t->visits; i++) {
+        int32_t v = t->order[i];
+        if ((a.removed[v] != 0) == keep_removed)
+            t->order[cnt++] = v;
+    }
+    for (int64_t i = 0; i < t->dirty.size; i++) {
+        int32_t v = t->dirty.data[i];
+        a.visited[v] = 0;
+        a.removed[v] = 0;
+        a.slack[v] = 0;
+        a.sup[v] = UNSET;
+        a.csup[v] = UNSET;
+    }
+    free(t->stack.data);
+    free(t->cascade.data);
+    free(t->dirty.data);
+    return t->err ? -1 : cnt;
+}
+
+/* Vertices of core level k that rise after the level's p edges (eu, ev)
+   were inserted into the adjacency arrays.  Returns their count and leaves
+   them, in visit order, at the front of moved (room for one id per vertex);
+   ctr receives the five counters. */
+int64_t cm_insert_level(const int64_t *starts, const int32_t *lens,
+                        const int32_t *pool, const int32_t *cores, int32_t k,
+                        int64_t p, const int32_t *eu, const int32_t *ev,
+                        const Arena *arena, int32_t *moved, int64_t *ctr)
+{
+    Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
+              ctr, 0};
+    Arena a = t.a;
+    for (int64_t i = 0; i < p && !t.err; i++) {
+        int32_t r = cores[eu[i]] >= cores[ev[i]] ? ev[i] : eu[i];
+        if (a.visited[r] || a.removed[r])
+            continue;
+        int32_t c = constrained_support(&t, r);
+        a.slack[r] = a.slack[r] >= 0 ? c : a.slack[r] + c;
+        mark_visited(&t, r);
+        t.stack.size = 0;
+        push(&t, &t.stack, r);
+        while (t.stack.size && !t.err) {
+            int32_t v = t.stack.data[--t.stack.size];
+            if (a.slack[v] > k) {
+                const int32_t *nb = pool + starts[v];
+                for (int32_t j = 0; j < lens[v]; j++) {
+                    int32_t w = nb[j];
+                    if (cores[w] == k && !a.visited[w]
+                            && support(&t, w) > k) {
+                        mark_visited(&t, w);
+                        a.slack[w] += constrained_support(&t, w);
+                        push(&t, &t.stack, w);
+                    }
+                }
+            } else if (!a.removed[v]) {
+                rule_out_cascade(&t, v);
+            }
+        }
+    }
+    return finish(&t, 0);
+}
+
+/* Vertices of core level k that fall after the level's p edges (eu, ev)
+   were deleted from the adjacency arrays.  Outputs as cm_insert_level. */
+int64_t cm_delete_level(const int64_t *starts, const int32_t *lens,
+                        const int32_t *pool, const int32_t *cores, int32_t k,
+                        int64_t p, const int32_t *eu, const int32_t *ev,
+                        const Arena *arena, int32_t *moved, int64_t *ctr)
+{
+    Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
+              ctr, 0};
+    for (int64_t i = 0; i < p && !t.err; i++) {
+        int32_t a = eu[i], b = ev[i];
+        if (cores[a] != cores[b]) {
+            delete_check(&t, cores[a] >= cores[b] ? b : a);
+        } else {
+            delete_check(&t, a);
+            delete_check(&t, b);
+        }
+    }
+    return finish(&t, 1);
+}

@@ -1,0 +1,158 @@
+"""Compiled traversal kernels: ``_kernels.c`` called through ctypes.
+
+Importing this module compiles the C file with the system C compiler
+(``cc``) into ``__pycache__/`` next to it, keyed by a hash of the source
+and flags, and loads the shared library; a failed build raises
+ImportError with the reason, and ``kernels`` then falls back to the
+pure-Python lane.  ctypes releases the GIL for the duration of each
+foreign call, so per-level tasks run in parallel.
+
+Every entry point checks dtypes, contiguity, lengths and edge endpoints
+before it calls into C.  The adjacency contents themselves (pool entries,
+block extents) are trusted: ``Graph`` keeps them consistent.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+from pathlib import Path
+
+import numpy as np
+
+NAME = "c"
+
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_FLAGS = ("-std=c99", "-O3", "-shared", "-fPIC")
+_UNSET = -1
+
+
+def _compile(source: Path, target: Path):
+    """Build the shared library at ``target``.  Writes to a temporary
+    name first, so a concurrent importer never loads a half-written file."""
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run(["cc", *_FLAGS, "-o", str(tmp), str(source)],
+                       check=True, capture_output=True, text=True)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load() -> ctypes.CDLL:
+    source = _SOURCE.read_bytes()
+    tag = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
+    target = _CACHE / f"_kernels.{tag}.so"
+    try:
+        if not target.exists():
+            _CACHE.mkdir(exist_ok=True)
+            _compile(_SOURCE, target)
+        return ctypes.CDLL(str(target))
+    except subprocess.CalledProcessError as exc:
+        errors = [ln for ln in exc.stderr.splitlines() if "error" in ln]
+        detail = errors[0] if errors else f"exit status {exc.returncode}"
+        raise ImportError(f"cc failed: {detail}") from exc
+    except OSError as exc:
+        raise ImportError(f"{type(exc).__name__}: {exc}") from exc
+
+
+_lib = _load()
+
+_ptr = ctypes.c_void_p
+_lib.cm_peel.argtypes = [ctypes.c_int64, _ptr, _ptr, _ptr, _ptr]
+_lib.cm_peel.restype = ctypes.c_int
+for _fn in (_lib.cm_insert_level, _lib.cm_delete_level):
+    _fn.argtypes = [_ptr, _ptr, _ptr, _ptr, ctypes.c_int32, ctypes.c_int64,
+                    _ptr, _ptr, _ptr, _ptr, _ptr]
+    _fn.restype = ctypes.c_int64
+
+
+class _Arena(ctypes.Structure):
+    _fields_ = [(name, _ptr)
+                for name in ("visited", "removed", "slack", "sup", "csup")]
+
+
+class Scratch:
+    """Per-vertex arena shared by the level tasks of a round; slot
+    ownership is partitioned by core level."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.visited = np.zeros(n, dtype=np.uint8)
+        self.removed = np.zeros(n, dtype=np.uint8)
+        self.slack = np.zeros(n, dtype=np.int32)
+        self.sup = np.full(n, _UNSET, dtype=np.int32)
+        self.csup = np.full(n, _UNSET, dtype=np.int32)
+        self.arena = _Arena(*(getattr(self, f).ctypes.data
+                              for f, _ in _Arena._fields_))
+
+
+make_scratch = Scratch
+
+
+def _check(name: str, a, dtype, length: int | None = None):
+    if not isinstance(a, np.ndarray) or a.dtype != dtype:
+        raise TypeError(f"{name} must be a numpy {np.dtype(dtype).name} "
+                        f"array, got {getattr(a, 'dtype', type(a).__name__)}")
+    if a.ndim != 1 or not a.flags.c_contiguous:
+        raise TypeError(f"{name} must be one-dimensional and C-contiguous")
+    if length is not None and len(a) != length:
+        raise ValueError(f"{name} has length {len(a)}, expected {length}")
+
+
+def _check_graph(starts, lens, pool) -> int:
+    _check("starts", starts, np.int64)
+    n = len(starts)
+    _check("lens", lens, np.int32, n)
+    _check("pool", pool, np.int32)
+    return n
+
+
+def peel_kernel(n, starts, lens, pool):
+    n = int(n)
+    if _check_graph(starts, lens, pool) != n:
+        raise ValueError(f"adjacency arrays cover {len(starts)} vertices, "
+                         f"expected {n}")
+    cores = np.zeros(n, dtype=np.int32)
+    if n and _lib.cm_peel(n, starts.ctypes.data, lens.ctypes.data,
+                          pool.ctypes.data, cores.ctypes.data):
+        raise MemoryError("peel_kernel allocation failed")
+    return cores
+
+
+def _level(fn, starts, lens, pool, cores, k, eu, ev, scratch):
+    n = _check_graph(starts, lens, pool)
+    _check("cores", cores, np.int32, n)
+    _check("eu", eu, np.int32)
+    _check("ev", ev, np.int32, len(eu))
+    if not isinstance(scratch, Scratch) or scratch.n < n:
+        raise ValueError("scratch arena smaller than the vertex range")
+    for a in (eu, ev):
+        if len(a) and not (0 <= int(a.min()) and int(a.max()) < n):
+            raise ValueError(f"edge endpoint outside 0..{n - 1}")
+    moved = np.empty(n, dtype=np.int32)
+    ctr = np.zeros(5, dtype=np.int64)
+    cnt = fn(starts.ctypes.data, lens.ctypes.data, pool.ctypes.data,
+             cores.ctypes.data, int(k), len(eu), eu.ctypes.data,
+             ev.ctypes.data, ctypes.byref(scratch.arena), moved.ctypes.data,
+             ctr.ctypes.data)
+    if cnt < 0:
+        raise MemoryError(f"{fn.__name__} allocation failed")
+    return np.sort(moved[:cnt]), tuple(ctr.tolist())
+
+
+def insert_level(starts, lens, pool, cores, k, eu, ev, scratch):
+    """Vertices of core level k that rise after the level's edges were
+    inserted.  Returns (ascending id array, counter tuple)."""
+    return _level(_lib.cm_insert_level, starts, lens, pool, cores, k, eu, ev,
+                  scratch)
+
+
+def delete_level(starts, lens, pool, cores, k, eu, ev, scratch):
+    """Vertices of core level k that fall after the level's edges were
+    deleted.  Returns (ascending id array, counter tuple)."""
+    return _level(_lib.cm_delete_level, starts, lens, pool, cores, k, eu, ev,
+                  scratch)

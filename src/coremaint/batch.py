@@ -68,10 +68,12 @@ class EdgeBatch:
 
 
 def _canonical_pairs(g: Graph, edges, create_vertices: bool):
+    labels = [_as_pair(e) for e in edges]
+    if any(u < 0 or v < 0 for u, v in labels):  # before any vertex exists
+        raise ValueError("vertex labels must be non-negative")
     loops = 0
     pairs = []
-    for e in edges:
-        u, v = _as_pair(e)
+    for u, v in labels:
         if u == v:
             loops += 1
             continue

@@ -19,7 +19,8 @@ from .gen import (generate_graph, sample_existing_edges, sample_new_edges,
                   stratum_size)
 from .graph import (EdgeListParseError, Graph, load_edge_list_with_stats,
                     read_edge_pairs, save_edge_list)
-from .kernels import available_backends, get_backend
+from .kernels import (BACKENDS, FALLBACK_REASON, available_backends,
+                      get_backend)
 from .static_core import peel, read_core_file, write_core_file
 
 
@@ -78,6 +79,10 @@ def _batch_edges(args, g: Graph, cores, mode: str) -> list[tuple[int, int]]:
                                  level=level, cores=cores)
 
 
+def _fallback_note(name: str) -> str:
+    return f" ({FALLBACK_REASON})" if name == "python" and FALLBACK_REASON else ""
+
+
 def _run_maintenance(args, mode: str) -> int:
     g, _ = _load_graph(args)
     backend = get_backend(args.backend)
@@ -99,7 +104,8 @@ def _run_maintenance(args, mode: str) -> int:
     print(f"{mode}: {log.edges_applied} edges applied in {elapsed:.4f}s "
           f"({per_edge:.4f} ms/edge), rounds={log.rounds_executed}, "
           f"changed={log.changed_total}, visited={log.counters.visited}, "
-          f"backend={backend.NAME}, threads={args.threads_one}")
+          f"backend={backend.NAME}{_fallback_note(backend.NAME)}, "
+          f"threads={args.threads_one}")
     if log.dropped_existing:
         print(f"dropped {log.dropped_existing} already-present edges",
               file=sys.stderr)
@@ -150,16 +156,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.backend != "both":
+        backends = [get_backend(args.backend).NAME]
+    elif "c" in BACKENDS:
+        backends = ["c", "python"]
+    else:
+        raise RuntimeError(f"--backend both: {FALLBACK_REASON}")
     g0, dataset = _load_graph(args)
-    cores0 = peel(g0, backend=args.backend if args.backend != "both" else None)
+    cores0 = peel(g0, backend=backends[0])
     edges = _batch_edges(args, g0, cores0, args.mode)
     if args.core_stratum is not None:
         print(f"core stratum {args.core_stratum}: "
               f"{stratum_size(g0, cores0, args.core_stratum)} candidate edges",
               file=sys.stderr)
     threads = [int(t) for t in str(args.threads).split(",")]
-    backends = (["c", "python"] if args.backend == "both"
-                else [get_backend(args.backend).NAME])
 
     def fresh():
         g = g0.copy()

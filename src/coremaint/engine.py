@@ -95,7 +95,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                workers: int, backend, audit: bool) -> MaintenanceLog:
     insert = mode == "insert"
     be = get_backend(backend) if isinstance(backend, (str, type(None))) else backend
-    cores.grow_inplace(g.vertex_count)
+    cores.fit_to(g)
     scratch = be.make_scratch(g.vertex_count)
     kernel = be.insert_level if insert else be.delete_level
     log = MaintenanceLog(mode=mode, batch_size=batch.size,
@@ -123,8 +123,8 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         weights = {k: len(plan_edges[k]) for k in plan.levels}
         try:
             results = run_level_tasks(plan.levels, workers, task, weights)
-        except Exception:
-            for u, v in plan.all_edges():  # re-playable round rollback
+        except BaseException:  # interrupts too: re-playable round rollback
+            for u, v in plan.all_edges():
                 if insert:
                     g._remove_dense(u, v)
                 else:
@@ -179,7 +179,7 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
     """
     insert = mode == "insert"
     be = get_backend(backend) if isinstance(backend, (str, type(None))) else backend
-    cores.grow_inplace(g.vertex_count)
+    cores.fit_to(g)
     scratch = be.make_scratch(g.vertex_count)
     kernel = be.insert_level if insert else be.delete_level
     log = MaintenanceLog(mode=f"{mode}-baseline", batch_size=batch.size,

@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
-The compiled Cython kernels are preferred when the extension built; the
-pure-Python module is always available.  Override with the environment
+The compiled kernels (``_kernels.c``, built on first import) are preferred;
+the pure-Python module is always available.  When the compiled lane cannot
+be built, ``FALLBACK_REASON`` says why.  Override with the environment
 variable COREMAINT_BACKEND=c|python, or pass backend="..." to the
 operations that accept one.
 """
@@ -13,13 +14,14 @@ import os
 from . import _kernels_py
 
 BACKENDS = {"python": _kernels_py}
+FALLBACK_REASON = ""  # why the compiled lane is missing; empty if it loaded
 
 try:
     from . import _kernels_c
 
     BACKENDS["c"] = _kernels_c
-except ImportError:
-    _kernels_c = None
+except ImportError as exc:
+    FALLBACK_REASON = f"compiled kernels unavailable ({exc})"
 
 _ENV_VAR = "COREMAINT_BACKEND"
 

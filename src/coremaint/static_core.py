@@ -32,11 +32,23 @@ class CoreMap:
     def as_label_dict(self, g: Graph) -> dict[int, int]:
         return {g.label_of(i): int(c) for i, c in enumerate(self.values)}
 
-    def grow_inplace(self, n: int):
-        """Extend with zero entries for newly created vertices."""
-        if n > len(self.values):
+    def fit_to(self, g: Graph):
+        """Extend with core 0 for vertices created since the map was made.
+
+        Raises ValueError, changing nothing, if the map has more entries
+        than ``g`` has vertices or if a vertex it would pad has edges.
+        """
+        n, have = g.vertex_count, len(self.values)
+        if have > n:
+            raise ValueError(f"core map has {have} entries, graph has "
+                             f"{n} vertices")
+        if have < n:
+            _, lens, _ = g.adjacency_arrays()
+            if lens[have:].any():
+                raise ValueError(f"core map covers {have} of {n} vertices "
+                                 f"and a vertex beyond it has edges")
             out = np.zeros(n, dtype=np.int32)
-            out[: len(self.values)] = self.values
+            out[:have] = self.values
             self.values = out
 
     def __eq__(self, other):

@@ -143,6 +143,13 @@ def test_insert_batch_creates_vertices():
     assert g.vertex_count == 4  # labels 5 and 6 now exist, isolated
 
 
+def test_insert_batch_bad_label_creates_no_vertex():
+    g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
+    with pytest.raises(ValueError):
+        build_insert_batch(g, [(5, 6), (7, -1)])
+    assert g.vertex_count == 3
+
+
 def test_delete_batch_requires_present_edges():
     g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
     with pytest.raises(BatchError) as err:

@@ -3,6 +3,7 @@ import pytest
 
 from coremaint import Graph, load_edge_list, peel, save_edge_list, write_core_file
 from coremaint.cli import main
+from coremaint.kernels import BACKENDS, FALLBACK_REASON
 
 
 @pytest.fixture
@@ -106,6 +107,16 @@ def test_bench_emits_rows(small_graph, capsys):
         recomputed = float(row[total]) / int(row[batch]) * 1000
         assert abs(float(row[per_edge]) - recomputed) < 0.01
     assert "# round 1:" in out
+
+
+@pytest.mark.skipif("c" not in BACKENDS, reason=FALLBACK_REASON)
+def test_bench_both_backends_one_row_each(small_graph, capsys):
+    _, path = small_graph
+    rc = main(["bench", "--graph", str(path), "--batch-size", "20",
+               "--threads", "1", "--backend", "both"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split("\t")[2] for row in rows] == ["c", "python"]
 
 
 def test_missing_input_is_runtime_error(tmp_path, capsys):

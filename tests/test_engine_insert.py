@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from coremaint import (Graph, build_insert_batch, constrained_support,
-                       insert_edges, peel, support_degree)
+from coremaint import (CoreMap, Graph, build_insert_batch,
+                       constrained_support, insert_edges, peel,
+                       support_degree)
 from coremaint.kernels import available_backends
 
 
@@ -88,6 +89,34 @@ def test_new_vertex_edge_level_zero():
     cores, log = run_insert(g, [(2, 7)])  # label 7 is new, core 0
     assert log.rounds[0].levels == (0,)
     assert cores.of(g, 7) == 1
+    assert cores == peel(g)
+
+
+def test_core_map_longer_than_graph_is_rejected():
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=4,
+                         dense_labels=True)
+    cores = CoreMap(np.array([2, 2, 2, 0, 0], dtype=np.int32))
+    batch = build_insert_batch(g, [(2, 3)])
+    with pytest.raises(ValueError, match="5 entries"):
+        insert_edges(g, cores, batch)
+    assert g.edge_count == 3 and batch.remaining == 1
+
+
+def test_core_map_padding_over_edges_is_rejected():
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2)], dense_labels=True)
+    cores = CoreMap()
+    batch = build_insert_batch(g, [(0, 3)])
+    with pytest.raises(ValueError, match="has edges"):
+        insert_edges(g, cores, batch)
+    assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert len(cores) == 0 and batch.remaining == 1
+
+
+def test_core_map_padding_over_new_vertices_is_allowed():
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2)], dense_labels=True)
+    cores = peel(g)
+    batch = build_insert_batch(g, [(0, 3), (4, 5)])  # 3, 4, 5 are new
+    insert_edges(g, cores, batch)
     assert cores == peel(g)
 
 

@@ -1,17 +1,24 @@
-"""Cascade-level tests against the pure-Python kernels, plus parity checks
-ensuring the compiled backend reproduces results and counters exactly."""
+"""Cascade-level tests against the pure-Python kernels, parity checks
+ensuring the compiled backend reproduces results and counters exactly, and
+the compiled lane's input checks and build fallback."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coremaint
 from coremaint import Graph, build_delete_batch, build_insert_batch, peel
 from coremaint import delete_edges, insert_edges
 from coremaint._kernels_py import (TaskState, _Adj, drop_cascade,
                                    rule_out_cascade)
-from coremaint.kernels import BACKENDS, get_backend
+from coremaint.kernels import BACKENDS, FALLBACK_REASON, get_backend
 
-needs_c = pytest.mark.skipif("c" not in BACKENDS,
-                             reason="compiled backend not built")
+needs_c = pytest.mark.skipif("c" not in BACKENDS, reason=FALLBACK_REASON)
 
 
 def path_graph(n):
@@ -166,3 +173,73 @@ def test_compiled_scratch_is_reusable_and_clean():
                              scratch)
     assert first[0].tolist() == second[0].tolist()
     assert first[1] == second[1]
+
+
+# ----------------------------------------------------------------------
+# compiled lane: inputs are checked before they reach C
+
+
+def level_call_args():
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], dense_labels=True)
+    cores = peel(g)
+    g.remove_edge(2, 3)
+    starts, lens, pool = g.adjacency_arrays()
+    return dict(starts=starts, lens=lens, pool=pool, cores=cores.values,
+                k=1, eu=np.array([2], dtype=np.int32),
+                ev=np.array([3], dtype=np.int32),
+                scratch=get_backend("c").make_scratch(g.vertex_count))
+
+
+@needs_c
+@pytest.mark.parametrize("field, bad, error", [
+    ("cores", lambda a: a.astype(np.int64), TypeError),
+    ("pool", lambda a: np.repeat(a, 2)[::2], TypeError),
+    ("ev", lambda a: np.array([4], dtype=np.int32), ValueError),
+    ("eu", lambda a: np.array([-1], dtype=np.int32), ValueError),
+    ("lens", lambda a: a[:-1], ValueError),
+])
+def test_compiled_lane_rejects_bad_inputs(field, bad, error):
+    be = get_backend("c")
+    args = level_call_args()
+    moved, counters = be.delete_level(**args)
+    args[field] = bad(args[field])
+    for kernel in (be.insert_level, be.delete_level):
+        with pytest.raises(error):
+            kernel(**args)
+    # the rejected calls left the shared arena as they found it
+    args = dict(level_call_args(), scratch=args["scratch"])
+    again = be.delete_level(**args)
+    assert (again[0].tolist(), again[1]) == (moved.tolist(), counters)
+
+
+@pytest.mark.parametrize("breakage", ["no compiler", "broken source"])
+def test_failed_build_falls_back_to_python(breakage, tmp_path):
+    package = tmp_path / "coremaint"
+    shutil.copytree(Path(coremaint.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "COREMAINT_BACKEND"}
+    env["PYTHONPATH"] = str(tmp_path)
+    if breakage == "no compiler":
+        env["PATH"] = str(tmp_path)  # holds no cc
+    else:
+        with open(package / "_kernels.c", "a") as fh:
+            fh.write("\nthis is not C;\n")
+    probe = ("from coremaint import kernels; "
+             "print(kernels.default_backend_name()); "
+             "print(kernels.FALLBACK_REASON)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    name, reason = out.splitlines()
+    assert name == "python"
+    assert reason.startswith("compiled kernels unavailable (")
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "coremaint", *args, "--gen", "er",
+             "--n", "40", "--deg", "3", "--batch-size", "5"],
+            env=env, cwd=tmp_path, capture_output=True, text=True)
+
+    assert f"backend=python ({reason})" in cli("insert").stdout
+    both = cli("bench", "--backend", "both")
+    assert both.returncode == 1
+    assert reason in both.stderr

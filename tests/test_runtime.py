@@ -40,8 +40,13 @@ def test_failure_names_the_level(workers):
     assert err.value.level == 5
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_engine_round_rolls_back_on_task_failure(workers):
+@pytest.mark.parametrize("workers, error, raised", [
+    pytest.param(1, RuntimeError, LevelTaskError, id="1"),
+    pytest.param(3, RuntimeError, LevelTaskError, id="3"),
+    pytest.param(1, KeyboardInterrupt, KeyboardInterrupt, id="1-interrupt"),
+    pytest.param(3, KeyboardInterrupt, KeyboardInterrupt, id="3-interrupt"),
+])
+def test_engine_round_rolls_back_on_task_failure(workers, error, raised):
     g = Graph.from_edges([(0, 1), (2, 3), (3, 4), (2, 4)], dense_labels=True)
     cores = peel(g)
     before_cores = cores.values.copy()
@@ -50,7 +55,7 @@ def test_engine_round_rolls_back_on_task_failure(workers):
     remaining = batch.remaining
 
     def exploding_kernel(*args, **kwargs):
-        raise RuntimeError("injected")
+        raise error("injected")
 
     class BadBackend:
         NAME = "bad"
@@ -58,7 +63,7 @@ def test_engine_round_rolls_back_on_task_failure(workers):
         insert_level = staticmethod(exploding_kernel)
         delete_level = staticmethod(exploding_kernel)
 
-    with pytest.raises(LevelTaskError):
+    with pytest.raises(raised):
         insert_edges(g, cores, batch, workers=workers, backend=BadBackend())
     assert sorted(g.edges()) == before_edges
     assert cores.values.tolist() == before_cores.tolist()
