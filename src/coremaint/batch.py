@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Edge, Graph, _as_pair
+from .graph import Graph, _as_pair, sorted_unique
 from .static_core import CoreMap
 
 
@@ -54,7 +54,7 @@ class EdgeBatch:
     @property
     def touched(self) -> set[int]:
         live = self.pairs[self.alive]
-        return set(np.unique(live).tolist())
+        return set(sorted_unique(live).tolist())
 
     @property
     def max_multiplicity(self) -> int:
@@ -62,56 +62,61 @@ class EdgeBatch:
 
     def live_pairs(self) -> list[tuple[int, int, int]]:
         """(index, u, v) for each live pair, in canonical ascending order."""
-        idx = np.nonzero(self.alive)[0]
-        return [(int(i), int(self.pairs[i, 0]), int(self.pairs[i, 1]))
-                for i in idx]
+        idx = self.alive.nonzero()[0]
+        live = self.pairs[idx]
+        return list(zip(idx.tolist(), live[:, 0].tolist(),
+                        live[:, 1].tolist()))
 
 
-def _canonical_pairs(g: Graph, edges, create_vertices: bool):
-    labels = [_as_pair(e) for e in edges]
-    if any(u < 0 or v < 0 for u, v in labels):  # before any vertex exists
+def _label_pairs(edges) -> np.ndarray:
+    """The batch's label pairs as an (m, 2) int64 array."""
+    try:
+        arr = np.array(edges, dtype=np.int64)
+    except (TypeError, ValueError):  # Edge objects, iterators, mixed items
+        arr = np.array([_as_pair(e) for e in edges], dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be vertex pairs")
+    return arr
+
+
+def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
+    """The label batch as deduplicated canonical dense pairs, self-loops
+    dropped.
+
+    New labels become vertices in first-sight order, but only after every
+    label has been checked.
+    """
+    labels = _label_pairs(edges)
+    if labels.size and labels.min() < 0:  # before any vertex exists
         raise ValueError("vertex labels must be non-negative")
-    loops = 0
-    pairs = []
-    for u, v in labels:
-        if u == v:
-            loops += 1
-            continue
-        if create_vertices:
-            du, dv = g._intern(u), g._intern(v)
-        else:
-            try:
-                du, dv = g.dense_of(u), g.dense_of(v)
-            except KeyError as exc:
-                raise BatchError(f"unknown vertex {exc.args[0]} in batch") from None
-        if du > dv:
-            du, dv = dv, du
-        pairs.append((du, dv))
-    return pairs, loops
-
-
-def _finish(g: Graph, pairs, loops: int) -> EdgeBatch:
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    loop = labels[:, 0] == labels[:, 1]
+    flat = labels[~loop].ravel()
+    dense = g._dense_ids(flat)
+    unknown = (dense < 0).nonzero()[0]
+    if len(unknown):
+        if not create_vertices:
+            raise BatchError(f"unknown vertex {int(flat[unknown[0]])} "
+                             f"in batch")
+        dense[unknown] = [g._intern(x) for x in flat[unknown].tolist()]
+    us, vs = dense[0::2], dense[1::2]
     n = max(g.vertex_count, 1)
-    key = arr[:, 0] * n + arr[:, 1]
-    uniq = np.unique(key)
-    dupes = len(key) - len(uniq)
-    out = np.stack([uniq // n, uniq % n], axis=1).astype(np.int32)
-    mult = np.bincount(out.ravel(), minlength=g.vertex_count)
-    return EdgeBatch(pairs=out, alive=np.ones(len(out), dtype=bool),
-                     multiplicity=mult, dropped_duplicates=dupes,
-                     dropped_self_loops=loops)
+    keys = sorted_unique(np.minimum(us, vs) * n + np.maximum(us, vs))
+    pairs = np.stack([keys // n, keys % n], axis=1).astype(np.int32)
+    return EdgeBatch(pairs=pairs, alive=np.ones(len(pairs), dtype=bool),
+                     multiplicity=np.bincount(pairs.ravel(),
+                                              minlength=g.vertex_count),
+                     dropped_duplicates=len(us) - len(keys),
+                     dropped_self_loops=int(np.count_nonzero(loop)))
 
 
 def build_insert_batch(g: Graph, edges) -> EdgeBatch:
     """Batch of edges to insert.  New endpoint labels create vertices now
     (with core 0); edges already present in the graph are dropped.
     """
-    pairs, loops = _canonical_pairs(g, edges, create_vertices=True)
-    batch = _finish(g, pairs, loops)
-    present = np.fromiter(
-        (g._has_dense(int(u), int(v)) for u, v in batch.pairs),
-        dtype=bool, count=len(batch.pairs))
+    batch = _new_batch(g, edges, create_vertices=True)
+    present = g._has_dense(batch.pairs[:, 0], batch.pairs[:, 1])
     if present.any():
         batch.dropped_existing = int(present.sum())
         batch.pairs = batch.pairs[~present]
@@ -123,11 +128,11 @@ def build_insert_batch(g: Graph, edges) -> EdgeBatch:
 
 def build_delete_batch(g: Graph, edges) -> EdgeBatch:
     """Batch of edges to delete; every edge must exist in the graph."""
-    pairs, loops = _canonical_pairs(g, edges, create_vertices=False)
-    batch = _finish(g, pairs, loops)
-    missing = [(g.label_of(int(u)), g.label_of(int(v)))
-               for u, v in batch.pairs if not g._has_dense(int(u), int(v))]
-    if missing:
+    batch = _new_batch(g, edges, create_vertices=False)
+    absent = ~g._has_dense(batch.pairs[:, 0], batch.pairs[:, 1])
+    if absent.any():
+        missing = [(g.label_of(u), g.label_of(v))
+                   for u, v in batch.pairs[absent].tolist()]
         raise BatchError(f"edges not present in graph: {missing}")
     return batch
 
@@ -135,11 +140,9 @@ def build_delete_batch(g: Graph, edges) -> EdgeBatch:
 def pending_levels(batch: EdgeBatch, cores: CoreMap) -> set[int]:
     """Core levels with at least one pending edge under the current cores."""
     live = batch.pairs[batch.alive]
-    if not len(live):
-        return set()
     vals = cores.values
     lv = np.minimum(vals[live[:, 0]], vals[live[:, 1]])
-    return set(int(x) for x in np.unique(lv))
+    return set(sorted_unique(lv).tolist())
 
 
 @dataclass
@@ -147,17 +150,26 @@ class RoundPlan:
     """One round's work: per core level, the selected level-k edges."""
 
     levels: list[int] = field(default_factory=list)
-    edges_at_level: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    # level -> (us, vs): int32 dense endpoints, canonical order
+    level_edges: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict)
     selected_indices: list[int] = field(default_factory=list)
     dropped_existing: int = 0
 
     @property
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.edges_at_level.values())
+        return len(self.selected_indices)
 
-    def all_edges(self):
-        for k in self.levels:
-            yield from self.edges_at_level[k]
+    @property
+    def edges_at_level(self) -> dict[int, list[tuple[int, int]]]:
+        """The level edges as (u, v) lists, built on each access."""
+        return edge_lists(self.level_edges)
+
+
+def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
+    """Per-level (us, vs) arrays as lists of (u, v) tuples."""
+    return {k: list(zip(us.tolist(), vs.tolist()))
+            for k, (us, vs) in level_edges.items()}
 
 
 def select_level_edges(batch: EdgeBatch, cores: CoreMap, k: int
@@ -180,36 +192,45 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
     covered by an earlier selection this round; a selected edge covers each
     of its endpoints whose core equals the level.  With ``drop_existing``
     (insert mode), pending edges that already exist in the graph are
-    discarded with a counter instead of selected.
+    discarded with a counter instead of selected.  Endpoint cores (and
+    edge existence) are read for all live pairs with numpy; the scan runs
+    over plain lists.
     """
+    idx = batch.alive.nonzero()[0]
+    live = batch.pairs[idx]
+    us, vs = live[:, 0], live[:, 1]
     vals = cores.values
+    exists = (g._has_dense(us, vs).tolist() if drop_existing and g is not None
+              else [False] * len(idx))
     covered: set[int] = set()
-    plan = RoundPlan()
-    for i, u, v in batch.live_pairs():
-        cu, cv = int(vals[u]), int(vals[v])
+    picked: list[int] = []  # positions in idx, ascending
+    dropped: list[int] = []
+    by_level: dict[int, list[int]] = {}
+    for j, (u, v, cu, cv, ex) in enumerate(zip(
+            us.tolist(), vs.tolist(), vals[us].tolist(), vals[vs].tolist(),
+            exists)):
         k = cu if cu < cv else cv
         if (cu == k and u in covered) or (cv == k and v in covered):
             continue
-        if drop_existing and g is not None and g._has_dense(u, v):
-            if consume:
-                batch.alive[i] = False
-            plan.dropped_existing += 1
+        if ex:
+            dropped.append(j)
             continue
-        if consume:
-            batch.alive[i] = False
-        plan.selected_indices.append(i)
-        if k not in plan.edges_at_level:
-            plan.edges_at_level[k] = []
-        plan.edges_at_level[k].append((u, v))
+        picked.append(j)
+        by_level.setdefault(k, []).append(j)
         if cu == k:
             covered.add(u)
         if cv == k:
             covered.add(v)
-    plan.levels = sorted(plan.edges_at_level)
+    if consume:
+        batch.alive[idx[picked + dropped]] = False
+    plan = RoundPlan(levels=sorted(by_level), dropped_existing=len(dropped),
+                     selected_indices=idx[picked].tolist())
+    for k in plan.levels:
+        at = by_level[k]
+        plan.level_edges[k] = (us[at], vs[at])
     return plan
 
 
 def restore_plan(batch: EdgeBatch, plan: RoundPlan):
     """Put a planned round's edges back (round rollback on task failure)."""
-    for i in plan.selected_indices:
-        batch.alive[i] = True
+    batch.alive[plan.selected_indices] = True

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import EdgeBatch, plan_round, restore_plan
+from .batch import EdgeBatch, edge_lists, plan_round, restore_plan
 from .graph import Graph
 from .kernels import get_backend
 from .runtime import LevelTaskResult, TaskCounters, run_level_tasks
@@ -29,9 +29,14 @@ from .static_core import CoreMap
 class RoundRecord:
     index: int
     levels: tuple[int, ...]
-    edges_at_level: dict[int, list[tuple[int, int]]]
+    level_edges: dict[int, tuple[np.ndarray, np.ndarray]]  # as in RoundPlan
     changed: tuple[int, ...]  # dense ids, ascending
     counters: TaskCounters
+
+    @property
+    def edges_at_level(self) -> dict[int, list[tuple[int, int]]]:
+        """The level edges as (u, v) lists, built on each access."""
+        return edge_lists(self.level_edges)
 
 
 @dataclass
@@ -59,8 +64,8 @@ class MaintenanceLog:
         for rec in self.rounds:
             fh.write(f"round {rec.index} levels "
                      f"{','.join(map(str, rec.levels))}\n")
-            for k in rec.levels:
-                for u, v in rec.edges_at_level[k]:
+            for k, edges in rec.edges_at_level.items():
+                for u, v in edges:
                     fh.write(f"applied {k} {lab(u)} {lab(v)}\n")
             verb = "raised" if self.mode == "insert" else "lowered"
             fh.write(f"{verb} {' '.join(str(lab(v)) for v in rec.changed)}\n")
@@ -85,12 +90,6 @@ def _audit_round(log: MaintenanceLog, pre: np.ndarray, post: np.ndarray,
         log.audit_violations.append(f"round {rnd}: core increased on delete")
 
 
-def _edge_arrays(edges):
-    eu = np.fromiter((e[0] for e in edges), np.int32, len(edges))
-    ev = np.fromiter((e[1] for e in edges), np.int32, len(edges))
-    return eu, ev
-
-
 def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                workers: int, backend, audit: bool) -> MaintenanceLog:
     insert = mode == "insert"
@@ -98,6 +97,8 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     cores.fit_to(g)
     scratch = be.make_scratch(g.vertex_count)
     kernel = be.insert_level if insert else be.delete_level
+    apply, undo = ((g._add_dense, g._remove_dense) if insert
+                   else (g._remove_dense, g._add_dense))
     log = MaintenanceLog(mode=mode, batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
     while batch.remaining:
@@ -106,29 +107,26 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         if not plan.levels:
             continue
         pre = cores.values.copy() if audit else None
-        for u, v in plan.all_edges():
-            if insert:
-                g._add_dense(u, v)
-            else:
-                g._remove_dense(u, v)
+        edges = batch.pairs[plan.selected_indices]
+        try:
+            apply(edges[:, 0], edges[:, 1])
+        except ValueError:  # an edge to delete is gone; nothing was applied
+            restore_plan(batch, plan)
+            raise
         starts, lens, pool = g.adjacency_arrays()
-        plan_edges = plan.edges_at_level
+        level_edges = plan.level_edges
 
         def task(k: int) -> LevelTaskResult:
-            eu, ev = _edge_arrays(plan_edges[k])
+            eu, ev = level_edges[k]
             moved, counters = kernel(starts, lens, pool, cores.values,
                                      k, eu, ev, scratch)
             return LevelTaskResult(k, moved, TaskCounters.from_tuple(counters))
 
-        weights = {k: len(plan_edges[k]) for k in plan.levels}
+        weights = {k: len(level_edges[k][0]) for k in plan.levels}
         try:
             results = run_level_tasks(plan.levels, workers, task, weights)
         except BaseException:  # interrupts too: re-playable round rollback
-            for u, v in plan.all_edges():
-                if insert:
-                    g._remove_dense(u, v)
-                else:
-                    g._add_dense(u, v)
+            undo(edges[:, 0], edges[:, 1])
             restore_plan(batch, plan)
             raise
         changed: list[int] = []
@@ -143,8 +141,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         changed.sort()
         log.edges_applied += plan.edge_count
         rec = RoundRecord(len(log.rounds) + 1, tuple(plan.levels),
-                          {k: list(plan_edges[k]) for k in plan.levels},
-                          tuple(changed), agg)
+                          level_edges, tuple(changed), agg)
         log.rounds.append(rec)
         log.counters = log.counters + agg
         if audit:
@@ -187,15 +184,17 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
     vals = cores.values
     for i, u, v in batch.live_pairs():
         batch.alive[i] = False
+        eu = np.array([u], dtype=np.int32)
+        ev = np.array([v], dtype=np.int32)
         if insert:
-            if g._add_dense(u, v) == "duplicate":
+            if g._has_dense(eu, ev)[0]:
                 log.dropped_existing += 1
                 continue
+            g._add_dense(eu, ev)
         else:
-            g._remove_dense(u, v)
+            g._remove_dense(eu, ev)
         k = int(min(vals[u], vals[v]))
         starts, lens, pool = g.adjacency_arrays()
-        eu, ev = _edge_arrays([(u, v)])
         moved, counters = kernel(starts, lens, pool, vals, k, eu, ev, scratch)
         if insert:
             vals[moved] += 1

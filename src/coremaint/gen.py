@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, sorted_unique
 
 
 def _decode_pairs(t: np.ndarray, n: int) -> np.ndarray:
@@ -53,11 +53,12 @@ def generate_er(n: int, deg: float, seed: int) -> Graph:
     p = min(1.0, deg * n / total_pairs)
     rng = np.random.default_rng(seed)
     m = int(rng.binomial(total_pairs, p))
-    picked = np.unique(rng.integers(0, total_pairs, size=m, dtype=np.int64))
+    picked = sorted_unique(rng.integers(0, total_pairs, size=m,
+                                        dtype=np.int64))
     while len(picked) < m:  # top up collisions
         extra = rng.integers(0, total_pairs, size=m - len(picked),
                              dtype=np.int64)
-        picked = np.unique(np.concatenate([picked, extra]))
+        picked = sorted_unique(np.concatenate([picked, extra]))
     pairs = _decode_pairs(picked, n)
     return Graph.from_edges(pairs, num_vertices=n, dense_labels=True)
 
@@ -114,22 +115,26 @@ def sample_new_edges(g: Graph, count: int, seed: int,
     tries = 0
     limit = max_tries_factor * max(count, 1)
     while len(out) < count:
-        tries += 1
-        if tries > limit:
+        if tries == limit:
             raise RuntimeError(
                 f"could not sample {count} non-edges after {limit} tries")
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen or g._has_dense(u, v):
-            continue
-        if level is not None and min(int(vals[u]), int(vals[v])) != level:
-            continue
-        seen.add((u, v))
-        out.append((g.label_of(u), g.label_of(v)))
+        # candidates in chunks: the same draws, in the same order, as one
+        # u, v draw per candidate
+        size = min(limit - tries, max(2 * (count - len(out)), 64))
+        tries += size
+        draws = rng.integers(n, size=2 * size)
+        lo = np.minimum(draws[0::2], draws[1::2])
+        hi = np.maximum(draws[0::2], draws[1::2])
+        ok = lo != hi
+        ok[ok] = ~g._has_dense(lo[ok], hi[ok])
+        if level is not None:
+            ok &= np.minimum(vals[lo], vals[hi]) == level
+        for u, v in zip(lo[ok].tolist(), hi[ok].tolist()):
+            if (u, v) not in seen:
+                seen.add((u, v))
+                out.append((g.label_of(u), g.label_of(v)))
+                if len(out) == count:
+                    break
     return out
 
 

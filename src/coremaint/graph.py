@@ -3,9 +3,16 @@
 Vertices are addressed by non-negative integer labels.  Labels are remapped
 to dense internal ids (0..n-1) on first sight, so per-vertex engine state
 can live in flat arrays.  Adjacency is stored in one shared pool array with
-per-vertex (start, length, capacity) blocks; appending past capacity
-relocates the block to the end of the pool.  Mutations must happen in
-exclusive phases; between mutations the arrays may be read concurrently.
+per-vertex (start, length, capacity) blocks.
+
+Edges are added, removed and looked up a whole array of pairs at a time
+(one maintenance round's edges per call), with numpy gathers over the
+blocks of the touched vertices only.  Removal compacts each touched block
+in place.  Addition first moves every block that would overflow to the
+pool tail in one pass, each with its capacity doubled until the new
+entries fit, then writes all new entries with one scatter; the vacated
+slots are not reused.  Mutations must happen in exclusive phases; between
+mutations the arrays may be read concurrently.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ class Graph:
         self._pool_used = 0
         self._labels: list[int] = []
         self._label_map: dict[int, int] | None = None  # None means identity
+        # (sorted labels, their dense ids) for array lookups; None when stale
+        self._label_index: tuple[np.ndarray, np.ndarray] | None = None
         self.edge_count = 0
 
     # ------------------------------------------------------------------
@@ -109,14 +118,15 @@ class Graph:
             g._labels = list(range(n))
             g._label_map = None
         else:
-            uniq = np.unique(arr) if arr.size else np.zeros(0, dtype=np.int64)
+            uniq = sorted_unique(arr)
             n = len(uniq)
             dense = np.searchsorted(uniq, arr) if arr.size else arr
             g._labels = [int(x) for x in uniq]
-            if n and uniq[-1] == n - 1:  # labels already 0..n-1
+            if not n or uniq[-1] == n - 1:  # labels already 0..n-1
                 g._label_map = None
             else:
                 g._label_map = {int(lab): i for i, lab in enumerate(uniq)}
+                g._label_index = (uniq, np.arange(n))
             if num_vertices is not None and num_vertices > n:
                 raise ValueError("num_vertices requires dense_labels")
 
@@ -127,7 +137,7 @@ class Graph:
         if stats.dropped_self_loops:
             lo, hi = lo[~loops], hi[~loops]
         key = lo * n + hi if n else lo
-        uniq_key = np.unique(key)
+        uniq_key = sorted_unique(key)
         stats.dropped_duplicates = len(key) - len(uniq_key)
         lo = (uniq_key // n).astype(np.int64) if n else uniq_key
         hi = (uniq_key % n).astype(np.int64) if n else uniq_key
@@ -158,6 +168,7 @@ class Graph:
         g._pool_used = self._pool_used
         g._labels = list(self._labels)
         g._label_map = None if self._label_map is None else dict(self._label_map)
+        g._label_index = self._label_index  # never written in place
         g.edge_count = self.edge_count
         return g
 
@@ -203,8 +214,22 @@ class Graph:
             dense = len(self._labels)
             self._label_map[label] = dense
             self._labels.append(label)
+            self._label_index = None
             self._grow_vertex_arrays()
         return dense
+
+    def _dense_ids(self, labels: np.ndarray) -> np.ndarray:
+        """Dense ids of an int64 array of non-negative labels; -1 where a
+        label is unknown."""
+        if self._label_map is None:
+            return np.where(labels < len(self._labels), labels, -1)
+        if self._label_index is None:
+            known = np.asarray(self._labels, dtype=np.int64)
+            order = np.argsort(known)
+            self._label_index = (known[order], order)
+        known, ids = self._label_index
+        pos = np.minimum(np.searchsorted(known, labels), len(known) - 1)
+        return np.where(known[pos] == labels, ids[pos], -1)
 
     def _grow_vertex_arrays(self):
         n = len(self._labels)
@@ -233,81 +258,110 @@ class Graph:
         """
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        du = self._intern(int(u))
-        dv = self._intern(int(v))
-        return self._add_dense(du, dv)
+        pair = [self._intern(int(u))], [self._intern(int(v))]
+        if self._has_dense(*pair)[0]:
+            return "duplicate"
+        self._add_dense(*pair)
+        return "new"
 
     def remove_edge(self, u: int, v: int) -> str:
         """Delete the undirected edge {u, v}; returns "removed" or "absent"."""
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         try:
-            du = self.dense_of(int(u))
-            dv = self.dense_of(int(v))
+            pair = [self.dense_of(int(u))], [self.dense_of(int(v))]
         except KeyError:
             return "absent"
-        return self._remove_dense(du, dv)
-
-    def _add_dense(self, du: int, dv: int) -> str:
-        if self._has_dense(du, dv):
-            return "duplicate"
-        self._append_neighbor(du, dv)
-        self._append_neighbor(dv, du)
-        self.edge_count += 1
-        return "new"
-
-    def _remove_dense(self, du: int, dv: int) -> str:
-        if not self._has_dense(du, dv):
+        if not self._has_dense(*pair)[0]:
             return "absent"
-        self._drop_neighbor(du, dv)
-        self._drop_neighbor(dv, du)
-        self.edge_count -= 1
+        self._remove_dense(*pair)
         return "removed"
 
-    def _has_dense(self, du: int, dv: int) -> bool:
-        s = self._starts[du]
-        ln = self._lens[du]
-        if ln == 0:
-            return False
-        return bool((self._pool[s : s + ln] == dv).any())
+    def _add_dense(self, us, vs):
+        """Insert the edges {us[i], vs[i]} between existing dense ids.
 
-    def _append_neighbor(self, du: int, w: int):
-        ln = int(self._lens[du])
-        cap = int(self._caps[du])
-        if ln == cap:  # relocate block to the pool tail
-            new_cap = max(_MIN_BLOCK, 2 * cap)
-            need = self._pool_used + new_cap
-            if need > len(self._pool):
-                pool = np.zeros(max(need, 2 * len(self._pool), 64),
-                                dtype=_POOL_DTYPE)
-                pool[: self._pool_used] = self._pool[: self._pool_used]
-                self._pool = pool
-            s = int(self._starts[du])
-            self._pool[self._pool_used : self._pool_used + ln] = \
-                self._pool[s : s + ln]
-            self._starts[du] = self._pool_used
-            self._caps[du] = new_cap
-            self._pool_used += new_cap
-        s = int(self._starts[du])
-        self._pool[s + ln] = w
-        self._lens[du] = ln + 1
+        The pairs must be distinct, absent from the graph and free of
+        self-loops; every caller has checked that already.
+        """
+        src, dst = _directed(us, vs)
+        order = src.argsort(kind="stable")
+        touched, counts = sorted_unique(src, return_counts=True)
+        lens = self._lens[touched].astype(np.int64)
+        need = lens + counts
+        over = need > self._caps[touched]
+        if over.any():
+            self._relocate(touched[over], need[over])
+        # the i-th new entry of a vertex goes to slot start + len + i
+        self._pool[_block_slots(self._starts[touched] + lens, counts)] = \
+            dst[order]
+        self._lens[touched] = need
+        self.edge_count += len(src) // 2
 
-    def _drop_neighbor(self, du: int, w: int):
-        s = int(self._starts[du])
-        ln = int(self._lens[du])
-        block = self._pool[s : s + ln]
-        idx = int(np.nonzero(block == w)[0][0])
-        block[idx] = block[ln - 1]
-        self._lens[du] = ln - 1
+    def _relocate(self, vs: np.ndarray, need: np.ndarray):
+        """Move the blocks of ``vs`` to the pool tail, each capacity doubled
+        (at least ``_MIN_BLOCK``) until it holds ``need`` entries."""
+        cap = np.maximum(2 * self._caps[vs].astype(np.int64), _MIN_BLOCK)
+        short = cap < need
+        while short.any():
+            cap[short] *= 2
+            short = cap < need
+        ends = self._pool_used + cap.cumsum()
+        end = int(ends[-1])
+        if end > len(self._pool):
+            pool = np.zeros(max(end, 2 * len(self._pool), 64),
+                            dtype=_POOL_DTYPE)
+            pool[: self._pool_used] = self._pool[: self._pool_used]
+            self._pool = pool
+        lens = self._lens[vs].astype(np.int64)
+        self._pool[_block_slots(ends - cap, lens)] = \
+            self._pool[_block_slots(self._starts[vs], lens)]
+        self._starts[vs] = ends - cap
+        self._caps[vs] = cap
+        self._pool_used = end
+
+    def _remove_dense(self, us, vs):
+        """Delete the edges {us[i], vs[i]}; each touched block is compacted
+        in place and keeps the order of its remaining entries.
+
+        Raises ValueError, changing nothing, unless the pairs are distinct
+        edges of the graph.
+        """
+        src, dst = _directed(us, vs)
+        n = self.vertex_count
+        keys = src * n + dst
+        keys.sort()
+        touched = sorted_unique(src)
+        starts = self._starts[touched]
+        lens = self._lens[touched].astype(np.int64)
+        slots = _block_slots(starts, lens)
+        slot_keys = (touched * n).repeat(lens) + self._pool[slots]
+        pos = keys.searchsorted(slot_keys)
+        drop = keys[np.minimum(pos, len(keys) - 1)] == slot_keys
+        if np.count_nonzero(drop) != len(keys):
+            raise ValueError("edges to remove must be distinct edges of "
+                             "the graph")
+        kept = lens - _segment_counts(drop, lens)
+        self._pool[_block_slots(starts, kept)] = self._pool[slots[~drop]]
+        self._lens[touched] = kept
+        self.edge_count -= len(src) // 2
+
+    def _has_dense(self, us, vs) -> np.ndarray:
+        """Bool mask over the pairs: is vs[i] in the block of us[i]?"""
+        us = np.asarray(us, dtype=np.int64)
+        lens = self._lens[us].astype(np.int64)
+        match = self._pool[_block_slots(self._starts[us], lens)] \
+            == np.asarray(vs, dtype=np.int64).repeat(lens)
+        return _segment_counts(match, lens) > 0
 
     # ------------------------------------------------------------------
     # queries
 
     def has_edge(self, u: int, v: int) -> bool:
         try:
-            return self._has_dense(self.dense_of(int(u)), self.dense_of(int(v)))
+            pair = [self.dense_of(int(u))], [self.dense_of(int(v))]
         except KeyError:
             return False
+        return bool(self._has_dense(*pair)[0])
 
     def degree(self, u: int) -> int:
         return int(self._lens[self.dense_of(int(u))])
@@ -321,16 +375,10 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array of canonical dense-id pairs."""
-        n = self.vertex_count
         starts, lens, pool = self.adjacency_arrays()
-        total = int(lens.sum())
-        if total == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        src = np.repeat(np.arange(n, dtype=np.int64), lens)
-        base = np.repeat(starts, lens)
-        offsets = np.concatenate([[0], np.cumsum(lens[:-1])])
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, lens)
-        dst = pool[base + within].astype(np.int64)
+        lens = lens.astype(np.int64)
+        src = np.arange(self.vertex_count).repeat(lens)
+        dst = pool[_block_slots(starts, lens)].astype(np.int64)
         keep = src < dst
         return np.stack([src[keep], dst[keep]], axis=1)
 
@@ -344,18 +392,68 @@ class Graph:
                     yield (a, b) if a < b else (b, a)
 
     def check_invariants(self):
-        """Assert symmetry, simplicity, and the edge-count identity."""
+        """Assert block bounds, symmetry, simplicity, and the edge-count
+        identity."""
         n = self.vertex_count
-        total = 0
-        for du in range(n):
-            s = int(self._starts[du])
-            block = self._pool[s : s + int(self._lens[du])]
-            assert len(set(block.tolist())) == len(block), "parallel edge"
-            assert not (block == du).any(), "self-loop"
-            total += len(block)
-            for w in block.tolist():
-                assert self._has_dense(int(w), du), "asymmetric adjacency"
-        assert total == 2 * self.edge_count, "edge_count mismatch"
+        starts, lens, pool = self.adjacency_arrays()
+        lens = lens.astype(np.int64)
+        caps = self._caps[:n].astype(np.int64)
+        assert (lens <= caps).all(), "block longer than its capacity"
+        used = np.flatnonzero(caps)
+        order = used[np.argsort(starts[used], kind="stable")]
+        ends = starts[order] + caps[order]
+        assert (ends[:-1] <= starts[order][1:]).all(), "overlapping blocks"
+        assert not len(ends) or ends[-1] <= self._pool_used, \
+            "block beyond the used pool"
+        src = np.arange(n).repeat(lens)
+        dst = pool[_block_slots(starts, lens)].astype(np.int64)
+        assert ((dst >= 0) & (dst < n)).all(), "neighbor id out of range"
+        assert not (src == dst).any(), "self-loop"
+        keys = np.sort(src * n + dst)
+        assert not (keys[1:] == keys[:-1]).any(), "parallel edge"
+        assert self._has_dense(dst, src).all(), "asymmetric adjacency"
+        assert len(src) == 2 * self.edge_count, "edge_count mismatch"
+
+
+def sorted_unique(a, return_counts: bool = False):
+    """The distinct values of ``a`` in ascending order, as ``np.unique``
+    returns them, optionally with their counts.
+
+    Sort and compare neighbours: numpy 2.x's ``np.unique`` hashes integer
+    input, which is far slower than sorting on large arrays.
+    """
+    s = np.sort(a, axis=None)
+    first = np.empty(len(s) + 1, dtype=bool)
+    first[0] = first[-1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:-1])
+    uniq = s[first[:-1]]
+    if not return_counts:
+        return uniq
+    bounds = first.nonzero()[0]
+    return uniq, bounds[1:] - bounds[:-1]
+
+
+def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions of the pairs, as int64 (source, target) arrays."""
+    return (np.concatenate((us, vs), dtype=np.int64),
+            np.concatenate((vs, us), dtype=np.int64))
+
+
+def _block_slots(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Pool indices of the first ``lens[i]`` slots of each block, block
+    after block (int64 ``lens``)."""
+    ends = np.add.accumulate(lens)
+    total = ends[-1] if len(ends) else 0
+    return np.arange(total) + (starts - ends + lens).repeat(lens)
+
+
+def _segment_counts(mask: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """True entries of ``mask`` in each of its consecutive segments of
+    lengths ``lens`` (int64)."""
+    total = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.add.accumulate(mask, dtype=np.int64, out=total[1:])
+    ends = np.add.accumulate(lens)
+    return total[ends] - total[ends - lens]
 
 
 # ----------------------------------------------------------------------

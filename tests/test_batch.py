@@ -157,6 +157,39 @@ def test_delete_batch_requires_present_edges():
     assert "(0, 2)" in str(err.value)
 
 
+def test_delete_batch_names_missing_labels_and_mutates_nothing():
+    g = Graph.from_edges([(10, 20), (20, 30), (30, 40)])
+    edges, lens = sorted(g.edges()), g.adjacency_arrays()[1].copy()
+    with pytest.raises(BatchError) as err:
+        build_delete_batch(g, [(20, 10), (40, 10), (30, 20)])
+    assert "edges not present in graph: [(10, 40)]" in str(err.value)
+    with pytest.raises(BatchError, match="unknown vertex 99"):
+        build_delete_batch(g, [(10, 20), (99, 10)])
+    assert sorted(g.edges()) == edges and g.vertex_count == 4
+    assert np.array_equal(g.adjacency_arrays()[1], lens)
+
+
+def test_insert_batch_creates_vertices_in_first_sight_order():
+    # sparse labels: new labels get the next dense ids as first seen,
+    # skipping self-loops and pairs already seen
+    g = Graph.from_edges([(10, 20), (20, 30)])
+    b = build_insert_batch(g, [(50, 10), (7, 7), (99, 50), (20, 10),
+                               (61, 60), (60, 61), (5, 99)])
+    assert [g.label_of(i) for i in range(g.vertex_count)] == \
+        [10, 20, 30, 50, 99, 61, 60, 5]
+    assert b.pairs.tolist() == [[0, 3], [3, 4], [4, 7], [5, 6]]
+    assert (b.dropped_duplicates, b.dropped_self_loops,
+            b.dropped_existing) == (1, 1, 1)
+    # identity labels stay identity only while new labels come in order
+    g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
+    build_insert_batch(g, [(3, 0), (4, 3)])
+    assert g._label_map is None
+    build_insert_batch(g, [(6, 5), (5, 7)])
+    assert [g.label_of(i) for i in range(g.vertex_count)] == \
+        [0, 1, 2, 3, 4, 6, 5, 7]
+    assert g.dense_of(5) == 6 and g.dense_of(7) == 7
+
+
 def test_restore_plan_puts_edges_back():
     g, cores = graph_with_cores([2, 2, 2, 2])
     b = build_insert_batch(g, [(0, 1), (2, 3)])

@@ -61,6 +61,19 @@ def test_empty_batch_is_noop():
     assert log.rounds_executed == 0
 
 
+def test_edge_removed_after_batch_build_is_rejected():
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], dense_labels=True)
+    cores = peel(g)
+    batch = build_delete_batch(g, [(0, 1), (2, 3)])
+    g.remove_edge(2, 3)
+    before = (sorted(g.edges()), cores.values.tolist(), batch.alive.tolist())
+    with pytest.raises(ValueError):
+        delete_edges(g, cores, batch)
+    assert (sorted(g.edges()), cores.values.tolist(),
+            batch.alive.tolist()) == before
+    g.check_invariants()
+
+
 def test_isolated_vertices_survive_with_core_zero():
     g = Graph.from_edges([(0, 1)], num_vertices=4, dense_labels=True)
     cores, _ = run_delete(g, [(0, 1)])

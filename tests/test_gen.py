@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coremaint import peel
+from coremaint import load_edge_list, peel
 from coremaint.gen import (_decode_pairs, generate_ba, generate_er,
                            generate_graph, sample_existing_edges,
                            sample_new_edges, stratum_size)
@@ -73,6 +73,45 @@ def test_sample_new_edges_are_absent_and_distinct():
     picked = sample_new_edges(g, 200, seed=1)
     assert len(set(picked)) == 200
     assert all(not g.has_edge(u, v) for u, v in picked)
+
+
+def one_candidate_at_a_time(g, count, seed, level=None, cores=None):
+    """Reference sampler: one u, v draw and one edge lookup per candidate."""
+    rng = np.random.default_rng(seed)
+    n, vals = g.vertex_count, None if cores is None else cores.values
+    out, seen = [], set()
+    while len(out) < count:
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if u == v:
+            continue
+        u, v = min(u, v), max(u, v)
+        if (u, v) in seen or g.has_edge(g.label_of(u), g.label_of(v)):
+            continue
+        if level is not None and min(vals[u], vals[v]) != level:
+            continue
+        seen.add((u, v))
+        out.append((g.label_of(u), g.label_of(v)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sample_new_edges_matches_one_candidate_at_a_time(seed):
+    # sparse labels, so dense ids and labels differ
+    text = "".join(f"{3 * u + 7} {3 * v + 7}\n"
+                   for u, v in generate_er(300, 40, seed=seed).edges())
+    g = load_edge_list(text.encode())
+    cores = peel(g)
+    level = int(np.median(cores.values))
+    assert sample_new_edges(g, 500, seed) == \
+        one_candidate_at_a_time(g, 500, seed)
+    assert sample_new_edges(g, 30, seed, level=level, cores=cores) == \
+        one_candidate_at_a_time(g, 30, seed, level=level, cores=cores)
+
+
+def test_sample_new_edges_gives_up_after_the_try_limit():
+    g = load_edge_list(b"0 1\n1 2\n0 2\n")
+    with pytest.raises(RuntimeError, match="after 40 tries"):
+        sample_new_edges(g, 2, seed=1, max_tries_factor=20)
 
 
 def test_sample_existing_edges_are_present_and_distinct():

@@ -6,6 +6,7 @@ import pytest
 from coremaint import (Edge, EdgeListParseError, Graph, SelfLoopError,
                        load_edge_list, load_edge_list_with_stats,
                        save_edge_list)
+from coremaint.graph import sorted_unique
 
 
 def test_add_edge_to_empty_graph():
@@ -150,3 +151,86 @@ def test_edge_array_lists_each_edge_once():
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2)], dense_labels=True)
     arr = g.edge_array()
     assert sorted(map(tuple, arr.tolist())) == [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(8).integers(-50, 50, size=500),
+    np.zeros(0, dtype=np.int64),
+    np.full(17, 4, dtype=np.int32),
+    np.random.default_rng(9).integers(0, 1 << 40, size=(30, 2)),
+], ids=["random", "empty", "all-equal", "2d"])
+def test_sorted_unique_equals_np_unique(values):
+    uniq, counts = sorted_unique(values, return_counts=True)
+    ref, ref_counts = np.unique(values, return_counts=True)
+    assert uniq.dtype == ref.dtype
+    assert np.array_equal(uniq, ref)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(sorted_unique(values), ref)
+
+
+def _check_against_mirror(g, mirror):
+    g.check_invariants()
+    assert g.edge_count == len(mirror)
+    assert set(map(tuple, g.edge_array().tolist())) == mirror
+
+
+def test_bulk_rounds_match_a_set_mirror():
+    # vertex 0 is a hub that keeps gaining edges (its block relocates many
+    # times and the pool grows from empty); vertex 1 gains edges in every
+    # add round and loses them again in the next round
+    rng = np.random.default_rng(12)
+    n = 120
+    g = Graph.from_edges([], num_vertices=n, dense_labels=True)
+    mirror: set[tuple[int, int]] = set()
+    hub_starts, pool_sizes = set(), set()
+    for rnd in range(60):
+        if rnd % 2 == 0:
+            new = set()
+            while len(new) < 25:
+                u = 0 if len(new) < 2 else 1 if len(new) < 4 else \
+                    int(rng.integers(n))
+                v = int(rng.integers(n))
+                key = (min(u, v), max(u, v))
+                if u != v and key not in mirror:
+                    new.add(key)
+            pairs = np.array(sorted(new), dtype=np.int32)
+            rng.shuffle(pairs)
+            g._add_dense(pairs[:, 0], pairs[:, 1])
+            mirror |= new
+        else:
+            present = sorted(mirror)
+            gone = {e for e in present if 1 in e}
+            for i in rng.choice(len(present), size=15, replace=False):
+                if 0 not in present[i]:
+                    gone.add(present[i])
+            pairs = np.array(sorted(gone), dtype=np.int64)
+            g._remove_dense(pairs[:, 1], pairs[:, 0])  # either order works
+            mirror -= gone
+        _check_against_mirror(g, mirror)
+        hub_starts.add(int(g._starts[0]))
+        pool_sizes.add(len(g._pool))
+    assert g.degree(0) == len([e for e in mirror if 0 in e]) >= 60
+    assert len(hub_starts) >= 4 and len(pool_sizes) >= 3
+    us = rng.integers(n, size=400)
+    vs = rng.integers(n, size=400)
+    expect = [(min(u, v), max(u, v)) in mirror for u, v in zip(us, vs)]
+    assert g._has_dense(us, vs).tolist() == expect
+
+
+def test_remove_dense_rejects_absent_or_repeated_pairs():
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)], dense_labels=True)
+    before = sorted(g.edges())
+    for us, vs in [([0, 1], [1, 3]), ([0, 1], [1, 0]), ([2], [2])]:
+        with pytest.raises(ValueError):
+            g._remove_dense(np.array(us), np.array(vs))
+        assert sorted(g.edges()) == before
+        g.check_invariants()
+
+
+def test_check_invariants_catches_one_sided_entry():
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 3)], dense_labels=True)
+    g.check_invariants()
+    s = int(g._starts[3])
+    g._pool[s] = 2  # 3 now lists 2 (not 0), and 2 does not list 3
+    with pytest.raises(AssertionError):
+        g.check_invariants()

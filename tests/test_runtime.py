@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coremaint import (Graph, LevelTaskError, LevelTaskResult, TaskCounters,
-                       build_insert_batch, insert_edges, peel,
-                       run_level_tasks)
+                       build_delete_batch, build_insert_batch, delete_edges,
+                       get_backend, insert_edges, peel, run_level_tasks)
 
 
 def fake_task(level):
@@ -40,31 +40,54 @@ def test_failure_names_the_level(workers):
     assert err.value.level == 5
 
 
-@pytest.mark.parametrize("workers, error, raised", [
-    pytest.param(1, RuntimeError, LevelTaskError, id="1"),
-    pytest.param(3, RuntimeError, LevelTaskError, id="3"),
-    pytest.param(1, KeyboardInterrupt, KeyboardInterrupt, id="1-interrupt"),
-    pytest.param(3, KeyboardInterrupt, KeyboardInterrupt, id="3-interrupt"),
+@pytest.mark.parametrize("workers, error, raised, mode", [
+    pytest.param(1, RuntimeError, LevelTaskError, "insert", id="1"),
+    pytest.param(3, RuntimeError, LevelTaskError, "insert", id="3"),
+    pytest.param(1, KeyboardInterrupt, KeyboardInterrupt, "insert",
+                 id="1-interrupt"),
+    pytest.param(3, KeyboardInterrupt, KeyboardInterrupt, "insert",
+                 id="3-interrupt"),
+    pytest.param(1, RuntimeError, LevelTaskError, "delete", id="1-delete"),
+    pytest.param(3, RuntimeError, LevelTaskError, "delete", id="3-delete"),
+    pytest.param(1, KeyboardInterrupt, KeyboardInterrupt, "delete",
+                 id="1-interrupt-delete"),
+    pytest.param(3, KeyboardInterrupt, KeyboardInterrupt, "delete",
+                 id="3-interrupt-delete"),
 ])
-def test_engine_round_rolls_back_on_task_failure(workers, error, raised):
-    g = Graph.from_edges([(0, 1), (2, 3), (3, 4), (2, 4)], dense_labels=True)
+def test_engine_round_rolls_back_on_task_failure(workers, error, raised,
+                                                 mode):
+    # levels 1 (paths 0-1-5 and 6-7) and 2 (triangles 2-3-4 and 8-9-10)
+    # are both in the first round; only the level-2 task fails, so the
+    # level-1 task may have finished when the round is rolled back
+    g = Graph.from_edges([(0, 1), (1, 5), (6, 7), (2, 3), (3, 4), (2, 4),
+                          (8, 9), (9, 10), (8, 10)], dense_labels=True)
     cores = peel(g)
     before_cores = cores.values.copy()
     before_edges = sorted(g.edges())
-    batch = build_insert_batch(g, [(0, 2), (1, 4)])
-    remaining = batch.remaining
+    if mode == "insert":
+        batch = build_insert_batch(g, [(0, 6), (5, 7), (2, 8)])
+    else:
+        batch = build_delete_batch(g, [(0, 1), (6, 7), (2, 3)])
+    before_alive = batch.alive.copy()
+    real = get_backend()
 
-    def exploding_kernel(*args, **kwargs):
-        raise error("injected")
+    def level_kernel(name):
+        def kernel(starts, lens, pool, cores, k, *rest):
+            if k == 2:
+                raise error("injected")
+            return getattr(real, name)(starts, lens, pool, cores, k, *rest)
+        return staticmethod(kernel)
 
     class BadBackend:
         NAME = "bad"
-        make_scratch = staticmethod(lambda n: None)
-        insert_level = staticmethod(exploding_kernel)
-        delete_level = staticmethod(exploding_kernel)
+        make_scratch = staticmethod(real.make_scratch)
+        insert_level = level_kernel("insert_level")
+        delete_level = level_kernel("delete_level")
 
+    run = insert_edges if mode == "insert" else delete_edges
     with pytest.raises(raised):
-        insert_edges(g, cores, batch, workers=workers, backend=BadBackend())
+        run(g, cores, batch, workers=workers, backend=BadBackend())
     assert sorted(g.edges()) == before_edges
+    g.check_invariants()
     assert cores.values.tolist() == before_cores.tolist()
-    assert batch.remaining == remaining
+    assert batch.alive.tolist() == before_alive.tolist()
