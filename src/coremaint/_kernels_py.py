@@ -186,15 +186,14 @@ def rule_out_cascade(adj, cores, st: TaskState, r: int):
                     st.removals += 1
 
 
-def insert_level(starts, lens, pool, cores, k, eu, ev, scratch=None,
-                 state: TaskState | None = None):
+def insert_level(starts, lens, pool, cores, k, eu, ev, scratch=None):
     """Find the vertices of core level k that rise after inserting the
     level's edges (the edges must already be present in the arrays).
 
     Returns (ascending vertex id array, counter tuple).
     """
     adj = _Adj(starts, lens, pool)
-    st = state if state is not None else TaskState(k)
+    st = TaskState(k)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
     ev_l = ev.tolist() if hasattr(ev, "tolist") else list(ev)
     for a, b in zip(eu_l, ev_l):
@@ -248,15 +247,14 @@ def drop_cascade(adj, cores, st: TaskState, r: int):
                     st.removals += 1
 
 
-def delete_level(starts, lens, pool, cores, k, eu, ev, scratch=None,
-                 state: TaskState | None = None):
+def delete_level(starts, lens, pool, cores, k, eu, ev, scratch=None):
     """Find the vertices of core level k that fall after deleting the
     level's edges (the edges must already be gone from the arrays).
 
     Returns (ascending vertex id array, counter tuple).
     """
     adj = _Adj(starts, lens, pool)
-    st = state if state is not None else TaskState(k)
+    st = TaskState(k)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
     ev_l = ev.tolist() if hasattr(ev, "tolist") else list(ev)
 

@@ -22,16 +22,6 @@ class BatchError(ValueError):
     pass
 
 
-def edge_level(g: Graph, cores: CoreMap, u: int, v: int) -> int:
-    """Level of an edge: the smaller core number of its endpoints.
-
-    Endpoints unknown to the graph count as core 0 (a new vertex).
-    """
-    cu = cores.values[g.dense_of(u)] if g.has_vertex(u) else 0
-    cv = cores.values[g.dense_of(v)] if g.has_vertex(v) else 0
-    return int(min(cu, cv))
-
-
 @dataclass
 class EdgeBatch:
     """Deduplicated pending edges, canonical dense pairs in ascending order."""
@@ -52,20 +42,8 @@ class EdgeBatch:
         return int(self.alive.sum())
 
     @property
-    def touched(self) -> set[int]:
-        live = self.pairs[self.alive]
-        return set(sorted_unique(live).tolist())
-
-    @property
     def max_multiplicity(self) -> int:
         return int(self.multiplicity.max()) if len(self.multiplicity) else 0
-
-    def live_pairs(self) -> list[tuple[int, int, int]]:
-        """(index, u, v) for each live pair, in canonical ascending order."""
-        idx = self.alive.nonzero()[0]
-        live = self.pairs[idx]
-        return list(zip(idx.tolist(), live[:, 0].tolist(),
-                        live[:, 1].tolist()))
 
 
 def _label_pairs(edges) -> np.ndarray:
@@ -137,14 +115,6 @@ def build_delete_batch(g: Graph, edges) -> EdgeBatch:
     return batch
 
 
-def pending_levels(batch: EdgeBatch, cores: CoreMap) -> set[int]:
-    """Core levels with at least one pending edge under the current cores."""
-    live = batch.pairs[batch.alive]
-    vals = cores.values
-    lv = np.minimum(vals[live[:, 0]], vals[live[:, 1]])
-    return set(sorted_unique(lv).tolist())
-
-
 @dataclass
 class RoundPlan:
     """One round's work: per core level, the selected level-k edges."""
@@ -172,19 +142,8 @@ def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
             for k, (us, vs) in level_edges.items()}
 
 
-def select_level_edges(batch: EdgeBatch, cores: CoreMap, k: int
-                       ) -> list[tuple[int, int]]:
-    """Level-k edges only, under the one-edge-per-level-k-vertex rule.
-
-    Greedy scan in canonical order; does not consume the batch.  The full
-    planner below selects all levels in one pass instead.
-    """
-    plan = plan_round(batch, cores, consume=False)
-    return plan.edges_at_level.get(k, [])
-
-
 def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
-               drop_existing: bool = False, consume: bool = True) -> RoundPlan:
+               drop_existing: bool = False) -> RoundPlan:
     """Draw one round plan from the batch under the current core numbers.
 
     Scans live pairs in ascending canonical order.  An edge is selected
@@ -221,8 +180,7 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
             covered.add(u)
         if cv == k:
             covered.add(v)
-    if consume:
-        batch.alive[idx[picked + dropped]] = False
+    batch.alive[idx[picked + dropped]] = False
     plan = RoundPlan(levels=sorted(by_level), dropped_existing=len(dropped),
                      selected_indices=idx[picked].tolist())
     for k in plan.levels:

@@ -8,7 +8,6 @@ Timing covers maintenance only, never file IO.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -83,24 +82,30 @@ def _fallback_note(name: str) -> str:
     return f" ({FALLBACK_REASON})" if name == "python" and FALLBACK_REASON else ""
 
 
+def _timed_run(g: Graph, cores, edges, mode: str, backend, workers: int,
+               baseline: bool):
+    """Build the batch, then time the engine (or the edge-by-edge baseline)
+    on it.  Returns the log, the seconds and the milliseconds per edge."""
+    build = build_insert_batch if mode == "insert" else build_delete_batch
+    batch = build(g, edges)
+    start = time.perf_counter()
+    if baseline:
+        log = sequential_baseline(g, cores, batch, mode, backend=backend)
+    else:
+        run = insert_edges if mode == "insert" else delete_edges
+        log = run(g, cores, batch, workers=workers, backend=backend)
+    elapsed = time.perf_counter() - start
+    return log, elapsed, (elapsed / log.batch_size * 1000
+                          if log.batch_size else 0.0)
+
+
 def _run_maintenance(args, mode: str) -> int:
     g, _ = _load_graph(args)
     backend = get_backend(args.backend)
     cores = peel(g, backend=args.backend)
     edges = _batch_edges(args, g, cores, mode)
-    if mode == "insert":
-        batch = build_insert_batch(g, edges)
-    else:
-        batch = build_delete_batch(g, edges)
-    size = batch.remaining
-    start = time.perf_counter()
-    if args.baseline:
-        log = sequential_baseline(g, cores, batch, mode, backend=backend)
-    else:
-        fn = insert_edges if mode == "insert" else delete_edges
-        log = fn(g, cores, batch, workers=args.threads_one, backend=backend)
-    elapsed = time.perf_counter() - start
-    per_edge = elapsed / size * 1000 if size else 0.0
+    log, elapsed, per_edge = _timed_run(g, cores, edges, mode, backend,
+                                        args.threads_one, args.baseline)
     print(f"{mode}: {log.edges_applied} edges applied in {elapsed:.4f}s "
           f"({per_edge:.4f} ms/edge), rounds={log.rounds_executed}, "
           f"changed={log.changed_total}, visited={log.counters.visited}, "
@@ -169,43 +174,21 @@ def cmd_bench(args) -> int:
         print(f"core stratum {args.core_stratum}: "
               f"{stratum_size(g0, cores0, args.core_stratum)} candidate edges",
               file=sys.stderr)
-    threads = [int(t) for t in str(args.threads).split(",")]
-
-    def fresh():
-        g = g0.copy()
-        c = cores0.copy()
-        if args.mode == "insert":
-            b = build_insert_batch(g, edges)
-        else:
-            b = build_delete_batch(g, edges)
-        return g, c, b
+    runs = [(False, int(t)) for t in str(args.threads).split(",")]
+    if args.baseline:
+        runs.insert(0, (True, 1))
 
     rows = []
-    base_per_edge: dict[str, float] = {}
     for backend in backends:
-        if args.baseline:
-            g, c, b = fresh()
-            size = b.remaining
-            start = time.perf_counter()
-            blog = sequential_baseline(g, c, b, args.mode, backend=backend)
-            dt = time.perf_counter() - start
-            base_per_edge[backend] = dt / size * 1000
-            rows.append(BenchRow(dataset, f"{args.mode}-baseline", backend, 1,
-                                 size, b.max_multiplicity, blog.edges_applied,
-                                 dt, dt / size * 1000, blog.counters.visited,
-                                 blog.counters.neg_touches))
-        for t in threads:
-            g, c, b = fresh()
-            size = b.remaining
-            fn = insert_edges if args.mode == "insert" else delete_edges
-            start = time.perf_counter()
-            log = fn(g, c, b, workers=t, backend=backend)
-            dt = time.perf_counter() - start
-            per_edge = dt / size * 1000
-            speedup = (base_per_edge[backend] / per_edge
-                       if backend in base_per_edge else None)
-            row = BenchRow(dataset, args.mode, backend, t, size,
-                           b.max_multiplicity, log.rounds_executed, dt,
+        base_per_edge = None
+        for baseline, t in runs:
+            log, dt, per_edge = _timed_run(g0.copy(), cores0.copy(), edges,
+                                           args.mode, backend, t, baseline)
+            speedup = base_per_edge / per_edge if base_per_edge else None
+            if baseline:
+                base_per_edge = per_edge
+            row = BenchRow(dataset, log.mode, backend, t, log.batch_size,
+                           log.max_multiplicity, log.rounds_executed, dt,
                            per_edge, log.counters.visited,
                            log.counters.neg_touches, speedup)
             if args.per_round:
@@ -249,12 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--core-stratum", type=int, default=None,
                            help="restrict sampled batch to this core level")
 
-    default_threads = os.environ.get("COREMAINT_THREADS", "1")
     for name, fn in (("insert", cmd_insert), ("delete", cmd_delete)):
         p = sub.add_parser(name, help=f"apply a batch of edge {name}s")
         common(p)
-        p.add_argument("--threads", dest="threads_one", type=int,
-                       default=int(default_threads), help="worker limit")
+        p.add_argument("--threads", dest="threads_one", type=int, default=1,
+                       help="worker limit")
         p.add_argument("--out-cores", help="write final core numbers here")
         p.add_argument("--log", help="write the per-round change log here")
         p.add_argument("--baseline", action="store_true",
@@ -269,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark maintenance throughput")
     common(p)
     p.add_argument("--mode", choices=["insert", "delete"], default="insert")
-    p.add_argument("--threads", default=default_threads,
+    p.add_argument("--threads", default="1",
                    help="comma-separated worker counts, e.g. 1,2,8")
     p.add_argument("--baseline", action="store_true",
                    help="also run the sequential baseline and report speedup")

@@ -7,7 +7,7 @@ whose core moves, then shift those cores by exactly one.  The selection
 rule (at most one pending edge per vertex at its own core level) is what
 makes the one-step shift correct.
 
-``sequential_baseline`` applies the same kernels one edge at a time,
+``sequential_baseline`` runs the same round loop one edge at a time,
 mirroring how single-edge maintenance algorithms process a batch; it is
 the comparison target for the round-based engines.
 """
@@ -67,7 +67,7 @@ class MaintenanceLog:
             for k, edges in rec.edges_at_level.items():
                 for u, v in edges:
                     fh.write(f"applied {k} {lab(u)} {lab(v)}\n")
-            verb = "raised" if self.mode == "insert" else "lowered"
+            verb = "raised" if self.mode.startswith("insert") else "lowered"
             fh.write(f"{verb} {' '.join(str(lab(v)) for v in rec.changed)}\n")
 
 
@@ -170,69 +170,24 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
                         mode: str, backend=None) -> MaintenanceLog:
     """Process the batch strictly one edge at a time.
 
-    Each edge runs through the same per-level kernel as a one-edge level,
-    with cores updated immediately after it, exactly as single-edge
-    maintenance would do.  Final cores must match the round-based engine.
+    Each live pair, in canonical order, runs through the round engine as a
+    one-edge batch, so cores are updated right after it, exactly as
+    single-edge maintenance would do.  A pair is consumed only once its run
+    has returned, so an interrupt leaves it pending and unapplied.  Final
+    cores must match the round-based engine.
     """
-    insert = mode == "insert"
-    be = get_backend(backend) if isinstance(backend, (str, type(None))) else backend
-    cores.fit_to(g)
-    scratch = be.make_scratch(g.vertex_count)
-    kernel = be.insert_level if insert else be.delete_level
     log = MaintenanceLog(mode=f"{mode}-baseline", batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
-    vals = cores.values
-    for i, u, v in batch.live_pairs():
+    for i in batch.alive.nonzero()[0].tolist():
+        one = EdgeBatch(batch.pairs[i:i + 1], np.ones(1, dtype=bool),
+                        multiplicity=np.bincount(batch.pairs[i]))
+        run = _run_batch(g, cores, one, mode, workers=1, backend=backend,
+                         audit=False)
         batch.alive[i] = False
-        eu = np.array([u], dtype=np.int32)
-        ev = np.array([v], dtype=np.int32)
-        if insert:
-            if g._has_dense(eu, ev)[0]:
-                log.dropped_existing += 1
-                continue
-            g._add_dense(eu, ev)
-        else:
-            g._remove_dense(eu, ev)
-        k = int(min(vals[u], vals[v]))
-        starts, lens, pool = g.adjacency_arrays()
-        moved, counters = kernel(starts, lens, pool, vals, k, eu, ev, scratch)
-        if insert:
-            vals[moved] += 1
-        else:
-            vals[moved] -= 1
-        log.edges_applied += 1
-        log.counters = log.counters + TaskCounters.from_tuple(counters)
+        for rec in run.rounds:
+            rec.index = len(log.rounds) + 1
+            log.rounds.append(rec)
+        log.counters = log.counters + run.counters
+        log.edges_applied += run.edges_applied
+        log.dropped_existing += run.dropped_existing
     return log
-
-
-# ----------------------------------------------------------------------
-# support queries (label-based, cache-friendly; used by tests and audits)
-
-
-def support_degree(g: Graph, cores: CoreMap, u: int) -> int:
-    """Number of u's neighbors with core at least core(u)."""
-    cu = cores.of(g, u)
-    return sum(1 for w in g.neighbors(u) if cores.of(g, w) >= cu)
-
-
-def constrained_support(g: Graph, cores: CoreMap, u: int,
-                        sup_cache: dict | None = None) -> int:
-    """Number of u's neighbors that could back a one-step rise of u.
-
-    A neighbor w counts when core(w) > core(u), or core(w) == core(u) and
-    w itself has more than core(u) same-or-higher-core neighbors.  The
-    optional ``sup_cache`` (label -> support degree) is filled on demand.
-    """
-    cache = {} if sup_cache is None else sup_cache
-    cu = cores.of(g, u)
-    count = 0
-    for w in g.neighbors(u):
-        cw = cores.of(g, w)
-        if cw > cu:
-            count += 1
-        elif cw == cu:
-            if w not in cache:
-                cache[w] = support_degree(g, cores, w)
-            if cache[w] > cu:
-                count += 1
-    return count

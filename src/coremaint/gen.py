@@ -98,6 +98,11 @@ def generate_graph(model: str, n: int, deg: int, seed: int) -> Graph:
 # update-batch sampling
 
 
+def _check_level(level, cores):
+    if level is not None and cores is None:
+        raise ValueError("sampling at a core level needs cores")
+
+
 def sample_new_edges(g: Graph, count: int, seed: int,
                      level: int | None = None, cores=None,
                      max_tries_factor: int = 1000) -> list[tuple[int, int]]:
@@ -105,6 +110,7 @@ def sample_new_edges(g: Graph, count: int, seed: int,
     as label pairs.  With ``level`` set, only pairs whose smaller endpoint
     core equals it are accepted (requires ``cores``).
     """
+    _check_level(level, cores)
     n = g.vertex_count
     if n < 2:
         raise ValueError("graph too small to sample non-edges")
@@ -143,6 +149,7 @@ def sample_existing_edges(g: Graph, count: int, seed: int,
                           ) -> list[tuple[int, int]]:
     """Sample ``count`` distinct existing edges, as label pairs.  With
     ``level`` set, only edges at that core level are candidates."""
+    _check_level(level, cores)
     rng = np.random.default_rng(seed)
     dense = g.edge_array()
     if level is not None:

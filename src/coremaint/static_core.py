@@ -89,14 +89,6 @@ def naive_core_numbers(g: Graph) -> CoreMap:
     return CoreMap(cores)
 
 
-def first_mismatch(a: CoreMap, b: CoreMap) -> int | None:
-    """Lowest dense vertex id where the two maps disagree, or None."""
-    if len(a.values) != len(b.values):
-        return min(len(a.values), len(b.values))
-    diff = np.nonzero(a.values != b.values)[0]
-    return int(diff[0]) if len(diff) else None
-
-
 # ----------------------------------------------------------------------
 # core output files: "external_vertex_id core_number", ascending id
 

@@ -29,7 +29,7 @@ from coremaint import (Graph, build_delete_batch, build_insert_batch,
                        sequential_baseline)
 from coremaint.gen import generate_ba, generate_er, sample_existing_edges, \
     sample_new_edges
-from coremaint.kernels import default_backend_name
+from coremaint.kernels import available_backends, default_backend_name
 
 TRIALS = 200
 GRAPH_N = 1000
@@ -240,6 +240,32 @@ def test_a8_baseline_agreement_and_visit_saving():
     print(f"\n[PASS] A8 baseline: agreement on {2 * TRIALS} workloads; "
           f"overlap instance visits {elog.counters.visited} (batched) vs "
           f"{blog.counters.visited} (edge by edge)")
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("case, counters, checksum", [
+    ("er-insert", (7521, 7513, 64843, 8830, 7521), 218366),
+    ("ba-delete", (113, 18, 34, 113, 0), 131412),
+])
+def test_baseline_work_is_pinned(case, counters, checksum, backend):
+    # literal counters and cores: A8 and A9 compare against this work, so
+    # any change to what the baseline computes must show up here
+    if case == "er-insert":
+        g = generate_er(300, 4, seed=11)
+        batch = build_insert_batch(g, sample_new_edges(g, 40, seed=12))
+    else:
+        g = generate_ba(300, 3, seed=13)
+        batch = build_delete_batch(g, sample_existing_edges(g, 40, seed=14))
+    cores = peel(g)
+    log = sequential_baseline(g, cores, batch, case.split("-")[1],
+                              backend=backend)
+    c = log.counters
+    assert (c.visited, c.removed, c.neg_touches, c.sup_evals,
+            c.csup_evals) == counters
+    assert (log.edges_applied, log.dropped_existing) == (40, 0)
+    assert int(cores.values.astype(np.int64)
+               @ np.arange(1, g.vertex_count + 1)) == checksum
+    assert cores == peel(g)
 
 
 @pytest.mark.skipif(default_backend_name() != "c",

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from coremaint import (BatchError, Graph, build_delete_batch,
-                       build_insert_batch, edge_level, pending_levels,
-                       plan_round)
-from coremaint.batch import restore_plan, select_level_edges
+                       build_insert_batch, plan_round)
+from coremaint.batch import restore_plan
 from coremaint.static_core import CoreMap
 
 
@@ -13,18 +12,6 @@ def graph_with_cores(core_by_vertex):
     n = len(core_by_vertex)
     g = Graph.from_edges([], num_vertices=n, dense_labels=True)
     return g, CoreMap(np.asarray(core_by_vertex, dtype=np.int32))
-
-
-def test_edge_level_is_min_endpoint_core():
-    g, cores = graph_with_cores([2, 5, 3, 3, 0, 7])
-    assert edge_level(g, cores, 0, 1) == 2
-    assert edge_level(g, cores, 2, 3) == 3
-    assert edge_level(g, cores, 4, 5) == 0
-
-
-def test_edge_level_unknown_vertex_counts_as_zero():
-    g, cores = graph_with_cores([7])
-    assert edge_level(g, cores, 0, 12345) == 0
 
 
 def test_batches_accept_edge_objects():
@@ -36,26 +23,13 @@ def test_batches_accept_edge_objects():
     assert b.pairs.tolist() == [[0, 1], [1, 2]]
 
 
-def test_pending_levels():
-    g, cores = graph_with_cores([0, 0, 3, 3])
-    b = build_insert_batch(g, [(0, 1), (0, 2), (2, 3)])
-    assert pending_levels(b, cores) == {0, 3}
-    b2 = build_insert_batch(g, [])
-    assert pending_levels(b2, cores) == set()
-
-
-def test_pending_levels_single_level():
-    g, cores = graph_with_cores([2, 2, 2, 2])
-    b = build_insert_batch(g, [(0, 1), (2, 3)])
-    assert pending_levels(b, cores) == {2}
-
-
 def test_one_edge_per_level_vertex():
     # two pending edges at vertex 0 (core k); far endpoints above the level
     g, cores = graph_with_cores([1, 3, 3])
     b = build_insert_batch(g, [(0, 1), (0, 2)])
-    sel = select_level_edges(b, cores, 1)
-    assert sel == [(0, 1)]  # canonical-order first
+    plan = plan_round(b, cores)
+    assert plan.edges_at_level == {1: [(0, 1)]}  # canonical-order first
+    assert b.remaining == 1
 
 
 def test_equal_core_edge_covers_both_endpoints():
@@ -113,11 +87,14 @@ def test_plan_invariants_on_random_batches():
             if u != v:
                 pairs.add((min(u, v), max(u, v)))
         b = build_insert_batch(g, sorted(pairs))
+        vals = cores.values
         while b.remaining:
             before = b.remaining
+            us, vs = b.pairs[b.alive].T
+            pending = set(np.minimum(vals[us], vals[vs]).tolist())
             plan = plan_round(b, cores)
             assert b.remaining < before  # progress every round
-            vals = cores.values
+            assert set(plan.levels) == pending  # no level waits a round
             for k in plan.levels:
                 covered = set()
                 for u, v in plan.edges_at_level[k]:

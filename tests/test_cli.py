@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from coremaint import Graph, load_edge_list, peel, save_edge_list, write_core_file
+from coremaint import (Graph, load_edge_list, peel, read_core_file,
+                       save_edge_list, write_core_file)
 from coremaint.cli import main
 from coremaint.kernels import BACKENDS, FALLBACK_REASON
 
@@ -68,14 +71,42 @@ def test_verify_detects_mismatch(small_graph, tmp_path, capsys):
     assert "mismatch at vertex 7" in capsys.readouterr().out
 
 
-def test_delete_baseline_matches_engine(small_graph, tmp_path):
+def check_baseline_matches_engine(mode, small_graph, tmp_path, capsys):
+    # the baseline runs one round per applied edge; its result line and
+    # change log report those rounds like the engine's
     g, path = small_graph
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert main(["delete", "--graph", str(path), "--batch-size", "25",
-                 "--seed", "4", "--out-cores", str(a)]) == 0
-    assert main(["delete", "--graph", str(path), "--batch-size", "25",
-                 "--seed", "4", "--baseline", "--out-cores", str(b)]) == 0
+    a, b, logf = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "log.txt"
+    args = [mode, "--graph", str(path), "--batch-size", "25", "--seed", "4"]
+    assert main(args + ["--out-cores", str(a)]) == 0
+    capsys.readouterr()
+    assert main(args + ["--baseline", "--out-cores", str(b),
+                        "--log", str(logf)]) == 0
+    line = capsys.readouterr().out
     assert a.read_text() == b.read_text()
+    applied = int(re.match(rf"{mode}: (\d+) edges applied", line).group(1))
+    fields = {k: int(v) for k, v in re.findall(r"(\w+)=(\d+)", line)}
+    before = peel(g).as_label_dict(g)
+    moves = sum(abs(c - before[v]) for v, c in read_core_file(b).items())
+    assert applied > 0 and moves > 0
+    assert fields["rounds"] == applied
+    assert fields["changed"] == moves
+    blocks = logf.read_text().split("round ")[1:]
+    assert len(blocks) == applied
+    verb = "raised" if mode == "insert" else "lowered"
+    named = 0
+    for block in blocks:
+        last = block.splitlines()[-1].split()
+        assert last[0] == verb
+        named += len(last) - 1
+    assert named == moves
+
+
+def test_delete_baseline_matches_engine(small_graph, tmp_path, capsys):
+    check_baseline_matches_engine("delete", small_graph, tmp_path, capsys)
+
+
+def test_insert_baseline_matches_engine(small_graph, tmp_path, capsys):
+    check_baseline_matches_engine("insert", small_graph, tmp_path, capsys)
 
 
 def test_gen_writes_edge_list(tmp_path):

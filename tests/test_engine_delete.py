@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from coremaint import (Graph, build_delete_batch, delete_edges, peel,
-                       support_degree)
+from coremaint import Graph, build_delete_batch, delete_edges, peel
 from coremaint.kernels import available_backends
+from support_oracle import support_degree
 
 
 def er_like(n, p, seed):

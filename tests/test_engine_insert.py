@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from coremaint import (CoreMap, Graph, build_insert_batch,
-                       constrained_support, insert_edges, peel,
-                       support_degree)
+from coremaint import CoreMap, Graph, build_insert_batch, insert_edges, peel
 from coremaint.kernels import available_backends
+from support_oracle import constrained_support, support_degree
 
 
 def er_like(n, p, seed):

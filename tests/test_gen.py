@@ -137,3 +137,10 @@ def test_stratified_sampling_respects_level():
     new = sample_new_edges(g, 20, seed=3, level=level, cores=cores)
     for u, v in new:
         assert min(vals[g.dense_of(u)], vals[g.dense_of(v)]) == level
+
+
+@pytest.mark.parametrize("sample", [sample_new_edges, sample_existing_edges])
+def test_sampling_at_a_level_needs_cores(sample):
+    g = generate_er(50, 4, seed=1)
+    with pytest.raises(ValueError, match="needs cores"):
+        sample(g, 5, 1, level=2)

@@ -3,7 +3,8 @@ import pytest
 
 from coremaint import (Graph, LevelTaskError, LevelTaskResult, TaskCounters,
                        build_delete_batch, build_insert_batch, delete_edges,
-                       get_backend, insert_edges, peel, run_level_tasks)
+                       get_backend, insert_edges, peel, run_level_tasks,
+                       sequential_baseline)
 
 
 def fake_task(level):
@@ -40,6 +41,36 @@ def test_failure_names_the_level(workers):
     assert err.value.level == 5
 
 
+def bad_backend(error):
+    """The default backend, but its level-2 tasks raise ``error``."""
+    real = get_backend()
+
+    def level_kernel(name):
+        def kernel(starts, lens, pool, cores, k, *rest):
+            if k == 2:
+                raise error("injected")
+            return getattr(real, name)(starts, lens, pool, cores, k, *rest)
+        return staticmethod(kernel)
+
+    class BadBackend:
+        NAME = "bad"
+        make_scratch = staticmethod(real.make_scratch)
+        insert_level = level_kernel("insert_level")
+        delete_level = level_kernel("delete_level")
+
+    return BadBackend()
+
+
+def two_level_case(mode):
+    """Paths 0-1-5 and 6-7 (level 1) and triangles 2-3-4 and 8-9-10
+    (level 2), with a batch of two level-1 edges and one level-2 edge."""
+    g = Graph.from_edges([(0, 1), (1, 5), (6, 7), (2, 3), (3, 4), (2, 4),
+                          (8, 9), (9, 10), (8, 10)], dense_labels=True)
+    if mode == "insert":
+        return g, build_insert_batch(g, [(0, 6), (5, 7), (2, 8)])
+    return g, build_delete_batch(g, [(0, 1), (6, 7), (2, 3)])
+
+
 @pytest.mark.parametrize("workers, error, raised, mode", [
     pytest.param(1, RuntimeError, LevelTaskError, "insert", id="1"),
     pytest.param(3, RuntimeError, LevelTaskError, "insert", id="3"),
@@ -56,38 +87,40 @@ def test_failure_names_the_level(workers):
 ])
 def test_engine_round_rolls_back_on_task_failure(workers, error, raised,
                                                  mode):
-    # levels 1 (paths 0-1-5 and 6-7) and 2 (triangles 2-3-4 and 8-9-10)
-    # are both in the first round; only the level-2 task fails, so the
-    # level-1 task may have finished when the round is rolled back
-    g = Graph.from_edges([(0, 1), (1, 5), (6, 7), (2, 3), (3, 4), (2, 4),
-                          (8, 9), (9, 10), (8, 10)], dense_labels=True)
+    # levels 1 and 2 are both in the first round; only the level-2 task
+    # fails, so the level-1 task may have finished when the round is
+    # rolled back
+    g, batch = two_level_case(mode)
     cores = peel(g)
     before_cores = cores.values.copy()
     before_edges = sorted(g.edges())
-    if mode == "insert":
-        batch = build_insert_batch(g, [(0, 6), (5, 7), (2, 8)])
-    else:
-        batch = build_delete_batch(g, [(0, 1), (6, 7), (2, 3)])
     before_alive = batch.alive.copy()
-    real = get_backend()
-
-    def level_kernel(name):
-        def kernel(starts, lens, pool, cores, k, *rest):
-            if k == 2:
-                raise error("injected")
-            return getattr(real, name)(starts, lens, pool, cores, k, *rest)
-        return staticmethod(kernel)
-
-    class BadBackend:
-        NAME = "bad"
-        make_scratch = staticmethod(real.make_scratch)
-        insert_level = level_kernel("insert_level")
-        delete_level = level_kernel("delete_level")
-
     run = insert_edges if mode == "insert" else delete_edges
     with pytest.raises(raised):
-        run(g, cores, batch, workers=workers, backend=BadBackend())
+        run(g, cores, batch, workers=workers, backend=bad_backend(error))
     assert sorted(g.edges()) == before_edges
     g.check_invariants()
     assert cores.values.tolist() == before_cores.tolist()
     assert batch.alive.tolist() == before_alive.tolist()
+
+
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+@pytest.mark.parametrize("error, raised", [
+    pytest.param(RuntimeError, LevelTaskError, id="error"),
+    pytest.param(KeyboardInterrupt, KeyboardInterrupt, id="interrupt"),
+])
+def test_interrupted_baseline_keeps_the_failing_edge_pending(error, raised,
+                                                              mode):
+    # canonical order runs a level-1 edge, then the level-2 edge, which
+    # fails, then the other level-1 edge
+    g, batch = two_level_case(mode)
+    cores = peel(g)
+    done, failing, later = batch.pairs.tolist()
+    with pytest.raises(raised):
+        sequential_baseline(g, cores, batch, mode, backend=bad_backend(error))
+    assert batch.alive.tolist() == [False, True, True]
+    assert g.has_edge(*done) == (mode == "insert")
+    for u, v in (failing, later):
+        assert g.has_edge(u, v) == (mode == "delete")
+    g.check_invariants()
+    assert cores == peel(g)
