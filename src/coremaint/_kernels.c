@@ -1,9 +1,11 @@
-/* Compiled traversal kernels.
+/* Compiled traversal kernels, round planner scan and block removal.
 
-   Step-for-step port of _kernels_py.py (same visit order, same counters)
-   in plain C99 with no Python API.  _kernels_c.py compiles this file and
-   calls it through ctypes, which releases the GIL for the duration of a
-   call, so the level tasks of a round run in parallel.
+   Step-for-step port of _kernels_py.py (same visit order, same counters),
+   of plan_round's greedy scan (batch.py) and of Graph._remove_dense's
+   block compaction (graph.py), in plain C99 with no Python API.
+   _kernels_c.py compiles this file and calls it through ctypes, which
+   releases the GIL for the duration of a call, so the level tasks of a
+   round run in parallel.
 
    Per-vertex scratch (visited, removed, slack, sup, csup) lives in an
    arena shared by the tasks of a round.  A task touches only the slots of
@@ -324,4 +326,110 @@ int64_t cm_delete_level(const int64_t *starts, const int32_t *lens,
         }
     }
     return finish(&t, 1);
+}
+
+/* ------------------------------------------------------------------
+   round planning and edge removal */
+
+enum { PENDING = 0, SELECTED = 1, DROPPED = 2 };
+
+/* plan_round's greedy scan over the m live pairs (us, vs) in canonical
+   order; cores covers the n vertices.  A pair is left pending when one of
+   its endpoints sits at the pair's level (the lower endpoint core) and is
+   already covered by an earlier selection; otherwise it is dropped if
+   exists (insert mode; NULL otherwise) marks it, or else selected, and
+   covers each endpoint at its level.  Writes status[j]; returns 0, or -1
+   when the covered marks cannot be allocated. */
+int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
+                 const int32_t *cores, int64_t n, const uint8_t *exists,
+                 int8_t *status)
+{
+    uint8_t *covered = malloc(n ? (size_t)n : 1);
+    if (!covered)
+        return -1;
+    for (int64_t j = 0; j < m; j++)  /* only endpoint marks are read */
+        covered[us[j]] = covered[vs[j]] = 0;
+    for (int64_t j = 0; j < m; j++) {
+        int32_t u = us[j], v = vs[j], cu = cores[u], cv = cores[v];
+        int32_t k = cu < cv ? cu : cv;
+        if ((cu == k && covered[u]) || (cv == k && covered[v])) {
+            status[j] = PENDING;
+        } else if (exists && exists[j]) {
+            status[j] = DROPPED;
+        } else {
+            status[j] = SELECTED;
+            if (cu == k)
+                covered[u] = 1;
+            if (cv == k)
+                covered[v] = 1;
+        }
+    }
+    free(covered);
+    return 0;
+}
+
+/* Is x among the c ascending values t? */
+static int contains(const int32_t *t, int64_t c, int32_t x)
+{
+    if (c <= 8) {  /* most sources lose one or two entries a round */
+        int hit = 0;
+        for (int64_t i = 0; i < c; i++)
+            hit |= t[i] == x;
+        return hit;
+    }
+    int64_t lo = 0, hi = c;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (t[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < c && t[lo] == x;
+}
+
+/* End of the group of equal sources that starts at i. */
+static int64_t group_end(const int32_t *src, int64_t m, int64_t i)
+{
+    int64_t e = i + 1;
+    while (e < m && src[e] == src[i])
+        e++;
+    return e;
+}
+
+/* Removes the m directed entries (src[i], dst[i]) from the adjacency
+   blocks.  The pairs come grouped by ascending source, with ascending
+   targets in each group.  Each touched block is compacted in place and
+   keeps the order of its remaining entries.  Returns 0; -2, writing
+   nothing, if the pairs are not in that order; -1, writing nothing,
+   unless they are distinct entries of the blocks. */
+int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
+                    const int64_t *starts, int32_t *lens, int32_t *pool)
+{
+    for (int64_t i = 0, e; i < m; i = e) {
+        e = group_end(src, m, i);
+        if (i && src[i - 1] > src[i])
+            return -2;
+        for (int64_t j = i + 1; j < e; j++)
+            if (dst[j] <= dst[j - 1])
+                return dst[j] == dst[j - 1] ? -1 : -2;
+        /* block entries are distinct, so matching e - i of them means
+           every target is present */
+        const int32_t *nb = pool + starts[src[i]];
+        int64_t found = 0;
+        for (int32_t s = 0; s < lens[src[i]] && found < e - i; s++)
+            found += contains(dst + i, e - i, nb[s]);
+        if (found != e - i)
+            return -1;
+    }
+    for (int64_t i = 0, e; i < m; i = e) {
+        e = group_end(src, m, i);
+        int32_t *nb = pool + starts[src[i]];
+        int32_t kept = 0;
+        for (int32_t s = 0; s < lens[src[i]]; s++)
+            if (!contains(dst + i, e - i, nb[s]))
+                nb[kept++] = nb[s];
+        lens[src[i]] = kept;
+    }
+    return 0;
 }

@@ -1,4 +1,8 @@
-"""Compiled traversal kernels: ``_kernels.c`` called through ctypes.
+"""Compiled lane: ``_kernels.c`` called through ctypes.
+
+It holds the traversal kernels, the round planner's greedy scan
+(``plan_scan``) and the removal of a round's edges from the adjacency
+blocks (``remove_edges``).
 
 Importing this module compiles the C file with the system C compiler
 (``cc``) into ``__pycache__/`` next to it, keyed by a hash of the source
@@ -68,6 +72,11 @@ for _fn in (_lib.cm_insert_level, _lib.cm_delete_level):
     _fn.argtypes = [_ptr, _ptr, _ptr, _ptr, ctypes.c_int32, ctypes.c_int64,
                     _ptr, _ptr, _ptr, _ptr, _ptr]
     _fn.restype = ctypes.c_int64
+_lib.cm_plan_scan.argtypes = [ctypes.c_int64, _ptr, _ptr, _ptr,
+                              ctypes.c_int64, _ptr, _ptr]
+_lib.cm_plan_scan.restype = ctypes.c_int
+_lib.cm_remove_edges.argtypes = [ctypes.c_int64, _ptr, _ptr, _ptr, _ptr, _ptr]
+_lib.cm_remove_edges.restype = ctypes.c_int
 
 
 class _Arena(ctypes.Structure):
@@ -123,6 +132,14 @@ def peel_kernel(n, starts, lens, pool):
     return cores
 
 
+def _check_endpoints(n: int, *arrays):
+    """Vertex ids (int32 arrays, checked before) must lie in 0..n-1.  Read
+    as uint32, a negative id exceeds every int32 n, so one max suffices."""
+    ids = np.concatenate(arrays).view(np.uint32)
+    if len(ids) and int(ids.max()) >= n:
+        raise ValueError(f"edge endpoint outside 0..{n - 1}")
+
+
 def _level(fn, starts, lens, pool, cores, k, eu, ev, scratch):
     n = _check_graph(starts, lens, pool)
     _check("cores", cores, np.int32, n)
@@ -130,9 +147,7 @@ def _level(fn, starts, lens, pool, cores, k, eu, ev, scratch):
     _check("ev", ev, np.int32, len(eu))
     if not isinstance(scratch, Scratch) or scratch.n < n:
         raise ValueError("scratch arena smaller than the vertex range")
-    for a in (eu, ev):
-        if len(a) and not (0 <= int(a.min()) and int(a.max()) < n):
-            raise ValueError(f"edge endpoint outside 0..{n - 1}")
+    _check_endpoints(n, eu, ev)
     moved = np.empty(n, dtype=np.int32)
     ctr = np.zeros(5, dtype=np.int64)
     cnt = fn(starts.ctypes.data, lens.ctypes.data, pool.ctypes.data,
@@ -156,3 +171,44 @@ def delete_level(starts, lens, pool, cores, k, eu, ev, scratch):
     deleted.  Returns (ascending id array, counter tuple)."""
     return _level(_lib.cm_delete_level, starts, lens, pool, cores, k, eu, ev,
                   scratch)
+
+
+def plan_scan(us, vs, cores, exists=None):
+    """``plan_round``'s greedy scan over the live pairs (us, vs), in
+    canonical order, under ``cores``; ``exists`` (insert mode) marks pairs
+    already in the graph.  Returns an int8 status per pair: 0 pending,
+    1 selected, 2 dropped as existing."""
+    _check("us", us, np.int32)
+    m = len(us)
+    _check("vs", vs, np.int32, m)
+    _check("cores", cores, np.int32)
+    if exists is not None:
+        _check("exists", exists, np.bool_, m)
+    _check_endpoints(len(cores), us, vs)
+    status = np.empty(m, dtype=np.int8)
+    if _lib.cm_plan_scan(m, us.ctypes.data, vs.ctypes.data,
+                         cores.ctypes.data, len(cores),
+                         None if exists is None else exists.ctypes.data,
+                         status.ctypes.data):
+        raise MemoryError("plan_scan allocation failed")
+    return status
+
+
+def remove_edges(starts, lens, pool, src, dst):
+    """Remove the directed entries (src[i], dst[i]), grouped by ascending
+    source with ascending targets, compacting each touched block in place
+    (``lens`` and ``pool`` are written).  Raises ValueError, writing
+    nothing, unless they are distinct entries of the blocks."""
+    n = _check_graph(starts, lens, pool)
+    _check("src", src, np.int32)
+    _check("dst", dst, np.int32, len(src))
+    _check_endpoints(n, src, dst)
+    err = _lib.cm_remove_edges(len(src), src.ctypes.data, dst.ctypes.data,
+                               starts.ctypes.data, lens.ctypes.data,
+                               pool.ctypes.data)
+    if err == -2:
+        raise ValueError("pairs to remove must be grouped by ascending "
+                         "source with ascending targets")
+    if err:
+        raise ValueError("edges to remove must be distinct edges of the "
+                         "graph")

@@ -6,6 +6,12 @@ for every core level k present among the pending edges, a set of level-k
 edges in which no vertex of core k is incident to more than one selected
 edge.  That restriction is what caps every vertex's core change at one
 per round, so the per-level sets can be processed concurrently.
+
+The selection is one greedy scan over the live pairs in canonical order.
+It has two lanes with the same result: ``_plan_scan`` over Python lists
+(the reference) and the compiled ``plan_scan`` of ``_kernels.c``; the
+kernel backend picks between them.  Either way the scan only marks each
+pair selected, dropped or pending, and the plan is assembled with numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _as_pair, sorted_unique
+from .kernels import compiled_lane
 from .static_core import CoreMap
 
 
@@ -142,8 +149,11 @@ def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
             for k, (us, vs) in level_edges.items()}
 
 
+PENDING, SELECTED, DROPPED = 0, 1, 2  # plan scan status per live pair
+
+
 def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
-               drop_existing: bool = False) -> RoundPlan:
+               drop_existing: bool = False, backend=None) -> RoundPlan:
     """Draw one round plan from the batch under the current core numbers.
 
     Scans live pairs in ascending canonical order.  An edge is selected
@@ -151,42 +161,56 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
     covered by an earlier selection this round; a selected edge covers each
     of its endpoints whose core equals the level.  With ``drop_existing``
     (insert mode), pending edges that already exist in the graph are
-    discarded with a counter instead of selected.  Endpoint cores (and
-    edge existence) are read for all live pairs with numpy; the scan runs
-    over plain lists.
+    discarded with a counter instead of selected.  Edge existence is read
+    for all live pairs with numpy; ``backend`` picks the lane of the scan
+    (the compiled ``plan_scan`` or ``_plan_scan`` below).
     """
     idx = batch.alive.nonzero()[0]
-    live = batch.pairs[idx]
-    us, vs = live[:, 0], live[:, 1]
-    vals = cores.values
-    exists = (g._has_dense(us, vs).tolist() if drop_existing and g is not None
-              else [False] * len(idx))
+    us, vs = batch.pairs[idx].T.copy()  # contiguous rows
+    exists = (g._has_dense(us, vs) if drop_existing and g is not None
+              else None)
+    lane = compiled_lane(backend)
+    scan = lane.plan_scan if lane is not None else _plan_scan
+    status = scan(us, vs, cores.values, exists)
+    done = idx[status != PENDING]
+    batch.alive[done] = False
+    picked = (status == SELECTED).nonzero()[0]
+    us, vs = us[picked], vs[picked]
+    level = np.minimum(cores.values[us], cores.values[vs])
+    order = level.argsort(kind="stable")
+    levels, counts = sorted_unique(level, return_counts=True)
+    plan = RoundPlan(levels=levels.tolist(),
+                     dropped_existing=len(done) - len(picked),
+                     selected_indices=idx[picked].tolist())
+    end = 0
+    for k, c in zip(plan.levels, counts.tolist()):
+        at = order[end:end + c]
+        end += c
+        plan.level_edges[k] = (us[at], vs[at])
+    return plan
+
+
+def _plan_scan(us, vs, cores, exists=None) -> np.ndarray:
+    """The Python lane of the greedy scan: ``plan_round``'s rule over plain
+    lists.  Returns the int8 status of each pair."""
+    status = [PENDING] * len(us)
     covered: set[int] = set()
-    picked: list[int] = []  # positions in idx, ascending
-    dropped: list[int] = []
-    by_level: dict[int, list[int]] = {}
-    for j, (u, v, cu, cv, ex) in enumerate(zip(
-            us.tolist(), vs.tolist(), vals[us].tolist(), vals[vs].tolist(),
-            exists)):
+    ex = exists.tolist() if exists is not None else [False] * len(us)
+    for j, (u, v, cu, cv, x) in enumerate(zip(
+            us.tolist(), vs.tolist(), cores[us].tolist(), cores[vs].tolist(),
+            ex)):
         k = cu if cu < cv else cv
         if (cu == k and u in covered) or (cv == k and v in covered):
             continue
-        if ex:
-            dropped.append(j)
+        if x:
+            status[j] = DROPPED
             continue
-        picked.append(j)
-        by_level.setdefault(k, []).append(j)
+        status[j] = SELECTED
         if cu == k:
             covered.add(u)
         if cv == k:
             covered.add(v)
-    batch.alive[idx[picked + dropped]] = False
-    plan = RoundPlan(levels=sorted(by_level), dropped_existing=len(dropped),
-                     selected_indices=idx[picked].tolist())
-    for k in plan.levels:
-        at = by_level[k]
-        plan.level_edges[k] = (us[at], vs[at])
-    return plan
+    return np.array(status, dtype=np.int8)
 
 
 def restore_plan(batch: EdgeBatch, plan: RoundPlan):

@@ -15,6 +15,7 @@ the comparison target for the round-based engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -97,12 +98,13 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     cores.fit_to(g)
     scratch = be.make_scratch(g.vertex_count)
     kernel = be.insert_level if insert else be.delete_level
-    apply, undo = ((g._add_dense, g._remove_dense) if insert
-                   else (g._remove_dense, g._add_dense))
+    remove = partial(g._remove_dense, backend=be)
+    apply, undo = ((g._add_dense, remove) if insert
+                   else (remove, g._add_dense))
     log = MaintenanceLog(mode=mode, batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
     while batch.remaining:
-        plan = plan_round(batch, cores, g, drop_existing=insert)
+        plan = plan_round(batch, cores, g, drop_existing=insert, backend=be)
         log.dropped_existing += plan.dropped_existing
         if not plan.levels:
             continue

@@ -6,13 +6,17 @@ can live in flat arrays.  Adjacency is stored in one shared pool array with
 per-vertex (start, length, capacity) blocks.
 
 Edges are added, removed and looked up a whole array of pairs at a time
-(one maintenance round's edges per call), with numpy gathers over the
-blocks of the touched vertices only.  Removal compacts each touched block
-in place.  Addition first moves every block that would overflow to the
-pool tail in one pass, each with its capacity doubled until the new
-entries fit, then writes all new entries with one scatter; the vacated
-slots are not reused.  Mutations must happen in exclusive phases; between
-mutations the arrays may be read concurrently.
+(one maintenance round's edges per call), touching the blocks of the
+touched vertices only.  Removal sorts the directed pairs by source and
+target, checks that they are distinct edges, then compacts each touched
+block in place, keeping the order of its remaining entries; the compiled
+lane (``_kernels.c``) does the check and compaction in one C call, the
+Python lane with numpy gathers.  Lookup and addition are numpy only.
+Addition first moves every block that would overflow to the pool tail in
+one pass, each with its capacity doubled until the new entries fit, then
+writes all new entries with one scatter; the vacated slots are not
+reused.  Mutations must happen in exclusive phases; between mutations the
+arrays may be read concurrently.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import compiled_lane
 
 _POOL_DTYPE = np.int32
 _MIN_BLOCK = 4
@@ -319,18 +325,32 @@ class Graph:
         self._caps[vs] = cap
         self._pool_used = end
 
-    def _remove_dense(self, us, vs):
+    def _remove_dense(self, us, vs, backend=None):
         """Delete the edges {us[i], vs[i]}; each touched block is compacted
         in place and keeps the order of its remaining entries.
 
         Raises ValueError, changing nothing, unless the pairs are distinct
-        edges of the graph.
+        edges of the graph.  ``backend`` picks the lane: the compiled
+        ``remove_edges``, or the numpy compaction below.
         """
         src, dst = _directed(us, vs)
         n = self.vertex_count
         keys = src * n + dst
         keys.sort()
-        touched = sorted_unique(src)
+        lane = compiled_lane(backend)
+        if lane is not None:
+            src, dst = np.divmod(keys, max(n, 1))
+            lane.remove_edges(self._starts[:n], self._lens[:n], self._pool,
+                              src.astype(np.int32), dst.astype(np.int32))
+        else:
+            self._remove_sorted(keys)
+        self.edge_count -= len(keys) // 2
+
+    def _remove_sorted(self, keys: np.ndarray):
+        """The numpy lane of ``_remove_dense``: remove the directed entries
+        with ascending keys ``source * n + target``."""
+        n = self.vertex_count
+        touched = sorted_unique(keys // n)
         starts = self._starts[touched]
         lens = self._lens[touched].astype(np.int64)
         slots = _block_slots(starts, lens)
@@ -343,7 +363,6 @@ class Graph:
         kept = lens - _segment_counts(drop, lens)
         self._pool[_block_slots(starts, kept)] = self._pool[slots[~drop]]
         self._lens[touched] = kept
-        self.edge_count -= len(src) // 2
 
     def _has_dense(self, us, vs) -> np.ndarray:
         """Bool mask over the pairs: is vs[i] in the block of us[i]?"""

@@ -4,7 +4,9 @@ The compiled kernels (``_kernels.c``, built on first import) are preferred;
 the pure-Python module is always available.  When the compiled lane cannot
 be built, ``FALLBACK_REASON`` says why.  Override with the environment
 variable COREMAINT_BACKEND=c|python, or pass backend="..." to the
-operations that accept one.
+operations that accept one.  The backend also picks the lane of the round
+planner's scan and of edge removal: the compiled module has both, and any
+other backend uses their Python lane (``batch.py``, ``graph.py``).
 """
 
 from __future__ import annotations
@@ -46,3 +48,11 @@ def get_backend(name: str | None = None):
 
 def default_backend_name() -> str:
     return get_backend().NAME
+
+
+def compiled_lane(backend=None):
+    """The compiled module if ``backend`` (a name, None for the default, or
+    a backend module) resolves to it, else None."""
+    if isinstance(backend, (str, type(None))):
+        backend = get_backend(backend)
+    return backend if backend is BACKENDS.get("c") else None

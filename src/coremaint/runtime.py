@@ -2,14 +2,15 @@
 
 Each maintenance round runs one task per core level.  Tasks receive a
 frozen graph and core map and write only per-vertex state of their own
-level, so their write sets are disjoint; this module only schedules them
-and collects results in level order.  Any task failure aborts the round
-before core updates are applied.
+level, so their write sets are disjoint; this module only schedules them,
+on a thread pool kept across rounds, and collects results in level order.
+Any task failure aborts the round before core updates are applied.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,21 @@ class LevelTaskError(RuntimeError):
         self.level = level
 
 
+_pools: dict[int, ThreadPoolExecutor] = {}  # one per worker limit
+_pools_lock = threading.Lock()
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The shared pool of ``workers`` threads, reused across rounds; it
+    starts threads only as tasks need them."""
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = _pools[workers] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="coremaint-level")
+        return pool
+
+
 def run_level_tasks(levels, worker_limit: int, task,
                     weights=None) -> list[LevelTaskResult]:
     """Run ``task(level)`` for every level, at most ``worker_limit`` at a
@@ -58,7 +74,9 @@ def run_level_tasks(levels, worker_limit: int, task,
     Submission order is largest weight first (weights default to 0) so the
     heaviest level does not become the straggler.  Results are identical
     for every worker count: tasks neither share mutable state nor observe
-    each other.
+    each other.  Nothing is raised before every task of the round has
+    finished or been cancelled, so a rollback never runs beside a live
+    task.
     """
     if worker_limit < 1:
         raise ValueError("worker_limit must be >= 1")
@@ -73,18 +91,22 @@ def run_level_tasks(levels, worker_limit: int, task,
             except Exception as exc:
                 raise LevelTaskError(k, exc) from exc
     else:
-        with ThreadPoolExecutor(max_workers=min(worker_limit, len(order))) as ex:
-            futures = [(k, ex.submit(task, k)) for k in order]
-            failure = None
-            for k, fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    if failure is None:
-                        failure = LevelTaskError(k, exc)
-                        failure.__cause__ = exc
-            if failure is not None:
-                raise failure
+        pool = _pool(worker_limit)
+        futures = [(k, pool.submit(task, k)) for k in order]
+        try:
+            wait([fut for _, fut in futures])
+        except BaseException:  # interrupted while waiting
+            for _, fut in futures:
+                fut.cancel()
+            wait([fut for _, fut in futures])
+            raise
+        for k, fut in futures:
+            exc = fut.exception()
+            if isinstance(exc, Exception):
+                raise LevelTaskError(k, exc) from exc
+            if exc is not None:  # an interrupt inside the task
+                raise exc
+            results.append(fut.result())
     for res, k in zip(sorted(results, key=lambda r: r.level), sorted(levels)):
         if res.level != k:
             raise LevelTaskError(k, AssertionError("missing level result"))

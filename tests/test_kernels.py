@@ -13,7 +13,9 @@ import pytest
 
 import coremaint
 from coremaint import Graph, build_delete_batch, build_insert_batch, peel
-from coremaint import delete_edges, insert_edges
+from coremaint import delete_edges, insert_edges, plan_round
+from coremaint.batch import EdgeBatch, _plan_scan
+from coremaint.static_core import CoreMap
 from coremaint._kernels_py import (TaskState, _Adj, drop_cascade,
                                    rule_out_cascade)
 from coremaint.kernels import BACKENDS, FALLBACK_REASON, get_backend
@@ -210,6 +212,183 @@ def test_compiled_lane_rejects_bad_inputs(field, bad, error):
     args = dict(level_call_args(), scratch=args["scratch"])
     again = be.delete_level(**args)
     assert (again[0].tolist(), again[1]) == (moved.tolist(), counters)
+
+
+def removal_call_args():
+    """A triangle 0-1-2 with a tail 2-3, and the directed entries of its
+    edge {1, 2} grouped by source, as ``remove_edges`` takes them."""
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], dense_labels=True)
+    starts, lens, pool = g.adjacency_arrays()
+    return g, dict(starts=starts, lens=lens, pool=pool,
+                   src=np.array([1, 2], dtype=np.int32),
+                   dst=np.array([2, 1], dtype=np.int32))
+
+
+def graph_arrays(g):
+    return [a.tolist() for a in g.adjacency_arrays()] + [g.edge_count]
+
+
+@needs_c
+@pytest.mark.parametrize("field, bad, error", [
+    ("lens", lambda a: a.astype(np.int64), TypeError),
+    ("pool", lambda a: np.repeat(a, 2)[::2], TypeError),
+    ("dst", lambda a: np.array([2, 4], dtype=np.int32), ValueError),
+    ("src", lambda a: np.array([-1, 2], dtype=np.int32), ValueError),
+    ("lens", lambda a: a[:-1], ValueError),
+    ("dst", lambda a: a[:1], ValueError),
+    ("src", lambda a: a[::-1].copy(), ValueError),  # not grouped by source
+])
+def test_compiled_removal_rejects_bad_inputs(field, bad, error):
+    g, args = removal_call_args()
+    before = graph_arrays(g)
+    args[field] = bad(args[field])
+    with pytest.raises(error):
+        get_backend("c").remove_edges(**args)
+    assert graph_arrays(g) == before
+    g, args = removal_call_args()
+    get_backend("c").remove_edges(**args)
+    assert sorted(map(tuple, g.edge_array().tolist())) == [(0, 1), (0, 2),
+                                                           (2, 3)]
+
+
+@needs_c
+@pytest.mark.parametrize("field, bad, error", [
+    ("cores", lambda a: a.astype(np.int64), TypeError),
+    ("us", lambda a: np.repeat(a, 2)[::2], TypeError),
+    ("vs", lambda a: np.array([3, 3, 5], dtype=np.int32), ValueError),
+    ("us", lambda a: np.array([-1, 0, 1], dtype=np.int32), ValueError),
+    ("vs", lambda a: a[:-1], ValueError),
+    ("exists", lambda a: a[:-1], ValueError),
+    ("exists", lambda a: a.astype(np.uint8), TypeError),
+])
+def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], dense_labels=True)
+    cores = peel(g)
+    batch = build_insert_batch(g, [(0, 3), (1, 3), (3, 4)])
+    cores.fit_to(g)  # vertex 4 is new
+    g.add_edge(1, 3)  # exists by the time the batch is planned
+    before = (graph_arrays(g), cores.values.tolist(), batch.alive.tolist())
+    us, vs = batch.pairs.T.copy()
+    args = dict(us=us, vs=vs, cores=cores.values,
+                exists=g._has_dense(us, vs))
+    expect = get_backend("c").plan_scan(**args)
+    args[field] = bad(args[field])
+    with pytest.raises(error):
+        get_backend("c").plan_scan(**args)
+    if field == "cores":  # plan_round passes the core map through
+        with pytest.raises(error):
+            plan_round(batch, CoreMap(args["cores"]), g, drop_existing=True,
+                       backend="c")
+    assert (graph_arrays(g), cores.values.tolist(),
+            batch.alive.tolist()) == before
+    assert expect.tolist() == _plan_scan(us, vs, cores.values,
+                                         g._has_dense(us, vs)).tolist()
+
+
+# ----------------------------------------------------------------------
+# planner scan and edge removal: the Python and compiled lanes agree
+
+
+def plans_equal(a, b):
+    return (a.levels == b.levels and a.selected_indices == b.selected_indices
+            and a.dropped_existing == b.dropped_existing
+            and a.level_edges.keys() == b.level_edges.keys()
+            and all(x.dtype == y.dtype and np.array_equal(x, y)
+                    for k in a.level_edges
+                    for x, y in zip(a.level_edges[k], b.level_edges[k])))
+
+
+@needs_c
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+def test_plan_lanes_agree(mode):
+    rng = np.random.default_rng(44)
+    rounds = blocked = 0
+    for _ in range(30):
+        n = int(rng.integers(20, 80))
+        mask = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.4), 1)
+        g = Graph.from_edges(np.argwhere(mask), num_vertices=n,
+                             dense_labels=True)
+        cores = peel(g)
+        if mode == "insert":
+            cand = np.argwhere(np.triu(~mask, 1))
+        else:
+            cand = g.edge_array()
+        cand = cand[rng.choice(len(cand), size=min(len(cand), 60),
+                               replace=False)]
+        build = build_insert_batch if mode == "insert" else build_delete_batch
+        batch = build(g, cand.tolist())
+        if mode == "insert":  # some pending edges appear in the graph
+            late = batch.pairs[rng.random(batch.size) < 0.3]
+            g._add_dense(late[:, 0], late[:, 1])
+        twin = EdgeBatch(batch.pairs, batch.alive.copy(), batch.multiplicity)
+        while batch.remaining:
+            plans = [plan_round(b, cores, g, drop_existing=mode == "insert",
+                                backend=lane)
+                     for b, lane in ((batch, "python"), (twin, "c"))]
+            assert plans_equal(*plans)
+            assert np.array_equal(batch.alive, twin.alive)
+            pending = batch.pairs[batch.alive]
+            blocked += int(g._has_dense(pending[:, 0], pending[:, 1]).sum())
+            rounds += 1
+    assert rounds > 60
+    assert blocked > 0 or mode == "delete"  # existing edges left pending
+
+
+def removal_case():
+    """A graph whose hub 0 has 60 edges, and a removal that takes 40 of
+    them, every edge of vertex 1 and a random sample of the rest."""
+    rng = np.random.default_rng(8)
+    n = 90
+    keys = set()
+    for v in range(1, 61):
+        keys.add((0, v))
+    while len(keys) < 400:
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        keys.add((u, v))
+    g = Graph.from_edges(sorted(keys), dense_labels=True)
+    g._add_dense(np.array([0, 1]), np.array([70, 80]))  # relocates 0 and 1
+    edges = sorted(map(tuple, g.edge_array().tolist()))
+    gone = [e for e in edges if e[0] == 0][:40]
+    gone += [e for e in edges if 1 in e and e not in gone]
+    rest = [e for e in edges if e not in gone]
+    gone += [rest[i] for i in rng.choice(len(rest), 50, replace=False)]
+    order = rng.permutation(len(gone))
+    pairs = np.array(gone, dtype=np.int32)[order]
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip][:, ::-1]
+    return g, pairs, set(edges) - set(gone)
+
+
+@needs_c
+def test_removal_lanes_agree():
+    outcomes = []
+    for lane in ("python", "c"):
+        g, pairs, left = removal_case()
+        g._remove_dense(pairs[:, 0], pairs[:, 1], backend=lane)
+        g.check_invariants()
+        assert set(map(tuple, g.edge_array().tolist())) == left
+        assert g.degree(1) == 0 and 0 < g.degree(0) <= 62 - 40
+        outcomes.append([g._starts.tolist(), g._lens.tolist(),
+                         g._pool.tolist(), g.edge_count])
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("lane", ["python",
+                                  pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("us, vs", [
+    ([0, 1], [1, 3]),  # {1, 3} is absent
+    ([0, 1], [1, 0]),  # {0, 1} twice
+    ([1, 2, 1], [2, 1, 2]),  # {1, 2} three times
+    ([2], [2]),  # self-loop
+], ids=["absent", "repeated", "repeated-thrice", "self-loop"])
+def test_removal_rejects_absent_or_repeated_pairs(lane, us, vs):
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)], dense_labels=True)
+    before = [g._starts.tolist(), g._lens.tolist(), g._pool.tolist(),
+              g.edge_count]
+    with pytest.raises(ValueError):
+        g._remove_dense(np.array(us), np.array(vs), backend=lane)
+    assert [g._starts.tolist(), g._lens.tolist(), g._pool.tolist(),
+            g.edge_count] == before
 
 
 @pytest.mark.parametrize("breakage", ["no compiler", "broken source"])

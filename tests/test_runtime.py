@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,37 @@ def test_failure_names_the_level(workers):
     with pytest.raises(LevelTaskError) as err:
         run_level_tasks([2, 5, 9], workers, task)
     assert err.value.level == 5
+
+
+@pytest.mark.parametrize("error, raised", [
+    (RuntimeError, LevelTaskError), (KeyboardInterrupt, KeyboardInterrupt)])
+def test_failure_waits_for_the_whole_round(error, raised):
+    # level 5 fails at once while level 2 is still running; the error must
+    # not surface before level 2 is done, or a rollback would run beside it
+    finished = []
+
+    def task(level):
+        if level == 5:
+            raise error("boom")
+        time.sleep(0.2)
+        finished.append(level)
+        return fake_task(level)
+
+    with pytest.raises(raised):
+        run_level_tasks([2, 5], 2, task, weights={2: 1})
+    assert finished == [2]
+
+
+def test_pool_threads_are_reused_across_rounds():
+    threads = set()
+
+    def task(level):
+        threads.add(threading.current_thread())
+        return fake_task(level)
+
+    for _ in range(20):
+        run_level_tasks([1, 2, 3], 2, task)
+    assert len(threads) <= 2
 
 
 def bad_backend(error):
