@@ -8,9 +8,12 @@
    round run in parallel.
 
    Per-vertex scratch (visited, removed, slack, sup, csup) lives in an
-   arena shared by the tasks of a round.  A task touches only the slots of
-   vertices at its own core level, so concurrent tasks never write the same
-   slot; each call resets the slots it touched before it returns.
+   arena that the calling thread owns and keeps across calls, so concurrent
+   tasks never share one and a task may use any of its slots.  Each call
+   resets every slot it wrote (it records them on its dirty list) before it
+   returns, so the next call on that thread finds the arena clean; a call
+   that fails to allocate returns -1 and may leave a slot written but not
+   recorded, so the caller drops that arena.
 
    Counter layout: visited, removed, neg_touches, sup_evals, csup_evals. */
 

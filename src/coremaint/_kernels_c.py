@@ -1,15 +1,21 @@
-"""Compiled lane: ``_kernels.c`` called through ctypes.
+"""Compiled backend: ``_kernels.c`` called through ctypes.
 
-It holds the traversal kernels, the round planner's greedy scan
-(``plan_scan``) and the removal of a round's edges from the adjacency
-blocks (``remove_edges``).
+It has the five functions of the backend contract (see ``_kernels_py``):
+the traversal kernels, the round planner's greedy scan (``plan_scan``)
+and the removal of a round's edges from the adjacency blocks
+(``remove_edges``).
 
 Importing this module compiles the C file with the system C compiler
 (``cc``) into ``__pycache__/`` next to it, keyed by a hash of the source
-and flags, and loads the shared library; a failed build raises
-ImportError with the reason, and ``kernels`` then falls back to the
-pure-Python lane.  ctypes releases the GIL for the duration of each
-foreign call, so per-level tasks run in parallel.
+and flags, and loads the shared library; a new build deletes the builds
+of earlier sources there.  A failed build raises ImportError with the
+reason, and ``kernels`` then falls back to the pure-Python lane.  ctypes
+releases the GIL for the duration of each foreign call, so per-level tasks
+run in parallel.
+
+The level kernels keep their per-vertex scratch in an arena owned by the
+calling thread and kept across calls, so concurrent tasks never share
+one; it grows when a graph has more vertices than it covers.
 
 Every entry point checks dtypes, contiguity, lengths and edge endpoints
 before it calls into C.  The adjacency contents themselves (pool entries,
@@ -22,9 +28,12 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import threading
 from pathlib import Path
 
 import numpy as np
+
+from ._kernels_py import _check_endpoints, _check_len
 
 NAME = "c"
 
@@ -46,6 +55,16 @@ def _compile(source: Path, target: Path):
         tmp.unlink(missing_ok=True)
 
 
+def _remove_stale(current: Path):
+    """Delete the other builds next to ``current``, best effort."""
+    for old in current.parent.glob("_kernels.*.so"):
+        if old != current:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
 def _load() -> ctypes.CDLL:
     source = _SOURCE.read_bytes()
     tag = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
@@ -54,6 +73,7 @@ def _load() -> ctypes.CDLL:
         if not target.exists():
             _CACHE.mkdir(exist_ok=True)
             _compile(_SOURCE, target)
+            _remove_stale(target)
         return ctypes.CDLL(str(target))
     except subprocess.CalledProcessError as exc:
         errors = [ln for ln in exc.stderr.splitlines() if "error" in ln]
@@ -84,9 +104,10 @@ class _Arena(ctypes.Structure):
                 for name in ("visited", "removed", "slack", "sup", "csup")]
 
 
-class Scratch:
-    """Per-vertex arena shared by the level tasks of a round; slot
-    ownership is partitioned by core level."""
+class _Scratch:
+    """Per-vertex slots of the level kernels for vertices 0..n-1.  Between
+    calls every slot holds its reset value; each call resets the slots it
+    wrote before it returns."""
 
     def __init__(self, n: int):
         self.n = n
@@ -95,11 +116,20 @@ class Scratch:
         self.slack = np.zeros(n, dtype=np.int32)
         self.sup = np.full(n, _UNSET, dtype=np.int32)
         self.csup = np.full(n, _UNSET, dtype=np.int32)
-        self.arena = _Arena(*(getattr(self, f).ctypes.data
-                              for f, _ in _Arena._fields_))
+        self.ref = ctypes.byref(_Arena(*(getattr(self, f).ctypes.data
+                                         for f, _ in _Arena._fields_)))
 
 
-make_scratch = Scratch
+_threads = threading.local()  # .arena: the calling thread's _Scratch
+
+
+def _arena(n: int) -> _Scratch:
+    """The calling thread's arena, grown (at least doubled) to cover n
+    vertices."""
+    have = getattr(_threads, "arena", None)
+    if have is None or have.n < n:
+        have = _threads.arena = _Scratch(max(n, 2 * have.n if have else 0))
+    return have
 
 
 def _check(name: str, a, dtype, length: int | None = None):
@@ -108,8 +138,8 @@ def _check(name: str, a, dtype, length: int | None = None):
                         f"array, got {getattr(a, 'dtype', type(a).__name__)}")
     if a.ndim != 1 or not a.flags.c_contiguous:
         raise TypeError(f"{name} must be one-dimensional and C-contiguous")
-    if length is not None and len(a) != length:
-        raise ValueError(f"{name} has length {len(a)}, expected {length}")
+    if length is not None:
+        _check_len(name, a, length)
 
 
 def _check_graph(starts, lens, pool) -> int:
@@ -132,52 +162,39 @@ def peel_kernel(n, starts, lens, pool):
     return cores
 
 
-def _check_endpoints(n: int, *arrays):
-    """Vertex ids (int32 arrays, checked before) must lie in 0..n-1.  Read
-    as uint32, a negative id exceeds every int32 n, so one max suffices."""
-    ids = np.concatenate(arrays).view(np.uint32)
-    if len(ids) and int(ids.max()) >= n:
-        raise ValueError(f"edge endpoint outside 0..{n - 1}")
-
-
-def _level(fn, starts, lens, pool, cores, k, eu, ev, scratch):
+def _level(fn, starts, lens, pool, cores, k, eu, ev):
     n = _check_graph(starts, lens, pool)
     _check("cores", cores, np.int32, n)
     _check("eu", eu, np.int32)
     _check("ev", ev, np.int32, len(eu))
-    if not isinstance(scratch, Scratch) or scratch.n < n:
-        raise ValueError("scratch arena smaller than the vertex range")
     _check_endpoints(n, eu, ev)
     moved = np.empty(n, dtype=np.int32)
     ctr = np.zeros(5, dtype=np.int64)
     cnt = fn(starts.ctypes.data, lens.ctypes.data, pool.ctypes.data,
              cores.ctypes.data, int(k), len(eu), eu.ctypes.data,
-             ev.ctypes.data, ctypes.byref(scratch.arena), moved.ctypes.data,
+             ev.ctypes.data, _arena(n).ref, moved.ctypes.data,
              ctr.ctypes.data)
     if cnt < 0:
+        # a failed push can leave a written slot off the reset list
+        del _threads.arena
         raise MemoryError(f"{fn.__name__} allocation failed")
     return np.sort(moved[:cnt]), tuple(ctr.tolist())
 
 
-def insert_level(starts, lens, pool, cores, k, eu, ev, scratch):
+def insert_level(starts, lens, pool, cores, k, eu, ev):
     """Vertices of core level k that rise after the level's edges were
     inserted.  Returns (ascending id array, counter tuple)."""
-    return _level(_lib.cm_insert_level, starts, lens, pool, cores, k, eu, ev,
-                  scratch)
+    return _level(_lib.cm_insert_level, starts, lens, pool, cores, k, eu, ev)
 
 
-def delete_level(starts, lens, pool, cores, k, eu, ev, scratch):
+def delete_level(starts, lens, pool, cores, k, eu, ev):
     """Vertices of core level k that fall after the level's edges were
     deleted.  Returns (ascending id array, counter tuple)."""
-    return _level(_lib.cm_delete_level, starts, lens, pool, cores, k, eu, ev,
-                  scratch)
+    return _level(_lib.cm_delete_level, starts, lens, pool, cores, k, eu, ev)
 
 
 def plan_scan(us, vs, cores, exists=None):
-    """``plan_round``'s greedy scan over the live pairs (us, vs), in
-    canonical order, under ``cores``; ``exists`` (insert mode) marks pairs
-    already in the graph.  Returns an int8 status per pair: 0 pending,
-    1 selected, 2 dropped as existing."""
+    """As ``_kernels_py.plan_scan``."""
     _check("us", us, np.int32)
     m = len(us)
     _check("vs", vs, np.int32, m)
@@ -195,10 +212,7 @@ def plan_scan(us, vs, cores, exists=None):
 
 
 def remove_edges(starts, lens, pool, src, dst):
-    """Remove the directed entries (src[i], dst[i]), grouped by ascending
-    source with ascending targets, compacting each touched block in place
-    (``lens`` and ``pool`` are written).  Raises ValueError, writing
-    nothing, unless they are distinct entries of the blocks."""
+    """As ``_kernels_py.remove_edges``."""
     n = _check_graph(starts, lens, pool)
     _check("src", src, np.int32)
     _check("dst", dst, np.int32, len(src))

@@ -1,9 +1,12 @@
-"""Pure-Python traversal kernels.
+"""Pure-Python kernel backend: the reference lane.
 
-Reference implementation of the hot paths; the compiled backend in
-``_kernels_c`` mirrors these routines step for step so that both produce
-identical result sets *and* identical instrumentation counters.  Per-task
-state is kept in dicts/sets, so no shared scratch arena is needed.
+A kernel backend has five functions: ``peel_kernel``, the level kernels
+``insert_level``/``delete_level``, the round planner's scan ``plan_scan``
+and the edge removal ``remove_edges``.  The compiled backend in
+``_kernels_c`` has the same signatures and mirrors these routines step
+for step, so both produce identical results *and* counters, and both
+raise ValueError for the same bad values.  Per-task state is kept in
+dicts/sets here.
 
 Counter tuple layout (shared with the compiled backend):
     (visited, removed, neg_touches, sup_evals, csup_evals)
@@ -17,10 +20,20 @@ import numpy as np
 
 NAME = "python"
 
+PENDING, SELECTED, DROPPED = 0, 1, 2  # plan_scan status per pair
 
-def make_scratch(n: int):
-    """No shared scratch needed for the dict-based kernels."""
-    return None
+
+def _check_len(name: str, a, length: int):
+    if len(a) != length:
+        raise ValueError(f"{name} has length {len(a)}, expected {length}")
+
+
+def _check_endpoints(n: int, *arrays):
+    """Vertex ids must lie in 0..n-1.  Cast to unsigned, a negative id
+    exceeds every n, so one max suffices."""
+    ids = np.concatenate(arrays, dtype=np.uint64, casting="unsafe")
+    if len(ids) and int(ids.max()) >= n:
+        raise ValueError(f"edge endpoint outside 0..{n - 1}")
 
 
 # ----------------------------------------------------------------------
@@ -28,6 +41,8 @@ def make_scratch(n: int):
 
 
 def peel_kernel(n, starts, lens, pool) -> np.ndarray:
+    _check_len("starts", starts, n)
+    _check_len("lens", lens, n)
     cores = np.zeros(n, dtype=np.int32)
     if n == 0:
         return cores
@@ -81,7 +96,7 @@ def peel_kernel(n, starts, lens, pool) -> np.ndarray:
 
 @dataclass
 class TaskState:
-    """Scratch for one core level's traversal within one round.
+    """State of one core level's traversal within one round.
 
     ``slack`` tracks each vertex's remaining support as the traversal rules
     vertices out; it may go negative for vertices touched before being
@@ -186,12 +201,21 @@ def rule_out_cascade(adj, cores, st: TaskState, r: int):
                     st.removals += 1
 
 
-def insert_level(starts, lens, pool, cores, k, eu, ev, scratch=None):
+def _check_level(starts, lens, cores, eu, ev):
+    n = len(starts)
+    _check_len("lens", lens, n)
+    _check_len("cores", cores, n)
+    _check_len("ev", ev, len(eu))
+    _check_endpoints(n, eu, ev)
+
+
+def insert_level(starts, lens, pool, cores, k, eu, ev):
     """Find the vertices of core level k that rise after inserting the
     level's edges (the edges must already be present in the arrays).
 
     Returns (ascending vertex id array, counter tuple).
     """
+    _check_level(starts, lens, cores, eu, ev)
     adj = _Adj(starts, lens, pool)
     st = TaskState(k)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
@@ -247,12 +271,13 @@ def drop_cascade(adj, cores, st: TaskState, r: int):
                     st.removals += 1
 
 
-def delete_level(starts, lens, pool, cores, k, eu, ev, scratch=None):
+def delete_level(starts, lens, pool, cores, k, eu, ev):
     """Find the vertices of core level k that fall after deleting the
     level's edges (the edges must already be gone from the arrays).
 
     Returns (ascending vertex id array, counter tuple).
     """
+    _check_level(starts, lens, cores, eu, ev)
     adj = _Adj(starts, lens, pool)
     st = TaskState(k)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
@@ -273,3 +298,89 @@ def delete_level(starts, lens, pool, cores, k, eu, ev, scratch=None):
             check(b)
     falling = sorted(v for v in st.visit_order if v in st.removed)
     return np.asarray(falling, dtype=np.int32), st.counters()
+
+
+# ----------------------------------------------------------------------
+# round planning and edge removal
+
+
+def plan_scan(us, vs, cores, exists=None) -> np.ndarray:
+    """``plan_round``'s greedy scan, by its rule, over the live pairs
+    (us, vs) in canonical order under ``cores``; ``exists`` (insert mode)
+    marks pairs already in the graph.  Returns an int8 status per pair:
+    PENDING, SELECTED or DROPPED (as existing)."""
+    m = len(us)
+    _check_len("vs", vs, m)
+    if exists is not None:
+        _check_len("exists", exists, m)
+    _check_endpoints(len(cores), us, vs)
+    status = [PENDING] * m
+    covered: set[int] = set()
+    ex = exists.tolist() if exists is not None else [False] * m
+    for j, (u, v, cu, cv, x) in enumerate(zip(
+            us.tolist(), vs.tolist(), cores[us].tolist(), cores[vs].tolist(),
+            ex)):
+        k = cu if cu < cv else cv
+        if (cu == k and u in covered) or (cv == k and v in covered):
+            continue
+        if x:
+            status[j] = DROPPED
+            continue
+        status[j] = SELECTED
+        if cu == k:
+            covered.add(u)
+        if cv == k:
+            covered.add(v)
+    return np.array(status, dtype=np.int8)
+
+
+def remove_edges(starts, lens, pool, src, dst):
+    """Remove the directed entries (src[i], dst[i]), grouped by ascending
+    source with ascending targets, compacting each touched block in place
+    and keeping the order of its remaining entries (``lens`` and ``pool``
+    are written).  Raises ValueError, writing nothing, unless they are
+    distinct entries of the blocks."""
+    n = len(starts)
+    _check_len("lens", lens, n)
+    m = len(src)
+    _check_len("dst", dst, m)
+    _check_endpoints(n, src, dst)
+    keys = src.astype(np.int64) * n + dst
+    step = keys[1:] - keys[:-1]
+    if (step < 0).any():
+        raise ValueError("pairs to remove must be grouped by ascending "
+                         "source with ascending targets")
+    touched = src[np.diff(src, prepend=-1) != 0].astype(np.int64)
+    at = starts[touched]
+    blens = lens[touched].astype(np.int64)
+    slots = _block_slots(at, blens)
+    slot_keys = (touched * n).repeat(blens) + pool[slots]
+    pos = keys.searchsorted(slot_keys)
+    drop = keys[np.minimum(pos, m - 1)] == slot_keys
+    if (step == 0).any() or np.count_nonzero(drop) != m:
+        raise ValueError("edges to remove must be distinct edges of the "
+                         "graph")
+    kept = blens - _segment_counts(drop, blens)
+    pool[_block_slots(at, kept)] = pool[slots[~drop]]
+    lens[touched] = kept
+
+
+# ----------------------------------------------------------------------
+# pooled adjacency blocks (shared with ``graph``)
+
+
+def _block_slots(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Pool indices of the first ``lens[i]`` slots of each block, block
+    after block (int64 ``lens``)."""
+    ends = np.add.accumulate(lens)
+    total = ends[-1] if len(ends) else 0
+    return np.arange(total) + (starts - ends + lens).repeat(lens)
+
+
+def _segment_counts(mask: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """True entries of ``mask`` in each of its consecutive segments of
+    lengths ``lens`` (int64)."""
+    total = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.add.accumulate(mask, dtype=np.int64, out=total[1:])
+    ends = np.add.accumulate(lens)
+    return total[ends] - total[ends - lens]

@@ -7,11 +7,9 @@ edges in which no vertex of core k is incident to more than one selected
 edge.  That restriction is what caps every vertex's core change at one
 per round, so the per-level sets can be processed concurrently.
 
-The selection is one greedy scan over the live pairs in canonical order.
-It has two lanes with the same result: ``_plan_scan`` over Python lists
-(the reference) and the compiled ``plan_scan`` of ``_kernels.c``; the
-kernel backend picks between them.  Either way the scan only marks each
-pair selected, dropped or pending, and the plan is assembled with numpy.
+The selection is one greedy scan over the live pairs in canonical order,
+done by the kernel backend's ``plan_scan``.  The scan only marks each pair
+selected, dropped or pending; the plan is assembled here with numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels_py import PENDING, SELECTED
 from .graph import Graph, _as_pair, sorted_unique
-from .kernels import compiled_lane
+from .kernels import get_backend
 from .static_core import CoreMap
 
 
@@ -149,9 +148,6 @@ def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
             for k, (us, vs) in level_edges.items()}
 
 
-PENDING, SELECTED, DROPPED = 0, 1, 2  # plan scan status per live pair
-
-
 def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
                drop_existing: bool = False, backend=None) -> RoundPlan:
     """Draw one round plan from the batch under the current core numbers.
@@ -162,16 +158,14 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
     of its endpoints whose core equals the level.  With ``drop_existing``
     (insert mode), pending edges that already exist in the graph are
     discarded with a counter instead of selected.  Edge existence is read
-    for all live pairs with numpy; ``backend`` picks the lane of the scan
-    (the compiled ``plan_scan`` or ``_plan_scan`` below).
+    for all live pairs with numpy; the scan is ``backend``'s ``plan_scan``
+    (``backend`` as for ``get_backend``).
     """
     idx = batch.alive.nonzero()[0]
     us, vs = batch.pairs[idx].T.copy()  # contiguous rows
     exists = (g._has_dense(us, vs) if drop_existing and g is not None
               else None)
-    lane = compiled_lane(backend)
-    scan = lane.plan_scan if lane is not None else _plan_scan
-    status = scan(us, vs, cores.values, exists)
+    status = get_backend(backend).plan_scan(us, vs, cores.values, exists)
     done = idx[status != PENDING]
     batch.alive[done] = False
     picked = (status == SELECTED).nonzero()[0]
@@ -188,29 +182,6 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
         end += c
         plan.level_edges[k] = (us[at], vs[at])
     return plan
-
-
-def _plan_scan(us, vs, cores, exists=None) -> np.ndarray:
-    """The Python lane of the greedy scan: ``plan_round``'s rule over plain
-    lists.  Returns the int8 status of each pair."""
-    status = [PENDING] * len(us)
-    covered: set[int] = set()
-    ex = exists.tolist() if exists is not None else [False] * len(us)
-    for j, (u, v, cu, cv, x) in enumerate(zip(
-            us.tolist(), vs.tolist(), cores[us].tolist(), cores[vs].tolist(),
-            ex)):
-        k = cu if cu < cv else cv
-        if (cu == k and u in covered) or (cv == k and v in covered):
-            continue
-        if x:
-            status[j] = DROPPED
-            continue
-        status[j] = SELECTED
-        if cu == k:
-            covered.add(u)
-        if cv == k:
-            covered.add(v)
-    return np.array(status, dtype=np.int8)
 
 
 def restore_plan(batch: EdgeBatch, plan: RoundPlan):

@@ -94,9 +94,8 @@ def _audit_round(log: MaintenanceLog, pre: np.ndarray, post: np.ndarray,
 def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                workers: int, backend, audit: bool) -> MaintenanceLog:
     insert = mode == "insert"
-    be = get_backend(backend) if isinstance(backend, (str, type(None))) else backend
+    be = get_backend(backend)
     cores.fit_to(g)
-    scratch = be.make_scratch(g.vertex_count)
     kernel = be.insert_level if insert else be.delete_level
     remove = partial(g._remove_dense, backend=be)
     apply, undo = ((g._add_dense, remove) if insert
@@ -121,7 +120,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         def task(k: int) -> LevelTaskResult:
             eu, ev = level_edges[k]
             moved, counters = kernel(starts, lens, pool, cores.values,
-                                     k, eu, ev, scratch)
+                                     k, eu, ev)
             return LevelTaskResult(k, moved, TaskCounters.from_tuple(counters))
 
         weights = {k: len(level_edges[k][0]) for k in plan.levels}

@@ -8,15 +8,14 @@ per-vertex (start, length, capacity) blocks.
 Edges are added, removed and looked up a whole array of pairs at a time
 (one maintenance round's edges per call), touching the blocks of the
 touched vertices only.  Removal sorts the directed pairs by source and
-target, checks that they are distinct edges, then compacts each touched
-block in place, keeping the order of its remaining entries; the compiled
-lane (``_kernels.c``) does the check and compaction in one C call, the
-Python lane with numpy gathers.  Lookup and addition are numpy only.
-Addition first moves every block that would overflow to the pool tail in
-one pass, each with its capacity doubled until the new entries fit, then
-writes all new entries with one scatter; the vacated slots are not
-reused.  Mutations must happen in exclusive phases; between mutations the
-arrays may be read concurrently.
+target and hands them to the kernel backend's ``remove_edges``, which
+checks that they are distinct edges, then compacts each touched block in
+place, keeping the order of its remaining entries.  Lookup and addition
+are numpy only.  Addition first moves every block that would overflow to
+the pool tail in one pass, each with its capacity doubled until the new
+entries fit, then writes all new entries with one scatter; the vacated
+slots are not reused.  Mutations must happen in exclusive phases; between
+mutations the arrays may be read concurrently.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import compiled_lane
+from ._kernels_py import _block_slots, _segment_counts
+from .kernels import get_backend
 
 _POOL_DTYPE = np.int32
 _MIN_BLOCK = 4
@@ -330,39 +330,18 @@ class Graph:
         in place and keeps the order of its remaining entries.
 
         Raises ValueError, changing nothing, unless the pairs are distinct
-        edges of the graph.  ``backend`` picks the lane: the compiled
-        ``remove_edges``, or the numpy compaction below.
+        edges of the graph.  ``backend`` (as for ``get_backend``) does the
+        removal.
         """
         src, dst = _directed(us, vs)
         n = self.vertex_count
         keys = src * n + dst
         keys.sort()
-        lane = compiled_lane(backend)
-        if lane is not None:
-            src, dst = np.divmod(keys, max(n, 1))
-            lane.remove_edges(self._starts[:n], self._lens[:n], self._pool,
-                              src.astype(np.int32), dst.astype(np.int32))
-        else:
-            self._remove_sorted(keys)
+        src, dst = np.divmod(keys, max(n, 1))
+        get_backend(backend).remove_edges(
+            self._starts[:n], self._lens[:n], self._pool,
+            src.astype(np.int32), dst.astype(np.int32))
         self.edge_count -= len(keys) // 2
-
-    def _remove_sorted(self, keys: np.ndarray):
-        """The numpy lane of ``_remove_dense``: remove the directed entries
-        with ascending keys ``source * n + target``."""
-        n = self.vertex_count
-        touched = sorted_unique(keys // n)
-        starts = self._starts[touched]
-        lens = self._lens[touched].astype(np.int64)
-        slots = _block_slots(starts, lens)
-        slot_keys = (touched * n).repeat(lens) + self._pool[slots]
-        pos = keys.searchsorted(slot_keys)
-        drop = keys[np.minimum(pos, len(keys) - 1)] == slot_keys
-        if np.count_nonzero(drop) != len(keys):
-            raise ValueError("edges to remove must be distinct edges of "
-                             "the graph")
-        kept = lens - _segment_counts(drop, lens)
-        self._pool[_block_slots(starts, kept)] = self._pool[slots[~drop]]
-        self._lens[touched] = kept
 
     def _has_dense(self, us, vs) -> np.ndarray:
         """Bool mask over the pairs: is vs[i] in the block of us[i]?"""
@@ -456,23 +435,6 @@ def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
     """Both directions of the pairs, as int64 (source, target) arrays."""
     return (np.concatenate((us, vs), dtype=np.int64),
             np.concatenate((vs, us), dtype=np.int64))
-
-
-def _block_slots(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Pool indices of the first ``lens[i]`` slots of each block, block
-    after block (int64 ``lens``)."""
-    ends = np.add.accumulate(lens)
-    total = ends[-1] if len(ends) else 0
-    return np.arange(total) + (starts - ends + lens).repeat(lens)
-
-
-def _segment_counts(mask: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """True entries of ``mask`` in each of its consecutive segments of
-    lengths ``lens`` (int64)."""
-    total = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.add.accumulate(mask, dtype=np.int64, out=total[1:])
-    ends = np.add.accumulate(lens)
-    return total[ends] - total[ends - lens]
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Kernel backend selection.
 
-The compiled kernels (``_kernels.c``, built on first import) are preferred;
-the pure-Python module is always available.  When the compiled lane cannot
-be built, ``FALLBACK_REASON`` says why.  Override with the environment
-variable COREMAINT_BACKEND=c|python, or pass backend="..." to the
-operations that accept one.  The backend also picks the lane of the round
-planner's scan and of edge removal: the compiled module has both, and any
-other backend uses their Python lane (``batch.py``, ``graph.py``).
+A backend is a module with the five functions that ``_kernels_py``
+describes: the peeling and per-level kernels, the round planner's scan
+and edge removal.  The compiled backend (``_kernels_c``, built from
+``_kernels.c`` on first import) is preferred; the pure-Python module is
+always available.  When the compiled lane cannot be built,
+``FALLBACK_REASON`` says why.  Override with the environment variable
+COREMAINT_BACKEND=c|python, or pass backend="..." (or a backend object)
+to the operations that accept one; every one of them resolves it with
+``get_backend``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,11 @@ def available_backends() -> list[str]:
     return sorted(BACKENDS)
 
 
-def get_backend(name: str | None = None):
-    """Resolve a backend module by name (None picks the default)."""
+def get_backend(name=None):
+    """Resolve a backend module by name (None picks the default); a
+    backend object is returned as it is."""
+    if not isinstance(name, (str, type(None))):
+        return name
     if name is None:
         name = os.environ.get(_ENV_VAR)
     if name is None:
@@ -48,11 +53,3 @@ def get_backend(name: str | None = None):
 
 def default_backend_name() -> str:
     return get_backend().NAME
-
-
-def compiled_lane(backend=None):
-    """The compiled module if ``backend`` (a name, None for the default, or
-    a backend module) resolves to it, else None."""
-    if isinstance(backend, (str, type(None))):
-        backend = get_backend(backend)
-    return backend if backend is BACKENDS.get("c") else None

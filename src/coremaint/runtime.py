@@ -1,10 +1,11 @@
 """Per-level task fan-out.
 
 Each maintenance round runs one task per core level.  Tasks receive a
-frozen graph and core map and write only per-vertex state of their own
-level, so their write sets are disjoint; this module only schedules them,
-on a thread pool kept across rounds, and collects results in level order.
-Any task failure aborts the round before core updates are applied.
+frozen graph and core map and keep their working state to themselves
+(the compiled kernels keep it per thread), so their write sets are
+disjoint; this module only schedules them, on a thread pool kept across
+rounds, and collects results in level order.  Any task failure aborts
+the round before core updates are applied.
 """
 
 from __future__ import annotations

@@ -107,12 +107,25 @@ def write_core_file(path, g: Graph, cores: CoreMap):
 
 
 def read_core_file(path) -> dict[int, int]:
+    """Core numbers by label from a core file.  Raises ValueError naming
+    the line for a line that is not two non-negative integers and for a
+    label listed twice."""
     out: dict[int, int] = {}
     with open(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            label, core = line.split()
-            out[int(label)] = int(core)
+            try:
+                label, core = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"core file line {line_no}: expected two "
+                                 f"integers, got {line!r}") from None
+            if label < 0 or core < 0:
+                raise ValueError(f"core file line {line_no}: negative "
+                                 f"value in {line!r}")
+            if label in out:
+                raise ValueError(f"core file line {line_no}: vertex "
+                                 f"{label} listed twice")
+            out[label] = core
     return out

@@ -71,6 +71,27 @@ def test_verify_detects_mismatch(small_graph, tmp_path, capsys):
     assert "mismatch at vertex 7" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, line", [
+    ("0 5\n1 1\n0 1\n", 3),  # vertex 0 twice: the later line won
+    ("0 1\n1\n", 2),
+    ("# cores\n0 1 2\n", 2),
+    ("0 1\n\n1 x\n", 3),
+    ("0 -1\n", 1),
+    ("-4 1\n", 1),
+], ids=["repeated", "short", "long", "not-integer", "negative-core",
+        "negative-label"])
+def test_bad_core_file_names_the_line(text, line, small_graph, tmp_path,
+                                      capsys):
+    _, path = small_graph
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        read_core_file(bad)
+    rc = main(["verify", "--graph", str(path), "--cores", str(bad)])
+    assert rc == 1
+    assert f"line {line}:" in capsys.readouterr().err
+
+
 def check_baseline_matches_engine(mode, small_graph, tmp_path, capsys):
     # the baseline runs one round per applied edge; its result line and
     # change log report those rounds like the engine's

@@ -1,11 +1,15 @@
 """Cascade-level tests against the pure-Python kernels, parity checks
-ensuring the compiled backend reproduces results and counters exactly, and
-the compiled lane's input checks and build fallback."""
+ensuring the compiled backend reproduces results and counters exactly, the
+backends' shared contract and input checks, the compiled lane's per-thread
+arena, and its build and fallback."""
 
+import ctypes
+import inspect
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +18,13 @@ import pytest
 import coremaint
 from coremaint import Graph, build_delete_batch, build_insert_batch, peel
 from coremaint import delete_edges, insert_edges, plan_round
-from coremaint.batch import EdgeBatch, _plan_scan
+from coremaint import _kernels_py
+from coremaint.batch import EdgeBatch
+from coremaint.gen import generate_er, sample_existing_edges, sample_new_edges
 from coremaint.static_core import CoreMap
 from coremaint._kernels_py import (TaskState, _Adj, drop_cascade,
                                    rule_out_cascade)
+from coremaint._kernels_py import plan_scan as _plan_scan
 from coremaint.kernels import BACKENDS, FALLBACK_REASON, get_backend
 
 needs_c = pytest.mark.skipif("c" not in BACKENDS, reason=FALLBACK_REASON)
@@ -159,22 +166,160 @@ def test_backends_agree_everywhere():
 
 @needs_c
 def test_compiled_scratch_is_reusable_and_clean():
-    # two unrelated calls through one scratch arena must not interfere
+    # two unrelated calls through the thread's arena must not interfere
     be = get_backend("c")
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5),
                           (3, 5)], dense_labels=True)
     cores = peel(g)
     g.remove_edge(2, 3)  # kernels run on the already-mutated arrays
-    scratch = be.make_scratch(g.vertex_count)
     starts, lens, pool = g.adjacency_arrays()
     eu = np.array([2], dtype=np.int32)
     ev = np.array([3], dtype=np.int32)
-    first = be.delete_level(starts, lens, pool, cores.values, 2, eu, ev,
-                            scratch)
-    second = be.delete_level(starts, lens, pool, cores.values, 2, eu, ev,
-                             scratch)
+    first = be.delete_level(starts, lens, pool, cores.values, 2, eu, ev)
+    second = be.delete_level(starts, lens, pool, cores.values, 2, eu, ev)
     assert first[0].tolist() == second[0].tolist()
     assert first[1] == second[1]
+
+
+CONTRACT = ("peel_kernel", "insert_level", "delete_level", "plan_scan",
+            "remove_edges")
+
+
+def parameters(fn):
+    return [(p.name, p.default)
+            for p in inspect.signature(fn).parameters.values()]
+
+
+@needs_c
+def test_backends_share_one_contract():
+    c_module = get_backend("c")
+    public = {name for name, obj in vars(c_module).items()
+              if inspect.isfunction(obj) and not name.startswith("_")
+              and obj.__module__ == c_module.__name__}
+    assert public == set(CONTRACT)
+    for name in CONTRACT:
+        assert parameters(getattr(_kernels_py, name)) == \
+            parameters(getattr(c_module, name)), name
+
+
+def growing_batches(seed):
+    """Insert and delete batches on a graph whose vertex count more than
+    doubles from one insert batch to the next; yields after each batch."""
+    rng = np.random.default_rng(seed)
+    g = generate_er(8, 2, seed=seed)
+    cores = peel(g)
+    for step in range(6):
+        n = g.vertex_count
+        fresh = rng.integers(0, 3 * n, size=(4 * n, 2))
+        insert_edges(g, cores, build_insert_batch(g, fresh.tolist()),
+                     backend="c")
+        yield g, cores
+        gone = sample_existing_edges(g, g.edge_count // 5, seed=step)
+        delete_edges(g, cores, build_delete_batch(g, gone), backend="c")
+        yield g, cores
+
+
+@needs_c
+def test_arena_grows_with_the_graph():
+    # a fresh thread starts without an arena, and the graph grows past the
+    # arena's size between batches; every batch leaves each slot at its
+    # reset value
+    sizes, errors = [], []
+
+    def run():
+        try:
+            for g, cores in growing_batches(5):
+                assert cores == peel(g)
+                arena = get_backend("c")._threads.arena
+                sizes.append((g.vertex_count, arena.n))
+                assert not any(getattr(arena, f).any() for f in
+                               ("visited", "removed", "slack"))
+                assert (arena.sup == -1).all() and (arena.csup == -1).all()
+        except BaseException as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and not errors, errors
+    assert all(n <= have for n, have in sizes)
+    assert sizes[-1][0] > 4 * sizes[0][1]  # the arena had to grow
+
+
+def two_thread_run(seed, n):
+    """Cores, counters and rounds of a few insert and delete batches on an
+    ER graph, with two workers."""
+    g = generate_er(n, 4, seed=seed)
+    cores = peel(g)
+    out = []
+    for i in range(3):
+        batch = build_insert_batch(g, sample_new_edges(g, n // 4, seed=i))
+        log = insert_edges(g, cores, batch, workers=2, backend="c")
+        out.append((cores.values.tolist(), log.counters, log.rounds_executed))
+        batch = build_delete_batch(g, sample_existing_edges(g, n // 3,
+                                                            seed=i))
+        log = delete_edges(g, cores, batch, workers=2, backend="c")
+        out.append((cores.values.tolist(), log.counters, log.rounds_executed))
+    assert cores == peel(g)
+    return out
+
+
+@needs_c
+def test_concurrent_engines_match_sequential_runs():
+    cases = [(21, 3000), (22, 700)]
+    expect = [two_thread_run(*case) for case in cases]
+    got, errors = [None, None], []
+    start = threading.Barrier(2)
+
+    def run(i):
+        try:
+            start.wait(timeout=30)
+            got[i] = two_thread_run(*cases[i])
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert got == expect
+
+
+@needs_c
+def test_failed_level_call_drops_the_arena():
+    # a stand-in for the foreign kernel dirties every slot of the arena,
+    # then reports an allocation failure, as a failed push may leave a slot
+    # written but not on the reset list
+    be = get_backend("c")
+    args = level_call_args()
+    clean = be.delete_level(**args)
+    n = len(args["starts"])
+
+    def stand_in(*call):
+        arena = call[8]._obj  # the Arena struct behind the pointer
+        for name, ctype in ((f, ctypes.c_int32) for f in ("slack", "sup",
+                                                           "csup")):
+            slots = ctypes.cast(getattr(arena, name), ctypes.POINTER(ctype))
+            for v in range(n):
+                slots[v] = 0
+        for name in ("visited", "removed"):
+            slots = ctypes.cast(getattr(arena, name),
+                                ctypes.POINTER(ctypes.c_uint8))
+            for v in range(n):
+                slots[v] = 1
+        return -1
+
+    with pytest.raises(MemoryError):
+        be._level(stand_in, **args)
+    again = be.delete_level(**args)
+    assert (again[0].tolist(), again[1]) == (clean[0].tolist(), clean[1])
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +333,7 @@ def level_call_args():
     starts, lens, pool = g.adjacency_arrays()
     return dict(starts=starts, lens=lens, pool=pool, cores=cores.values,
                 k=1, eu=np.array([2], dtype=np.int32),
-                ev=np.array([3], dtype=np.int32),
-                scratch=get_backend("c").make_scratch(g.vertex_count))
+                ev=np.array([3], dtype=np.int32))
 
 
 @needs_c
@@ -205,12 +349,13 @@ def test_compiled_lane_rejects_bad_inputs(field, bad, error):
     args = level_call_args()
     moved, counters = be.delete_level(**args)
     args[field] = bad(args[field])
-    for kernel in (be.insert_level, be.delete_level):
+    lanes = (be, _kernels_py) if error is ValueError else (be,)
+    for kernel in [f for lane in lanes
+                   for f in (lane.insert_level, lane.delete_level)]:
         with pytest.raises(error):
             kernel(**args)
-    # the rejected calls left the shared arena as they found it
-    args = dict(level_call_args(), scratch=args["scratch"])
-    again = be.delete_level(**args)
+    # the rejected calls left the thread's arena as they found it
+    again = be.delete_level(**level_call_args())
     assert (again[0].tolist(), again[1]) == (moved.tolist(), counters)
 
 
@@ -239,16 +384,19 @@ def graph_arrays(g):
     ("src", lambda a: a[::-1].copy(), ValueError),  # not grouped by source
 ])
 def test_compiled_removal_rejects_bad_inputs(field, bad, error):
-    g, args = removal_call_args()
-    before = graph_arrays(g)
-    args[field] = bad(args[field])
-    with pytest.raises(error):
-        get_backend("c").remove_edges(**args)
-    assert graph_arrays(g) == before
-    g, args = removal_call_args()
-    get_backend("c").remove_edges(**args)
-    assert sorted(map(tuple, g.edge_array().tolist())) == [(0, 1), (0, 2),
-                                                           (2, 3)]
+    # the Python lane takes any integer arrays, so it shares the value
+    # checks only
+    for lane in ("c", "python") if error is ValueError else ("c",):
+        g, args = removal_call_args()
+        before = graph_arrays(g)
+        args[field] = bad(args[field])
+        with pytest.raises(error):
+            get_backend(lane).remove_edges(**args)
+        assert graph_arrays(g) == before
+        g, args = removal_call_args()
+        get_backend(lane).remove_edges(**args)
+        assert sorted(map(tuple, g.edge_array().tolist())) == [
+            (0, 1), (0, 2), (2, 3)]
 
 
 @needs_c
@@ -273,8 +421,9 @@ def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
                 exists=g._has_dense(us, vs))
     expect = get_backend("c").plan_scan(**args)
     args[field] = bad(args[field])
-    with pytest.raises(error):
-        get_backend("c").plan_scan(**args)
+    for lane in ("c", "python") if error is ValueError else ("c",):
+        with pytest.raises(error):
+            get_backend(lane).plan_scan(**args)
     if field == "cores":  # plan_round passes the core map through
         with pytest.raises(error):
             plan_round(batch, CoreMap(args["cores"]), g, drop_existing=True,
@@ -422,3 +571,23 @@ def test_failed_build_falls_back_to_python(breakage, tmp_path):
     both = cli("bench", "--backend", "both")
     assert both.returncode == 1
     assert reason in both.stderr
+
+
+@needs_c
+def test_new_build_removes_stale_builds(tmp_path):
+    package = tmp_path / "coremaint"
+    shutil.copytree(Path(coremaint.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache = package / "__pycache__"
+    cache.mkdir()
+    stale = cache / "_kernels.0000000000000000.so"
+    stale.write_bytes(b"built from an older source")
+    env = {k: v for k, v in os.environ.items() if k != "COREMAINT_BACKEND"}
+    env["PYTHONPATH"] = str(tmp_path)
+    probe = ("from coremaint import kernels; "
+             "print(kernels.default_backend_name())")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["c"]
+    assert not stale.exists()
+    assert len(list(cache.glob("_kernels.*.so"))) == 1

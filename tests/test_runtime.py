@@ -88,7 +88,8 @@ def bad_backend(error):
 
     class BadBackend:
         NAME = "bad"
-        make_scratch = staticmethod(real.make_scratch)
+        plan_scan = staticmethod(real.plan_scan)
+        remove_edges = staticmethod(real.remove_edges)
         insert_level = level_kernel("insert_level")
         delete_level = level_kernel("delete_level")
 
