@@ -34,7 +34,7 @@ class EdgeBatch:
 
     pairs: np.ndarray  # (m, 2) int32, sorted lexicographically
     alive: np.ndarray  # bool mask over pairs
-    multiplicity: np.ndarray  # pending-edge count per dense vertex id
+    multiplicity: np.ndarray  # batch-edge count per distinct endpoint
     dropped_duplicates: int = 0
     dropped_self_loops: int = 0
     dropped_existing: int = 0
@@ -65,6 +65,12 @@ def _label_pairs(edges) -> np.ndarray:
     return arr
 
 
+def _endpoint_counts(pairs: np.ndarray) -> np.ndarray:
+    """How many of the pairs touch each of their distinct endpoints (the
+    ``EdgeBatch.multiplicity`` of those pairs)."""
+    return sorted_unique(pairs, return_counts=True)[1]
+
+
 def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     """The label batch as deduplicated canonical dense pairs, self-loops
     dropped.
@@ -89,8 +95,7 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     keys = sorted_unique(np.minimum(us, vs) * n + np.maximum(us, vs))
     pairs = np.stack([keys // n, keys % n], axis=1).astype(np.int32)
     return EdgeBatch(pairs=pairs, alive=np.ones(len(pairs), dtype=bool),
-                     multiplicity=np.bincount(pairs.ravel(),
-                                              minlength=g.vertex_count),
+                     multiplicity=_endpoint_counts(pairs),
                      dropped_duplicates=len(us) - len(keys),
                      dropped_self_loops=int(np.count_nonzero(loop)))
 
@@ -105,8 +110,7 @@ def build_insert_batch(g: Graph, edges) -> EdgeBatch:
         batch.dropped_existing = int(present.sum())
         batch.pairs = batch.pairs[~present]
         batch.alive = batch.alive[~present]
-        batch.multiplicity = np.bincount(batch.pairs.ravel(),
-                                         minlength=g.vertex_count)
+        batch.multiplicity = _endpoint_counts(batch.pairs)
     return batch
 
 

@@ -64,7 +64,9 @@ def _load_graph(args) -> tuple[Graph, str]:
     raise ValueError("need --graph PATH or --gen er|ba")
 
 
-def _batch_edges(args, g: Graph, cores, mode: str) -> list[tuple[int, int]]:
+def _batch_edges(args, g: Graph, cores, mode: str):
+    """The batch's label pairs: an (m, 2) array read from ``--batch`` or a
+    sampled list of pairs."""
     if args.batch:
         pairs, _ = read_edge_pairs(args.batch)
         return pairs

@@ -19,7 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .batch import EdgeBatch, edge_lists, plan_round, restore_plan
+from .batch import (EdgeBatch, edge_lists, _endpoint_counts, plan_round,
+                    restore_plan)
 from .graph import Graph
 from .kernels import get_backend
 from .runtime import LevelTaskResult, TaskCounters, run_level_tasks
@@ -181,7 +182,7 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
                          max_multiplicity=batch.max_multiplicity)
     for i in batch.alive.nonzero()[0].tolist():
         one = EdgeBatch(batch.pairs[i:i + 1], np.ones(1, dtype=bool),
-                        multiplicity=np.bincount(batch.pairs[i]))
+                        multiplicity=_endpoint_counts(batch.pairs[i]))
         run = _run_batch(g, cores, one, mode, workers=1, backend=backend,
                          audit=False)
         batch.alive[i] = False

@@ -16,6 +16,23 @@ the pool tail in one pass, each with its capacity doubled until the new
 entries fit, then writes all new entries with one scatter; the vacated
 slots are not reused.  Mutations must happen in exclusive phases; between
 mutations the arrays may be read concurrently.
+
+``from_edges`` builds the pool with one sort.  Each vertex's block lists
+its larger neighbours in ascending order, then its smaller neighbours in
+ascending order; the sort key of the directed entry (src, dst) is
+``src * 2n + dst`` when ``dst > src`` and ``src * 2n + n + dst`` otherwise.
+Sparse labels are mapped to dense ids (in label order) through the inverse
+of one argsort; the label -> id dict behind scalar lookups is built only
+when one first needs it.
+
+Edge-list text is parsed in array passes when the whole source is in a
+plain subset: ASCII digits, spaces, tabs and ``\n`` or ``\r\n`` line ends,
+plus comment lines (first non-blank byte ``#``, any ASCII after it).  That
+buffer goes through ``np.loadtxt`` in one call.  Anything else (signs,
+underscores, a lone ``\r``, an inline ``#``, non-ASCII bytes, a label too
+large for int64, a line without exactly two fields) is parsed by the line
+parser, which is the reference and the only code that raises
+``EdgeListParseError``.
 """
 
 from __future__ import annotations
@@ -87,7 +104,9 @@ class Graph:
         self._pool = np.zeros(0, dtype=_POOL_DTYPE)
         self._pool_used = 0
         self._labels: list[int] = []
-        self._label_map: dict[int, int] | None = None  # None means identity
+        self._identity = True  # labels are exactly 0..n-1
+        # label -> dense id when not the identity; None until first needed
+        self._label_map: dict[int, int] | None = None
         # (sorted labels, their dense ids) for array lookups; None when stale
         self._label_index: tuple[np.ndarray, np.ndarray] | None = None
         self.edge_count = 0
@@ -122,44 +141,49 @@ class Graph:
                 raise ValueError("edge endpoint outside 0..num_vertices-1")
             dense = arr
             g._labels = list(range(n))
-            g._label_map = None
         else:
-            uniq = sorted_unique(arr)
+            # dense id = rank among the distinct labels, scattered back
+            # through the inverse of one sort
+            flat = arr.ravel()
+            order = flat.argsort()
+            ranked = flat[order]
+            new = np.empty(len(ranked), dtype=bool)
+            new[:1] = True
+            np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+            uniq = ranked[new]
             n = len(uniq)
-            dense = np.searchsorted(uniq, arr) if arr.size else arr
-            g._labels = [int(x) for x in uniq]
-            if not n or uniq[-1] == n - 1:  # labels already 0..n-1
-                g._label_map = None
-            else:
-                g._label_map = {int(lab): i for i, lab in enumerate(uniq)}
+            dense = np.empty_like(flat)
+            dense[order] = new.cumsum() - 1
+            dense = dense.reshape(-1, 2)
+            g._labels = uniq.tolist()
+            if n and uniq[-1] != n - 1:  # labels not already 0..n-1
+                g._identity = False
                 g._label_index = (uniq, np.arange(n))
             if num_vertices is not None and num_vertices > n:
                 raise ValueError("num_vertices requires dense_labels")
 
-        lo = np.minimum(dense[:, 0], dense[:, 1]).astype(np.int64)
-        hi = np.maximum(dense[:, 0], dense[:, 1]).astype(np.int64)
-        loops = lo == hi
-        stats.dropped_self_loops = int(loops.sum())
+        loops = dense[:, 0] == dense[:, 1]
+        stats.dropped_self_loops = int(np.count_nonzero(loops))
         if stats.dropped_self_loops:
-            lo, hi = lo[~loops], hi[~loops]
-        key = lo * n + hi if n else lo
-        uniq_key = sorted_unique(key)
-        stats.dropped_duplicates = len(key) - len(uniq_key)
-        lo = (uniq_key // n).astype(np.int64) if n else uniq_key
-        hi = (uniq_key % n).astype(np.int64) if n else uniq_key
-        m = len(lo)
+            dense = dense[~loops]
+        lo = np.minimum(dense[:, 0], dense[:, 1])
+        hi = np.maximum(dense[:, 0], dense[:, 1])
+        # both directions of every edge, keyed so that sorting puts each
+        # block in its final order (module docstring); duplicates collide
+        two_n = 2 * n
+        keys = sorted_unique(np.concatenate((lo * two_n + hi,
+                                             hi * two_n + (lo + n))))
+        stats.dropped_duplicates = (2 * len(lo) - len(keys)) // 2
+        m = len(keys) // 2
         stats.edges = m
 
-        deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+        deg = np.bincount(keys // two_n, minlength=n)
         g._lens = deg.astype(np.int32)
         g._caps = g._lens.copy()
         g._starts = np.zeros(n, dtype=np.int64)
         if n:
             np.cumsum(deg[:-1], out=g._starts[1:])
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.argsort(src, kind="stable")
-        g._pool = dst[order].astype(_POOL_DTYPE)
+        g._pool = (keys % n).astype(_POOL_DTYPE)
         g._pool_used = 2 * m
         g.edge_count = m
         g.load_stats = stats
@@ -173,6 +197,7 @@ class Graph:
         g._pool = self._pool.copy()
         g._pool_used = self._pool_used
         g._labels = list(self._labels)
+        g._identity = self._identity
         g._label_map = None if self._label_map is None else dict(self._label_map)
         g._label_index = self._label_index  # never written in place
         g.edge_count = self.edge_count
@@ -190,11 +215,11 @@ class Graph:
 
     def dense_of(self, label: int) -> int:
         """Dense id for a label; KeyError if the label is unknown."""
-        if self._label_map is None:
+        if self._identity:
             if 0 <= label < len(self._labels):
                 return label
             raise KeyError(label)
-        return self._label_map[label]
+        return self._labels_to_ids()[label]
 
     def has_vertex(self, label: int) -> bool:
         try:
@@ -203,22 +228,31 @@ class Graph:
         except KeyError:
             return False
 
+    def _labels_to_ids(self) -> dict[int, int]:
+        """The label -> dense id dict of a non-identity labelling, built on
+        first use."""
+        if self._label_map is None:
+            self._label_map = dict(zip(self._labels,
+                                       range(len(self._labels))))
+        return self._label_map
+
     def _intern(self, label: int) -> int:
         """Dense id for a label, creating the vertex on first sight."""
         if label < 0:
             raise ValueError("vertex labels must be non-negative")
-        if self._label_map is None:
+        if self._identity:
             if 0 <= label < len(self._labels):
                 return label
             if label == len(self._labels):  # stays an identity mapping
                 self._labels.append(label)
                 self._grow_vertex_arrays()
                 return label
-            self._label_map = {lab: i for i, lab in enumerate(self._labels)}
-        dense = self._label_map.get(label)
+            self._identity = False
+        label_map = self._labels_to_ids()
+        dense = label_map.get(label)
         if dense is None:
             dense = len(self._labels)
-            self._label_map[label] = dense
+            label_map[label] = dense
             self._labels.append(label)
             self._label_index = None
             self._grow_vertex_arrays()
@@ -227,15 +261,20 @@ class Graph:
     def _dense_ids(self, labels: np.ndarray) -> np.ndarray:
         """Dense ids of an int64 array of non-negative labels; -1 where a
         label is unknown."""
-        if self._label_map is None:
+        if self._identity:
             return np.where(labels < len(self._labels), labels, -1)
         if self._label_index is None:
             known = np.asarray(self._labels, dtype=np.int64)
             order = np.argsort(known)
             self._label_index = (known[order], order)
         known, ids = self._label_index
-        pos = np.minimum(np.searchsorted(known, labels), len(known) - 1)
-        return np.where(known[pos] == labels, ids[pos], -1)
+        # searching the needles in ascending order walks ``known`` forward
+        order = np.argsort(labels)
+        needles = labels[order]
+        pos = np.minimum(np.searchsorted(known, needles), len(known) - 1)
+        out = np.empty(len(labels), dtype=np.int64)
+        out[order] = np.where(known[pos] == needles, ids[pos], -1)
+        return out
 
     def _grow_vertex_arrays(self):
         n = len(self._labels)
@@ -441,6 +480,10 @@ def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
 # edge-list text format (SNAP-style: "u v" per line, '#' comments)
 
 
+_PLAIN_BYTES = b"0123456789 \t\r\n"  # what the array path reads
+_MAX_LABEL = int(np.iinfo(np.int64).max)
+
+
 def _iter_lines(source):
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rt", encoding="utf-8") as fh:
@@ -452,11 +495,9 @@ def _iter_lines(source):
             yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
-def read_edge_pairs(source) -> tuple[list[tuple[int, int]], int]:
-    """Raw label pairs from edge-list text, plus the comment-line count.
-
-    No dedup or self-loop handling here; that is the consumer's business.
-    """
+def _read_lines(source) -> tuple[np.ndarray, int]:
+    """The line parser: reads every input the array path does not, and is
+    the only reader that raises ``EdgeListParseError``."""
     pairs: list[tuple[int, int]] = []
     comments = 0
     for line_no, raw in enumerate(_iter_lines(source), start=1):
@@ -473,16 +514,75 @@ def read_edge_pairs(source) -> tuple[list[tuple[int, int]], int]:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(line_no, raw.rstrip("\n")) from None
-        if u < 0 or v < 0:
+        if not (0 <= u <= _MAX_LABEL and 0 <= v <= _MAX_LABEL):
             raise EdgeListParseError(line_no, raw.rstrip("\n"))
         pairs.append((u, v))
-    return pairs, comments
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), comments
+
+
+def _drop_comment_lines(data: bytes) -> tuple[bytes, int] | None:
+    """``data`` with every comment line emptied (its line end kept), plus
+    their count; None if a ``#`` follows a non-blank byte of its line."""
+    kept, comments, pos = [], 0, 0
+    mark = data.find(b"#")
+    while mark >= 0:
+        start = data.rfind(b"\n", 0, mark) + 1
+        if data[start:mark].strip(b" \t"):
+            return None
+        end = data.find(b"\n", mark)
+        end = len(data) if end < 0 else end
+        kept.append(data[pos:start])
+        pos = end
+        comments += 1
+        mark = data.find(b"#", end)
+    kept.append(data[pos:])
+    return b"".join(kept), comments
+
+
+def _read_array(data: bytes) -> tuple[np.ndarray, int] | None:
+    """The array path: (pairs, comment-line count) of a whole edge-list
+    buffer, or None when ``data`` is outside the subset it reads (module
+    docstring) or ``np.loadtxt`` rejects it."""
+    if not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    stripped = _drop_comment_lines(data)
+    if stripped is None:
+        return None
+    data, comments = stripped
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    if not data.strip():  # loadtxt warns on input without rows
+        return np.zeros((0, 2), dtype=np.int64), comments
+    try:
+        pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None,
+                           ndmin=2)
+    except ValueError:  # a ragged line or a label beyond int64
+        return None
+    return (pairs, comments) if pairs.shape[1] == 2 else None
+
+
+def read_edge_pairs(source) -> tuple[np.ndarray, int]:
+    """Raw label pairs from edge-list text as an (m, 2) int64 array, plus
+    the comment-line count.  ``source`` is a path, the text as bytes, or
+    an iterable of lines (only the first two take the array path).
+
+    No dedup or self-loop handling here; that is the consumer's business.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+    elif isinstance(source, bytes):
+        data = source
+    else:
+        return _read_lines(source)
+    fast = _read_array(data)
+    return fast if fast is not None else _read_lines(source)
 
 
 def load_edge_list_with_stats(source) -> tuple[Graph, LoadStats]:
     """Parse an edge-list text file/stream into a Graph plus drop counts."""
     pairs, comments = read_edge_pairs(source)
-    g = Graph.from_edges(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+    g = Graph.from_edges(pairs)
     g.load_stats.comment_lines = comments
     return g, g.load_stats
 
@@ -491,16 +591,27 @@ def load_edge_list(source) -> Graph:
     return load_edge_list_with_stats(source)[0]
 
 
-def save_edge_list(g: Graph, path):
-    """Write the graph back out, one canonical label pair per line."""
-    dense = g.edge_array()
-    labels = np.asarray(g._labels, dtype=np.int64)
-    su, sv = labels[dense[:, 0]], labels[dense[:, 1]]
-    lo, hi = np.minimum(su, sv), np.maximum(su, sv)
-    order = np.lexsort((hi, lo))
-    out = np.stack([lo[order], hi[order]], axis=1)
+def _write_rows(path, first: np.ndarray, second: np.ndarray):
+    """Write "first second" integer rows, one per line, to a path or a text
+    stream; the bytes are those of ``np.savetxt(..., fmt="%d")``."""
+    text = "".join([f"{a} {b}\n" for a, b in zip(first.tolist(),
+                                                 second.tolist())])
     if isinstance(path, (str, os.PathLike)):
         with open(path, "wt", encoding="utf-8") as fh:
-            np.savetxt(fh, out, fmt="%d")
+            fh.write(text)
     else:
-        np.savetxt(path, out, fmt="%d")
+        path.write(text)
+
+
+def save_edge_list(g: Graph, path):
+    """Write the graph back out, one canonical label pair per line."""
+    n = g.vertex_count
+    labels = np.asarray(g._labels, dtype=np.int64)
+    by_label = np.argsort(labels)
+    rank = np.empty(n, dtype=np.int64)  # rank order is label order
+    rank[by_label] = np.arange(n)
+    dense = g.edge_array()
+    a, b = rank[dense[:, 0]], rank[dense[:, 1]]
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    ordered = labels[by_label]
+    _write_rows(path, ordered[keys // n], ordered[keys % n])

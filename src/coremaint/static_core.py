@@ -8,12 +8,11 @@ shares code with the peeling kernels.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _write_rows
 from .kernels import get_backend
 
 
@@ -94,16 +93,9 @@ def naive_core_numbers(g: Graph) -> CoreMap:
 
 
 def write_core_file(path, g: Graph, cores: CoreMap):
-    labels = np.asarray([g.label_of(i) for i in range(g.vertex_count)],
-                        dtype=np.int64)
+    labels = np.asarray(g._labels, dtype=np.int64)
     order = np.argsort(labels)
-    out = np.stack([labels[order], cores.values.astype(np.int64)[order]],
-                   axis=1)
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "wt", encoding="utf-8") as fh:
-            np.savetxt(fh, out, fmt="%d")
-    else:
-        np.savetxt(path, out, fmt="%d")
+    _write_rows(path, labels[order], cores.values[order])
 
 
 def read_core_file(path) -> dict[int, int]:

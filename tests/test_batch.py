@@ -67,6 +67,17 @@ def test_multiplicity_forces_rounds():
     assert rounds == 3
 
 
+def test_multiplicity_counts_batch_endpoints_only():
+    g = Graph.from_edges([(5, 7)], num_vertices=1000, dense_labels=True)
+    b = build_insert_batch(g, [(5, 900), (5, 7), (7, 900), (8, 999),
+                               (900, 5)])
+    # (5, 7) is already present; (900, 5) repeats (5, 900)
+    assert sorted(b.multiplicity.tolist()) == [1, 1, 1, 1, 2]  # 900 twice
+    assert b.max_multiplicity == 2
+    b = build_insert_batch(g, [(5, 7)])
+    assert len(b.multiplicity) == 0 and b.max_multiplicity == 0
+
+
 def test_distinct_levels_go_in_one_round():
     g, cores = graph_with_cores([1, 1, 4, 4, 9, 9])
     b = build_insert_batch(g, [(0, 1), (2, 3), (4, 5)])
@@ -160,7 +171,7 @@ def test_insert_batch_creates_vertices_in_first_sight_order():
     # identity labels stay identity only while new labels come in order
     g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
     build_insert_batch(g, [(3, 0), (4, 3)])
-    assert g._label_map is None
+    assert g._identity and g._label_map is None
     build_insert_batch(g, [(6, 5), (5, 7)])
     assert [g.label_of(i) for i in range(g.vertex_count)] == \
         [0, 1, 2, 3, 4, 6, 5, 7]

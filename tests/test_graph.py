@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coremaint import (Edge, EdgeListParseError, Graph, SelfLoopError,
-                       load_edge_list, load_edge_list_with_stats,
-                       save_edge_list)
-from coremaint.graph import sorted_unique
+                       load_edge_list, load_edge_list_with_stats, peel,
+                       save_edge_list, write_core_file)
+from coremaint.graph import (_read_array, _read_lines, read_edge_pairs,
+                             sorted_unique)
 
 
 def test_add_edge_to_empty_graph():
@@ -234,3 +237,228 @@ def test_check_invariants_catches_one_sided_entry():
     g._pool[s] = 2  # 3 now lists 2 (not 0), and 2 does not list 3
     with pytest.raises(AssertionError):
         g.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# edge-list reading: the array path against the line parser
+
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_LABEL = st.one_of(st.integers(0, 10 ** 6),
+                   st.sampled_from([0, 7, 10 ** 18, 2 ** 63 - 1]))
+_ODD_LINE = st.sampled_from([
+    "+5 6", "5 -1", "-1 2", "1_000 2", "1 2 # c", "1 2#", "#c 1 2 # d",
+    "3 4 5", "7", "x y", "1 2 3 4", "\u0661\u0662 3", "1\u00a02",
+    "1\u20032", "\u00e9 1", "#\u00e9", "9223372036854775808 1",
+    "1 99999999999999999999", "0000000000000000000000007 8", "1\x0b2",
+    "\x0c1 2", "1,2", "0x10 2", "\x00"])
+
+
+@st.composite
+def _edge_list_text(draw) -> bytes:
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair"] * 5 + ["blank", "comment",
+                                                     "odd"]))
+        if kind == "pair":
+            u, v = draw(_LABEL), draw(_LABEL)
+            pad = draw(st.integers(0, 3))
+            line = (draw(_BLANK) + str(u).zfill(pad) + draw(_BLANK) + " "
+                    + str(v) + draw(_BLANK))
+        elif kind == "blank":
+            line = draw(_BLANK)
+        elif kind == "comment":
+            line = draw(_BLANK) + "#" + draw(st.text(
+                st.characters(max_codepoint=0x7F, exclude_characters="\r\n"),
+                max_size=6))
+        else:
+            line = draw(_ODD_LINE)
+        end = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+        lines.append(line + end)
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _outcome(read, source):
+    try:
+        pairs, comments = read(source)
+    except EdgeListParseError as err:
+        return ("error", err.line_no)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+    return ("ok", pairs.tolist(), comments)
+
+
+def test_array_path_matches_line_parser(tmp_path):
+    path = tmp_path / "graph.edges"
+    took_array_path = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(_edge_list_text())
+    def check(data):
+        path.write_bytes(data)
+        fast = _read_array(data)
+        took_array_path.append(fast is not None)
+        for source in (data, path):
+            want = _outcome(_read_lines, source)
+            assert _outcome(read_edge_pairs, source) == want
+            if fast is not None:
+                assert ("ok", fast[0].tolist(), fast[1]) == want
+
+    check()
+    assert 60 <= sum(took_array_path) < len(took_array_path)
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\n \n", b"# only a comment", b"1 2", b"1 2\n3 4\n",
+    b"# SNAP header ~\n10\t20\r\n\r\n 30  40 \n",
+    b"  #indented comment\n5 6\n", b"0000000000000000000000007 8\n",
+    b"9223372036854775807 0\n"])
+def test_plain_inputs_take_the_array_path(data):
+    fast = _read_array(data)
+    assert fast is not None
+    assert _outcome(lambda _: fast, data) == _outcome(_read_lines, data)
+
+
+@pytest.mark.parametrize("data", [
+    b"+5 6\n", b"1_000 2\n", b"-1 2\n", b"1 2\r3 4\n", b"1 2 # c\n",
+    b"1 2#\n", b"# caf\xc3\xa9\n1 2\n", b"\xd9\xa1 2\n", b"1 2 3\n",
+    b"1\n", b"9223372036854775808 1\n", b"1\x0b2\n", b"\xff\n",
+    b"1 2\r"])
+def test_other_inputs_go_to_the_line_parser(data):
+    assert _read_array(data) is None
+
+
+def test_huge_label_names_its_line():
+    with pytest.raises(EdgeListParseError) as err:
+        load_edge_list(b"1 2\n3 18446744073709551616\n")
+    assert err.value.line_no == 2
+
+
+# ----------------------------------------------------------------------
+# bulk construction
+
+
+def _assert_blocks_in_construction_order(g, nbrs):
+    """Blocks packed in vertex order, capacity == length, each listing its
+    larger neighbours ascending, then its smaller ones ascending."""
+    start = 0
+    for v in range(g.vertex_count):
+        want = (sorted(w for w in nbrs[v] if w > v)
+                + sorted(w for w in nbrs[v] if w < v))
+        assert g._starts[v] == start
+        assert g._lens[v] == g._caps[v] == len(want)
+        assert g._pool[start:start + len(want)].tolist() == want
+        start += len(want)
+    assert g._pool_used == start == 2 * g.edge_count
+    g.check_invariants()
+
+
+def _reference_build(raw, ids):
+    nbrs = {i: set() for i in set(ids.values())}
+    canon, loops = [], 0
+    for u, v in raw:
+        if u == v:
+            loops += 1
+            continue
+        nbrs[ids[u]].add(ids[v])
+        nbrs[ids[v]].add(ids[u])
+        canon.append((min(ids[u], ids[v]), max(ids[u], ids[v])))
+    stats = dict(edges=len(set(canon)), comment_lines=0,
+                 dropped_self_loops=loops,
+                 dropped_duplicates=len(canon) - len(set(canon)))
+    return nbrs, stats
+
+
+@pytest.mark.parametrize("labels", [
+    np.random.default_rng(1).choice(10 ** 12, size=40, replace=False),
+    np.random.default_rng(2).permutation(40),  # identity once sorted
+], ids=["sparse", "permuted-dense"])
+def test_from_edges_block_order(labels):
+    rng = np.random.default_rng(3)
+    raw = labels[rng.integers(0, len(labels), size=(300, 2))]
+    raw[:5] = raw[5:10][:, ::-1]  # reversed duplicates
+    raw[10:13, 1] = raw[10:13, 0]  # self-loops
+    g = Graph.from_edges(raw)
+    uniq = sorted(set(raw.ravel().tolist()))
+    nbrs, stats = _reference_build(raw.tolist(),
+                                   {lab: i for i, lab in enumerate(uniq)})
+    assert g._labels == uniq
+    assert g._identity == (uniq == list(range(len(uniq))))
+    assert vars(g.load_stats) == stats and stats["dropped_self_loops"] >= 3
+    _assert_blocks_in_construction_order(g, nbrs)
+
+
+def test_from_edges_dense_labels_pad_isolated_vertices():
+    raw = [(3, 1), (1, 3), (0, 2), (2, 2), (4, 0), (1, 4), (0, 1)]
+    g = Graph.from_edges(raw, num_vertices=8, dense_labels=True)
+    nbrs, stats = _reference_build(raw, {i: i for i in range(8)})
+    assert g.vertex_count == 8 and g._labels == list(range(8))
+    assert vars(g.load_stats) == stats
+    assert (stats["dropped_duplicates"], stats["dropped_self_loops"]) == (1, 1)
+    _assert_blocks_in_construction_order(g, nbrs)
+    assert g._lens[5:].tolist() == [0, 0, 0]
+
+
+def test_from_edges_of_no_edges():
+    g = Graph.from_edges(np.zeros((0, 2), dtype=np.int64))
+    assert (g.vertex_count, g.edge_count, g._pool_used) == (0, 0, 0)
+    g.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# label lookups
+
+
+def test_label_map_is_built_on_first_scalar_lookup():
+    g = load_edge_list(b"1000000 5\n5 70000\n70000 123\n")
+    assert g._label_map is None  # array lookups do not need it
+    assert g._dense_ids(np.array([70000, 4, 1000000])).tolist() == [2, -1, 3]
+    assert g._label_map is None
+    early = g.copy()  # copied before the map exists
+    assert g.dense_of(70000) == 2 and g.has_vertex(123)
+    assert not g.has_vertex(6)
+    with pytest.raises(KeyError):
+        g.dense_of(6)
+    late = g.copy()  # copied after
+    assert early._intern(42) == 4 and early.dense_of(42) == 4
+    assert late._intern(7) == 4 and late.dense_of(7) == 4
+    assert early._dense_ids(np.array([7, 42, 123])).tolist() == [-1, 4, 1]
+    assert late._dense_ids(np.array([7, 42, 123])).tolist() == [4, -1, 1]
+    assert g.vertex_count == 4
+    assert not g.has_vertex(42) and not g.has_vertex(7)
+    assert g._dense_ids(np.array([7, 42])).tolist() == [-1, -1]
+    assert sorted(early.neighbors(5)) == [70000, 1000000]
+
+
+def test_dense_ids_match_scalar_lookups():
+    rng = np.random.default_rng(4)
+    labels = rng.choice(10 ** 9, size=200, replace=False)
+    g = Graph.from_edges(labels.reshape(-1, 2))
+    for lab in rng.choice(10 ** 9, size=30).tolist():  # ids out of order
+        g._intern(lab)
+    known = np.asarray(g._labels)
+    queries = np.concatenate([rng.choice(known, 300),
+                              rng.integers(0, 2 * 10 ** 9, 100), [0]])
+    want = [g.dense_of(q) if g.has_vertex(q) else -1
+            for q in queries.tolist()]
+    assert g._dense_ids(queries).tolist() == want
+
+
+# ----------------------------------------------------------------------
+# writers
+
+
+def test_writers_match_savetxt_bytes(tmp_path):
+    g = load_edge_list(b"9 4\n4 2\n9 2\n17 9\n")
+    buf = io.StringIO()
+    save_edge_list(g, buf)
+    ref = io.StringIO()
+    np.savetxt(ref, np.array([[2, 4], [2, 9], [4, 9], [9, 17]]), fmt="%d")
+    assert buf.getvalue() == ref.getvalue()
+    write_core_file(tmp_path / "cores", g, peel(g))
+    ref = io.StringIO()
+    np.savetxt(ref, np.array([[2, 2], [4, 2], [9, 2], [17, 1]]), fmt="%d")
+    assert (tmp_path / "cores").read_text() == ref.getvalue()
+    save_edge_list(Graph(), tmp_path / "empty")
+    assert (tmp_path / "empty").read_bytes() == b""
