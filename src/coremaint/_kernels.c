@@ -1,19 +1,24 @@
-/* Compiled traversal kernels, round planner scan and block removal.
+/* Compiled traversal kernels, round planner scan, block removal and edge
+   lookup.
 
-   Step-for-step port of _kernels_py.py (same visit order, same counters),
-   of plan_round's greedy scan (batch.py) and of Graph._remove_dense's
-   block compaction (graph.py), in plain C99 with no Python API.
-   _kernels_c.py compiles this file and calls it through ctypes, which
-   releases the GIL for the duration of a call, so the level tasks of a
-   round run in parallel.
+   Step-for-step port of _kernels_py.py (same visit order, same counters):
+   the level kernels, plan_round's greedy scan, the block compaction and
+   the edge lookup, in plain C99 with no Python API.
+   _kernels_c.py compiles this file and calls it through cffi (ABI mode),
+   which releases the GIL for the duration of a call, so the level tasks of
+   a round run in parallel.
+
+   Every entry point that takes vertex ids checks that they lie in 0..n-1
+   before it writes anything and returns BAD_ENDPOINT otherwise; the caller
+   checks dtypes, contiguity and lengths.
 
    Per-vertex scratch (visited, removed, slack, sup, csup) lives in an
    arena that the calling thread owns and keeps across calls, so concurrent
    tasks never share one and a task may use any of its slots.  Each call
    resets every slot it wrote (it records them on its dirty list) before it
    returns, so the next call on that thread finds the arena clean; a call
-   that fails to allocate returns -1 and may leave a slot written but not
-   recorded, so the caller drops that arena.
+   that fails to allocate returns ALLOC_FAILED and may leave a slot written
+   but not recorded, so the caller drops that arena.
 
    Counter layout: visited, removed, neg_touches, sup_evals, csup_evals. */
 
@@ -21,6 +26,18 @@
 #include <stdlib.h>
 
 #define UNSET (-1)
+
+/* Error returns of the entry points (all negative). */
+enum { ALLOC_FAILED = -1, BAD_ORDER = -2, BAD_ENDPOINT = -3, NOT_EDGES = -4 };
+
+/* Do the p ids of a and of b all lie in 0..n-1? */
+static int in_range(int64_t p, const int32_t *a, const int32_t *b, int64_t n)
+{
+    for (int64_t i = 0; i < p; i++)
+        if (a[i] < 0 || a[i] >= n || b[i] < 0 || b[i] >= n)
+            return 0;
+    return 1;
+}
 
 typedef struct {
     int32_t *data;
@@ -121,7 +138,7 @@ int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
     free(pos);
     free(bin_start);
     free(fill);
-    return ok ? 0 : -1;
+    return ok ? 0 : ALLOC_FAILED;
 }
 
 /* ------------------------------------------------------------------
@@ -244,7 +261,7 @@ static void delete_check(Task *t, int32_t r)
 /* Keeps, in visit order, the visited vertices whose removed flag equals
    keep_removed; resets every touched arena slot; frees the work stacks.
    Returns the kept count (the ids are left at the front of t->order), or
-   -1 when a stack could not grow. */
+   ALLOC_FAILED when a stack could not grow. */
 static int64_t finish(Task *t, int keep_removed)
 {
     Arena a = t->a;
@@ -265,18 +282,20 @@ static int64_t finish(Task *t, int keep_removed)
     free(t->stack.data);
     free(t->cascade.data);
     free(t->dirty.data);
-    return t->err ? -1 : cnt;
+    return t->err ? ALLOC_FAILED : cnt;
 }
 
 /* Vertices of core level k that rise after the level's p edges (eu, ev)
-   were inserted into the adjacency arrays.  Returns their count and leaves
-   them, in visit order, at the front of moved (room for one id per vertex);
-   ctr receives the five counters. */
-int64_t cm_insert_level(const int64_t *starts, const int32_t *lens,
+   were inserted into the adjacency arrays of the n vertices.  Returns their
+   count and leaves them, in visit order, at the front of moved (room for
+   one id per vertex); ctr receives the five counters. */
+int64_t cm_insert_level(int64_t n, const int64_t *starts, const int32_t *lens,
                         const int32_t *pool, const int32_t *cores, int32_t k,
                         int64_t p, const int32_t *eu, const int32_t *ev,
                         const Arena *arena, int32_t *moved, int64_t *ctr)
 {
+    if (!in_range(p, eu, ev, n))
+        return BAD_ENDPOINT;
     Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
               ctr, 0};
     Arena a = t.a;
@@ -311,12 +330,15 @@ int64_t cm_insert_level(const int64_t *starts, const int32_t *lens,
 }
 
 /* Vertices of core level k that fall after the level's p edges (eu, ev)
-   were deleted from the adjacency arrays.  Outputs as cm_insert_level. */
-int64_t cm_delete_level(const int64_t *starts, const int32_t *lens,
+   were deleted from the adjacency arrays.  Inputs and outputs as
+   cm_insert_level. */
+int64_t cm_delete_level(int64_t n, const int64_t *starts, const int32_t *lens,
                         const int32_t *pool, const int32_t *cores, int32_t k,
                         int64_t p, const int32_t *eu, const int32_t *ev,
                         const Arena *arena, int32_t *moved, int64_t *ctr)
 {
+    if (!in_range(p, eu, ev, n))
+        return BAD_ENDPOINT;
     Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
               ctr, 0};
     for (int64_t i = 0; i < p && !t.err; i++) {
@@ -341,15 +363,18 @@ enum { PENDING = 0, SELECTED = 1, DROPPED = 2 };
    its endpoints sits at the pair's level (the lower endpoint core) and is
    already covered by an earlier selection; otherwise it is dropped if
    exists (insert mode; NULL otherwise) marks it, or else selected, and
-   covers each endpoint at its level.  Writes status[j]; returns 0, or -1
-   when the covered marks cannot be allocated. */
+   covers each endpoint at its level.  Writes status[j]; returns 0,
+   BAD_ENDPOINT, or ALLOC_FAILED when the covered marks cannot be
+   allocated. */
 int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
                  const int32_t *cores, int64_t n, const uint8_t *exists,
                  int8_t *status)
 {
+    if (!in_range(m, us, vs, n))
+        return BAD_ENDPOINT;
     uint8_t *covered = malloc(n ? (size_t)n : 1);
     if (!covered)
-        return -1;
+        return ALLOC_FAILED;
     for (int64_t j = 0; j < m; j++)  /* only endpoint marks are read */
         covered[us[j]] = covered[vs[j]] = 0;
     for (int64_t j = 0; j < m; j++) {
@@ -401,21 +426,24 @@ static int64_t group_end(const int32_t *src, int64_t m, int64_t i)
 }
 
 /* Removes the m directed entries (src[i], dst[i]) from the adjacency
-   blocks.  The pairs come grouped by ascending source, with ascending
-   targets in each group.  Each touched block is compacted in place and
-   keeps the order of its remaining entries.  Returns 0; -2, writing
-   nothing, if the pairs are not in that order; -1, writing nothing,
-   unless they are distinct entries of the blocks. */
+   blocks of the n vertices.  The pairs come grouped by ascending source,
+   with ascending targets in each group.  Each touched block is compacted in
+   place and keeps the order of its remaining entries.  Returns 0; writing
+   nothing, BAD_ENDPOINT, BAD_ORDER if the pairs are not in that order, or
+   NOT_EDGES unless they are distinct entries of the blocks. */
 int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
-                    const int64_t *starts, int32_t *lens, int32_t *pool)
+                    int64_t n, const int64_t *starts, int32_t *lens,
+                    int32_t *pool)
 {
+    if (!in_range(m, src, dst, n))
+        return BAD_ENDPOINT;
     for (int64_t i = 0, e; i < m; i = e) {
         e = group_end(src, m, i);
         if (i && src[i - 1] > src[i])
-            return -2;
+            return BAD_ORDER;
         for (int64_t j = i + 1; j < e; j++)
             if (dst[j] <= dst[j - 1])
-                return dst[j] == dst[j - 1] ? -1 : -2;
+                return dst[j] == dst[j - 1] ? NOT_EDGES : BAD_ORDER;
         /* block entries are distinct, so matching e - i of them means
            every target is present */
         const int32_t *nb = pool + starts[src[i]];
@@ -423,7 +451,7 @@ int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
         for (int32_t s = 0; s < lens[src[i]] && found < e - i; s++)
             found += contains(dst + i, e - i, nb[s]);
         if (found != e - i)
-            return -1;
+            return NOT_EDGES;
     }
     for (int64_t i = 0, e; i < m; i = e) {
         e = group_end(src, m, i);
@@ -433,6 +461,24 @@ int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
             if (!contains(dst + i, e - i, nb[s]))
                 nb[kept++] = nb[s];
         lens[src[i]] = kept;
+    }
+    return 0;
+}
+
+/* out[i] = is vs[i] in the block of us[i], for the m pairs over the n
+   vertices.  Returns 0, or BAD_ENDPOINT, writing nothing. */
+int cm_has_edges(int64_t m, const int32_t *us, const int32_t *vs, int64_t n,
+                 const int64_t *starts, const int32_t *lens,
+                 const int32_t *pool, uint8_t *out)
+{
+    if (!in_range(m, us, vs, n))
+        return BAD_ENDPOINT;
+    for (int64_t i = 0; i < m; i++) {
+        const int32_t *nb = pool + starts[us[i]];
+        int32_t v = vs[i], len = lens[us[i]], s = 0;
+        while (s < len && nb[s] != v)
+            s++;
+        out[i] = s < len;
     }
     return 0;
 }

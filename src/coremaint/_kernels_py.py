@@ -1,10 +1,10 @@
 """Pure-Python kernel backend: the reference lane.
 
-A kernel backend has five functions: ``peel_kernel``, the level kernels
-``insert_level``/``delete_level``, the round planner's scan ``plan_scan``
-and the edge removal ``remove_edges``.  The compiled backend in
-``_kernels_c`` has the same signatures and mirrors these routines step
-for step, so both produce identical results *and* counters, and both
+A kernel backend has six functions: ``peel_kernel``, the level kernels
+``insert_level``/``delete_level``, the round planner's scan ``plan_scan``,
+the edge removal ``remove_edges`` and the edge lookup ``has_edges``.  The
+compiled backend in ``_kernels_c`` has the same signatures and mirrors
+these routines step for step, so both produce identical results *and* counters, and both
 raise ValueError for the same bad values.  Per-task state is kept in
 dicts/sets here.
 
@@ -363,6 +363,21 @@ def remove_edges(starts, lens, pool, src, dst):
     kept = blens - _segment_counts(drop, blens)
     pool[_block_slots(at, kept)] = pool[slots[~drop]]
     lens[touched] = kept
+
+
+def has_edges(starts, lens, pool, us, vs) -> np.ndarray:
+    """Bool mask over the pairs (us[i], vs[i]): is vs[i] in the block of
+    us[i]?  Raises ValueError unless every id lies in 0..len(starts)-1."""
+    n = len(starts)
+    _check_len("lens", lens, n)
+    m = len(us)
+    _check_len("vs", vs, m)
+    _check_endpoints(n, us, vs)
+    us = np.asarray(us, dtype=np.int64)
+    blens = lens[us].astype(np.int64)
+    match = pool[_block_slots(starts[us], blens)] \
+        == np.asarray(vs, dtype=np.int64).repeat(blens)
+    return _segment_counts(match, blens) > 0
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ class EdgeBatch:
 
     @property
     def remaining(self) -> int:
-        return int(self.alive.sum())
+        return np.count_nonzero(self.alive)
 
     @property
     def max_multiplicity(self) -> int:
@@ -82,7 +82,8 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     if labels.size and labels.min() < 0:  # before any vertex exists
         raise ValueError("vertex labels must be non-negative")
     loop = labels[:, 0] == labels[:, 1]
-    flat = labels[~loop].ravel()
+    loops = np.count_nonzero(loop)
+    flat = (labels[~loop] if loops else labels).ravel()
     dense = g._dense_ids(flat)
     unknown = (dense < 0).nonzero()[0]
     if len(unknown):
@@ -93,11 +94,12 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     us, vs = dense[0::2], dense[1::2]
     n = max(g.vertex_count, 1)
     keys = sorted_unique(np.minimum(us, vs) * n + np.maximum(us, vs))
-    pairs = np.stack([keys // n, keys % n], axis=1).astype(np.int32)
+    pairs = np.empty((len(keys), 2), dtype=np.int32)
+    pairs[:, 0], pairs[:, 1] = np.divmod(keys, n)
     return EdgeBatch(pairs=pairs, alive=np.ones(len(pairs), dtype=bool),
                      multiplicity=_endpoint_counts(pairs),
                      dropped_duplicates=len(us) - len(keys),
-                     dropped_self_loops=int(np.count_nonzero(loop)))
+                     dropped_self_loops=loops)
 
 
 def build_insert_batch(g: Graph, edges) -> EdgeBatch:
@@ -106,8 +108,8 @@ def build_insert_batch(g: Graph, edges) -> EdgeBatch:
     """
     batch = _new_batch(g, edges, create_vertices=True)
     present = g._has_dense(batch.pairs[:, 0], batch.pairs[:, 1])
-    if present.any():
-        batch.dropped_existing = int(present.sum())
+    batch.dropped_existing = np.count_nonzero(present)
+    if batch.dropped_existing:
         batch.pairs = batch.pairs[~present]
         batch.alive = batch.alive[~present]
         batch.multiplicity = _endpoint_counts(batch.pairs)
@@ -117,10 +119,10 @@ def build_insert_batch(g: Graph, edges) -> EdgeBatch:
 def build_delete_batch(g: Graph, edges) -> EdgeBatch:
     """Batch of edges to delete; every edge must exist in the graph."""
     batch = _new_batch(g, edges, create_vertices=False)
-    absent = ~g._has_dense(batch.pairs[:, 0], batch.pairs[:, 1])
-    if absent.any():
+    present = g._has_dense(batch.pairs[:, 0], batch.pairs[:, 1])
+    if np.count_nonzero(present) < len(present):
         missing = [(g.label_of(u), g.label_of(v))
-                   for u, v in batch.pairs[absent].tolist()]
+                   for u, v in batch.pairs[~present].tolist()]
         raise BatchError(f"edges not present in graph: {missing}")
     return batch
 
@@ -161,30 +163,32 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
     covered by an earlier selection this round; a selected edge covers each
     of its endpoints whose core equals the level.  With ``drop_existing``
     (insert mode), pending edges that already exist in the graph are
-    discarded with a counter instead of selected.  Edge existence is read
-    for all live pairs with numpy; the scan is ``backend``'s ``plan_scan``
-    (``backend`` as for ``get_backend``).
+    discarded with a counter instead of selected.  ``backend`` (as for
+    ``get_backend``) reads the live pairs' edge existence (``has_edges``)
+    and runs the scan (``plan_scan``).
     """
+    be = get_backend(backend)
     idx = batch.alive.nonzero()[0]
-    us, vs = batch.pairs[idx].T.copy()  # contiguous rows
-    exists = (g._has_dense(us, vs) if drop_existing and g is not None
-              else None)
-    status = get_backend(backend).plan_scan(us, vs, cores.values, exists)
+    us, vs = batch.pairs[idx, 0], batch.pairs[idx, 1]
+    exists = (g._has_dense(us, vs, backend=be)
+              if drop_existing and g is not None else None)
+    status = be.plan_scan(us, vs, cores.values, exists)
     done = idx[status != PENDING]
     batch.alive[done] = False
     picked = (status == SELECTED).nonzero()[0]
+    selected = idx[picked]
     us, vs = us[picked], vs[picked]
+    # group the selected pairs by level, canonical order within a level
     level = np.minimum(cores.values[us], cores.values[vs])
     order = level.argsort(kind="stable")
-    levels, counts = sorted_unique(level, return_counts=True)
-    plan = RoundPlan(levels=levels.tolist(),
+    level, us, vs = level[order], us[order], vs[order]
+    bounds = ((level[1:] != level[:-1]).nonzero()[0] + 1).tolist()
+    firsts = [0, *bounds] if len(level) else []
+    plan = RoundPlan(levels=level[firsts].tolist(),
                      dropped_existing=len(done) - len(picked),
-                     selected_indices=idx[picked].tolist())
-    end = 0
-    for k, c in zip(plan.levels, counts.tolist()):
-        at = order[end:end + c]
-        end += c
-        plan.level_edges[k] = (us[at], vs[at])
+                     selected_indices=selected.tolist())
+    for k, a, b in zip(plan.levels, firsts, [*bounds, len(level)]):
+        plan.level_edges[k] = (us[a:b], vs[a:b])
     return plan
 
 

@@ -98,6 +98,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     be = get_backend(backend)
     cores.fit_to(g)
     kernel = be.insert_level if insert else be.delete_level
+    step = 1 if insert else -1
     remove = partial(g._remove_dense, backend=be)
     apply, undo = ((g._add_dense, remove) if insert
                    else (remove, g._add_dense))
@@ -124,7 +125,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                                      k, eu, ev)
             return LevelTaskResult(k, moved, TaskCounters.from_tuple(counters))
 
-        weights = {k: len(level_edges[k][0]) for k in plan.levels}
+        weights = {k: len(eu) for k, (eu, _) in level_edges.items()}
         try:
             results = run_level_tasks(plan.levels, workers, task, weights)
         except BaseException:  # interrupts too: re-playable round rollback
@@ -134,10 +135,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         changed: list[int] = []
         agg = TaskCounters()
         for res in results:
-            if insert:
-                cores.values[res.vertices] += 1
-            else:
-                cores.values[res.vertices] -= 1
+            cores.values[res.vertices] += step
             changed.extend(res.vertices.tolist())
             agg = agg + res.counters
         changed.sort()
@@ -147,8 +145,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         log.rounds.append(rec)
         log.counters = log.counters + agg
         if audit:
-            _audit_round(log, pre, cores.values, rec.levels,
-                         +1 if insert else -1, rec.index)
+            _audit_round(log, pre, cores.values, rec.levels, step, rec.index)
     return log
 
 

@@ -10,12 +10,13 @@ Edges are added, removed and looked up a whole array of pairs at a time
 touched vertices only.  Removal sorts the directed pairs by source and
 target and hands them to the kernel backend's ``remove_edges``, which
 checks that they are distinct edges, then compacts each touched block in
-place, keeping the order of its remaining entries.  Lookup and addition
-are numpy only.  Addition first moves every block that would overflow to
-the pool tail in one pass, each with its capacity doubled until the new
-entries fit, then writes all new entries with one scatter; the vacated
-slots are not reused.  Mutations must happen in exclusive phases; between
-mutations the arrays may be read concurrently.
+place, keeping the order of its remaining entries.  Lookup is the
+backend's ``has_edges``.  Addition is numpy only: it first moves every
+block that would overflow to the pool tail in one pass, each with its
+capacity doubled until the new entries fit, then writes all new entries
+with one scatter; the vacated slots are not reused.  Mutations must
+happen in exclusive phases; between mutations the arrays may be read
+concurrently.
 
 ``from_edges`` builds the pool with one sort.  Each vertex's block lists
 its larger neighbours in ascending order, then its smaller neighbours in
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import _block_slots, _segment_counts
+from ._kernels_py import _block_slots
 from .kernels import get_backend
 
 _POOL_DTYPE = np.int32
@@ -382,13 +383,14 @@ class Graph:
             src.astype(np.int32), dst.astype(np.int32))
         self.edge_count -= len(keys) // 2
 
-    def _has_dense(self, us, vs) -> np.ndarray:
-        """Bool mask over the pairs: is vs[i] in the block of us[i]?"""
-        us = np.asarray(us, dtype=np.int64)
-        lens = self._lens[us].astype(np.int64)
-        match = self._pool[_block_slots(self._starts[us], lens)] \
-            == np.asarray(vs, dtype=np.int64).repeat(lens)
-        return _segment_counts(match, lens) > 0
+    def _has_dense(self, us, vs, backend=None) -> np.ndarray:
+        """Bool mask over the pairs: is vs[i] in the block of us[i]?
+        ``backend`` (as for ``get_backend``) does the lookup."""
+        n = self.vertex_count
+        return get_backend(backend).has_edges(
+            self._starts[:n], self._lens[:n], self._pool,
+            np.ascontiguousarray(us, dtype=np.int32),
+            np.ascontiguousarray(vs, dtype=np.int32))
 
     # ------------------------------------------------------------------
     # queries
@@ -485,14 +487,18 @@ _MAX_LABEL = int(np.iinfo(np.int64).max)
 
 
 def _iter_lines(source):
+    """The source's lines as text.  Bytes that are not UTF-8 decode to lone
+    surrogates (``surrogateescape``), so the parser can name their line."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rt", encoding="utf-8") as fh:
+        with open(source, "rt", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             yield from fh
     elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
+        yield from io.StringIO(source.decode("utf-8", "surrogateescape"))
     else:
         for line in source:
-            yield line.decode("utf-8") if isinstance(line, bytes) else line
+            yield (line.decode("utf-8", "surrogateescape")
+                   if isinstance(line, bytes) else line)
 
 
 def _read_lines(source) -> tuple[np.ndarray, int]:
@@ -501,6 +507,11 @@ def _read_lines(source) -> tuple[np.ndarray, int]:
     pairs: list[tuple[int, int]] = []
     comments = 0
     for line_no, raw in enumerate(_iter_lines(source), start=1):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")  # fails on an escaped non-UTF-8 byte
+            except UnicodeEncodeError:
+                raise EdgeListParseError(line_no, raw.rstrip("\n")) from None
         line = raw.strip()
         if not line:
             continue

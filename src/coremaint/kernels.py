@@ -1,11 +1,12 @@
 """Kernel backend selection.
 
-A backend is a module with the five functions that ``_kernels_py``
-describes: the peeling and per-level kernels, the round planner's scan
-and edge removal.  The compiled backend (``_kernels_c``, built from
-``_kernels.c`` on first import) is preferred; the pure-Python module is
-always available.  When the compiled lane cannot be built,
-``FALLBACK_REASON`` says why.  Override with the environment variable
+A backend is a module with the six functions that ``_kernels_py``
+describes: the peeling and per-level kernels, the round planner's scan,
+edge removal and edge lookup.  The compiled backend (``_kernels_c``,
+built from ``_kernels.c`` on first import and called through cffi) is
+preferred; the pure-Python module is always available.  When the
+compiled lane cannot be built or cffi is missing, ``FALLBACK_REASON``
+says why.  Override with the environment variable
 COREMAINT_BACKEND=c|python, or pass backend="..." (or a backend object)
 to the operations that accept one; every one of them resolves it with
 ``get_backend``.

@@ -3,15 +3,15 @@
 Each maintenance round runs one task per core level.  Tasks receive a
 frozen graph and core map and keep their working state to themselves
 (the compiled kernels keep it per thread), so their write sets are
-disjoint; this module only schedules them, on a thread pool kept across
-rounds, and collects results in level order.  Any task failure aborts
-the round before core updates are applied.
+disjoint; this module only schedules them, on the calling thread and a
+thread pool kept across rounds, and collects results in level order.
+Any task failure aborts the round before core updates are applied.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +92,7 @@ def run_level_tasks(levels, worker_limit: int, task,
             except Exception as exc:
                 raise LevelTaskError(k, exc) from exc
     else:
-        pool = _pool(worker_limit)
-        futures = [(k, pool.submit(task, k)) for k in order]
-        try:
-            wait([fut for _, fut in futures])
-        except BaseException:  # interrupted while waiting
-            for _, fut in futures:
-                fut.cancel()
-            wait([fut for _, fut in futures])
-            raise
-        for k, fut in futures:
+        for k, fut in _fan_out(order, worker_limit, task):
             exc = fut.exception()
             if isinstance(exc, Exception):
                 raise LevelTaskError(k, exc) from exc
@@ -112,3 +103,39 @@ def run_level_tasks(levels, worker_limit: int, task,
         if res.level != k:
             raise LevelTaskError(k, AssertionError("missing level result"))
     return sorted(results, key=lambda r: r.level)
+
+
+def _run_here(task, k) -> Future:
+    """``task(k)`` run on the calling thread, as a finished future."""
+    fut: Future = Future()
+    try:
+        fut.set_result(task(k))
+    except BaseException as exc:  # kept for the round's error report
+        fut.set_exception(exc)
+    return fut
+
+
+def _fan_out(order, worker_limit: int, task) -> list[tuple[int, Future]]:
+    """(level, finished future) for every level of ``order``.
+
+    The calling thread is one of the ``worker_limit`` workers: it hands
+    every level but the first to the pool's other threads, runs the first
+    itself, then takes back, last first, each level that no pool thread
+    has started and runs it too.  So a round of small tasks costs no
+    thread handoff, and a round of large ones still runs in parallel.
+    """
+    pool = _pool(worker_limit - 1)
+    futures = [(k, pool.submit(task, k)) for k in order[1:]]
+    try:
+        futures.insert(0, (order[0], _run_here(task, order[0])))
+        for i in range(len(futures) - 1, 0, -1):
+            k, fut = futures[i]
+            if fut.cancel():
+                futures[i] = (k, _run_here(task, k))
+        wait([fut for _, fut in futures])
+    except BaseException:  # interrupted between tasks or while waiting
+        for _, fut in futures:
+            fut.cancel()
+        wait([fut for _, fut in futures])
+        raise
+    return futures

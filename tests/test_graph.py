@@ -329,6 +329,22 @@ def test_other_inputs_go_to_the_line_parser(data):
     assert _read_array(data) is None
 
 
+@pytest.mark.parametrize("kind", ["path", "bytes", "binary stream"])
+@pytest.mark.parametrize("data, line_no", [
+    (b"1 2\n\xff 3\n", 2), (b"# caf\xe9\n1 2\n", 1),
+    (b"1 2\n3 4\n5 \xed\xa0\x80\n", 3)])  # an encoded surrogate
+def test_bytes_that_are_not_utf8_name_their_line(kind, data, line_no,
+                                                 tmp_path):
+    path = tmp_path / "graph.edges"
+    path.write_bytes(data)
+    sources = {"path": lambda: path, "bytes": lambda: data,
+               "binary stream": lambda: io.BytesIO(data)}
+    for read in (load_edge_list, read_edge_pairs):
+        with pytest.raises(EdgeListParseError) as err:
+            read(sources[kind]())
+        assert err.value.line_no == line_no
+
+
 def test_huge_label_names_its_line():
     with pytest.raises(EdgeListParseError) as err:
         load_edge_list(b"1 2\n3 18446744073709551616\n")

@@ -3,13 +3,14 @@ ensuring the compiled backend reproduces results and counters exactly, the
 backends' shared contract and input checks, the compiled lane's per-thread
 arena, and its build and fallback."""
 
-import ctypes
+import importlib.util
 import inspect
 import os
 import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_compiled_scratch_is_reusable_and_clean():
 
 
 CONTRACT = ("peel_kernel", "insert_level", "delete_level", "plan_scan",
-            "remove_edges")
+            "remove_edges", "has_edges")
 
 
 def parameters(fn):
@@ -303,23 +304,62 @@ def test_failed_level_call_drops_the_arena():
     n = len(args["starts"])
 
     def stand_in(*call):
-        arena = call[8]._obj  # the Arena struct behind the pointer
-        for name, ctype in ((f, ctypes.c_int32) for f in ("slack", "sup",
-                                                           "csup")):
-            slots = ctypes.cast(getattr(arena, name), ctypes.POINTER(ctype))
-            for v in range(n):
-                slots[v] = 0
-        for name in ("visited", "removed"):
-            slots = ctypes.cast(getattr(arena, name),
-                                ctypes.POINTER(ctypes.c_uint8))
-            for v in range(n):
-                slots[v] = 1
+        arena = call[9]  # the cffi Arena struct pointer
+        for v in range(n):
+            arena.slack[v] = arena.sup[v] = arena.csup[v] = 0
+            arena.visited[v] = arena.removed[v] = 1
         return -1
 
     with pytest.raises(MemoryError):
         be._level(stand_in, **args)
     again = be.delete_level(**args)
     assert (again[0].tolist(), again[1]) == (clean[0].tolist(), clean[1])
+
+
+@needs_c
+def test_compiled_call_releases_the_gil():
+    # while one thread is inside a long compiled peel, the calling thread
+    # keeps running Python; a foreign call that held the GIL would stall it
+    # for the whole call
+    n, d = 1 << 19, 8  # a circulant graph: v is joined to v +- 1..d (mod n)
+    offsets = np.concatenate((np.arange(1, d + 1), n - np.arange(1, d + 1)))
+    pool = ((np.arange(n)[:, None] + offsets) % n).astype(np.int32).ravel()
+    starts = np.arange(0, 2 * d * n, 2 * d, dtype=np.int64)
+    lens = np.full(n, 2 * d, dtype=np.int32)
+    span, ticks = [], []
+
+    def peel():
+        start = time.perf_counter()
+        cores = get_backend("c").peel_kernel(n, starts, lens, pool)
+        span.extend((start, time.perf_counter(), int(cores.max())))
+
+    worker = threading.Thread(target=peel)
+    worker.start()
+    deadline = time.perf_counter() + 60
+    while worker.is_alive() and time.perf_counter() < deadline:
+        ticks.append(time.perf_counter())
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    start, end, top = span
+    assert top == 2 * d
+    inside = [t for t in ticks if start < t < end]
+    longest = float(np.diff([start, *inside, end]).max())
+    assert longest < (end - start) / 2, (longest, end - start)
+
+
+def test_missing_cffi_falls_back_to_python(monkeypatch):
+    # a fresh copy of the selection module, imported while cffi cannot be
+    monkeypatch.setitem(sys.modules, "cffi", None)
+    monkeypatch.delitem(sys.modules, "coremaint._kernels_c", raising=False)
+    monkeypatch.delattr(coremaint, "_kernels_c", raising=False)
+    monkeypatch.delenv("COREMAINT_BACKEND", raising=False)
+    spec = importlib.util.find_spec("coremaint.kernels")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert fresh.available_backends() == ["python"]
+    assert fresh.default_backend_name() == "python"
+    assert fresh.FALLBACK_REASON.startswith("compiled kernels unavailable (")
+    assert "cffi" in fresh.FALLBACK_REASON
 
 
 # ----------------------------------------------------------------------
@@ -520,6 +560,41 @@ def test_removal_lanes_agree():
         outcomes.append([g._starts.tolist(), g._lens.tolist(),
                          g._pool.tolist(), g.edge_count])
     assert outcomes[0] == outcomes[1]
+
+
+@needs_c
+def test_lookup_lanes_agree():
+    g, _, left = removal_case()  # blocks relocated, a hub of 62 edges
+    rng = np.random.default_rng(9)
+    n = g.vertex_count
+    edges = g.edge_array().astype(np.int32)
+    us = np.concatenate((rng.integers(0, n, 400), edges[:, 0], edges[:, 1]))
+    vs = np.concatenate((rng.integers(0, n, 400), edges[:, 1], edges[:, 0]))
+    expect = [(min(u, v), max(u, v)) in set(map(tuple, edges.tolist()))
+              for u, v in zip(us.tolist(), vs.tolist())]
+    for lane in ("python", "c"):
+        assert g._has_dense(us, vs, backend=lane).tolist() == expect
+
+
+@needs_c
+@pytest.mark.parametrize("field, bad, error", [
+    ("pool", lambda a: np.repeat(a, 2)[::2], TypeError),
+    ("us", lambda a: a.astype(np.int64), TypeError),
+    ("vs", lambda a: np.array([1, 4], dtype=np.int32), ValueError),
+    ("us", lambda a: np.array([-1, 2], dtype=np.int32), ValueError),
+    ("vs", lambda a: a[:1], ValueError),
+    ("lens", lambda a: a[:-1], ValueError),
+])
+def test_compiled_lookup_rejects_bad_inputs(field, bad, error):
+    g, args = removal_call_args()
+    del args["src"], args["dst"]
+    args["us"] = np.array([1, 2], dtype=np.int32)
+    args["vs"] = np.array([2, 3], dtype=np.int32)
+    assert get_backend("c").has_edges(**args).tolist() == [True, True]
+    args[field] = bad(args[field])
+    for lane in ("c", "python") if error is ValueError else ("c",):
+        with pytest.raises(error):
+            get_backend(lane).has_edges(**args)
 
 
 @pytest.mark.parametrize("lane", ["python",

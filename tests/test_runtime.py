@@ -1,5 +1,7 @@
+import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -63,6 +65,31 @@ def test_failure_waits_for_the_whole_round(error, raised):
     assert finished == [2]
 
 
+def test_each_level_runs_once_when_the_caller_takes_levels_back():
+    # tiny tasks on more workers than cores: the calling thread runs the
+    # first level and takes back the levels no pool thread has started;
+    # none may run twice or be lost
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(300):
+            calls, threads = Counter(), set()
+            lock = threading.Lock()
+
+            def task(level):
+                with lock:
+                    calls[level] += 1
+                    threads.add(threading.current_thread())
+                return fake_task(level)
+
+            out = run_level_tasks(range(1, 9), 8, task)
+            assert [r.level for r in out] == list(range(1, 9))
+            assert calls == Counter(range(1, 9))
+            assert threading.current_thread() in threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_pool_threads_are_reused_across_rounds():
     threads = set()
 
@@ -90,6 +117,7 @@ def bad_backend(error):
         NAME = "bad"
         plan_scan = staticmethod(real.plan_scan)
         remove_edges = staticmethod(real.remove_edges)
+        has_edges = staticmethod(real.has_edges)
         insert_level = level_kernel("insert_level")
         delete_level = level_kernel("delete_level")
 
