@@ -356,19 +356,17 @@ int64_t cm_delete_level(int64_t n, const int64_t *starts, const int32_t *lens,
 /* ------------------------------------------------------------------
    round planning and edge removal */
 
-enum { PENDING = 0, SELECTED = 1, DROPPED = 2 };
+enum { PENDING = 0, SELECTED = 1 };
 
 /* plan_round's greedy scan over the m live pairs (us, vs) in canonical
    order; cores covers the n vertices.  A pair is left pending when one of
    its endpoints sits at the pair's level (the lower endpoint core) and is
-   already covered by an earlier selection; otherwise it is dropped if
-   exists (insert mode; NULL otherwise) marks it, or else selected, and
+   already covered by an earlier selection; otherwise it is selected and
    covers each endpoint at its level.  Writes status[j]; returns 0,
    BAD_ENDPOINT, or ALLOC_FAILED when the covered marks cannot be
    allocated. */
 int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
-                 const int32_t *cores, int64_t n, const uint8_t *exists,
-                 int8_t *status)
+                 const int32_t *cores, int64_t n, int8_t *status)
 {
     if (!in_range(m, us, vs, n))
         return BAD_ENDPOINT;
@@ -382,8 +380,6 @@ int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
         int32_t k = cu < cv ? cu : cv;
         if ((cu == k && covered[u]) || (cv == k && covered[v])) {
             status[j] = PENDING;
-        } else if (exists && exists[j]) {
-            status[j] = DROPPED;
         } else {
             status[j] = SELECTED;
             if (cu == k)

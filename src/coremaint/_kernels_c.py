@@ -109,8 +109,7 @@ int64_t cm_delete_level(int64_t n, const int64_t *starts,
                         const int32_t *eu, const int32_t *ev,
                         const Arena *arena, int32_t *moved, int64_t *ctr);
 int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
-                 const int32_t *cores, int64_t n, const uint8_t *exists,
-                 int8_t *status);
+                 const int32_t *cores, int64_t n, int8_t *status);
 int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
                     int64_t n, const int64_t *starts, int32_t *lens,
                     int32_t *pool);
@@ -120,8 +119,8 @@ int cm_has_edges(int64_t m, const int32_t *us, const int32_t *vs, int64_t n,
 """)
 _lib = _load(_ffi)
 _buf = _ffi.from_buffer
-_I64, _I32, _BOOL = np.dtype(np.int64), np.dtype(np.int32), np.dtype(np.bool_)
-_CTYPES = {_I64: "int64_t[]", _I32: "int32_t[]", _BOOL: "uint8_t[]",
+_I64, _I32 = np.dtype(np.int64), np.dtype(np.int32)
+_CTYPES = {_I64: "int64_t[]", _I32: "int32_t[]",
            np.dtype(np.uint8): "uint8_t[]"}
 
 
@@ -223,12 +222,11 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
     return _level(_lib.cm_delete_level, starts, lens, pool, cores, k, eu, ev)
 
 
-def plan_scan(us, vs, cores, exists=None):
+def plan_scan(us, vs, cores):
     """As ``_kernels_py.plan_scan``."""
     m = len(us)
     args = (m, _ptr("us", us, _I32), _ptr("vs", vs, _I32, m),
-            _ptr("cores", cores, _I32), len(cores),
-            _ffi.NULL if exists is None else _ptr("exists", exists, _BOOL, m))
+            _ptr("cores", cores, _I32), len(cores))
     status = np.empty(m, dtype=np.int8)
     err = _lib.cm_plan_scan(*args, _buf("int8_t[]", status))
     if err == _BAD_ENDPOINT:

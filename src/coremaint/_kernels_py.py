@@ -20,7 +20,7 @@ import numpy as np
 
 NAME = "python"
 
-PENDING, SELECTED, DROPPED = 0, 1, 2  # plan_scan status per pair
+PENDING, SELECTED = 0, 1  # plan_scan status per pair
 
 
 def _check_len(name: str, a, length: int):
@@ -304,27 +304,20 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
 # round planning and edge removal
 
 
-def plan_scan(us, vs, cores, exists=None) -> np.ndarray:
+def plan_scan(us, vs, cores) -> np.ndarray:
     """``plan_round``'s greedy scan, by its rule, over the live pairs
-    (us, vs) in canonical order under ``cores``; ``exists`` (insert mode)
-    marks pairs already in the graph.  Returns an int8 status per pair:
-    PENDING, SELECTED or DROPPED (as existing)."""
+    (us, vs) in canonical order under ``cores``.  Returns an int8 status
+    per pair: PENDING or SELECTED."""
     m = len(us)
     _check_len("vs", vs, m)
-    if exists is not None:
-        _check_len("exists", exists, m)
     _check_endpoints(len(cores), us, vs)
     status = [PENDING] * m
     covered: set[int] = set()
-    ex = exists.tolist() if exists is not None else [False] * m
-    for j, (u, v, cu, cv, x) in enumerate(zip(
-            us.tolist(), vs.tolist(), cores[us].tolist(), cores[vs].tolist(),
-            ex)):
+    for j, (u, v, cu, cv) in enumerate(zip(
+            us.tolist(), vs.tolist(), cores[us].tolist(),
+            cores[vs].tolist())):
         k = cu if cu < cv else cv
         if (cu == k and u in covered) or (cv == k and v in covered):
-            continue
-        if x:
-            status[j] = DROPPED
             continue
         status[j] = SELECTED
         if cu == k:

@@ -9,7 +9,7 @@ per round, so the per-level sets can be processed concurrently.
 
 The selection is one greedy scan over the live pairs in canonical order,
 done by the kernel backend's ``plan_scan``.  The scan only marks each pair
-selected, dropped or pending; the plan is assembled here with numpy.
+selected or pending; the plan is assembled here with numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels_py import PENDING, SELECTED
+from ._kernels_py import SELECTED
 from .graph import Graph, _as_pair, sorted_unique
 from .kernels import get_backend
 from .static_core import CoreMap
@@ -136,7 +136,6 @@ class RoundPlan:
     level_edges: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict)
     selected_indices: list[int] = field(default_factory=list)
-    dropped_existing: int = 0
 
     @property
     def edge_count(self) -> int:
@@ -154,29 +153,21 @@ def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
             for k, (us, vs) in level_edges.items()}
 
 
-def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
-               drop_existing: bool = False, backend=None) -> RoundPlan:
+def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
     """Draw one round plan from the batch under the current core numbers.
 
     Scans live pairs in ascending canonical order.  An edge is selected
     unless one of its endpoints sits at the edge's own level and is already
     covered by an earlier selection this round; a selected edge covers each
-    of its endpoints whose core equals the level.  With ``drop_existing``
-    (insert mode), pending edges that already exist in the graph are
-    discarded with a counter instead of selected.  ``backend`` (as for
-    ``get_backend``) reads the live pairs' edge existence (``has_edges``)
-    and runs the scan (``plan_scan``).
+    of its endpoints whose core equals the level.  ``backend`` (as for
+    ``get_backend``) runs the scan (``plan_scan``).
     """
-    be = get_backend(backend)
     idx = batch.alive.nonzero()[0]
     us, vs = batch.pairs[idx, 0], batch.pairs[idx, 1]
-    exists = (g._has_dense(us, vs, backend=be)
-              if drop_existing and g is not None else None)
-    status = be.plan_scan(us, vs, cores.values, exists)
-    done = idx[status != PENDING]
-    batch.alive[done] = False
+    status = get_backend(backend).plan_scan(us, vs, cores.values)
     picked = (status == SELECTED).nonzero()[0]
     selected = idx[picked]
+    batch.alive[selected] = False
     us, vs = us[picked], vs[picked]
     # group the selected pairs by level, canonical order within a level
     level = np.minimum(cores.values[us], cores.values[vs])
@@ -185,7 +176,6 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, g: Graph | None = None,
     bounds = ((level[1:] != level[:-1]).nonzero()[0] + 1).tolist()
     firsts = [0, *bounds] if len(level) else []
     plan = RoundPlan(levels=level[firsts].tolist(),
-                     dropped_existing=len(done) - len(picked),
                      selected_indices=selected.tolist())
     for k, a, b in zip(plan.levels, firsts, [*bounds, len(level)]):
         plan.level_edges[k] = (us[a:b], vs[a:b])

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: insert | delete | verify | bench | gen.
+Subcommands: insert | delete | verify | gen.
 Exit codes: 0 ok, 1 runtime/IO error, 2 usage, 3 verification mismatch.
 Timing covers maintenance only, never file IO.
 """
@@ -10,57 +10,26 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .batch import BatchError, build_delete_batch, build_insert_batch
 from .engine import delete_edges, insert_edges, sequential_baseline
-from .gen import (generate_graph, sample_existing_edges, sample_new_edges,
-                  stratum_size)
+from .gen import generate_graph, sample_existing_edges, sample_new_edges
 from .graph import (EdgeListParseError, Graph, load_edge_list_with_stats,
                     read_edge_pairs, save_edge_list)
-from .kernels import (BACKENDS, FALLBACK_REASON, available_backends,
-                      get_backend)
+from .kernels import FALLBACK_REASON, available_backends, get_backend
 from .static_core import peel, read_core_file, write_core_file
 
 
-@dataclass
-class BenchRow:
-    dataset: str
-    mode: str
-    backend: str
-    threads: int
-    batch_size: int
-    max_multiplicity: int
-    rounds: int
-    total_s: float
-    per_edge_ms: float
-    visited: int
-    neg_touches: int
-    speedup: float | None = None
-    round_details: list[str] = field(default_factory=list)
-
-    HEADER = ("dataset\tmode\tbackend\tthreads\tbatch\tmax_mult\trounds\t"
-              "total_s\tper_edge_ms\tvisited\tneg_touches\tspeedup")
-
-    def row(self) -> str:
-        spd = f"{self.speedup:.2f}" if self.speedup is not None else "-"
-        return (f"{self.dataset}\t{self.mode}\t{self.backend}\t{self.threads}"
-                f"\t{self.batch_size}\t{self.max_multiplicity}\t{self.rounds}"
-                f"\t{self.total_s:.4f}\t{self.per_edge_ms:.4f}"
-                f"\t{self.visited}\t{self.neg_touches}\t{spd}")
-
-
-def _load_graph(args) -> tuple[Graph, str]:
+def _load_graph(args) -> Graph:
     if args.graph:
         g, stats = load_edge_list_with_stats(args.graph)
         print(f"loaded {args.graph}: {g.vertex_count} vertices "
               f"{g.edge_count} edges (dropped {stats.dropped_duplicates} "
               f"duplicates, {stats.dropped_self_loops} self-loops)",
               file=sys.stderr)
-        return g, str(args.graph)
-    if getattr(args, "gen", None):
-        g = generate_graph(args.gen, args.n, args.deg, args.seed)
-        return g, f"{args.gen}-n{args.n}-d{args.deg}"
+        return g
+    if args.gen:
+        return generate_graph(args.gen, args.n, args.deg, args.seed)
     raise ValueError("need --graph PATH or --gen er|ba")
 
 
@@ -84,35 +53,26 @@ def _fallback_note(name: str) -> str:
     return f" ({FALLBACK_REASON})" if name == "python" and FALLBACK_REASON else ""
 
 
-def _timed_run(g: Graph, cores, edges, mode: str, backend, workers: int,
-               baseline: bool):
-    """Build the batch, then time the engine (or the edge-by-edge baseline)
-    on it.  Returns the log, the seconds and the milliseconds per edge."""
+def _run_maintenance(args, mode: str) -> int:
+    g = _load_graph(args)
+    backend = get_backend(args.backend)
+    cores = peel(g, backend=backend)
+    edges = _batch_edges(args, g, cores, mode)
     build = build_insert_batch if mode == "insert" else build_delete_batch
     batch = build(g, edges)
     start = time.perf_counter()
-    if baseline:
+    if args.baseline:
         log = sequential_baseline(g, cores, batch, mode, backend=backend)
     else:
         run = insert_edges if mode == "insert" else delete_edges
-        log = run(g, cores, batch, workers=workers, backend=backend)
+        log = run(g, cores, batch, workers=args.threads, backend=backend)
     elapsed = time.perf_counter() - start
-    return log, elapsed, (elapsed / log.batch_size * 1000
-                          if log.batch_size else 0.0)
-
-
-def _run_maintenance(args, mode: str) -> int:
-    g, _ = _load_graph(args)
-    backend = get_backend(args.backend)
-    cores = peel(g, backend=args.backend)
-    edges = _batch_edges(args, g, cores, mode)
-    log, elapsed, per_edge = _timed_run(g, cores, edges, mode, backend,
-                                        args.threads_one, args.baseline)
+    per_edge = elapsed / log.batch_size * 1000 if log.batch_size else 0.0
     print(f"{mode}: {log.edges_applied} edges applied in {elapsed:.4f}s "
           f"({per_edge:.4f} ms/edge), rounds={log.rounds_executed}, "
           f"changed={log.changed_total}, visited={log.counters.visited}, "
           f"backend={backend.NAME}{_fallback_note(backend.NAME)}, "
-          f"threads={args.threads_one}")
+          f"threads={args.threads}")
     if log.dropped_existing:
         print(f"dropped {log.dropped_existing} already-present edges",
               file=sys.stderr)
@@ -133,7 +93,7 @@ def cmd_delete(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     cores = peel(g, backend=args.backend)
     recorded = read_core_file(args.cores)
     labels = sorted(g.label_of(i) for i in range(g.vertex_count))
@@ -159,54 +119,6 @@ def cmd_gen(args) -> int:
     save_edge_list(g, args.out if args.out else sys.stdout)
     print(f"generated {args.gen}: {g.vertex_count} vertices "
           f"{g.edge_count} edges (seed {args.seed})", file=sys.stderr)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    if args.backend != "both":
-        backends = [get_backend(args.backend).NAME]
-    elif "c" in BACKENDS:
-        backends = ["c", "python"]
-    else:
-        raise RuntimeError(f"--backend both: {FALLBACK_REASON}")
-    g0, dataset = _load_graph(args)
-    cores0 = peel(g0, backend=backends[0])
-    edges = _batch_edges(args, g0, cores0, args.mode)
-    if args.core_stratum is not None:
-        print(f"core stratum {args.core_stratum}: "
-              f"{stratum_size(g0, cores0, args.core_stratum)} candidate edges",
-              file=sys.stderr)
-    runs = [(False, int(t)) for t in str(args.threads).split(",")]
-    if args.baseline:
-        runs.insert(0, (True, 1))
-
-    rows = []
-    for backend in backends:
-        base_per_edge = None
-        for baseline, t in runs:
-            log, dt, per_edge = _timed_run(g0.copy(), cores0.copy(), edges,
-                                           args.mode, backend, t, baseline)
-            speedup = base_per_edge / per_edge if base_per_edge else None
-            if baseline:
-                base_per_edge = per_edge
-            row = BenchRow(dataset, log.mode, backend, t, log.batch_size,
-                           log.max_multiplicity, log.rounds_executed, dt,
-                           per_edge, log.counters.visited,
-                           log.counters.neg_touches, speedup)
-            if args.per_round:
-                row.round_details = [
-                    f"# round {r.index}: levels={list(r.levels)} "
-                    f"edges={sum(len(e) for e in r.edges_at_level.values())} "
-                    f"changed={len(r.changed)} visited={r.counters.visited} "
-                    f"neg_touches={r.counters.neg_touches}"
-                    for r in log.rounds]
-            rows.append(row)
-
-    print(BenchRow.HEADER)
-    for row in rows:
-        print(row.row())
-        for detail in row.round_details:
-            print(detail)
     return 0
 
 
@@ -237,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("insert", cmd_insert), ("delete", cmd_delete)):
         p = sub.add_parser(name, help=f"apply a batch of edge {name}s")
         common(p)
-        p.add_argument("--threads", dest="threads_one", type=int, default=1,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker limit")
         p.add_argument("--out-cores", help="write final core numbers here")
         p.add_argument("--log", help="write the per-round change log here")
@@ -250,17 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", required=True, help="core file to verify")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="benchmark maintenance throughput")
-    common(p)
-    p.add_argument("--mode", choices=["insert", "delete"], default="insert")
-    p.add_argument("--threads", default="1",
-                   help="comma-separated worker counts, e.g. 1,2,8")
-    p.add_argument("--baseline", action="store_true",
-                   help="also run the sequential baseline and report speedup")
-    p.add_argument("--per-round", action="store_true",
-                   help="emit per-round counter lines")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("gen", help="write a synthetic graph as an edge list")
     common(p, batch=False)
     p.add_argument("--out", help="output path (default: stdout)")
@@ -272,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) == "both" and args.command != "bench":
-        parser.error("--backend both is only valid for bench")
     try:
         return args.func(args)
     except (OSError, EdgeListParseError, BatchError, ValueError,

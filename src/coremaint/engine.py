@@ -104,11 +104,14 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                    else (remove, g._add_dense))
     log = MaintenanceLog(mode=mode, batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
+    if insert:  # pairs added to the graph since the batch was built
+        idx = batch.alive.nonzero()[0]
+        present = idx[g._has_dense(batch.pairs[idx, 0], batch.pairs[idx, 1],
+                                   backend=be)]
+        batch.alive[present] = False
+        log.dropped_existing = len(present)
     while batch.remaining:
-        plan = plan_round(batch, cores, g, drop_existing=insert, backend=be)
-        log.dropped_existing += plan.dropped_existing
-        if not plan.levels:
-            continue
+        plan = plan_round(batch, cores, backend=be)
         pre = cores.values.copy() if audit else None
         edges = batch.pairs[plan.selected_indices]
         try:

@@ -162,12 +162,3 @@ def sample_existing_edges(g: Graph, count: int, seed: int,
     idx = rng.choice(len(dense), size=count, replace=False)
     return [(g.label_of(int(u)), g.label_of(int(v))) for u, v in dense[idx]]
 
-
-def stratum_size(g: Graph, cores, level: int) -> int:
-    """Number of existing edges whose level equals ``level``."""
-    dense = g.edge_array()
-    if not len(dense):
-        return 0
-    vals = cores.values
-    lv = np.minimum(vals[dense[:, 0]], vals[dense[:, 1]])
-    return int((lv == level).sum())

@@ -7,9 +7,9 @@ built from ``_kernels.c`` on first import and called through cffi) is
 preferred; the pure-Python module is always available.  When the
 compiled lane cannot be built or cffi is missing, ``FALLBACK_REASON``
 says why.  Override with the environment variable
-COREMAINT_BACKEND=c|python, or pass backend="..." (or a backend object)
-to the operations that accept one; every one of them resolves it with
-``get_backend``.
+COREMAINT_BACKEND=c|python, read once when this module is imported, or
+pass backend="..." (or a backend object) to the operations that accept
+one; every one of them resolves it with ``get_backend``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ try:
 except ImportError as exc:
     FALLBACK_REASON = f"compiled kernels unavailable ({exc})"
 
-_ENV_VAR = "COREMAINT_BACKEND"
+# the name None resolves to; an unknown one raises on first resolution
+_DEFAULT = os.environ.get("COREMAINT_BACKEND",
+                          "c" if "c" in BACKENDS else "python")
 
 
 def available_backends() -> list[str]:
@@ -38,12 +40,10 @@ def available_backends() -> list[str]:
 def get_backend(name=None):
     """Resolve a backend module by name (None picks the default); a
     backend object is returned as it is."""
-    if not isinstance(name, (str, type(None))):
+    if name is None:
+        name = _DEFAULT
+    elif not isinstance(name, str):
         return name
-    if name is None:
-        name = os.environ.get(_ENV_VAR)
-    if name is None:
-        return BACKENDS.get("c", _kernels_py)
     try:
         return BACKENDS[name]
     except KeyError:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coremaint import CoreMap, Graph, build_insert_batch, insert_edges, peel
+from coremaint.gen import sample_new_edges
 from coremaint.kernels import available_backends
 from support_oracle import constrained_support, support_degree
 
@@ -156,6 +157,30 @@ def test_random_batches_match_peel(backend):
                                 backend=backend, audit=True)
         assert cores == peel(g), f"trial {trial}"
         assert log.audit_violations == []
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_edges_added_after_build_are_dropped(backend):
+    # another batch applied between building this one and running it puts
+    # some of its pairs in the graph; those are dropped once and counted
+    rng = np.random.default_rng(61)
+    dropped = 0
+    for trial in range(10):
+        n = int(rng.integers(20, 60))
+        g = er_like(n, rng.uniform(0.05, 0.25), int(rng.integers(1 << 30)))
+        cores = peel(g)
+        batch = build_insert_batch(g, sample_new_edges(g, 30, seed=trial))
+        late = batch.pairs[rng.random(batch.size) < 0.3].tolist()
+        first = build_insert_batch(g, late)
+        insert_edges(g, cores, first, backend=backend)
+        log = insert_edges(g, cores, batch, backend=backend, audit=True)
+        assert log.dropped_existing == len(late), f"trial {trial}"
+        assert log.edges_applied == batch.size - len(late)
+        assert log.audit_violations == []
+        assert cores == peel(g)
+        g.check_invariants()
+        dropped += len(late)
+    assert dropped > 0
 
 
 def test_rise_candidates_satisfy_support_condition():

@@ -6,7 +6,7 @@ import pytest
 from coremaint import load_edge_list, peel
 from coremaint.gen import (_decode_pairs, generate_ba, generate_er,
                            generate_graph, sample_existing_edges,
-                           sample_new_edges, stratum_size)
+                           sample_new_edges)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 50])
@@ -124,10 +124,11 @@ def test_sample_existing_edges_are_present_and_distinct():
 def test_stratified_sampling_respects_level():
     g = generate_er(800, 6, seed=14)
     cores = peel(g)
-    level = int(np.bincount(
+    per_level = np.bincount(
         np.minimum(cores.values[g.edge_array()[:, 0]],
-                   cores.values[g.edge_array()[:, 1]])).argmax())
-    avail = stratum_size(g, cores, level)
+                   cores.values[g.edge_array()[:, 1]]))
+    level = int(per_level.argmax())
+    avail = int(per_level[level])
     count = max(1, avail // 5)  # the 20 percent convention
     picked = sample_existing_edges(g, count, seed=3, level=level,
                                    cores=cores)

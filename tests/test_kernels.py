@@ -362,6 +362,25 @@ def test_missing_cffi_falls_back_to_python(monkeypatch):
     assert "cffi" in fresh.FALLBACK_REASON
 
 
+@pytest.mark.parametrize("value", ["python", "fortran"])
+def test_backend_override_is_read_at_import(monkeypatch, value):
+    # a fresh copy of the selection module, imported under the override
+    monkeypatch.setenv("COREMAINT_BACKEND", value)
+    spec = importlib.util.find_spec("coremaint.kernels")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    monkeypatch.setenv("COREMAINT_BACKEND", "c")  # read once, not again
+    if value == "python":
+        assert fresh.get_backend() is _kernels_py
+        assert fresh.default_backend_name() == "python"
+    else:
+        with pytest.raises(ValueError) as err:
+            fresh.get_backend()
+        assert str(err.value) == (f"unknown kernel backend 'fortran'; "
+                                  f"available: {fresh.available_backends()}")
+    assert fresh.get_backend("python") is _kernels_py
+
+
 # ----------------------------------------------------------------------
 # compiled lane: inputs are checked before they reach C
 
@@ -446,19 +465,15 @@ def test_compiled_removal_rejects_bad_inputs(field, bad, error):
     ("vs", lambda a: np.array([3, 3, 5], dtype=np.int32), ValueError),
     ("us", lambda a: np.array([-1, 0, 1], dtype=np.int32), ValueError),
     ("vs", lambda a: a[:-1], ValueError),
-    ("exists", lambda a: a[:-1], ValueError),
-    ("exists", lambda a: a.astype(np.uint8), TypeError),
 ])
 def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], dense_labels=True)
     cores = peel(g)
     batch = build_insert_batch(g, [(0, 3), (1, 3), (3, 4)])
     cores.fit_to(g)  # vertex 4 is new
-    g.add_edge(1, 3)  # exists by the time the batch is planned
     before = (graph_arrays(g), cores.values.tolist(), batch.alive.tolist())
     us, vs = batch.pairs.T.copy()
-    args = dict(us=us, vs=vs, cores=cores.values,
-                exists=g._has_dense(us, vs))
+    args = dict(us=us, vs=vs, cores=cores.values)
     expect = get_backend("c").plan_scan(**args)
     args[field] = bad(args[field])
     for lane in ("c", "python") if error is ValueError else ("c",):
@@ -466,12 +481,10 @@ def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
             get_backend(lane).plan_scan(**args)
     if field == "cores":  # plan_round passes the core map through
         with pytest.raises(error):
-            plan_round(batch, CoreMap(args["cores"]), g, drop_existing=True,
-                       backend="c")
+            plan_round(batch, CoreMap(args["cores"]), backend="c")
     assert (graph_arrays(g), cores.values.tolist(),
             batch.alive.tolist()) == before
-    assert expect.tolist() == _plan_scan(us, vs, cores.values,
-                                         g._has_dense(us, vs)).tolist()
+    assert expect.tolist() == _plan_scan(us, vs, cores.values).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +493,6 @@ def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
 
 def plans_equal(a, b):
     return (a.levels == b.levels and a.selected_indices == b.selected_indices
-            and a.dropped_existing == b.dropped_existing
             and a.level_edges.keys() == b.level_edges.keys()
             and all(x.dtype == y.dtype and np.array_equal(x, y)
                     for k in a.level_edges
@@ -506,21 +518,16 @@ def test_plan_lanes_agree(mode):
                                replace=False)]
         build = build_insert_batch if mode == "insert" else build_delete_batch
         batch = build(g, cand.tolist())
-        if mode == "insert":  # some pending edges appear in the graph
-            late = batch.pairs[rng.random(batch.size) < 0.3]
-            g._add_dense(late[:, 0], late[:, 1])
         twin = EdgeBatch(batch.pairs, batch.alive.copy(), batch.multiplicity)
         while batch.remaining:
-            plans = [plan_round(b, cores, g, drop_existing=mode == "insert",
-                                backend=lane)
+            plans = [plan_round(b, cores, backend=lane)
                      for b, lane in ((batch, "python"), (twin, "c"))]
             assert plans_equal(*plans)
             assert np.array_equal(batch.alive, twin.alive)
-            pending = batch.pairs[batch.alive]
-            blocked += int(g._has_dense(pending[:, 0], pending[:, 1]).sum())
+            blocked += batch.remaining
             rounds += 1
     assert rounds > 60
-    assert blocked > 0 or mode == "delete"  # existing edges left pending
+    assert blocked > 0  # some rounds left edges pending
 
 
 def removal_case():
@@ -636,16 +643,11 @@ def test_failed_build_falls_back_to_python(breakage, tmp_path):
     assert name == "python"
     assert reason.startswith("compiled kernels unavailable (")
 
-    def cli(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "coremaint", *args, "--gen", "er",
-             "--n", "40", "--deg", "3", "--batch-size", "5"],
-            env=env, cwd=tmp_path, capture_output=True, text=True)
-
-    assert f"backend=python ({reason})" in cli("insert").stdout
-    both = cli("bench", "--backend", "both")
-    assert both.returncode == 1
-    assert reason in both.stderr
+    insert = subprocess.run(
+        [sys.executable, "-m", "coremaint", "insert", "--gen", "er",
+         "--n", "40", "--deg", "3", "--batch-size", "5"],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert f"backend=python ({reason})" in insert.stdout
 
 
 @needs_c
