@@ -18,9 +18,9 @@ task's share of the fan-out).  Every run is checked against a fresh
 ``peel``; a row whose runs did not all match has ``"correct": false`` and
 the script exits 1.
 
-Writes one JSON document to ``--out`` (default: standard output).  Run
-from the repository root; the program is imported from this checkout's
-``src/``.
+Writes one JSON document to ``--out`` (default: standard output).  The
+program is imported from this checkout's ``src/``, whatever the working
+directory.
 """
 
 from __future__ import annotations
