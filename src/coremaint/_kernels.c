@@ -1,9 +1,10 @@
-/* Compiled traversal kernels, round planner scan, block removal and edge
-   lookup.
+/* Compiled traversal kernels, round planner scan, block removal, edge
+   lookup and edge-list parsing.
 
    Step-for-step port of _kernels_py.py (same visit order, same counters):
    the level kernels, plan_round's greedy scan, the block compaction and
-   the edge lookup, in plain C99 with no Python API.
+   the edge lookup, in plain C99 with no Python API; the edge-list parser
+   reads the same subset of inputs as the Python lane's, in one pass.
    _kernels_c.py compiles this file and calls it through cffi (ABI mode),
    which releases the GIL for the duration of a call, so the level tasks of
    a round run in parallel.
@@ -28,7 +29,8 @@
 #define UNSET (-1)
 
 /* Error returns of the entry points (all negative). */
-enum { ALLOC_FAILED = -1, BAD_ORDER = -2, BAD_ENDPOINT = -3, NOT_EDGES = -4 };
+enum { ALLOC_FAILED = -1, BAD_ORDER = -2, BAD_ENDPOINT = -3, NOT_EDGES = -4,
+       NOT_MINE = -5 };
 
 /* Do the p ids of a and of b all lie in 0..n-1? */
 static int in_range(int64_t p, const int32_t *a, const int32_t *b, int64_t n)
@@ -477,4 +479,76 @@ int cm_has_edges(int64_t m, const int32_t *us, const int32_t *vs, int64_t n,
         out[i] = s < len;
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------
+   edge-list text */
+
+static int is_blank(const unsigned char *p, const unsigned char *end)
+{
+    return p < end && (*p == ' ' || *p == '\t');
+}
+
+/* Is p at a line end (\n, \r\n, or the end of the buffer)? */
+static int at_line_end(const unsigned char *p, const unsigned char *end)
+{
+    return p == end || *p == '\n'
+           || (*p == '\r' && p + 1 < end && p[1] == '\n');
+}
+
+/* Parses the len bytes at data, which hold cap - 1 newlines, into pairs of
+   labels: out holds room for cap rows of two.  The subset read is that of
+   _kernels_py.parse_pairs: ASCII only; every line ends in \n or \r\n (the
+   last may end the buffer instead); a line is blank (spaces and tabs), a
+   comment (first non-blank byte '#', any ASCII but a lone \r after it), or
+   two fields of decimal digits, each at most INT64_MAX, with spaces and
+   tabs around them.  Returns the pair count and sets *comments to the
+   comment-line count; NOT_MINE, having written only to out, for any other
+   input. */
+int64_t cm_parse_pairs(const char *data, int64_t len, int64_t *out,
+                       int64_t cap, int64_t *comments)
+{
+    const unsigned char *p = (const unsigned char *)data, *end = p + len;
+    int64_t m = 0, seen = 0;
+    while (p < end) {
+        while (is_blank(p, end))
+            p++;
+        if (p < end && *p == '#') {
+            for (; p < end && *p != '\n'; p++)
+                if (*p >= 0x80 || (*p == '\r' && !at_line_end(p, end)))
+                    return NOT_MINE;
+            seen++;
+        } else {
+            int64_t pair[2];
+            int fields = 0;
+            while (!at_line_end(p, end)) {
+                if (fields == 2 || *p < '0' || *p > '9')
+                    return NOT_MINE;
+                int64_t v = 0;
+                for (; p < end && *p >= '0' && *p <= '9'; p++) {
+                    int d = *p - '0';
+                    if (v >= INT64_MAX / 10
+                        && (v > INT64_MAX / 10 || d > INT64_MAX % 10))
+                        return NOT_MINE;
+                    v = 10 * v + d;
+                }
+                pair[fields++] = v;
+                while (is_blank(p, end))
+                    p++;
+            }
+            if (fields == 1 || (fields == 2 && m == cap))
+                return NOT_MINE;
+            if (fields == 2) {
+                out[2 * m] = pair[0];
+                out[2 * m + 1] = pair[1];
+                m++;
+            }
+            if (p < end && *p == '\r')
+                p++;
+        }
+        if (p < end)
+            p++;  /* the \n */
+    }
+    *comments = seen;
+    return m;
 }

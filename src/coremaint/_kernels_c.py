@@ -1,9 +1,10 @@
 """Compiled backend: ``_kernels.c`` called through cffi in ABI mode.
 
-It has the six functions of the backend contract (see ``_kernels_py``):
+It has the seven functions of the backend contract (see ``_kernels_py``):
 the traversal kernels, the round planner's greedy scan (``plan_scan``),
 the removal of a round's edges from the adjacency blocks
-(``remove_edges``) and the edge lookup (``has_edges``).
+(``remove_edges``), the edge lookup (``has_edges``) and the one-pass
+edge-list reader (``parse_pairs``).
 
 Importing this module compiles the C file with the system C compiler
 (``cc``) into ``__pycache__/`` next to it, keyed by a hash of the source
@@ -17,11 +18,11 @@ The level kernels keep their per-vertex scratch in an arena owned by the
 calling thread and kept across calls, so concurrent tasks never share
 one; it grows when a graph has more vertices than it covers.
 
-Every entry point checks dtypes, contiguity and lengths before it calls
-into C; the C code checks that every vertex id it is given lies in
-0..n-1 before it writes anything.  The adjacency contents themselves
-(pool entries, block extents) are trusted: ``Graph`` keeps them
-consistent.
+Every entry point checks dtypes, contiguity and lengths (``parse_pairs``:
+that it was given ``bytes``) before it calls into C; the C code checks
+that every vertex id it is given lies in 0..n-1 before it writes
+anything.  The adjacency contents themselves (pool entries, block
+extents) are trusted: ``Graph`` keeps them consistent.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _FLAGS = ("-std=c99", "-O3", "-shared", "-fPIC")
 _UNSET = -1
-_BAD_ORDER, _BAD_ENDPOINT = -2, -3  # error returns of the C entry points
+# error returns of the C entry points
+_BAD_ORDER, _BAD_ENDPOINT, _NOT_MINE = -2, -3, -5
 
 
 def _compile(source: Path, target: Path):
@@ -116,6 +118,8 @@ int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
 int cm_has_edges(int64_t m, const int32_t *us, const int32_t *vs, int64_t n,
                  const int64_t *starts, const int32_t *lens,
                  const int32_t *pool, uint8_t *out);
+int64_t cm_parse_pairs(const char *data, int64_t len, int64_t *out,
+                       int64_t cap, int64_t *comments);
 """)
 _lib = _load(_ffi)
 _buf = _ffi.from_buffer
@@ -261,3 +265,17 @@ def has_edges(starts, lens, pool, us, vs):
     if _lib.cm_has_edges(*args, _buf("uint8_t[]", out)):
         _raise_bad_endpoint(n)
     return out
+
+
+def parse_pairs(data):
+    """As ``_kernels_py.parse_pairs``, in one pass over ``data``."""
+    if not isinstance(data, bytes):
+        raise TypeError(f"data must be bytes, got {type(data).__name__}")
+    rows = data.count(b"\n") + 1  # a pair per line at most
+    out = np.empty((rows, 2), dtype=np.int64)
+    comments = _ffi.new("int64_t *")
+    m = _lib.cm_parse_pairs(_buf("char[]", data), len(data),
+                            _buf("int64_t[]", out), rows, comments)
+    if m == _NOT_MINE:
+        return None
+    return out[:m], comments[0]

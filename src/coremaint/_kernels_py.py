@@ -1,12 +1,13 @@
 """Pure-Python kernel backend: the reference lane.
 
-A kernel backend has six functions: ``peel_kernel``, the level kernels
+A kernel backend has seven functions: ``peel_kernel``, the level kernels
 ``insert_level``/``delete_level``, the round planner's scan ``plan_scan``,
-the edge removal ``remove_edges`` and the edge lookup ``has_edges``.  The
-compiled backend in ``_kernels_c`` has the same signatures and mirrors
-these routines step for step, so both produce identical results *and* counters, and both
-raise ValueError for the same bad values.  Per-task state is kept in
-dicts/sets here.
+the edge removal ``remove_edges``, the edge lookup ``has_edges`` and the
+edge-list reader ``parse_pairs``.  The compiled backend in ``_kernels_c``
+has the same signatures and mirrors these routines step for step, so both
+produce identical results *and* counters, and both raise ValueError for
+the same bad values; its ``parse_pairs`` reads the same subset of inputs
+in one pass.  Per-task state is kept in dicts/sets here.
 
 Counter tuple layout (shared with the compiled backend):
     (visited, removed, neg_touches, sup_evals, csup_evals)
@@ -14,6 +15,7 @@ Counter tuple layout (shared with the compiled backend):
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 NAME = "python"
 
 PENDING, SELECTED = 0, 1  # plan_scan status per pair
+_PLAIN_BYTES = b"0123456789 \t\r\n"  # what parse_pairs reads outside comments
 
 
 def _check_len(name: str, a, length: int):
@@ -371,6 +374,56 @@ def has_edges(starts, lens, pool, us, vs) -> np.ndarray:
     match = pool[_block_slots(starts[us], blens)] \
         == np.asarray(vs, dtype=np.int64).repeat(blens)
     return _segment_counts(match, blens) > 0
+
+
+# ----------------------------------------------------------------------
+# edge-list text (the plain subset; ``graph`` parses the rest)
+
+
+def _drop_comment_lines(data: bytes) -> tuple[bytes, int] | None:
+    """``data`` with every comment line emptied (its line end kept), plus
+    their count; None if a ``#`` follows a non-blank byte of its line."""
+    kept, comments, pos = [], 0, 0
+    mark = data.find(b"#")
+    while mark >= 0:
+        start = data.rfind(b"\n", 0, mark) + 1
+        if data[start:mark].strip(b" \t"):
+            return None
+        end = data.find(b"\n", mark)
+        end = len(data) if end < 0 else end
+        kept.append(data[pos:start])
+        pos = end
+        comments += 1
+        mark = data.find(b"#", end)
+    kept.append(data[pos:])
+    return b"".join(kept), comments
+
+
+def parse_pairs(data: bytes) -> tuple[np.ndarray, int] | None:
+    """The label pairs of a whole edge-list buffer as an (m, 2) int64
+    array, plus the comment-line count; None ("not mine") when ``data`` is
+    outside the plain subset read here, which ``graph``'s line parser then
+    reads.  The subset: ASCII only; lines end in LF or CRLF; a line is
+    blank (spaces and tabs), a comment (first non-blank byte ``#``), or
+    two fields of decimal digits, each at most int64 max.  The comments
+    are dropped first; the rest goes through ``np.loadtxt`` in one
+    call."""
+    if not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    stripped = _drop_comment_lines(data)
+    if stripped is None:
+        return None
+    data, comments = stripped
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    if not data.strip():  # loadtxt warns on input without rows
+        return np.zeros((0, 2), dtype=np.int64), comments
+    try:
+        pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None,
+                           ndmin=2)
+    except ValueError:  # a ragged line or a label beyond int64
+        return None
+    return (pairs, comments) if pairs.shape[1] == 2 else None
 
 
 # ----------------------------------------------------------------------

@@ -22,18 +22,21 @@ concurrently.
 its larger neighbours in ascending order, then its smaller neighbours in
 ascending order; the sort key of the directed entry (src, dst) is
 ``src * 2n + dst`` when ``dst > src`` and ``src * 2n + n + dst`` otherwise.
-Sparse labels are mapped to dense ids (in label order) through the inverse
-of one argsort; the label -> id dict behind scalar lookups is built only
-when one first needs it.
+Labels are mapped to dense ids in label order: dense labels (the largest
+below twice the number of edge endpoints) through a presence table and
+a cumulative sum, sparser ones through the inverse of one argsort.  The
+label -> id dict behind scalar lookups is built only when one first
+needs it.
 
-Edge-list text is parsed in array passes when the whole source is in a
-plain subset: ASCII digits, spaces, tabs and ``\n`` or ``\r\n`` line ends,
-plus comment lines (first non-blank byte ``#``, any ASCII after it).  That
-buffer goes through ``np.loadtxt`` in one call.  Anything else (signs,
-underscores, a lone ``\r``, an inline ``#``, non-ASCII bytes, a label too
-large for int64, a line without exactly two fields) is parsed by the line
-parser, which is the reference and the only code that raises
-``EdgeListParseError``.
+Edge-list text is parsed in one pass when the whole source is in a plain
+subset: ASCII digits, spaces, tabs and ``\n`` or ``\r\n`` line ends, plus
+comment lines (first non-blank byte ``#``, any ASCII after it).  That pass
+is the kernel backend's ``parse_pairs``: one C loop on the compiled lane,
+``np.loadtxt`` after the comments are dropped on the Python lane.
+Anything else (signs, underscores, a lone ``\r``, an inline ``#``,
+non-ASCII bytes, a label too large for int64, a line without exactly two
+fields) is parsed by the line parser, which is the reference and the only
+code that raises ``EdgeListParseError``.
 """
 
 from __future__ import annotations
@@ -143,18 +146,8 @@ class Graph:
             dense = arr
             g._labels = list(range(n))
         else:
-            # dense id = rank among the distinct labels, scattered back
-            # through the inverse of one sort
-            flat = arr.ravel()
-            order = flat.argsort()
-            ranked = flat[order]
-            new = np.empty(len(ranked), dtype=bool)
-            new[:1] = True
-            np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-            uniq = ranked[new]
+            dense, uniq = _rank_labels(arr.ravel())
             n = len(uniq)
-            dense = np.empty_like(flat)
-            dense[order] = new.cumsum() - 1
             dense = dense.reshape(-1, 2)
             g._labels = uniq.tolist()
             if n and uniq[-1] != n - 1:  # labels not already 0..n-1
@@ -472,6 +465,38 @@ def sorted_unique(a, return_counts: bool = False):
     return uniq, bounds[1:] - bounds[:-1]
 
 
+def _rank_labels(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's dense id, its label's rank among the distinct labels,
+    and the distinct labels in ascending order.  Dense labels (the largest
+    below twice the number of entries) are ranked with a presence table,
+    sparser ones by sort."""
+    top = int(flat.max()) + 1 if len(flat) else 0
+    if top <= 2 * len(flat):
+        return _rank_by_table(flat, top)
+    return _rank_by_sort(flat)
+
+
+def _rank_by_table(flat: np.ndarray, top: int):
+    """``_rank_labels`` by a table over 0..top-1: mark, count, look up."""
+    seen = np.zeros(top, dtype=bool)
+    seen[flat] = True
+    rank = seen.cumsum()
+    rank -= 1
+    return rank[flat], np.flatnonzero(seen)
+
+
+def _rank_by_sort(flat: np.ndarray):
+    """``_rank_labels`` through the inverse of one argsort."""
+    order = flat.argsort()
+    ranked = flat[order]
+    new = np.empty(len(ranked), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    dense = np.empty_like(flat)
+    dense[order] = new.cumsum() - 1
+    return dense, ranked[new]
+
+
 def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
     """Both directions of the pairs, as int64 (source, target) arrays."""
     return (np.concatenate((us, vs), dtype=np.int64),
@@ -482,7 +507,6 @@ def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
 # edge-list text format (SNAP-style: "u v" per line, '#' comments)
 
 
-_PLAIN_BYTES = b"0123456789 \t\r\n"  # what the array path reads
 _MAX_LABEL = int(np.iinfo(np.int64).max)
 
 
@@ -531,63 +555,26 @@ def _read_lines(source) -> tuple[np.ndarray, int]:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2), comments
 
 
-def _drop_comment_lines(data: bytes) -> tuple[bytes, int] | None:
-    """``data`` with every comment line emptied (its line end kept), plus
-    their count; None if a ``#`` follows a non-blank byte of its line."""
-    kept, comments, pos = [], 0, 0
-    mark = data.find(b"#")
-    while mark >= 0:
-        start = data.rfind(b"\n", 0, mark) + 1
-        if data[start:mark].strip(b" \t"):
-            return None
-        end = data.find(b"\n", mark)
-        end = len(data) if end < 0 else end
-        kept.append(data[pos:start])
-        pos = end
-        comments += 1
-        mark = data.find(b"#", end)
-    kept.append(data[pos:])
-    return b"".join(kept), comments
-
-
-def _read_array(data: bytes) -> tuple[np.ndarray, int] | None:
-    """The array path: (pairs, comment-line count) of a whole edge-list
-    buffer, or None when ``data`` is outside the subset it reads (module
-    docstring) or ``np.loadtxt`` rejects it."""
-    if not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    stripped = _drop_comment_lines(data)
-    if stripped is None:
-        return None
-    data, comments = stripped
-    if data.translate(None, _PLAIN_BYTES):
-        return None
-    if not data.strip():  # loadtxt warns on input without rows
-        return np.zeros((0, 2), dtype=np.int64), comments
-    try:
-        pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None,
-                           ndmin=2)
-    except ValueError:  # a ragged line or a label beyond int64
-        return None
-    return (pairs, comments) if pairs.shape[1] == 2 else None
-
-
 def read_edge_pairs(source) -> tuple[np.ndarray, int]:
     """Raw label pairs from edge-list text as an (m, 2) int64 array, plus
     the comment-line count.  ``source`` is a path, the text as bytes, or
-    an iterable of lines (only the first two take the array path).
+    an iterable of lines (only the first two take the array path, the
+    default backend's ``parse_pairs``; a file is read once).
 
     No dedup or self-loop handling here; that is the consumer's business.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             data = fh.read()
+        # the line parser reads these bytes as open(source, "rt") would
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                 errors="surrogateescape")
     elif isinstance(source, bytes):
-        data = source
+        data = lines = source
     else:
         return _read_lines(source)
-    fast = _read_array(data)
-    return fast if fast is not None else _read_lines(source)
+    fast = get_backend().parse_pairs(data)
+    return fast if fast is not None else _read_lines(lines)
 
 
 def load_edge_list_with_stats(source) -> tuple[Graph, LoadStats]:

@@ -65,3 +65,19 @@ def test_small_batch_phases_runs():
               if line.startswith("  ")]
     assert phases == ["build", "plan", "mutate", "kernel", "fan-out",
                       "engine"]
+
+
+def test_load_phases_runs():
+    out = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "load_phases.py"),
+         "--workload", "ba-mixed-small"],
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[1].split() == ["backend", "read", "parse", "rank", "pool",
+                                "build", "peel"]
+    rows = [line.split() for line in lines[2:-1]]
+    assert [r[0] for r in rows] == available_backends()
+    assert all(len(r) == 6 and all(float(x) >= 0 for x in r[1:])
+               for r in rows)
+    assert lines[-1] == "backends load identical graphs"

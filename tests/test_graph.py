@@ -2,14 +2,20 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coremaint import (Edge, EdgeListParseError, Graph, SelfLoopError,
                        load_edge_list, load_edge_list_with_stats, peel,
                        save_edge_list, write_core_file)
-from coremaint.graph import (_read_array, _read_lines, read_edge_pairs,
-                             sorted_unique)
+from coremaint import graph as graph_module
+from coremaint.graph import _read_lines, read_edge_pairs, sorted_unique
+from coremaint.kernels import available_backends, get_backend
+
+
+def parse_lanes():
+    """``parse_pairs`` of every available kernel backend."""
+    return [get_backend(name).parse_pairs for name in available_backends()]
 
 
 def test_add_edge_to_empty_graph():
@@ -297,13 +303,16 @@ def test_array_path_matches_line_parser(tmp_path):
     @given(_edge_list_text())
     def check(data):
         path.write_bytes(data)
-        fast = _read_array(data)
-        took_array_path.append(fast is not None)
+        fast = [parse(data) for parse in parse_lanes()]
+        # every lane reads the same subset of inputs
+        assert len({f is None for f in fast}) == 1
+        took_array_path.append(fast[0] is not None)
         for source in (data, path):
             want = _outcome(_read_lines, source)
             assert _outcome(read_edge_pairs, source) == want
-            if fast is not None:
-                assert ("ok", fast[0].tolist(), fast[1]) == want
+            for f in fast:
+                if f is not None:
+                    assert ("ok", f[0].tolist(), f[1]) == want
 
     check()
     assert 60 <= sum(took_array_path) < len(took_array_path)
@@ -313,20 +322,51 @@ def test_array_path_matches_line_parser(tmp_path):
     b"", b"\n \n", b"# only a comment", b"1 2", b"1 2\n3 4\n",
     b"# SNAP header ~\n10\t20\r\n\r\n 30  40 \n",
     b"  #indented comment\n5 6\n", b"0000000000000000000000007 8\n",
-    b"9223372036854775807 0\n"])
+    b"9223372036854775807 0\n", b"0" * 25 + b"12 3\n", b"1 2\n3 4",
+    b"1 2\t\n3\t4\t", b"\r\n1 2\r\n\r\n \t\r\n3 4\r\n\r\n",
+    b"#\x00 \x7f\r\n1 2\n", b"# a\n\t# b\r\n#", b"0 0\n"])
 def test_plain_inputs_take_the_array_path(data):
-    fast = _read_array(data)
-    assert fast is not None
-    assert _outcome(lambda _: fast, data) == _outcome(_read_lines, data)
+    for parse in parse_lanes():
+        fast = parse(data)
+        assert fast is not None
+        assert _outcome(lambda _: fast, data) == _outcome(_read_lines, data)
 
 
 @pytest.mark.parametrize("data", [
     b"+5 6\n", b"1_000 2\n", b"-1 2\n", b"1 2\r3 4\n", b"1 2 # c\n",
     b"1 2#\n", b"# caf\xc3\xa9\n1 2\n", b"\xd9\xa1 2\n", b"1 2 3\n",
     b"1\n", b"9223372036854775808 1\n", b"1\x0b2\n", b"\xff\n",
-    b"1 2\r"])
+    b"1 2\r", b"1 99999999999999999999\n", b"# a\rb\n1 2\n", b"#\r",
+    b"1 2\x00\n", b"\x00", b"1 2\n\x003 4\n", b"# \xc3\xa9", b"1 2\r\r\n"])
 def test_other_inputs_go_to_the_line_parser(data):
-    assert _read_array(data) is None
+    for parse in parse_lanes():
+        assert parse(data) is None
+
+
+@pytest.mark.parametrize("data", [
+    b"1 2\n9223372036854775808 1\n", b"1 2\n3 99999999999999999999\n"])
+def test_labels_beyond_int64_name_their_line(data):
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_pairs(data)
+    assert err.value.line_no == 2
+
+
+def test_file_is_read_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "open", counting_open, raising=False)
+    path = tmp_path / "graph.edges"
+    for data, want in [(b"1 2\n", ("ok", [[1, 2]], 0)),
+                       (b"+5 6\r# c\n7 8\n", ("ok", [[5, 6], [7, 8]], 1)),
+                       (b"1 2\n3 x\n", ("error", 2))]:
+        path.write_bytes(data)
+        opened.clear()
+        assert _outcome(read_edge_pairs, path) == want
+        assert opened == [path]
 
 
 @pytest.mark.parametrize("kind", ["path", "bytes", "binary stream"])
@@ -403,6 +443,64 @@ def test_from_edges_block_order(labels):
     assert g._identity == (uniq == list(range(len(uniq))))
     assert vars(g.load_stats) == stats and stats["dropped_self_loops"] >= 3
     _assert_blocks_in_construction_order(g, nbrs)
+
+
+def _built(raw) -> tuple:
+    g = Graph.from_edges(raw)
+    index = g._label_index
+    return ([getattr(g, a).tolist() for a in ("_starts", "_lens", "_caps",
+                                              "_pool")],
+            g._labels, g._identity,
+            index and [a.tolist() for a in index], vars(g.load_stats))
+
+
+def _pairs(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def _label_pairs(draw) -> np.ndarray:
+    """Up to 30 pairs of labels from offset + 0..spread: dense or sparse
+    around 0, without label 0, or near 2^62."""
+    offset = draw(st.sampled_from([0, 0, 1, 7, 2 ** 62]))
+    labels = st.integers(offset, offset + draw(st.integers(1, 100)))
+    return _pairs(draw(st.lists(st.tuples(labels, labels), max_size=30)))
+
+
+def test_rank_paths_build_the_same_graph():
+    table, by_sort = graph_module._rank_by_table, graph_module._rank_by_sort
+    sides = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(_label_pairs())
+    @example(_pairs([]))
+    @example(_pairs([(0, 1)]))  # one edge, ranked by the table
+    @example(_pairs([(5, 9)]))  # one edge, ranked by sort
+    @example(_pairs([(1, 2), (2, 3)]))  # label 0 absent
+    @example(_pairs([(2 ** 62, 2 ** 62 + 3), (2 ** 62 + 3, 2 ** 62 + 1)]))
+    @example(_pairs([(0, 2 ** 62)]))
+    def check(raw):
+        top = int(raw.max()) + 1 if raw.size else 0
+        sides.add(top <= 2 * raw.size)  # the density rule
+        got = _built(raw)
+        with pytest.MonkeyPatch.context() as mp:  # ranked by sort
+            mp.setattr(graph_module, "_rank_by_table",
+                       lambda flat, top: by_sort(flat))
+            assert _built(raw) == got
+        if top < 2 ** 20:
+            with pytest.MonkeyPatch.context() as mp:  # ranked by the table
+                mp.setattr(graph_module, "_rank_by_sort",
+                           lambda flat: table(flat, int(flat.max()) + 1))
+                assert _built(raw) == got
+        elif raw.min() >= 2 ** 62:
+            # too sparse for a table: the same graph as the labels near 0
+            near_zero = _built(raw - 2 ** 62)
+            assert (got[0], got[4]) == (near_zero[0], near_zero[4])
+            assert got[1] == [lab + 2 ** 62 for lab in near_zero[1]]
+
+    check()
+    assert sides == {True, False}
 
 
 def test_from_edges_dense_labels_pad_isolated_vertices():

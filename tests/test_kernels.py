@@ -183,7 +183,7 @@ def test_compiled_scratch_is_reusable_and_clean():
 
 
 CONTRACT = ("peel_kernel", "insert_level", "delete_level", "plan_scan",
-            "remove_edges", "has_edges")
+            "remove_edges", "has_edges", "parse_pairs")
 
 
 def parameters(fn):
@@ -416,6 +416,19 @@ def test_compiled_lane_rejects_bad_inputs(field, bad, error):
     # the rejected calls left the thread's arena as they found it
     again = be.delete_level(**level_call_args())
     assert (again[0].tolist(), again[1]) == (moved.tolist(), counters)
+
+
+@needs_c
+@pytest.mark.parametrize("bad", [
+    "1 2\n", bytearray(b"1 2\n"), memoryview(b"1 2\n"),
+    np.frombuffer(b"1 2\n", dtype=np.uint8), None, [b"1 2\n"]],
+    ids=["str", "bytearray", "memoryview", "ndarray", "None", "lines"])
+def test_compiled_parse_rejects_bad_inputs(bad):
+    be = get_backend("c")
+    with pytest.raises(TypeError):
+        be.parse_pairs(bad)
+    pairs, comments = be.parse_pairs(b"# c\n1 2\n3 4")
+    assert (pairs.tolist(), comments) == ([[1, 2], [3, 4]], 1)
 
 
 def removal_call_args():
