@@ -9,12 +9,13 @@ the same loaded graph: untraced, then under corebench's tracer.  Prints
 the median wall time of a delete batch in the untraced pass, then splits
 the traced pass's mean delete batch into its phases:
 
-- build: ``build_delete_batch``, its edge lookup included;
+- build: ``build_delete_batch``;
 - plan: ``plan_round``;
 - mutate: ``Graph._remove_dense``;
 - kernel call: the level kernels, summed over the round's tasks;
 - fan-out self: ``run_level_tasks`` outside the kernels;
-- engine self: the rest of ``delete_edges``.
+- engine self: the rest of ``delete_edges``, its one edge lookup
+  included.
 
 Times are in microseconds.  Run from the repository root; the program is
 imported from this checkout's ``src/``.

@@ -10,7 +10,6 @@ from .graph import (Edge, EdgeListParseError, Graph, SelfLoopError,
 from .kernels import available_backends, default_backend_name, get_backend
 from .runtime import (LevelTaskError, LevelTaskResult, TaskCounters,
                       run_level_tasks)
-from .static_core import (CoreMap, naive_core_numbers, peel, read_core_file,
-                          write_core_file)
+from .static_core import CoreMap, peel, read_core_file, write_core_file
 
 __version__ = "0.1.0"

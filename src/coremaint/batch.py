@@ -1,15 +1,19 @@
 """Pending edge batches and per-round edge selection.
 
 A batch holds the not-yet-applied insertions or deletions as canonical
-dense-id pairs.  Each maintenance round draws one "round plan" from it:
-for every core level k present among the pending edges, a set of level-k
-edges in which no vertex of core k is incident to more than one selected
-edge.  That restriction is what caps every vertex's core change at one
-per round, so the per-level sets can be processed concurrently.
+dense-id pairs.  It is built without looking at the graph's edges: the
+engine checks its pairs against the graph once, when the batch runs.
+Each maintenance round reads one "round plan" from it: for every core
+level k present among the pending edges, a set of level-k edges in which
+no vertex of core k is incident to more than one selected edge.  That
+restriction is what caps every vertex's core change at one per round, so
+the per-level sets can be processed concurrently.
 
 The selection is one greedy scan over the live pairs in canonical order,
 done by the kernel backend's ``plan_scan``.  The scan only marks each pair
-selected or pending; the plan is assembled here with numpy.
+selected or pending; the plan is assembled here with numpy.  Planning
+writes nothing: the engine marks a plan's pairs done once its round has
+committed.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ class EdgeBatch:
     multiplicity: np.ndarray  # batch-edge count per distinct endpoint
     dropped_duplicates: int = 0
     dropped_self_loops: int = 0
-    dropped_existing: int = 0
 
     @property
     def size(self) -> int:
@@ -104,27 +107,15 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
 
 def build_insert_batch(g: Graph, edges) -> EdgeBatch:
     """Batch of edges to insert.  New endpoint labels create vertices now
-    (with core 0); edges already present in the graph are dropped.
+    (with core 0); ``insert_edges`` drops the pairs already in the graph.
     """
-    batch = _new_batch(g, edges, create_vertices=True)
-    present = g._has_dense(batch.pairs[:, 0], batch.pairs[:, 1])
-    batch.dropped_existing = np.count_nonzero(present)
-    if batch.dropped_existing:
-        batch.pairs = batch.pairs[~present]
-        batch.alive = batch.alive[~present]
-        batch.multiplicity = _endpoint_counts(batch.pairs)
-    return batch
+    return _new_batch(g, edges, create_vertices=True)
 
 
 def build_delete_batch(g: Graph, edges) -> EdgeBatch:
-    """Batch of edges to delete; every edge must exist in the graph."""
-    batch = _new_batch(g, edges, create_vertices=False)
-    present = g._has_dense(batch.pairs[:, 0], batch.pairs[:, 1])
-    if np.count_nonzero(present) < len(present):
-        missing = [(g.label_of(u), g.label_of(v))
-                   for u, v in batch.pairs[~present].tolist()]
-        raise BatchError(f"edges not present in graph: {missing}")
-    return batch
+    """Batch of edges to delete.  Every endpoint label must exist;
+    ``delete_edges`` rejects the batch if an edge is not in the graph."""
+    return _new_batch(g, edges, create_vertices=False)
 
 
 @dataclass
@@ -154,20 +145,21 @@ def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
 
 
 def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
-    """Draw one round plan from the batch under the current core numbers.
+    """Plan one round from the batch under the current core numbers.
 
     Scans live pairs in ascending canonical order.  An edge is selected
     unless one of its endpoints sits at the edge's own level and is already
     covered by an earlier selection this round; a selected edge covers each
     of its endpoints whose core equals the level.  ``backend`` (as for
-    ``get_backend``) runs the scan (``plan_scan``).
+    ``get_backend``) runs the scan (``plan_scan``).  Reads the batch and
+    the cores and writes neither; the selected pairs stay live until the
+    caller clears them in ``batch.alive``.
     """
     idx = batch.alive.nonzero()[0]
     us, vs = batch.pairs[idx, 0], batch.pairs[idx, 1]
     status = get_backend(backend).plan_scan(us, vs, cores.values)
     picked = (status == SELECTED).nonzero()[0]
     selected = idx[picked]
-    batch.alive[selected] = False
     us, vs = us[picked], vs[picked]
     # group the selected pairs by level, canonical order within a level
     level = np.minimum(cores.values[us], cores.values[vs])
@@ -181,7 +173,3 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
         plan.level_edges[k] = (us[a:b], vs[a:b])
     return plan
 
-
-def restore_plan(batch: EdgeBatch, plan: RoundPlan):
-    """Put a planned round's edges back (round rollback on task failure)."""
-    batch.alive[plan.selected_indices] = True

@@ -7,6 +7,12 @@ whose core moves, then shift those cores by exactly one.  The selection
 rule (at most one pending edge per vertex at its own core level) is what
 makes the one-step shift correct.
 
+Before its first round the engine looks the batch's live pairs up in the
+graph once: an insert batch drops the pairs already present, and a delete
+batch with an absent pair is rejected before anything changes.  A round's
+pairs are marked done in the batch only once its cores have shifted, so a
+failed round undoes its graph mutation and leaves the batch as it was.
+
 ``sequential_baseline`` runs the same round loop one edge at a time,
 mirroring how single-edge maintenance algorithms process a batch; it is
 the comparison target for the round-based engines.
@@ -19,8 +25,8 @@ from functools import partial
 
 import numpy as np
 
-from .batch import (EdgeBatch, edge_lists, _endpoint_counts, plan_round,
-                    restore_plan)
+from .batch import (BatchError, EdgeBatch, edge_lists, _endpoint_counts,
+                    plan_round)
 from .graph import Graph
 from .kernels import get_backend
 from .runtime import LevelTaskResult, TaskCounters, run_level_tasks
@@ -92,6 +98,24 @@ def _audit_round(log: MaintenanceLog, pre: np.ndarray, post: np.ndarray,
         log.audit_violations.append(f"round {rnd}: core increased on delete")
 
 
+def _check_pairs(g: Graph, batch: EdgeBatch, insert: bool, be) -> int:
+    """Look the batch's live pairs up in the graph, in one call.  An insert
+    batch drops the pairs already present and returns their count; a
+    delete batch with an absent pair raises ``BatchError``, changing
+    nothing."""
+    idx = batch.alive.nonzero()[0]
+    present = g._has_dense(batch.pairs[idx, 0], batch.pairs[idx, 1],
+                           backend=be)
+    if insert:
+        batch.alive[idx[present]] = False
+        return int(np.count_nonzero(present))
+    if not present.all():
+        missing = [(g.label_of(u), g.label_of(v))
+                   for u, v in batch.pairs[idx[~present]].tolist()]
+        raise BatchError(f"edges not present in graph: {missing}")
+    return 0
+
+
 def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                workers: int, backend, audit: bool) -> MaintenanceLog:
     insert = mode == "insert"
@@ -104,21 +128,13 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                    else (remove, g._add_dense))
     log = MaintenanceLog(mode=mode, batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
-    if insert:  # pairs added to the graph since the batch was built
-        idx = batch.alive.nonzero()[0]
-        present = idx[g._has_dense(batch.pairs[idx, 0], batch.pairs[idx, 1],
-                                   backend=be)]
-        batch.alive[present] = False
-        log.dropped_existing = len(present)
+    log.dropped_existing = _check_pairs(g, batch, insert, be)
     while batch.remaining:
         plan = plan_round(batch, cores, backend=be)
         pre = cores.values.copy() if audit else None
-        edges = batch.pairs[plan.selected_indices]
-        try:
-            apply(edges[:, 0], edges[:, 1])
-        except ValueError:  # an edge to delete is gone; nothing was applied
-            restore_plan(batch, plan)
-            raise
+        selected = np.asarray(plan.selected_indices, dtype=np.intp)
+        edges = batch.pairs[selected]
+        apply(edges[:, 0], edges[:, 1])
         starts, lens, pool = g.adjacency_arrays()
         level_edges = plan.level_edges
 
@@ -133,7 +149,6 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             results = run_level_tasks(plan.levels, workers, task, weights)
         except BaseException:  # interrupts too: re-playable round rollback
             undo(edges[:, 0], edges[:, 1])
-            restore_plan(batch, plan)
             raise
         changed: list[int] = []
         agg = TaskCounters()
@@ -141,6 +156,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             cores.values[res.vertices] += step
             changed.extend(res.vertices.tolist())
             agg = agg + res.counters
+        batch.alive[selected] = False  # the round has committed
         changed.sort()
         log.edges_applied += plan.edge_count
         rec = RoundRecord(len(log.rounds) + 1, tuple(plan.levels),
@@ -174,12 +190,15 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
 
     Each live pair, in canonical order, runs through the round engine as a
     one-edge batch, so cores are updated right after it, exactly as
-    single-edge maintenance would do.  A pair is consumed only once its run
-    has returned, so an interrupt leaves it pending and unapplied.  Final
-    cores must match the round-based engine.
+    single-edge maintenance would do.  The whole batch is checked against
+    the graph first, as in the round engine.  A pair is consumed only once
+    its run has returned, so an interrupt leaves it pending and unapplied.
+    Final cores must match the round-based engine.
     """
     log = MaintenanceLog(mode=f"{mode}-baseline", batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
+    log.dropped_existing = _check_pairs(g, batch, mode == "insert",
+                                        get_backend(backend))
     for i in batch.alive.nonzero()[0].tolist():
         one = EdgeBatch(batch.pairs[i:i + 1], np.ones(1, dtype=bool),
                         multiplicity=_endpoint_counts(batch.pairs[i]))
@@ -191,5 +210,4 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
             log.rounds.append(rec)
         log.counters = log.counters + run.counters
         log.edges_applied += run.edges_applied
-        log.dropped_existing += run.dropped_existing
     return log

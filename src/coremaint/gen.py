@@ -13,6 +13,9 @@ import numpy as np
 
 from .graph import Graph, sorted_unique
 
+# sample_new_edges gives up after this many candidates per requested pair
+MAX_TRIES_FACTOR = 1000
+
 
 def _decode_pairs(t: np.ndarray, n: int) -> np.ndarray:
     """Map linear indices over {(u, v): u < v < n} back to pairs.
@@ -104,8 +107,8 @@ def _check_level(level, cores):
 
 
 def sample_new_edges(g: Graph, count: int, seed: int,
-                     level: int | None = None, cores=None,
-                     max_tries_factor: int = 1000) -> list[tuple[int, int]]:
+                     level: int | None = None,
+                     cores=None) -> list[tuple[int, int]]:
     """Sample ``count`` distinct vertex pairs not present in the graph,
     as label pairs.  With ``level`` set, only pairs whose smaller endpoint
     core equals it are accepted (requires ``cores``).
@@ -119,7 +122,7 @@ def sample_new_edges(g: Graph, count: int, seed: int,
     out: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     tries = 0
-    limit = max_tries_factor * max(count, 1)
+    limit = MAX_TRIES_FACTOR * max(count, 1)
     while len(out) < count:
         if tries == limit:
             raise RuntimeError(

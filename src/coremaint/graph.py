@@ -126,8 +126,11 @@ class Graph:
         Self-loops and duplicate edges are dropped (counts on ``load_stats``).
         With ``dense_labels`` the labels are taken as internal ids directly
         (0..n-1); otherwise distinct labels are remapped in sorted order.
-        ``num_vertices`` forces trailing isolated vertices to exist.
+        ``num_vertices`` (only with ``dense_labels``) forces trailing
+        isolated vertices to exist.
         """
+        if num_vertices is not None and not dense_labels:
+            raise ValueError("num_vertices requires dense_labels")
         g = cls()
         stats = LoadStats()
         arr = np.asarray(edges, dtype=np.int64)
@@ -153,8 +156,6 @@ class Graph:
             if n and uniq[-1] != n - 1:  # labels not already 0..n-1
                 g._identity = False
                 g._label_index = (uniq, np.arange(n))
-            if num_vertices is not None and num_vertices > n:
-                raise ValueError("num_vertices requires dense_labels")
 
         loops = dense[:, 0] == dense[:, 1]
         stats.dropped_self_loops = int(np.count_nonzero(loops))

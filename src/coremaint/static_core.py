@@ -1,9 +1,7 @@
-"""Static core decomposition: linear-time peeling plus a naive reference.
+"""Static core decomposition by linear-time peeling, and core files.
 
 ``peel`` is the initializer and the correctness yardstick for the dynamic
-engines.  ``naive_core_numbers`` recomputes cores by literal repeated
-minimum-degree deletion and exists purely as an independent check; it never
-shares code with the peeling kernels.
+engines.
 """
 
 from __future__ import annotations
@@ -64,28 +62,6 @@ def peel(g: Graph, backend: str | None = None) -> CoreMap:
     starts, lens, pool = g.adjacency_arrays()
     kern = get_backend(backend)
     return CoreMap(kern.peel_kernel(g.vertex_count, starts, lens, pool))
-
-
-def naive_core_numbers(g: Graph) -> CoreMap:
-    """Independent reference: repeatedly delete a vertex of minimum degree.
-
-    A vertex's core is the largest minimum degree seen up to the moment it
-    is deleted.  Quadratic; intended for small graphs and tests only.
-    """
-    n = g.vertex_count
-    starts, lens, pool = g.adjacency_arrays()
-    adj = {v: set(pool[starts[v] : starts[v] + lens[v]].tolist())
-           for v in range(n)}
-    cores = np.zeros(n, dtype=np.int32)
-    running_max = 0
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        running_max = max(running_max, len(adj[v]))
-        cores[v] = running_max
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
-    return CoreMap(cores)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coremaint import (BatchError, Graph, build_delete_batch,
-                       build_insert_batch, plan_round)
-from coremaint.batch import restore_plan
+                       build_insert_batch, delete_edges, insert_edges, peel,
+                       plan_round)
 from coremaint.static_core import CoreMap
 
 
@@ -29,7 +29,7 @@ def test_one_edge_per_level_vertex():
     b = build_insert_batch(g, [(0, 1), (0, 2)])
     plan = plan_round(b, cores)
     assert plan.edges_at_level == {1: [(0, 1)]}  # canonical-order first
-    assert b.remaining == 1
+    assert plan.edge_count == 1
 
 
 def test_equal_core_edge_covers_both_endpoints():
@@ -37,7 +37,7 @@ def test_equal_core_edge_covers_both_endpoints():
     b = build_insert_batch(g, [(0, 1), (1, 2)])
     plan = plan_round(b, cores)
     assert plan.edges_at_level[1] == [(0, 1)]
-    assert b.remaining == 1  # (1, 2) left for the next round
+    assert plan.edge_count == 1  # (1, 2) left for the next round
 
 
 def test_shared_higher_core_endpoint_allowed():
@@ -52,7 +52,7 @@ def test_plan_round_single_edge_batch():
     b = build_insert_batch(g, [(0, 1)])
     plan = plan_round(b, cores)
     assert plan.levels == [2]
-    assert b.remaining == 0
+    assert plan.edge_count == 1
 
 
 def test_multiplicity_forces_rounds():
@@ -63,6 +63,7 @@ def test_multiplicity_forces_rounds():
     while b.remaining:
         plan = plan_round(b, cores)
         assert plan.edge_count == 1  # vertex 0 serializes its edges
+        b.alive[plan.selected_indices] = False
         rounds += 1
     assert rounds == 3
 
@@ -71,11 +72,15 @@ def test_multiplicity_counts_batch_endpoints_only():
     g = Graph.from_edges([(5, 7)], num_vertices=1000, dense_labels=True)
     b = build_insert_batch(g, [(5, 900), (5, 7), (7, 900), (8, 999),
                                (900, 5)])
-    # (5, 7) is already present; (900, 5) repeats (5, 900)
-    assert sorted(b.multiplicity.tolist()) == [1, 1, 1, 1, 2]  # 900 twice
+    # (900, 5) repeats (5, 900); the graph's edges do not count, but the
+    # batch is built without looking them up, so its (5, 7) does
+    assert sorted(b.multiplicity.tolist()) == [1, 1, 2, 2, 2]
     assert b.max_multiplicity == 2
+    log = insert_edges(g, peel(g), b)
+    assert (log.dropped_existing, log.edges_applied) == (1, 3)
     b = build_insert_batch(g, [(5, 7)])
-    assert len(b.multiplicity) == 0 and b.max_multiplicity == 0
+    assert b.max_multiplicity == 1
+    assert insert_edges(g, peel(g), b).dropped_existing == 1
 
 
 def test_distinct_levels_go_in_one_round():
@@ -83,7 +88,7 @@ def test_distinct_levels_go_in_one_round():
     b = build_insert_batch(g, [(0, 1), (2, 3), (4, 5)])
     plan = plan_round(b, cores)
     assert plan.levels == [1, 4, 9]
-    assert b.remaining == 0
+    assert plan.edge_count == 3
 
 
 def test_plan_invariants_on_random_batches():
@@ -100,11 +105,10 @@ def test_plan_invariants_on_random_batches():
         b = build_insert_batch(g, sorted(pairs))
         vals = cores.values
         while b.remaining:
-            before = b.remaining
             us, vs = b.pairs[b.alive].T
             pending = set(np.minimum(vals[us], vals[vs]).tolist())
             plan = plan_round(b, cores)
-            assert b.remaining < before  # progress every round
+            assert plan.edge_count > 0  # progress every round
             assert set(plan.levels) == pending  # no level waits a round
             for k in plan.levels:
                 covered = set()
@@ -114,15 +118,17 @@ def test_plan_invariants_on_random_batches():
                         if vals[x] == k:
                             assert x not in covered
                             covered.add(x)
+            b.alive[plan.selected_indices] = False
 
 
 def test_insert_batch_dedup_and_existing():
     g = Graph.from_edges([(0, 1)], dense_labels=True)
     b = build_insert_batch(g, [(1, 2), (2, 1), (0, 1), (3, 3)])
-    assert b.size == 1  # only (1, 2) pending
+    assert b.size == 2  # (0, 1) and (1, 2): the graph is not looked at yet
     assert b.dropped_duplicates == 1
-    assert b.dropped_existing == 1
     assert b.dropped_self_loops == 1
+    log = insert_edges(g, peel(g), b)
+    assert (log.dropped_existing, log.edges_applied) == (1, 1)
 
 
 def test_insert_batch_creates_vertices():
@@ -140,17 +146,23 @@ def test_insert_batch_bad_label_creates_no_vertex():
 
 def test_delete_batch_requires_present_edges():
     g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
+    batch = build_delete_batch(g, [(0, 1), (0, 2)])
     with pytest.raises(BatchError) as err:
-        build_delete_batch(g, [(0, 1), (0, 2)])
+        delete_edges(g, peel(g), batch)
     assert "(0, 2)" in str(err.value)
 
 
 def test_delete_batch_names_missing_labels_and_mutates_nothing():
     g = Graph.from_edges([(10, 20), (20, 30), (30, 40)])
     edges, lens = sorted(g.edges()), g.adjacency_arrays()[1].copy()
+    cores = peel(g)
+    core_values = cores.values.copy()
+    batch = build_delete_batch(g, [(20, 10), (40, 10), (30, 20)])
     with pytest.raises(BatchError) as err:
-        build_delete_batch(g, [(20, 10), (40, 10), (30, 20)])
+        delete_edges(g, cores, batch)
     assert "edges not present in graph: [(10, 40)]" in str(err.value)
+    assert batch.alive.all()
+    assert np.array_equal(cores.values, core_values)
     with pytest.raises(BatchError, match="unknown vertex 99"):
         build_delete_batch(g, [(10, 20), (99, 10)])
     assert sorted(g.edges()) == edges and g.vertex_count == 4
@@ -161,13 +173,14 @@ def test_insert_batch_creates_vertices_in_first_sight_order():
     # sparse labels: new labels get the next dense ids as first seen,
     # skipping self-loops and pairs already seen
     g = Graph.from_edges([(10, 20), (20, 30)])
+    cores = peel(g)
     b = build_insert_batch(g, [(50, 10), (7, 7), (99, 50), (20, 10),
                                (61, 60), (60, 61), (5, 99)])
     assert [g.label_of(i) for i in range(g.vertex_count)] == \
         [10, 20, 30, 50, 99, 61, 60, 5]
-    assert b.pairs.tolist() == [[0, 3], [3, 4], [4, 7], [5, 6]]
-    assert (b.dropped_duplicates, b.dropped_self_loops,
-            b.dropped_existing) == (1, 1, 1)
+    assert b.pairs.tolist() == [[0, 1], [0, 3], [3, 4], [4, 7], [5, 6]]
+    assert (b.dropped_duplicates, b.dropped_self_loops) == (1, 1)
+    assert insert_edges(g, cores, b).dropped_existing == 1  # (20, 10)
     # identity labels stay identity only while new labels come in order
     g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
     build_insert_batch(g, [(3, 0), (4, 3)])
@@ -178,13 +191,15 @@ def test_insert_batch_creates_vertices_in_first_sight_order():
     assert g.dense_of(5) == 6 and g.dense_of(7) == 7
 
 
-def test_restore_plan_puts_edges_back():
+def test_plan_round_leaves_the_batch_unchanged():
+    # the engine, not the planner, marks a round's pairs done
     g, cores = graph_with_cores([2, 2, 2, 2])
-    b = build_insert_batch(g, [(0, 1), (2, 3)])
+    b = build_insert_batch(g, [(0, 1), (1, 2), (2, 3)])
+    alive, values = b.alive.copy(), cores.values.copy()
     plan = plan_round(b, cores)
-    assert b.remaining == 0
-    restore_plan(b, plan)
-    assert b.remaining == 2
+    assert plan.selected_indices == [0, 2]  # (1, 2) waits a round
+    assert np.array_equal(b.alive, alive)
+    assert np.array_equal(cores.values, values)
 
 
 def test_repeated_plans_drain_within_selection_bound():
@@ -203,6 +218,37 @@ def test_repeated_plans_drain_within_selection_bound():
         mult = b.max_multiplicity
         rounds = 0
         while b.remaining:
-            plan_round(b, cores)
+            plan = plan_round(b, cores)
+            b.alive[plan.selected_indices] = False
             rounds += 1
         assert rounds <= max(1, 2 * mult - 1)
+
+
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+def test_one_graph_lookup_per_batch(monkeypatch, mode):
+    # the builders never look edges up; the engine does, once per batch
+    # however many rounds it takes
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)],
+                         dense_labels=True)
+    cores = peel(g)
+    calls = []
+    has_dense = Graph._has_dense
+
+    def counting(self, *args, **kwargs):
+        calls.append(mode)
+        return has_dense(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "_has_dense", counting)
+    if mode == "insert":
+        batch = build_insert_batch(g, [(0, 1), (1, 3), (0, 4), (3, 4),
+                                       (1, 4)])
+        assert calls == []
+        log = insert_edges(g, cores, batch)
+    else:
+        batch = build_delete_batch(g, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        assert calls == []
+        log = delete_edges(g, cores, batch)
+    assert len(calls) == 1
+    assert log.rounds_executed > 1
+    monkeypatch.undo()
+    assert cores == peel(g)

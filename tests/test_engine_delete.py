@@ -1,11 +1,13 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 
-from coremaint import Graph, build_delete_batch, delete_edges, peel
+from coremaint import (BatchError, Graph, build_delete_batch, delete_edges,
+                       peel, sequential_baseline)
 from coremaint.kernels import available_backends
-from support_oracle import support_degree
+from support_oracle import networkx_core_numbers, support_degree
 
 
 def er_like(n, p, seed):
@@ -74,6 +76,28 @@ def test_edge_removed_after_batch_build_is_rejected():
     g.check_invariants()
 
 
+@pytest.mark.parametrize("engine", [
+    pytest.param(delete_edges, id="rounds"),
+    pytest.param(partial(sequential_baseline, mode="delete"), id="baseline"),
+])
+def test_edge_removed_after_build_rejects_a_multi_round_batch(engine):
+    # triangles 0-1-2 and 0-3-4 share vertex 0, so the batch takes two
+    # rounds (or two one-edge runs); the edge that is gone would be
+    # reached only in the second
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)],
+                         dense_labels=True)
+    cores = peel(g)
+    batch = build_delete_batch(g, [(0, 1), (0, 3)])
+    assert batch.max_multiplicity == 2
+    g.remove_edge(0, 3)
+    before = (sorted(g.edges()), cores.values.tolist(), batch.alive.tolist())
+    with pytest.raises(BatchError, match=r"in graph: \[\(0, 3\)\]"):
+        engine(g, cores, batch)
+    assert (sorted(g.edges()), cores.values.tolist(),
+            batch.alive.tolist()) == before
+    g.check_invariants()
+
+
 def test_isolated_vertices_survive_with_core_zero():
     g = Graph.from_edges([(0, 1)], num_vertices=4, dense_labels=True)
     cores, _ = run_delete(g, [(0, 1)])
@@ -95,6 +119,7 @@ def test_random_batches_match_peel(backend):
         cores, log = run_delete(g, [edges[i] for i in idx],
                                 backend=backend, audit=True)
         assert cores == peel(g), f"trial {trial}"
+        assert cores == networkx_core_numbers(g), f"trial {trial}"
         assert log.audit_violations == []
 
 

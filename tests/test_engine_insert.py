@@ -6,7 +6,8 @@ import pytest
 from coremaint import CoreMap, Graph, build_insert_batch, insert_edges, peel
 from coremaint.gen import sample_new_edges
 from coremaint.kernels import available_backends
-from support_oracle import constrained_support, support_degree
+from support_oracle import (constrained_support, networkx_core_numbers,
+                            support_degree)
 
 
 def er_like(n, p, seed):
@@ -156,6 +157,7 @@ def test_random_batches_match_peel(backend):
         cores, log = run_insert(g, [non_edges[i] for i in idx],
                                 backend=backend, audit=True)
         assert cores == peel(g), f"trial {trial}"
+        assert cores == networkx_core_numbers(g), f"trial {trial}"
         assert log.audit_violations == []
 
 

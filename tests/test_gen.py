@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coremaint import load_edge_list, peel
+from coremaint import gen, load_edge_list, peel
 from coremaint.gen import (_decode_pairs, generate_ba, generate_er,
                            generate_graph, sample_existing_edges,
                            sample_new_edges)
@@ -108,10 +108,11 @@ def test_sample_new_edges_matches_one_candidate_at_a_time(seed):
         one_candidate_at_a_time(g, 30, seed, level=level, cores=cores)
 
 
-def test_sample_new_edges_gives_up_after_the_try_limit():
+def test_sample_new_edges_gives_up_after_the_try_limit(monkeypatch):
+    monkeypatch.setattr(gen, "MAX_TRIES_FACTOR", 20)
     g = load_edge_list(b"0 1\n1 2\n0 2\n")
     with pytest.raises(RuntimeError, match="after 40 tries"):
-        sample_new_edges(g, 2, seed=1, max_tries_factor=20)
+        sample_new_edges(g, 2, seed=1)
 
 
 def test_sample_existing_edges_are_present_and_distinct():

@@ -514,6 +514,13 @@ def test_from_edges_dense_labels_pad_isolated_vertices():
     assert g._lens[5:].tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("num_vertices", [0, 2, 3, 5])
+def test_from_edges_rejects_num_vertices_without_dense_labels(num_vertices):
+    # fewer, as many and more vertices than the labels give: all refused
+    with pytest.raises(ValueError, match="num_vertices requires dense_labels"):
+        Graph.from_edges([(0, 1), (1, 2)], num_vertices=num_vertices)
+
+
 def test_from_edges_of_no_edges():
     g = Graph.from_edges(np.zeros((0, 2), dtype=np.int64))
     assert (g.vertex_count, g.edge_count, g._pool_used) == (0, 0, 0)

@@ -536,6 +536,8 @@ def test_plan_lanes_agree(mode):
             plans = [plan_round(b, cores, backend=lane)
                      for b, lane in ((batch, "python"), (twin, "c"))]
             assert plans_equal(*plans)
+            for b, plan in zip((batch, twin), plans):
+                b.alive[plan.selected_indices] = False
             assert np.array_equal(batch.alive, twin.alive)
             blocked += batch.remaining
             rounds += 1
