@@ -11,10 +11,10 @@ a batch size), every available kernel backend and every worker count of
 baseline runs a seeded sample of the batch (``Case.sample`` edges), as
 acceptance test A9 does.  Both are timed around the maintenance call
 alone and reported in milliseconds per edge; ``speedup`` is the baseline's
-figure over the engine's.  A second, traced pass of the engine under
-corebench's tracer gives ``runtime.parallelism`` (kernel CPU time over
-fan-out wall time) and ``runtime.straggler_share`` (the slowest level
-task's share of the fan-out).  Every run is checked against a fresh
+figure over the engine's.  The engine's round records give
+``runtime.parallelism`` (level-task CPU time over fan-out wall time) and
+``runtime.straggler_share`` (the slowest level task's share of the
+fan-out), summed over the rounds.  Every run is checked against a fresh
 ``peel``; a row whose runs did not all match has ``"correct": false`` and
 the script exits 1.
 
@@ -31,11 +31,9 @@ import os
 import socket
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
-from unittest import mock
 
 import numpy as np
 
@@ -43,7 +41,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "corebench"))
 
 import run  # noqa: E402  (corebench/run.py; imports coremaint from src/)
-import tracing  # noqa: E402  (corebench/tracing.py)
 from coremaint.gen import (generate_graph, sample_existing_edges,  # noqa: E402
                            sample_new_edges)
 
@@ -69,13 +66,14 @@ CASES = tuple(Case(model, n, deg, mode, batch, sample)
 WORKERS = (1, 2)
 
 
-@contextmanager
-def traced(backend):
-    """corebench's tracer, with its kernel spans on ``backend``'s kernels
-    (it wraps the kernels of what ``get_backend()`` returns)."""
-    with mock.patch.object(tracing, "get_backend", lambda: backend), \
-            tracing.Tracer() as tracer:
-        yield tracer
+def fan_out(log) -> tuple[float, float]:
+    """(parallelism, straggler share) of the log's rounds: the level
+    tasks' CPU time, and the sum of each round's slowest task wall time,
+    over the rounds' fan-out wall time."""
+    fanout = max(sum(r.fanout_ns for r in log.rounds), 1)
+    cpu = sum(t.cpu_ns for r in log.rounds for t in r.tasks)
+    slowest = sum(max(t.wall_ns for t in r.tasks) for r in log.rounds)
+    return cpu / fanout, slowest / fanout
 
 
 def run_case(case: Case, backend: str, seed: int) -> list[dict]:
@@ -111,9 +109,7 @@ def run_case(case: Case, backend: str, seed: int) -> list[dict]:
     rows = []
     for workers in WORKERS:
         log, engine_s, ok = maintain(edges, workers)
-        with traced(cm.get_backend(backend)) as tracer:
-            _, _, traced_ok = maintain(edges, workers)
-        spans = tracing.span_metrics(tracer)
+        parallelism, straggler_share = fan_out(log)
         engine_ms = engine_s / case.batch * 1e3
         rows.append({
             **case._asdict(), "backend": backend, "workers": workers,
@@ -122,9 +118,9 @@ def run_case(case: Case, backend: str, seed: int) -> list[dict]:
             "speedup": baseline_ms / engine_ms,
             "rounds": log.rounds_executed,
             "counters": asdict(log.counters),
-            "runtime.parallelism": spans["runtime.parallelism"][0],
-            "runtime.straggler_share": spans["runtime.straggler_share"][0],
-            "correct": base_ok and ok and traced_ok,
+            "runtime.parallelism": parallelism,
+            "runtime.straggler_share": straggler_share,
+            "correct": base_ok and ok,
         })
     return rows
 

@@ -12,8 +12,10 @@ the traced pass's mean delete batch into its phases:
 - build: ``build_delete_batch``;
 - plan: ``plan_round``;
 - mutate: ``Graph._remove_dense``;
-- kernel call: the level kernels, summed over the round's tasks;
-- fan-out self: ``run_level_tasks`` outside the kernels;
+- kernel call: the level tasks' wall time, summed over the round's tasks,
+  from the engine's round records;
+- fan-out self: ``run_level_tasks`` less, per round, the kernel time of
+  its busiest worker (the records again);
 - engine self: the rest of ``delete_edges``, its one edge lookup
   included.
 
@@ -27,7 +29,9 @@ import argparse
 import statistics
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "corebench"))
@@ -35,9 +39,19 @@ sys.path.insert(0, str(ROOT / "corebench"))
 import run  # noqa: E402  (corebench/run.py; imports coremaint from src/)
 from tracing import Tracer, span_metrics  # noqa: E402
 
-PHASES = (("build", "batch.build_s"), ("plan", "batch.plan_s"),
-          ("mutate", "graph.mutate_s"), ("kernel call", "kernels.wall_s"),
-          ("fan-out self", "runtime.self_s"), ("engine self", "engine.self_s"))
+
+def kernel_seconds(logs) -> tuple[float, float]:
+    """(all level tasks' wall time, the busiest worker's per round) summed
+    over the logs' rounds."""
+    total = busiest = 0
+    for log in logs:
+        for rec in log.rounds:
+            per_worker = Counter()
+            for t in rec.tasks:
+                per_worker[t.worker] += t.wall_ns
+            total += sum(per_worker.values())
+            busiest += max(per_worker.values())
+    return total * 1e-9, busiest * 1e-9
 
 
 def main(argv=None) -> int:
@@ -52,7 +66,14 @@ def main(argv=None) -> int:
         run.write_edge_list(path, base, spec.n, "small_batch_phases")
         g0, cores0 = run.load_and_peel(path)
     plain = run.drive(spec, g0, cores0, base, args.seed, args.seconds)
-    with Tracer() as tracer:
+    logs, delete_edges = [], run.cm.delete_edges
+
+    def logged(*a, **kw):
+        logs.append(delete_edges(*a, **kw))
+        return logs[-1]
+
+    with mock.patch.object(run.cm, "delete_edges", logged), \
+            Tracer() as tracer:
         traced = run.drive(spec, g0, cores0, base, args.seed, args.seconds,
                            tracer)
     if plain.error or traced.error:
@@ -60,14 +81,21 @@ def main(argv=None) -> int:
     deletes = {i for i, r in enumerate(traced.records) if r.kind == "delete"}
     tracer.spans = [s for s in tracer.spans if s.batch in deletes]
     metrics = span_metrics(tracer)
+    kernel_s, busiest_s = kernel_seconds(logs)
+    phases = (("build", metrics["batch.build_s"][0]),
+              ("plan", metrics["batch.plan_s"][0]),
+              ("mutate", metrics["graph.mutate_s"][0]),
+              ("kernel call", kernel_s),
+              ("fan-out self", metrics["runtime.fanout_s"][0] - busiest_s),
+              ("engine self", metrics["engine.self_s"][0]))
     per = 1e6 / len(deletes)
     median = statistics.median(r.seconds for r in plain.records
                                if r.kind == "delete")
     print(f"backend {run.cm.default_backend_name()}, seed {args.seed}: "
           f"{len(deletes)} traced delete batches")
     print(f"untraced delete batch median {median * 1e6:8.1f} us")
-    for name, key in PHASES:
-        print(f"  {name:<14}{metrics[key][0] * per:8.1f} us")
+    for name, seconds in phases:
+        print(f"  {name:<14}{seconds * per:8.1f} us")
     return 0
 
 

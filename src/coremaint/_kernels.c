@@ -1,36 +1,51 @@
-/* Compiled traversal kernels, round planner scan, block removal, edge
-   lookup and edge-list parsing.
+/* Compiled traversal kernels, the round runner, round planner scan, block
+   removal, edge lookup and edge-list parsing.
 
    Step-for-step port of _kernels_py.py (same visit order, same counters):
    the level kernels, plan_round's greedy scan, the block compaction and
-   the edge lookup, in plain C99 with no Python API; the edge-list parser
+   the edge lookup, in plain C11 with no Python API; the edge-list parser
    reads the same subset of inputs as the Python lane's, in one pass.
-   _kernels_c.py compiles this file and calls it through cffi (ABI mode),
-   which releases the GIL for the duration of a call, so the level tasks of
-   a round run in parallel.
+   _kernels_c.py compiles this file (with -pthread) and calls it through
+   cffi (ABI mode), which releases the GIL for the duration of a call.
+
+   cm_run_levels runs all level tasks of a round in that one call.  The
+   calling thread claims levels from an atomic cursor, heaviest first;
+   persistent helper threads, started on first need and kept for the life
+   of the process, claim the rest.  The caller waits only for levels a
+   helper has claimed, so a round of tiny levels costs no thread handoff.
+   A fork() child forgets the parent's helpers and starts its own.
 
    Every entry point that takes vertex ids checks that they lie in 0..n-1
-   before it writes anything and returns BAD_ENDPOINT otherwise; the caller
-   checks dtypes, contiguity and lengths.
+   before it writes anything and returns BAD_ENDPOINT otherwise, and the
+   level kernels check that each edge lies at their level (BAD_LEVEL); the
+   caller checks dtypes, contiguity and lengths.
 
    Per-vertex scratch (visited, removed, slack, sup, csup) lives in an
-   arena that the calling thread owns and keeps across calls, so concurrent
-   tasks never share one and a task may use any of its slots.  Each call
+   arena that one thread owns and keeps across calls, so concurrent tasks
+   never share one and a task may use any of its slots: the calling
+   thread's arena comes from Python, each helper's is its own.  Each call
    resets every slot it wrote (it records them on its dirty list) before it
-   returns, so the next call on that thread finds the arena clean; a call
-   that fails to allocate returns ALLOC_FAILED and may leave a slot written
-   but not recorded, so the caller drops that arena.
+   returns, so the next call finds the arena clean; a call that fails to
+   allocate returns ALLOC_FAILED and may leave a slot written but not
+   recorded, so its arena is dropped.
 
    Counter layout: visited, removed, neg_touches, sup_evals, csup_evals. */
 
+#define _POSIX_C_SOURCE 200809L
+
+#include <pthread.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+#include <time.h>
 
 #define UNSET (-1)
 
 /* Error returns of the entry points (all negative). */
 enum { ALLOC_FAILED = -1, BAD_ORDER = -2, BAD_ENDPOINT = -3, NOT_EDGES = -4,
-       NOT_MINE = -5 };
+       NOT_MINE = -5, BAD_LEVEL = -6 };
 
 /* Do the p ids of a and of b all lie in 0..n-1? */
 static int in_range(int64_t p, const int32_t *a, const int32_t *b, int64_t n)
@@ -38,6 +53,20 @@ static int in_range(int64_t p, const int32_t *a, const int32_t *b, int64_t n)
     for (int64_t i = 0; i < p; i++)
         if (a[i] < 0 || a[i] >= n || b[i] < 0 || b[i] >= n)
             return 0;
+    return 1;
+}
+
+/* Is k the lower endpoint core of each of the p edges (a, b)?  Then a
+   level task visits only vertices of core k, so the tasks of one round
+   move disjoint vertex sets. */
+static int at_level(int64_t p, const int32_t *a, const int32_t *b,
+                    const int32_t *cores, int32_t k)
+{
+    for (int64_t i = 0; i < p; i++) {
+        int32_t ca = cores[a[i]], cb = cores[b[i]];
+        if ((ca < cb ? ca : cb) != k)
+            return 0;
+    }
     return 1;
 }
 
@@ -290,7 +319,8 @@ static int64_t finish(Task *t, int keep_removed)
 /* Vertices of core level k that rise after the level's p edges (eu, ev)
    were inserted into the adjacency arrays of the n vertices.  Returns their
    count and leaves them, in visit order, at the front of moved (room for
-   one id per vertex); ctr receives the five counters. */
+   one id per vertex); ctr receives the five counters.  Returns BAD_LEVEL
+   unless every edge lies at level k. */
 int64_t cm_insert_level(int64_t n, const int64_t *starts, const int32_t *lens,
                         const int32_t *pool, const int32_t *cores, int32_t k,
                         int64_t p, const int32_t *eu, const int32_t *ev,
@@ -298,6 +328,8 @@ int64_t cm_insert_level(int64_t n, const int64_t *starts, const int32_t *lens,
 {
     if (!in_range(p, eu, ev, n))
         return BAD_ENDPOINT;
+    if (!at_level(p, eu, ev, cores, k))
+        return BAD_LEVEL;
     Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
               ctr, 0};
     Arena a = t.a;
@@ -341,6 +373,8 @@ int64_t cm_delete_level(int64_t n, const int64_t *starts, const int32_t *lens,
 {
     if (!in_range(p, eu, ev, n))
         return BAD_ENDPOINT;
+    if (!at_level(p, eu, ev, cores, k))
+        return BAD_LEVEL;
     Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
               ctr, 0};
     for (int64_t i = 0; i < p && !t.err; i++) {
@@ -353,6 +387,255 @@ int64_t cm_delete_level(int64_t n, const int64_t *starts, const int32_t *lens,
         }
     }
     return finish(&t, 1);
+}
+
+/* ------------------------------------------------------------------
+   one round's level tasks on the calling thread and helper threads */
+
+/* A row of results per level: the moved count (or an error return), the
+   offset of the level's ids in the round's output, the five counters, wall
+   and thread-CPU nanoseconds, and the worker slot that ran it (0 is the
+   calling thread, h the h-th helper to join the round). */
+enum { R_COUNT, R_OFFSET, R_CTR, R_WALL = R_CTR + 5, R_CPU, R_WORKER, ROW };
+
+#define MAX_HELPERS 63
+
+typedef struct Round {
+    int insert;
+    int64_t n;
+    const int64_t *starts;
+    const int32_t *lens, *pool, *cores;
+    int64_t levels;  /* in claim order */
+    const int64_t *ks, *bounds;  /* level i is ks[i] with p = bounds[i+1] -
+                                    bounds[i] edges: eu at edges + 2 *
+                                    bounds[i], then ev */
+    const int32_t *edges;
+    int32_t *out;
+    int64_t *rows;
+    atomic_int_fast64_t next;  /* claim cursor */
+    atomic_int_fast64_t used;  /* ids written to out */
+    int64_t want, joined, seats;  /* helpers wanted, inside, ever joined;
+                                     under lock */
+    struct Round *link;  /* open rounds; under lock */
+} Round;
+
+/* A helper's arena, with room for one level's visit order. */
+typedef struct {
+    Arena a;
+    int32_t *order;
+    int64_t cap;
+} OwnArena;
+
+static OwnArena helper_arenas[MAX_HELPERS];
+static int64_t started;  /* helpers alive; under lock */
+static Round *open_rounds;  /* rounds helpers may join; under lock */
+static pthread_mutex_t lock = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t work = PTHREAD_COND_INITIALIZER;  /* a round opened */
+static pthread_cond_t idle = PTHREAD_COND_INITIALIZER;  /* a helper left */
+static pthread_once_t fork_hooks = PTHREAD_ONCE_INIT;
+
+static void own_drop(OwnArena *o)
+{
+    free(o->a.visited);
+    free(o->a.removed);
+    free(o->a.slack);
+    free(o->a.sup);
+    free(o->a.csup);
+    free(o->order);
+    memset(o, 0, sizeof *o);
+}
+
+/* Grows o (at least doubling it) to cover n vertices, every slot at its
+   reset value.  Returns 0, or ALLOC_FAILED with o dropped. */
+static int own_fit(OwnArena *o, int64_t n)
+{
+    if (o->cap >= n)
+        return 0;
+    size_t cap = (size_t)(n > 2 * o->cap ? n : 2 * o->cap);
+    own_drop(o);
+    o->a.visited = calloc(cap, 1);
+    o->a.removed = calloc(cap, 1);
+    o->a.slack = calloc(cap, sizeof *o->a.slack);
+    o->a.sup = malloc(cap * sizeof *o->a.sup);
+    o->a.csup = malloc(cap * sizeof *o->a.csup);
+    o->order = malloc(cap * sizeof *o->order);
+    if (!(o->a.visited && o->a.removed && o->a.slack && o->a.sup
+          && o->a.csup && o->order)) {
+        own_drop(o);
+        return ALLOC_FAILED;
+    }
+    memset(o->a.sup, 0xff, cap * sizeof *o->a.sup);  /* UNSET */
+    memset(o->a.csup, 0xff, cap * sizeof *o->a.csup);
+    o->cap = (int64_t)cap;
+    return 0;
+}
+
+static int64_t ns(clockid_t clock)
+{
+    struct timespec t;
+    clock_gettime(clock, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+/* Runs level i of r with an arena whose visit-order room is order (NULL
+   arena: it could not be allocated), and fills its row. */
+static void run_level(Round *r, int64_t i, int64_t slot, const Arena *arena,
+                      int32_t *order)
+{
+    int64_t *row = r->rows + i * ROW;
+    int64_t wall = ns(CLOCK_MONOTONIC), cpu = ns(CLOCK_THREAD_CPUTIME_ID);
+    int64_t cnt = ALLOC_FAILED;
+    if (arena) {
+        int64_t b = r->bounds[i], p = r->bounds[i + 1] - b;
+        const int32_t *eu = r->edges + 2 * b;
+        cnt = (r->insert ? cm_insert_level : cm_delete_level)(
+            r->n, r->starts, r->lens, r->pool, r->cores, (int32_t)r->ks[i],
+            p, eu, eu + p, arena, order, row + R_CTR);
+    }
+    if (cnt > 0) {
+        int64_t at = atomic_fetch_add(&r->used, cnt);
+        memcpy(r->out + at, order, (size_t)cnt * sizeof *order);
+        row[R_OFFSET] = at;
+    }
+    row[R_COUNT] = cnt;
+    row[R_WALL] = ns(CLOCK_MONOTONIC) - wall;
+    row[R_CPU] = ns(CLOCK_THREAD_CPUTIME_ID) - cpu;
+    row[R_WORKER] = slot;
+}
+
+/* An open round with unclaimed levels that wants more helpers (under
+   lock). */
+static Round *joinable(void)
+{
+    for (Round *r = open_rounds; r; r = r->link)
+        if (r->joined < r->want && atomic_load(&r->next) < r->levels)
+            return r;
+    return NULL;
+}
+
+static void *helper_main(void *arg)
+{
+    OwnArena *own = arg;
+    pthread_mutex_lock(&lock);
+    for (;;) {
+        Round *r = joinable();
+        if (!r) {
+            pthread_cond_wait(&work, &lock);
+            continue;
+        }
+        r->joined++;
+        int64_t slot = ++r->seats;
+        pthread_mutex_unlock(&lock);
+        for (int64_t i; (i = atomic_fetch_add(&r->next, 1)) < r->levels;) {
+            int ok = own_fit(own, r->n) == 0;
+            run_level(r, i, slot, ok ? &own->a : NULL, own->order);
+            if (r->rows[i * ROW + R_COUNT] == ALLOC_FAILED)
+                own_drop(own);
+        }
+        pthread_mutex_lock(&lock);
+        if (--r->joined == 0)
+            pthread_cond_broadcast(&idle);
+    }
+    return NULL;
+}
+
+/* Starts helpers until want are alive, as far as threads can be made
+   (under lock).  Helpers block every signal: the calling thread takes
+   them. */
+static void start_helpers(int64_t want)
+{
+    sigset_t all, old;
+    pthread_attr_t attr;
+    sigfillset(&all);
+    pthread_sigmask(SIG_BLOCK, &all, &old);
+    pthread_attr_init(&attr);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    while (started < want) {
+        pthread_t th;
+        if (pthread_create(&th, &attr, helper_main, &helper_arenas[started]))
+            break;
+        started++;
+    }
+    pthread_attr_destroy(&attr);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+}
+
+static void fork_prepare(void)
+{
+    pthread_mutex_lock(&lock);
+}
+
+static void fork_parent(void)
+{
+    pthread_mutex_unlock(&lock);
+}
+
+/* Only the forking thread lives on in the child: forget the helpers and
+   every open round. */
+static void fork_child(void)
+{
+    for (int64_t h = 0; h < started; h++)
+        own_drop(&helper_arenas[h]);
+    started = 0;
+    open_rounds = NULL;
+    pthread_mutex_init(&lock, NULL);
+    pthread_cond_init(&work, NULL);
+    pthread_cond_init(&idle, NULL);
+}
+
+static void install_fork_hooks(void)
+{
+    pthread_atfork(fork_prepare, fork_parent, fork_child);
+}
+
+/* Runs the level tasks of one round over the adjacency arrays and cores
+   of the n vertices; insert selects the kernel.  meta holds the levels in
+   claim order (heaviest first), then levels + 1 edge offsets: level i is
+   meta[i], with p = bounds[i + 1] - bounds[i] edges (bounds = meta +
+   levels) whose eu, then ev, start at edges + 2 * bounds[i].  The calling
+   thread uses arena and order (room for n ids) and asks for up to
+   helpers_wanted helper threads.  Each level's moved ids go to out (room
+   for n ids) and its results to its row of rows (ROW int64, counters
+   zeroed); a failed level's count is its error return.  Returns once
+   every level has finished. */
+void cm_run_levels(int insert, int64_t n, const int64_t *starts,
+                   const int32_t *lens, const int32_t *pool,
+                   const int32_t *cores, int64_t levels,
+                   const int64_t *meta, const int32_t *edges,
+                   int64_t helpers_wanted, const Arena *arena,
+                   int32_t *order, int32_t *out, int64_t *rows)
+{
+    Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
+               .pool = pool, .cores = cores, .levels = levels, .ks = meta,
+               .bounds = meta + levels, .edges = edges, .out = out,
+               .rows = rows};
+    atomic_init(&r.next, 0);
+    atomic_init(&r.used, 0);
+    int64_t want = helpers_wanted < MAX_HELPERS ? helpers_wanted : MAX_HELPERS;
+    if (want > 0) {
+        pthread_once(&fork_hooks, install_fork_hooks);
+        pthread_mutex_lock(&lock);
+        if (started < want)
+            start_helpers(want);
+        r.want = want;
+        r.link = open_rounds;
+        open_rounds = &r;
+        for (int64_t h = 0; h < want; h++)
+            pthread_cond_signal(&work);
+        pthread_mutex_unlock(&lock);
+    }
+    for (int64_t i; (i = atomic_fetch_add(&r.next, 1)) < levels;)
+        run_level(&r, i, 0, arena, order);
+    if (want > 0) {
+        pthread_mutex_lock(&lock);
+        Round **at = &open_rounds;
+        while (*at != &r)
+            at = &(*at)->link;
+        *at = r.link;
+        while (r.joined)
+            pthread_cond_wait(&idle, &lock);
+        pthread_mutex_unlock(&lock);
+    }
 }
 
 /* ------------------------------------------------------------------

@@ -1,27 +1,33 @@
 """Compiled backend: ``_kernels.c`` called through cffi in ABI mode.
 
-It has the seven functions of the backend contract (see ``_kernels_py``):
-the traversal kernels, the round planner's greedy scan (``plan_scan``),
-the removal of a round's edges from the adjacency blocks
-(``remove_edges``), the edge lookup (``has_edges``) and the one-pass
-edge-list reader (``parse_pairs``).
+It has the eight functions of the backend contract (see ``_kernels_py``):
+the traversal kernels, the round runner (``run_levels``), the round
+planner's greedy scan (``plan_scan``), the removal of a round's edges from
+the adjacency blocks (``remove_edges``), the edge lookup (``has_edges``)
+and the one-pass edge-list reader (``parse_pairs``).
 
 Importing this module compiles the C file with the system C compiler
-(``cc``) into ``__pycache__/`` next to it, keyed by a hash of the source
-and flags, and opens the shared library with ``cffi.FFI.dlopen``; a new
-build deletes the builds of earlier sources there.  A failed build, or a
-missing ``cffi``, raises ImportError with the reason, and ``kernels`` then
-falls back to the pure-Python lane.  cffi releases the GIL for the
-duration of each foreign call, so per-level tasks run in parallel.
+(``cc``, with ``-pthread``) into ``__pycache__/`` next to it, keyed by a
+hash of the source and flags, and opens the shared library with
+``cffi.FFI.dlopen``; a new build deletes the builds of earlier sources
+there.  A failed build, or a missing ``cffi``, raises ImportError with the
+reason, and ``kernels`` then falls back to the pure-Python lane.  cffi
+releases the GIL for the duration of each foreign call.
 
-The level kernels keep their per-vertex scratch in an arena owned by the
-calling thread and kept across calls, so concurrent tasks never share
-one; it grows when a graph has more vertices than it covers.
+``run_levels`` runs all level tasks of a round in one foreign call: the
+calling thread takes levels heaviest first and up to ``min(workers,
+levels) - 1`` helper threads of the C code take the rest.  The helpers
+start on first need and serve every later round of the process.
+
+The level kernels keep their per-vertex scratch in an arena owned by one
+thread and kept across calls, so concurrent tasks never share one: the
+calling thread's arena is kept here, and it grows when a graph has more
+vertices than it covers; each helper keeps its own in C.
 
 Every entry point checks dtypes, contiguity and lengths (``parse_pairs``:
 that it was given ``bytes``) before it calls into C; the C code checks
-that every vertex id it is given lies in 0..n-1 before it writes
-anything.  The adjacency contents themselves (pool entries, block
+that every vertex id it is given lies in 0..n-1, and that every edge of a
+level lies at that level, before it writes anything.  The adjacency contents themselves (pool entries, block
 extents) are trusted: ``Graph`` keeps them consistent.
 """
 
@@ -31,11 +37,13 @@ import hashlib
 import os
 import subprocess
 import threading
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from ._kernels_py import _check_len
+from ._kernels_py import _check_len, _check_round, _claim_order
+from .runtime import LevelTaskError
 
 try:
     import cffi
@@ -46,10 +54,12 @@ NAME = "c"
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
-_FLAGS = ("-std=c99", "-O3", "-shared", "-fPIC")
+_FLAGS = ("-std=c11", "-O3", "-shared", "-fPIC", "-pthread")
 _UNSET = -1
 # error returns of the C entry points
-_BAD_ORDER, _BAD_ENDPOINT, _NOT_MINE = -2, -3, -5
+_BAD_ORDER, _BAD_ENDPOINT, _NOT_MINE, _BAD_LEVEL = -2, -3, -5, -6
+_ROW = 10  # int64 per level row of cm_run_levels: count, offset, 5
+           # counters, wall ns, CPU ns, worker slot
 
 
 def _compile(source: Path, target: Path):
@@ -110,6 +120,12 @@ int64_t cm_delete_level(int64_t n, const int64_t *starts,
                         const int32_t *cores, int32_t k, int64_t p,
                         const int32_t *eu, const int32_t *ev,
                         const Arena *arena, int32_t *moved, int64_t *ctr);
+void cm_run_levels(int insert, int64_t n, const int64_t *starts,
+                   const int32_t *lens, const int32_t *pool,
+                   const int32_t *cores, int64_t levels,
+                   const int64_t *meta, const int32_t *edges,
+                   int64_t helpers_wanted, const Arena *arena,
+                   int32_t *order, int32_t *out, int64_t *rows);
 int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
                  const int32_t *cores, int64_t n, int8_t *status);
 int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
@@ -130,8 +146,9 @@ _CTYPES = {_I64: "int64_t[]", _I32: "int32_t[]",
 
 class _Scratch:
     """Per-vertex slots of the level kernels for vertices 0..n-1, plus
-    room for their output.  Between calls every slot holds its reset
-    value; each call resets the slots it wrote before it returns."""
+    room for their output and for a round's moved ids.  Between calls
+    every slot holds its reset value; each call resets the slots it wrote
+    before it returns."""
 
     def __init__(self, n: int):
         self.n = n
@@ -142,6 +159,8 @@ class _Scratch:
         self.csup = np.full(n, _UNSET, dtype=np.int32)
         self.moved = np.empty(n, dtype=np.int32)
         self.moved_ptr = _buf("int32_t[]", self.moved)
+        self.out = np.empty(n, dtype=np.int32)
+        self.out_ptr = _buf("int32_t[]", self.out)
         # the struct's pointers; the views keep the arrays' buffers exported
         self._views = {f: _buf(_CTYPES[getattr(self, f).dtype],
                                getattr(self, f))
@@ -161,10 +180,9 @@ def _arena(n: int) -> _Scratch:
     return have
 
 
-def _ptr(name: str, a, dtype, length: int | None = None):
-    """A C pointer to ``a``'s data, once ``a`` is checked to be a
-    one-dimensional C-contiguous numpy array of ``dtype`` (and ``length``
-    entries)."""
+def _check_array(name: str, a, dtype, length: int | None = None):
+    """Raise unless ``a`` is a one-dimensional C-contiguous numpy array of
+    ``dtype`` (and ``length`` entries)."""
     if not isinstance(a, np.ndarray) or a.dtype != dtype:
         raise TypeError(f"{name} must be a numpy {dtype.name} "
                         f"array, got {getattr(a, 'dtype', type(a).__name__)}")
@@ -172,6 +190,11 @@ def _ptr(name: str, a, dtype, length: int | None = None):
         raise TypeError(f"{name} must be one-dimensional and C-contiguous")
     if length is not None:
         _check_len(name, a, length)
+
+
+def _ptr(name: str, a, dtype, length: int | None = None):
+    """A C pointer to ``a``'s data, once ``_check_array`` passes."""
+    _check_array(name, a, dtype, length)
     return _buf(_CTYPES[dtype], a)
 
 
@@ -197,6 +220,14 @@ def peel_kernel(n, starts, lens, pool):
     return cores
 
 
+def _level_error(code: int, n: int, k: int) -> Exception:
+    if code == _BAD_ENDPOINT:
+        return ValueError(f"edge endpoint outside 0..{n - 1}")
+    if code == _BAD_LEVEL:
+        return ValueError(f"edge not at level {k}")
+    return MemoryError("level kernel allocation failed")
+
+
 def _level(fn, starts, lens, pool, cores, k, eu, ev):
     n, *graph = _graph_ptrs(starts, lens, pool)
     p = len(eu)
@@ -205,12 +236,11 @@ def _level(fn, starts, lens, pool, cores, k, eu, ev):
     arena = _arena(n)
     ctr = _ffi.new("int64_t[5]")
     cnt = fn(n, *args, arena.ref, arena.moved_ptr, ctr)
-    if cnt == _BAD_ENDPOINT:
-        _raise_bad_endpoint(n)
     if cnt < 0:
-        # a failed push can leave a written slot off the reset list
-        del _threads.arena
-        raise MemoryError("level kernel allocation failed")
+        if cnt not in (_BAD_ENDPOINT, _BAD_LEVEL):
+            # a failed push can leave a written slot off the reset list
+            del _threads.arena
+        raise _level_error(cnt, n, k)
     return np.sort(arena.moved[:cnt]), tuple(ctr)
 
 
@@ -224,6 +254,50 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
     """Vertices of core level k that fall after the level's edges were
     deleted.  Returns (ascending id array, counter tuple)."""
     return _level(_lib.cm_delete_level, starts, lens, pool, cores, k, eu, ev)
+
+
+def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
+    """As ``_kernels_py.run_levels``, in one foreign call: the calling
+    thread claims levels heaviest first, and up to ``min(workers, levels)
+    - 1`` helper threads claim the rest."""
+    _check_round(mode, workers)
+    n, *graph = _graph_ptrs(starts, lens, pool)
+    cores_ptr = _ptr("cores", cores, _I32, n)
+    ks = _claim_order(level_edges)
+    if not ks:
+        return []
+    for k in ks:
+        eu, ev = level_edges[k]
+        try:
+            _check_array("eu", eu, _I32)
+            _check_array("ev", ev, _I32, len(eu))
+        except (TypeError, ValueError) as exc:
+            raise LevelTaskError(k, exc) from exc
+    parts = [a for k in ks for a in level_edges[k]]
+    # the levels, then their edge offsets; each level's eu, then its ev
+    meta = np.array([*ks, 0, *accumulate(map(len, parts[::2]))],
+                    dtype=np.int64)
+    edges = np.concatenate(parts)
+    rows = np.zeros((len(ks), _ROW), dtype=np.int64)
+    arena = _arena(n)
+    _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr, len(ks),
+                       _buf("int64_t[]", meta), _buf("int32_t[]", edges),
+                       min(workers, len(ks)) - 1, arena.ref, arena.moved_ptr,
+                       arena.out_ptr, _buf("int64_t[]", rows))
+    table = rows.tolist()
+    failed = [i for i, row in enumerate(table) if row[0] < 0]
+    if failed:
+        if any(table[i][0] not in (_BAD_ENDPOINT, _BAD_LEVEL)
+               and table[i][9] == 0 for i in failed):
+            # a failed push can leave a written slot off the reset list
+            del _threads.arena
+        i = failed[0]
+        exc = _level_error(table[i][0], n, ks[i])
+        raise LevelTaskError(ks[i], exc) from exc
+    out = arena.out
+    return [(k, np.sort(out[row[1]:row[1] + row[0]]), tuple(row[2:7]),
+             row[7], row[8], row[9])
+            for k, row in sorted(zip(ks, table))]
 
 
 def plan_scan(us, vs, cores):

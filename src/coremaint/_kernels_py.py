@@ -1,13 +1,15 @@
 """Pure-Python kernel backend: the reference lane.
 
-A kernel backend has seven functions: ``peel_kernel``, the level kernels
-``insert_level``/``delete_level``, the round planner's scan ``plan_scan``,
-the edge removal ``remove_edges``, the edge lookup ``has_edges`` and the
-edge-list reader ``parse_pairs``.  The compiled backend in ``_kernels_c``
-has the same signatures and mirrors these routines step for step, so both
-produce identical results *and* counters, and both raise ValueError for
-the same bad values; its ``parse_pairs`` reads the same subset of inputs
-in one pass.  Per-task state is kept in dicts/sets here.
+A kernel backend has eight functions: ``peel_kernel``, the level kernels
+``insert_level``/``delete_level``, ``run_levels``, which runs all level
+tasks of a round, the round planner's scan ``plan_scan``, the edge
+removal ``remove_edges``, the edge lookup ``has_edges`` and the edge-list
+reader ``parse_pairs``.  The compiled backend in ``_kernels_c`` has the
+same signatures and mirrors these routines step for step, so both produce
+identical results *and* counters, and both raise ValueError for the same
+bad values; its ``parse_pairs`` reads the same subset of inputs in one
+pass, and its ``run_levels`` runs levels on several threads.  Per-task
+state is kept in dicts/sets here.
 
 Counter tuple layout (shared with the compiled backend):
     (visited, removed, neg_touches, sup_evals, csup_evals)
@@ -16,9 +18,12 @@ Counter tuple layout (shared with the compiled backend):
 from __future__ import annotations
 
 import io
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .runtime import LevelTaskError
 
 NAME = "python"
 
@@ -204,12 +209,17 @@ def rule_out_cascade(adj, cores, st: TaskState, r: int):
                     st.removals += 1
 
 
-def _check_level(starts, lens, cores, eu, ev):
+def _check_level(starts, lens, cores, k, eu, ev):
+    """The level kernels' input checks: lengths, endpoints in range, and
+    each edge at level k (its lower endpoint core), so that the tasks of a
+    round move disjoint vertex sets."""
     n = len(starts)
     _check_len("lens", lens, n)
     _check_len("cores", cores, n)
     _check_len("ev", ev, len(eu))
     _check_endpoints(n, eu, ev)
+    if len(eu) and (np.minimum(cores[eu], cores[ev]) != k).any():
+        raise ValueError(f"edge not at level {k}")
 
 
 def insert_level(starts, lens, pool, cores, k, eu, ev):
@@ -218,7 +228,7 @@ def insert_level(starts, lens, pool, cores, k, eu, ev):
 
     Returns (ascending vertex id array, counter tuple).
     """
-    _check_level(starts, lens, cores, eu, ev)
+    _check_level(starts, lens, cores, k, eu, ev)
     adj = _Adj(starts, lens, pool)
     st = TaskState(k)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
@@ -280,7 +290,7 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
 
     Returns (ascending vertex id array, counter tuple).
     """
-    _check_level(starts, lens, cores, eu, ev)
+    _check_level(starts, lens, cores, k, eu, ev)
     adj = _Adj(starts, lens, pool)
     st = TaskState(k)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
@@ -301,6 +311,46 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
             check(b)
     falling = sorted(v for v in st.visit_order if v in st.removed)
     return np.asarray(falling, dtype=np.int32), st.counters()
+
+
+def _check_round(mode, workers):
+    if mode not in ("insert", "delete"):
+        raise ValueError(f"mode must be 'insert' or 'delete', got {mode!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _claim_order(level_edges) -> list[int]:
+    """The levels heaviest first (most edges), ties by ascending level."""
+    return sorted(level_edges, key=lambda k: (-len(level_edges[k][0]), k))
+
+
+def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
+    """Run the level task of every level of a round: ``insert_level`` or
+    ``delete_level`` (``mode`` "insert" or "delete") on each level k of
+    ``level_edges`` (k -> (eu, ev)), with at most ``workers`` at a time.
+
+    Returns, in ascending level order, one (level, moved ids, counter
+    tuple, wall ns, thread-CPU ns, worker slot) per level; slot 0 is the
+    calling thread.  A failed level raises ``LevelTaskError`` naming it,
+    once no level is running.  Here the levels run one after another on
+    the calling thread, heaviest first: the kernels hold the GIL.
+    """
+    _check_round(mode, workers)
+    _check_len("lens", lens, len(starts))
+    _check_len("cores", cores, len(starts))
+    kernel = insert_level if mode == "insert" else delete_level
+    rows = {}
+    for k in _claim_order(level_edges):
+        eu, ev = level_edges[k]
+        wall, cpu = time.perf_counter_ns(), time.thread_time_ns()
+        try:
+            moved, counters = kernel(starts, lens, pool, cores, k, eu, ev)
+        except Exception as exc:
+            raise LevelTaskError(k, exc) from exc
+        rows[k] = (k, moved, counters, time.perf_counter_ns() - wall,
+                   time.thread_time_ns() - cpu, 0)
+    return [rows[k] for k in sorted(rows)]
 
 
 # ----------------------------------------------------------------------

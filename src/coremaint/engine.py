@@ -13,6 +13,16 @@ batch with an absent pair is rejected before anything changes.  A round's
 pairs are marked done in the batch only once its cores have shifted, so a
 failed round undoes its graph mutation and leaves the batch as it was.
 
+Each round's level tasks run in one ``run_level_tasks`` call, which hands
+them to the kernel backend's ``run_levels``.  Its ``RoundRecord`` keeps,
+per level, the task's wall time, thread-CPU time and worker slot beside
+its moved vertices and counters, plus the wall time of the whole fan-out.
+
+With ``audit=True`` the engine first checks the core map against a fresh
+``peel`` of the graph and raises ValueError, changing nothing, when they
+differ; without it, keeping the map in step with the graph is the
+caller's job.
+
 ``sequential_baseline`` runs the same round loop one edge at a time,
 mirroring how single-edge maintenance algorithms process a batch; it is
 the comparison target for the round-based engines.
@@ -20,6 +30,7 @@ the comparison target for the round-based engines.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,7 +41,7 @@ from .batch import (BatchError, EdgeBatch, edge_lists, _endpoint_counts,
 from .graph import Graph
 from .kernels import get_backend
 from .runtime import LevelTaskResult, TaskCounters, run_level_tasks
-from .static_core import CoreMap
+from .static_core import CoreMap, peel
 
 
 @dataclass
@@ -40,6 +51,8 @@ class RoundRecord:
     level_edges: dict[int, tuple[np.ndarray, np.ndarray]]  # as in RoundPlan
     changed: tuple[int, ...]  # dense ids, ascending
     counters: TaskCounters
+    tasks: tuple[LevelTaskResult, ...]  # per level, ascending
+    fanout_ns: int  # wall time of the round's run_level_tasks call
 
     @property
     def edges_at_level(self) -> dict[int, list[tuple[int, int]]]:
@@ -116,12 +129,28 @@ def _check_pairs(g: Graph, batch: EdgeBatch, insert: bool, be) -> int:
     return 0
 
 
+def _check_cores(g: Graph, cores: CoreMap, be):
+    """Raise ValueError, changing nothing, unless ``cores`` (padded as
+    ``fit_to`` would pad it) equals a fresh ``peel`` of ``g``."""
+    fitted = cores.copy()
+    fitted.fit_to(g)
+    expect = peel(g, backend=be).values
+    wrong = (fitted.values != expect).nonzero()[0]
+    if len(wrong):
+        v = int(wrong[0])
+        raise ValueError(
+            f"core map does not match the graph: vertex {g.label_of(v)} "
+            f"has core {int(fitted.values[v])}, peel gives {int(expect[v])} "
+            f"({len(wrong)} vertices differ)")
+
+
 def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                workers: int, backend, audit: bool) -> MaintenanceLog:
     insert = mode == "insert"
     be = get_backend(backend)
+    if audit:
+        _check_cores(g, cores, be)
     cores.fit_to(g)
-    kernel = be.insert_level if insert else be.delete_level
     step = 1 if insert else -1
     remove = partial(g._remove_dense, backend=be)
     apply, undo = ((g._add_dense, remove) if insert
@@ -136,31 +165,22 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         edges = batch.pairs[selected]
         apply(edges[:, 0], edges[:, 1])
         starts, lens, pool = g.adjacency_arrays()
-        level_edges = plan.level_edges
-
-        def task(k: int) -> LevelTaskResult:
-            eu, ev = level_edges[k]
-            moved, counters = kernel(starts, lens, pool, cores.values,
-                                     k, eu, ev)
-            return LevelTaskResult(k, moved, TaskCounters.from_tuple(counters))
-
-        weights = {k: len(eu) for k, (eu, _) in level_edges.items()}
+        start = time.perf_counter_ns()
         try:
-            results = run_level_tasks(plan.levels, workers, task, weights)
+            results = run_level_tasks(be, mode, starts, lens, pool,
+                                      cores.values, plan.level_edges, workers)
         except BaseException:  # interrupts too: re-playable round rollback
             undo(edges[:, 0], edges[:, 1])
             raise
-        changed: list[int] = []
-        agg = TaskCounters()
-        for res in results:
-            cores.values[res.vertices] += step
-            changed.extend(res.vertices.tolist())
-            agg = agg + res.counters
+        fanout_ns = time.perf_counter_ns() - start
+        moved = np.concatenate([res.vertices for res in results])
+        cores.values[moved] += step  # levels move disjoint vertex sets
+        agg = sum((res.counters for res in results), TaskCounters())
         batch.alive[selected] = False  # the round has committed
-        changed.sort()
         log.edges_applied += plan.edge_count
         rec = RoundRecord(len(log.rounds) + 1, tuple(plan.levels),
-                          level_edges, tuple(changed), agg)
+                          plan.level_edges, tuple(np.sort(moved).tolist()),
+                          agg, tuple(results), fanout_ns)
         log.rounds.append(rec)
         log.counters = log.counters + agg
         if audit:
@@ -171,7 +191,13 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
 def insert_edges(g: Graph, cores: CoreMap, batch: EdgeBatch, *,
                  workers: int = 1, backend=None,
                  audit: bool = False) -> MaintenanceLog:
-    """Apply a batch of insertions and update ``cores`` in place."""
+    """Apply a batch of insertions and update ``cores`` in place.
+
+    ``cores`` must be the core numbers of ``g`` as it stands.  With
+    ``audit`` this is checked first (ValueError, nothing changed, when it
+    fails) and every round is audited; without it the caller must keep
+    the map in step with the graph.
+    """
     return _run_batch(g, cores, batch, "insert", workers=workers,
                       backend=backend, audit=audit)
 
@@ -179,7 +205,11 @@ def insert_edges(g: Graph, cores: CoreMap, batch: EdgeBatch, *,
 def delete_edges(g: Graph, cores: CoreMap, batch: EdgeBatch, *,
                  workers: int = 1, backend=None,
                  audit: bool = False) -> MaintenanceLog:
-    """Apply a batch of deletions and update ``cores`` in place."""
+    """Apply a batch of deletions and update ``cores`` in place.
+
+    ``cores`` must be the core numbers of ``g`` as it stands; ``audit``
+    as for ``insert_edges``.
+    """
     return _run_batch(g, cores, batch, "delete", workers=workers,
                       backend=backend, audit=audit)
 

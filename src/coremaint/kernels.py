@@ -1,11 +1,11 @@
 """Kernel backend selection.
 
-A backend is a module with the seven functions that ``_kernels_py``
-describes: the peeling and per-level kernels, the round planner's scan,
-edge removal, edge lookup and the edge-list reader.  The compiled
-backend (``_kernels_c``, built from ``_kernels.c`` on first import and
-called through cffi) is preferred; the pure-Python module is always
-available.  When the compiled lane cannot be built or cffi is missing,
+A backend is a module with the eight functions that ``_kernels_py``
+describes: the peeling and per-level kernels, the round runner
+(``run_levels``), the round planner's scan, edge removal, edge lookup and
+the edge-list reader.  The compiled backend (``_kernels_c``, built from
+``_kernels.c`` on first import and called through cffi) is preferred; the
+pure-Python module is always available.  When the compiled lane cannot be built or cffi is missing,
 ``FALLBACK_REASON`` says why.  Override with the environment variable
 COREMAINT_BACKEND=c|python, read once when this module is imported, or
 pass backend="..." (or a backend object) to the operations that accept

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from coremaint import CoreMap, Graph, build_insert_batch, insert_edges, peel
+from coremaint import (CoreMap, Graph, build_delete_batch,
+                       build_insert_batch, delete_edges, insert_edges, peel)
 from coremaint.gen import sample_new_edges
 from coremaint.kernels import available_backends
 from support_oracle import (constrained_support, networkx_core_numbers,
@@ -119,6 +120,26 @@ def test_core_map_padding_over_new_vertices_is_allowed():
     batch = build_insert_batch(g, [(0, 3), (4, 5)])  # 3, 4, 5 are new
     insert_edges(g, cores, batch)
     assert cores == peel(g)
+
+
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+def test_audit_rejects_a_stale_core_map(mode):
+    # K4 on 0-3 plus triangle 3-4-5; an edge of the K4 removed behind the
+    # map's back leaves it stale: peel now gives 2 everywhere
+    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                          (3, 4), (4, 5), (3, 5)], dense_labels=True)
+    cores = peel(g)
+    g.remove_edge(0, 1)
+    before = cores.values.tolist()
+    edges = sorted(g.edges())
+    if mode == "insert":
+        batch, run = build_insert_batch(g, [(2, 5)]), insert_edges
+    else:
+        batch, run = build_delete_batch(g, [(4, 5)]), delete_edges
+    with pytest.raises(ValueError, match="core map does not match"):
+        run(g, cores, batch, audit=True)
+    assert cores.values.tolist() == before
+    assert sorted(g.edges()) == edges and batch.remaining == 1
 
 
 def test_pendant_rise_depends_on_backing():

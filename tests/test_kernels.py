@@ -18,7 +18,7 @@ import pytest
 
 import coremaint
 from coremaint import Graph, build_delete_batch, build_insert_batch, peel
-from coremaint import delete_edges, insert_edges, plan_round
+from coremaint import LevelTaskError, delete_edges, insert_edges, plan_round
 from coremaint import _kernels_py
 from coremaint.batch import EdgeBatch
 from coremaint.gen import generate_er, sample_existing_edges, sample_new_edges
@@ -182,8 +182,8 @@ def test_compiled_scratch_is_reusable_and_clean():
     assert first[1] == second[1]
 
 
-CONTRACT = ("peel_kernel", "insert_level", "delete_level", "plan_scan",
-            "remove_edges", "has_edges", "parse_pairs")
+CONTRACT = ("peel_kernel", "insert_level", "delete_level", "run_levels",
+            "plan_scan", "remove_edges", "has_edges", "parse_pairs")
 
 
 def parameters(fn):
@@ -204,8 +204,9 @@ def test_backends_share_one_contract():
 
 
 def growing_batches(seed):
-    """Insert and delete batches on a graph whose vertex count more than
-    doubles from one insert batch to the next; yields after each batch."""
+    """Insert and delete batches, on two workers, on a graph whose vertex
+    count more than doubles from one insert batch to the next; yields after
+    each batch."""
     rng = np.random.default_rng(seed)
     g = generate_er(8, 2, seed=seed)
     cores = peel(g)
@@ -213,18 +214,20 @@ def growing_batches(seed):
         n = g.vertex_count
         fresh = rng.integers(0, 3 * n, size=(4 * n, 2))
         insert_edges(g, cores, build_insert_batch(g, fresh.tolist()),
-                     backend="c")
+                     workers=2, backend="c")
         yield g, cores
         gone = sample_existing_edges(g, g.edge_count // 5, seed=step)
-        delete_edges(g, cores, build_delete_batch(g, gone), backend="c")
+        delete_edges(g, cores, build_delete_batch(g, gone), workers=2,
+                     backend="c")
         yield g, cores
 
 
 @needs_c
 def test_arena_grows_with_the_graph():
     # a fresh thread starts without an arena, and the graph grows past the
-    # arena's size between batches; every batch leaves each slot at its
-    # reset value
+    # arenas' size between batches; every batch leaves each slot of the
+    # calling thread's arena at its reset value, and the helpers' arenas
+    # grow too (cores still equal peel)
     sizes, errors = [], []
 
     def run():
@@ -317,6 +320,37 @@ def test_failed_level_call_drops_the_arena():
 
 
 @needs_c
+def test_failed_round_drops_the_callers_arena(monkeypatch):
+    # as above, for a stand-in of the whole round's foreign call that
+    # reports an allocation failure on a level the calling thread ran
+    be = get_backend("c")
+    args = level_call_args()
+    k = args.pop("k")
+    round_args = dict(mode="delete", level_edges={k: (args.pop("eu"),
+                                                      args.pop("ev"))},
+                      workers=1, **args)
+    clean = be.run_levels(**round_args)
+    n = len(args["starts"])
+
+    class StandIn:
+        def cm_run_levels(self, *call):
+            arena, rows = call[10], call[13]
+            for v in range(n):
+                arena.slack[v] = arena.sup[v] = arena.csup[v] = 0
+                arena.visited[v] = arena.removed[v] = 1
+            rows[0] = -1  # ALLOC_FAILED, on worker slot 0 (rows[9])
+
+    monkeypatch.setattr(be, "_lib", StandIn())
+    with pytest.raises(LevelTaskError) as err:
+        be.run_levels(**round_args)
+    assert isinstance(err.value.__cause__, MemoryError)
+    monkeypatch.undo()
+    again = be.run_levels(**round_args)
+    assert [(r[0], r[1].tolist(), r[2]) for r in again] == \
+        [(r[0], r[1].tolist(), r[2]) for r in clean]
+
+
+@needs_c
 def test_compiled_call_releases_the_gil():
     # while one thread is inside a long compiled peel, the calling thread
     # keeps running Python; a foreign call that held the GIL would stall it
@@ -402,6 +436,7 @@ def level_call_args():
     ("ev", lambda a: np.array([4], dtype=np.int32), ValueError),
     ("eu", lambda a: np.array([-1], dtype=np.int32), ValueError),
     ("lens", lambda a: a[:-1], ValueError),
+    ("k", lambda k: k + 1, ValueError),  # the edge is not at level k
 ])
 def test_compiled_lane_rejects_bad_inputs(field, bad, error):
     be = get_backend("c")
