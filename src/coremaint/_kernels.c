@@ -1,35 +1,28 @@
-/* Compiled traversal kernels, the round runner, round planner scan, block
-   removal, edge lookup and edge-list parsing.
+/* The compiled kernel backend: the contract is in _kernels_py.py's
+   docstring, and this file is a step-for-step port of that lane (same
+   visit order, same counters) in plain C11 with no Python API; the
+   edge-list parser reads the same subset of inputs as the Python lane's,
+   in one pass.  _kernels_c.py compiles this file (with -pthread) and
+   calls it through cffi (ABI mode), which releases the GIL for the
+   duration of a call.
 
-   Step-for-step port of _kernels_py.py (same visit order, same counters):
-   the level kernels, plan_round's greedy scan, the block compaction and
-   the edge lookup, in plain C11 with no Python API; the edge-list parser
-   reads the same subset of inputs as the Python lane's, in one pass.
-   _kernels_c.py compiles this file (with -pthread) and calls it through
-   cffi (ABI mode), which releases the GIL for the duration of a call.
-
-   cm_run_levels runs all level tasks of a round in that one call.  The
-   calling thread claims levels from an atomic cursor, heaviest first;
-   persistent helper threads, started on first need and kept for the life
-   of the process, claim the rest.  The caller waits only for levels a
-   helper has claimed, so a round of tiny levels costs no thread handoff.
-   A fork() child forgets the parent's helpers and starts its own.
+   cm_run_levels is the only entry point into the level kernels: it runs
+   all level tasks of a round in one call.  The calling thread claims
+   levels from an atomic cursor, heaviest first; persistent helper
+   threads, started on first need and kept for the life of the process,
+   claim the rest.  The caller waits only for levels a helper has claimed,
+   so a round of tiny levels costs no thread handoff.  A fork() child
+   forgets the parent's helpers and starts its own.
 
    Every entry point that takes vertex ids checks that they lie in 0..n-1
    before it writes anything and returns BAD_ENDPOINT otherwise, and the
    level kernels check that each edge lies at their level (BAD_LEVEL); the
    caller checks dtypes, contiguity and lengths.
 
-   Per-vertex scratch (visited, removed, slack, sup, csup) lives in an
-   arena that one thread owns and keeps across calls, so concurrent tasks
-   never share one and a task may use any of its slots: the calling
-   thread's arena comes from Python, each helper's is its own.  Each call
-   resets every slot it wrote (it records them on its dirty list) before it
-   returns, so the next call finds the arena clean; a call that fails to
-   allocate returns ALLOC_FAILED and may leave a slot written but not
-   recorded, so its arena is dropped.
-
-   Counter layout: visited, removed, neg_touches, sup_evals, csup_evals. */
+   The calling thread's arena comes from Python, each helper's is its own.
+   Each level task records the arena slots it writes on its dirty list and
+   resets them before it returns; one that fails to allocate returns
+   ALLOC_FAILED and may leave a slot written but not recorded. */
 
 #define _POSIX_C_SOURCE 200809L
 
@@ -321,10 +314,12 @@ static int64_t finish(Task *t, int keep_removed)
    count and leaves them, in visit order, at the front of moved (room for
    one id per vertex); ctr receives the five counters.  Returns BAD_LEVEL
    unless every edge lies at level k. */
-int64_t cm_insert_level(int64_t n, const int64_t *starts, const int32_t *lens,
-                        const int32_t *pool, const int32_t *cores, int32_t k,
-                        int64_t p, const int32_t *eu, const int32_t *ev,
-                        const Arena *arena, int32_t *moved, int64_t *ctr)
+static int64_t cm_insert_level(int64_t n, const int64_t *starts,
+                               const int32_t *lens, const int32_t *pool,
+                               const int32_t *cores, int32_t k, int64_t p,
+                               const int32_t *eu, const int32_t *ev,
+                               const Arena *arena, int32_t *moved,
+                               int64_t *ctr)
 {
     if (!in_range(p, eu, ev, n))
         return BAD_ENDPOINT;
@@ -366,10 +361,12 @@ int64_t cm_insert_level(int64_t n, const int64_t *starts, const int32_t *lens,
 /* Vertices of core level k that fall after the level's p edges (eu, ev)
    were deleted from the adjacency arrays.  Inputs and outputs as
    cm_insert_level. */
-int64_t cm_delete_level(int64_t n, const int64_t *starts, const int32_t *lens,
-                        const int32_t *pool, const int32_t *cores, int32_t k,
-                        int64_t p, const int32_t *eu, const int32_t *ev,
-                        const Arena *arena, int32_t *moved, int64_t *ctr)
+static int64_t cm_delete_level(int64_t n, const int64_t *starts,
+                               const int32_t *lens, const int32_t *pool,
+                               const int32_t *cores, int32_t k, int64_t p,
+                               const int32_t *eu, const int32_t *ev,
+                               const Arena *arena, int32_t *moved,
+                               int64_t *ctr)
 {
     if (!in_range(p, eu, ev, n))
         return BAD_ENDPOINT;

@@ -1,10 +1,6 @@
 """Compiled backend: ``_kernels.c`` called through cffi in ABI mode.
 
-It has the eight functions of the backend contract (see ``_kernels_py``):
-the traversal kernels, the round runner (``run_levels``), the round
-planner's greedy scan (``plan_scan``), the removal of a round's edges from
-the adjacency blocks (``remove_edges``), the edge lookup (``has_edges``)
-and the one-pass edge-list reader (``parse_pairs``).
+It keeps the backend contract described in ``_kernels_py``.
 
 Importing this module compiles the C file with the system C compiler
 (``cc``, with ``-pthread``) into ``__pycache__/`` next to it, keyed by a
@@ -14,21 +10,20 @@ there.  A failed build, or a missing ``cffi``, raises ImportError with the
 reason, and ``kernels`` then falls back to the pure-Python lane.  cffi
 releases the GIL for the duration of each foreign call.
 
-``run_levels`` runs all level tasks of a round in one foreign call: the
-calling thread takes levels heaviest first and up to ``min(workers,
-levels) - 1`` helper threads of the C code take the rest.  The helpers
-start on first need and serve every later round of the process.
-
-The level kernels keep their per-vertex scratch in an arena owned by one
-thread and kept across calls, so concurrent tasks never share one: the
-calling thread's arena is kept here, and it grows when a graph has more
-vertices than it covers; each helper keeps its own in C.
+``run_levels`` is the only way into the level kernels: it runs all level
+tasks of a round in one foreign call, the calling thread taking levels
+heaviest first and up to ``min(workers, levels) - 1`` helper threads of
+the C code the rest.  The helpers start on first need and serve every
+later round of the process.  ``insert_level`` and ``delete_level`` are
+one-level rounds on the calling thread.  The calling thread's arena is
+kept here; each helper keeps its own in C.
 
 Every entry point checks dtypes, contiguity and lengths (``parse_pairs``:
 that it was given ``bytes``) before it calls into C; the C code checks
 that every vertex id it is given lies in 0..n-1, and that every edge of a
-level lies at that level, before it writes anything.  The adjacency contents themselves (pool entries, block
-extents) are trusted: ``Graph`` keeps them consistent.
+level lies at that level, before it writes anything.  The adjacency
+contents themselves (pool entries, block extents) are trusted: ``Graph``
+keeps them consistent.
 """
 
 from __future__ import annotations
@@ -42,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels_py import _check_len, _check_round, _claim_order
-from .runtime import LevelTaskError
+from ._kernels_py import (LevelTaskError, _check_len, _check_round,
+                          _claim_order)
 
 try:
     import cffi
@@ -110,16 +105,6 @@ typedef struct {
 } Arena;
 int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
             const int32_t *pool, int32_t *out);
-int64_t cm_insert_level(int64_t n, const int64_t *starts,
-                        const int32_t *lens, const int32_t *pool,
-                        const int32_t *cores, int32_t k, int64_t p,
-                        const int32_t *eu, const int32_t *ev,
-                        const Arena *arena, int32_t *moved, int64_t *ctr);
-int64_t cm_delete_level(int64_t n, const int64_t *starts,
-                        const int32_t *lens, const int32_t *pool,
-                        const int32_t *cores, int32_t k, int64_t p,
-                        const int32_t *eu, const int32_t *ev,
-                        const Arena *arena, int32_t *moved, int64_t *ctr);
 void cm_run_levels(int insert, int64_t n, const int64_t *starts,
                    const int32_t *lens, const int32_t *pool,
                    const int32_t *cores, int64_t levels,
@@ -146,9 +131,9 @@ _CTYPES = {_I64: "int64_t[]", _I32: "int32_t[]",
 
 class _Scratch:
     """Per-vertex slots of the level kernels for vertices 0..n-1, plus
-    room for their output and for a round's moved ids.  Between calls
-    every slot holds its reset value; each call resets the slots it wrote
-    before it returns."""
+    room for the calling thread's visit order (``moved``) and for a
+    round's moved ids (``out``).  Between calls every slot holds its reset
+    value; each call resets the slots it wrote before it returns."""
 
     def __init__(self, n: int):
         self.n = n
@@ -228,32 +213,24 @@ def _level_error(code: int, n: int, k: int) -> Exception:
     return MemoryError("level kernel allocation failed")
 
 
-def _level(fn, starts, lens, pool, cores, k, eu, ev):
-    n, *graph = _graph_ptrs(starts, lens, pool)
-    p = len(eu)
-    args = (*graph, _ptr("cores", cores, _I32, n), int(k), p,
-            _ptr("eu", eu, _I32), _ptr("ev", ev, _I32, p))
-    arena = _arena(n)
-    ctr = _ffi.new("int64_t[5]")
-    cnt = fn(n, *args, arena.ref, arena.moved_ptr, ctr)
-    if cnt < 0:
-        if cnt not in (_BAD_ENDPOINT, _BAD_LEVEL):
-            # a failed push can leave a written slot off the reset list
-            del _threads.arena
-        raise _level_error(cnt, n, k)
-    return np.sort(arena.moved[:cnt]), tuple(ctr)
+def _one_level(mode, starts, lens, pool, cores, k, eu, ev):
+    """Level k alone, as a one-level round on the calling thread."""
+    try:
+        (_, moved, counters, *_), = run_levels(
+            mode, starts, lens, pool, cores, {k: (eu, ev)}, 1)
+    except LevelTaskError as exc:
+        raise exc.__cause__ from None
+    return moved, counters
 
 
 def insert_level(starts, lens, pool, cores, k, eu, ev):
-    """Vertices of core level k that rise after the level's edges were
-    inserted.  Returns (ascending id array, counter tuple)."""
-    return _level(_lib.cm_insert_level, starts, lens, pool, cores, k, eu, ev)
+    """As ``_kernels_py.insert_level``."""
+    return _one_level("insert", starts, lens, pool, cores, k, eu, ev)
 
 
 def delete_level(starts, lens, pool, cores, k, eu, ev):
-    """Vertices of core level k that fall after the level's edges were
-    deleted.  Returns (ascending id array, counter tuple)."""
-    return _level(_lib.cm_delete_level, starts, lens, pool, cores, k, eu, ev)
+    """As ``_kernels_py.delete_level``."""
+    return _one_level("delete", starts, lens, pool, cores, k, eu, ev)
 
 
 def run_levels(mode, starts, lens, pool, cores, level_edges, workers):

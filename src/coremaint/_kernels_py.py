@@ -1,18 +1,37 @@
-"""Pure-Python kernel backend: the reference lane.
+"""Pure-Python kernel backend: the reference lane, and the contract that
+every kernel backend keeps.
 
-A kernel backend has eight functions: ``peel_kernel``, the level kernels
-``insert_level``/``delete_level``, ``run_levels``, which runs all level
-tasks of a round, the round planner's scan ``plan_scan``, the edge
-removal ``remove_edges``, the edge lookup ``has_edges`` and the edge-list
-reader ``parse_pairs``.  The compiled backend in ``_kernels_c`` has the
-same signatures and mirrors these routines step for step, so both produce
-identical results *and* counters, and both raise ValueError for the same
-bad values; its ``parse_pairs`` reads the same subset of inputs in one
-pass, and its ``run_levels`` runs levels on several threads.  Per-task
-state is kept in dicts/sets here.
+A kernel backend is a module with eight functions:
 
-Counter tuple layout (shared with the compiled backend):
+- ``peel_kernel(n, starts, lens, pool)``: the core number of every vertex.
+- ``insert_level``/``delete_level(starts, lens, pool, cores, k, eu, ev)``:
+  the vertices of core level k whose core rises (falls) once the level's
+  edges (eu, ev) are in (out of) the adjacency arrays, as (ascending id
+  array, counter tuple).  A failed call raises the level's own error.
+- ``run_levels(mode, starts, lens, pool, cores, level_edges, workers)``:
+  the level task of every level of one round, at most ``workers`` at a
+  time (rows as described at its definition below).  A failed level
+  raises ``LevelTaskError`` naming it, once no level of the round is
+  running; an interrupt propagates as it is.
+- ``plan_scan(us, vs, cores)``: the round planner's greedy scan.
+- ``remove_edges(starts, lens, pool, src, dst)``: edge removal from the
+  adjacency blocks, in place.
+- ``has_edges(starts, lens, pool, us, vs)``: edge lookup.
+- ``parse_pairs(data)``: the edge-list reader for its plain subset.
+
+Every backend has the same signatures and produces identical results
+*and* counters, and every backend raises ValueError for the same bad
+values.  Counter tuple layout:
     (visited, removed, neg_touches, sup_evals, csup_evals)
+
+A backend may keep the level kernels' per-vertex scratch in an arena that
+one thread owns and keeps across calls, so concurrent tasks never share
+one.  Every call leaves its arena clean, and a call that fails in a way
+that may leave a slot dirty drops its arena.
+
+This lane keeps per-task state in dicts and sets and runs a round's
+levels one after another on the calling thread; the compiled lane
+(``_kernels_c``) mirrors these routines step for step.
 """
 
 from __future__ import annotations
@@ -23,12 +42,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .runtime import LevelTaskError
-
 NAME = "python"
 
 PENDING, SELECTED = 0, 1  # plan_scan status per pair
 _PLAIN_BYTES = b"0123456789 \t\r\n"  # what parse_pairs reads outside comments
+
+
+class LevelTaskError(RuntimeError):
+    """A level task of a round failed; ``__cause__`` is its error."""
+
+    def __init__(self, level: int, cause: BaseException):
+        super().__init__(f"level {level} task failed: {cause!r}")
+        self.level = level
 
 
 def _check_len(name: str, a, length: int):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels_py import SELECTED
-from .graph import Graph, _as_pair, sorted_unique
+from .graph import Graph, label_pairs, sorted_unique
 from .kernels import get_backend
 from .static_core import CoreMap
 
@@ -55,19 +55,6 @@ class EdgeBatch:
         return int(self.multiplicity.max()) if len(self.multiplicity) else 0
 
 
-def _label_pairs(edges) -> np.ndarray:
-    """The batch's label pairs as an (m, 2) int64 array."""
-    try:
-        arr = np.array(edges, dtype=np.int64)
-    except (TypeError, ValueError):  # Edge objects, iterators, mixed items
-        arr = np.array([_as_pair(e) for e in edges], dtype=np.int64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("edges must be vertex pairs")
-    return arr
-
-
 def _endpoint_counts(pairs: np.ndarray) -> np.ndarray:
     """How many of the pairs touch each of their distinct endpoints (the
     ``EdgeBatch.multiplicity`` of those pairs)."""
@@ -81,9 +68,7 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     New labels become vertices in first-sight order, but only after every
     label has been checked.
     """
-    labels = _label_pairs(edges)
-    if labels.size and labels.min() < 0:  # before any vertex exists
-        raise ValueError("vertex labels must be non-negative")
+    labels = label_pairs(edges)  # checked before any vertex exists
     loop = labels[:, 0] == labels[:, 1]
     loops = np.count_nonzero(loop)
     flat = (labels[~loop] if loops else labels).ravel()

@@ -14,9 +14,12 @@ pairs are marked done in the batch only once its cores have shifted, so a
 failed round undoes its graph mutation and leaves the batch as it was.
 
 Each round's level tasks run in one ``run_level_tasks`` call, which hands
-them to the kernel backend's ``run_levels``.  Its ``RoundRecord`` keeps,
-per level, the task's wall time, thread-CPU time and worker slot beside
-its moved vertices and counters, plus the wall time of the whole fan-out.
+them to the kernel backend's ``run_levels`` (the backend contract is in
+``_kernels_py``).  Tasks receive a frozen graph and core map and keep
+their working state to themselves, so they move disjoint vertex sets.
+The round's ``RoundRecord`` keeps, per level, the task's wall time,
+thread-CPU time and worker slot beside its moved vertices and counters,
+plus the wall time of the whole fan-out.
 
 With ``audit=True`` the engine first checks the core map against a fresh
 ``peel`` of the graph and raises ValueError, changing nothing, when they
@@ -36,12 +39,61 @@ from functools import partial
 
 import numpy as np
 
+from ._kernels_py import _check_round
 from .batch import (BatchError, EdgeBatch, edge_lists, _endpoint_counts,
                     plan_round)
 from .graph import Graph
 from .kernels import get_backend
-from .runtime import LevelTaskResult, TaskCounters, run_level_tasks
 from .static_core import CoreMap, peel
+
+
+@dataclass
+class TaskCounters:
+    visited: int = 0
+    removed: int = 0
+    neg_touches: int = 0
+    sup_evals: int = 0
+    csup_evals: int = 0
+
+    @classmethod
+    def from_tuple(cls, t) -> "TaskCounters":
+        return cls(*map(int, t))
+
+    def __add__(self, other: "TaskCounters") -> "TaskCounters":
+        return TaskCounters(
+            self.visited + other.visited,
+            self.removed + other.removed,
+            self.neg_touches + other.neg_touches,
+            self.sup_evals + other.sup_evals,
+            self.csup_evals + other.csup_evals,
+        )
+
+
+@dataclass
+class LevelTaskResult:
+    level: int
+    vertices: np.ndarray  # ascending dense ids whose core changes
+    counters: TaskCounters
+    wall_ns: int  # the task's wall time
+    cpu_ns: int  # CPU time of the thread that ran it, during the task
+    worker: int  # 0: the calling thread; h: the round's h-th helper
+
+
+def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
+                    workers: int) -> list[LevelTaskResult]:
+    """Run the level task of every level of ``level_edges`` with backend
+    ``be`` (see its ``run_levels``), at most ``workers`` at a time, and
+    return the results in ascending level order.
+
+    Results are identical for every worker count: tasks neither share
+    mutable state nor observe each other.  A failed task raises
+    ``LevelTaskError`` naming its level, and only once every task of the
+    round has finished, so a rollback never runs beside a live task.
+    """
+    return [LevelTaskResult(k, moved, TaskCounters.from_tuple(counters),
+                            wall, cpu, worker)
+            for k, moved, counters, wall, cpu, worker in be.run_levels(
+                mode, starts, lens, pool, cores, level_edges, workers)]
 
 
 @dataclass
@@ -111,22 +163,23 @@ def _audit_round(log: MaintenanceLog, pre: np.ndarray, post: np.ndarray,
         log.audit_violations.append(f"round {rnd}: core increased on delete")
 
 
-def _check_pairs(g: Graph, batch: EdgeBatch, insert: bool, be) -> int:
+def _check_pairs(g: Graph, batch: EdgeBatch, insert: bool,
+                 be) -> np.ndarray:
     """Look the batch's live pairs up in the graph, in one call.  An insert
-    batch drops the pairs already present and returns their count; a
-    delete batch with an absent pair raises ``BatchError``, changing
-    nothing."""
+    batch drops the pairs already present and returns their indices; a
+    delete batch returns none, or raises ``BatchError``, changing nothing,
+    when a pair is absent."""
     idx = batch.alive.nonzero()[0]
     present = g._has_dense(batch.pairs[idx, 0], batch.pairs[idx, 1],
                            backend=be)
     if insert:
         batch.alive[idx[present]] = False
-        return int(np.count_nonzero(present))
+        return idx[present]
     if not present.all():
         missing = [(g.label_of(u), g.label_of(v))
                    for u, v in batch.pairs[idx[~present]].tolist()]
         raise BatchError(f"edges not present in graph: {missing}")
-    return 0
+    return idx[:0]
 
 
 def _check_cores(g: Graph, cores: CoreMap, be):
@@ -148,43 +201,52 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                workers: int, backend, audit: bool) -> MaintenanceLog:
     insert = mode == "insert"
     be = get_backend(backend)
+    _check_round(mode, workers)  # before anything changes
     if audit:
         _check_cores(g, cores, be)
-    cores.fit_to(g)
+    cores.fit_to(g)  # kept on failure: the zero padding of new vertices
     step = 1 if insert else -1
     remove = partial(g._remove_dense, backend=be)
     apply, undo = ((g._add_dense, remove) if insert
                    else (remove, g._add_dense))
     log = MaintenanceLog(mode=mode, batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
-    log.dropped_existing = _check_pairs(g, batch, insert, be)
-    while batch.remaining:
-        plan = plan_round(batch, cores, backend=be)
-        pre = cores.values.copy() if audit else None
-        selected = np.asarray(plan.selected_indices, dtype=np.intp)
-        edges = batch.pairs[selected]
-        apply(edges[:, 0], edges[:, 1])
-        starts, lens, pool = g.adjacency_arrays()
-        start = time.perf_counter_ns()
-        try:
-            results = run_level_tasks(be, mode, starts, lens, pool,
-                                      cores.values, plan.level_edges, workers)
-        except BaseException:  # interrupts too: re-playable round rollback
-            undo(edges[:, 0], edges[:, 1])
-            raise
-        fanout_ns = time.perf_counter_ns() - start
-        moved = np.concatenate([res.vertices for res in results])
-        cores.values[moved] += step  # levels move disjoint vertex sets
-        agg = sum((res.counters for res in results), TaskCounters())
-        batch.alive[selected] = False  # the round has committed
-        log.edges_applied += plan.edge_count
-        rec = RoundRecord(len(log.rounds) + 1, tuple(plan.levels),
-                          plan.level_edges, tuple(np.sort(moved).tolist()),
-                          agg, tuple(results), fanout_ns)
-        log.rounds.append(rec)
-        log.counters = log.counters + agg
-        if audit:
-            _audit_round(log, pre, cores.values, rec.levels, step, rec.index)
+    dropped = _check_pairs(g, batch, insert, be)
+    log.dropped_existing = len(dropped)
+    try:
+        while batch.remaining:
+            plan = plan_round(batch, cores, backend=be)
+            pre = cores.values.copy() if audit else None
+            selected = np.asarray(plan.selected_indices, dtype=np.intp)
+            edges = batch.pairs[selected]
+            apply(edges[:, 0], edges[:, 1])
+            starts, lens, pool = g.adjacency_arrays()
+            start = time.perf_counter_ns()
+            try:
+                results = run_level_tasks(be, mode, starts, lens, pool,
+                                          cores.values, plan.level_edges,
+                                          workers)
+            except BaseException:  # interrupts too: re-playable round
+                undo(edges[:, 0], edges[:, 1])
+                raise
+            fanout_ns = time.perf_counter_ns() - start
+            moved = np.concatenate([res.vertices for res in results])
+            cores.values[moved] += step  # levels move disjoint vertex sets
+            agg = sum((res.counters for res in results), TaskCounters())
+            batch.alive[selected] = False  # the round has committed
+            log.edges_applied += plan.edge_count
+            rec = RoundRecord(len(log.rounds) + 1, tuple(plan.levels),
+                              plan.level_edges,
+                              tuple(np.sort(moved).tolist()), agg,
+                              tuple(results), fanout_ns)
+            log.rounds.append(rec)
+            log.counters = log.counters + agg
+            if audit:
+                _audit_round(log, pre, cores.values, rec.levels, step,
+                             rec.index)
+    except BaseException:  # the pairs found present are pending again
+        batch.alive[dropped] = True
+        raise
     return log
 
 
@@ -227,17 +289,21 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
     """
     log = MaintenanceLog(mode=f"{mode}-baseline", batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
-    log.dropped_existing = _check_pairs(g, batch, mode == "insert",
-                                        get_backend(backend))
-    for i in batch.alive.nonzero()[0].tolist():
-        one = EdgeBatch(batch.pairs[i:i + 1], np.ones(1, dtype=bool),
-                        multiplicity=_endpoint_counts(batch.pairs[i]))
-        run = _run_batch(g, cores, one, mode, workers=1, backend=backend,
-                         audit=False)
-        batch.alive[i] = False
-        for rec in run.rounds:
-            rec.index = len(log.rounds) + 1
-            log.rounds.append(rec)
-        log.counters = log.counters + run.counters
-        log.edges_applied += run.edges_applied
+    dropped = _check_pairs(g, batch, mode == "insert", get_backend(backend))
+    log.dropped_existing = len(dropped)
+    try:
+        for i in batch.alive.nonzero()[0].tolist():
+            one = EdgeBatch(batch.pairs[i:i + 1], np.ones(1, dtype=bool),
+                            multiplicity=_endpoint_counts(batch.pairs[i]))
+            run = _run_batch(g, cores, one, mode, workers=1,
+                             backend=backend, audit=False)
+            batch.alive[i] = False
+            for rec in run.rounds:
+                rec.index = len(log.rounds) + 1
+                log.rounds.append(rec)
+            log.counters = log.counters + run.counters
+            log.edges_applied += run.edges_applied
+    except BaseException:  # the pairs found present are pending again
+        batch.alive[dropped] = True
+        raise
     return log

@@ -42,6 +42,7 @@ code that raises ``EdgeListParseError``.
 from __future__ import annotations
 
 import io
+import operator
 import os
 from dataclasses import dataclass
 
@@ -92,10 +93,41 @@ class LoadStats:
 
 
 def _as_pair(e) -> tuple[int, int]:
-    if isinstance(e, Edge):
-        return e.as_pair()
-    u, v = e
-    return (int(u), int(v))
+    try:
+        u, v = e.as_pair() if isinstance(e, Edge) else e
+    except (TypeError, ValueError):
+        raise ValueError("edges must be vertex pairs") from None
+    try:
+        return (operator.index(u), operator.index(v))
+    except TypeError:
+        raise ValueError(f"vertex labels must be integers, got {(u, v)}") \
+            from None
+
+
+def label_pairs(edges) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array of label pairs.
+
+    ``edges`` is an (m, 2) integer array, or an iterable of pairs or
+    ``Edge`` objects whose labels are Python or numpy integers.  Raises
+    ValueError for anything else, floats and strings included (they are
+    never truncated or parsed), and for a negative label.
+    """
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # items of different lengths
+        arr = None
+    if arr is None or arr.dtype == object:  # Edge objects, iterators, ...
+        arr = np.array([_as_pair(e) for e in edges], dtype=np.int64)
+    if arr.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex labels must be integers, got {arr.dtype}")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be vertex pairs")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.min() < 0:
+        raise ValueError("vertex labels must be non-negative")
+    return arr
 
 
 class Graph:
@@ -121,7 +153,7 @@ class Graph:
     @classmethod
     def from_edges(cls, edges, num_vertices: int | None = None,
                    dense_labels: bool = False) -> "Graph":
-        """Bulk constructor from an iterable or (m, 2) array of label pairs.
+        """Bulk constructor from label pairs, as ``label_pairs`` reads them.
 
         Self-loops and duplicate edges are dropped (counts on ``load_stats``).
         With ``dense_labels`` the labels are taken as internal ids directly
@@ -133,13 +165,7 @@ class Graph:
             raise ValueError("num_vertices requires dense_labels")
         g = cls()
         stats = LoadStats()
-        arr = np.asarray(edges, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be an (m, 2) array of vertex pairs")
-        if arr.size and arr.min() < 0:
-            raise ValueError("vertex labels must be non-negative")
+        arr = label_pairs(edges)
 
         if dense_labels:
             n = int(num_vertices if num_vertices is not None

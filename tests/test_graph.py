@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coremaint import (Edge, EdgeListParseError, Graph, SelfLoopError,
-                       load_edge_list, load_edge_list_with_stats, peel,
-                       save_edge_list, write_core_file)
+                       build_delete_batch, build_insert_batch, load_edge_list,
+                       load_edge_list_with_stats, peel, save_edge_list,
+                       write_core_file)
 from coremaint import graph as graph_module
 from coremaint.graph import _read_lines, read_edge_pairs, sorted_unique
 from coremaint.kernels import available_backends, get_backend
@@ -525,6 +526,65 @@ def test_from_edges_of_no_edges():
     g = Graph.from_edges(np.zeros((0, 2), dtype=np.int64))
     assert (g.vertex_count, g.edge_count, g._pool_used) == (0, 0, 0)
     g.check_invariants()
+
+
+def path_0_to_4():
+    return Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+# every entry point that takes label pairs: (build, the graph it changed)
+LABEL_ENTRY_POINTS = {
+    "from_edges": lambda edges: (Graph.from_edges(edges), None),
+    "insert_batch": lambda edges: (build_insert_batch(g := path_0_to_4(),
+                                                      edges), g),
+    "delete_batch": lambda edges: (build_delete_batch(g := path_0_to_4(),
+                                                      edges), g),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+@pytest.mark.parametrize("edges, error", [
+    pytest.param([(1.9, 2)], "integers", id="float"),
+    pytest.param([(1, 2.0)], "integers", id="integral-float"),
+    pytest.param([(0, 2.7)], "integers", id="float-second"),
+    pytest.param(np.array([[1.0, 2.0]]), "integers", id="float-array"),
+    pytest.param([("3", "4")], "integers", id="strings"),
+    pytest.param([(3, "4")], "integers", id="mixed-string"),
+    pytest.param([Edge(1.5, 3)], "integers", id="float-edge"),
+    pytest.param([(1, None)], "integers", id="none"),
+    pytest.param([(-1, 2)], "non-negative", id="negative"),
+    pytest.param(np.array([[1, -2]], dtype=np.int8), "non-negative",
+                 id="negative-array"),
+    pytest.param([(1, 2, 3)], "vertex pairs", id="triple"),
+    pytest.param([(1, 2), (3,)], "vertex pairs", id="ragged"),
+])
+def test_labels_that_are_not_non_negative_integers_are_rejected(
+        entry, edges, error):
+    # no label is truncated, parsed or wrapped, and a batch builder
+    # creates no vertex
+    build = LABEL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=error):
+        build(edges)
+    if entry == "insert_batch":
+        g = path_0_to_4()
+        with pytest.raises(ValueError, match=error):
+            build_insert_batch(g, [(7, 8), *edges])
+        assert g.vertex_count == 5
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+@pytest.mark.parametrize("edges", [
+    pytest.param([(2, 1)], id="ints"),
+    pytest.param([(np.int64(2), np.int32(1))], id="numpy-ints"),
+    pytest.param(np.array([[2, 1]], dtype=np.uint8), id="uint8-array"),
+    pytest.param([Edge(2, 1)], id="edge"),
+])
+def test_integer_labels_are_accepted(entry, edges):
+    built, g = LABEL_ENTRY_POINTS[entry](edges)
+    if g is None:
+        assert sorted(built.edges()) == [(1, 2)]
+    else:
+        assert built.pairs.tolist() == [[g.dense_of(1), g.dense_of(2)]]
 
 
 # ----------------------------------------------------------------------

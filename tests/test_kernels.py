@@ -297,34 +297,14 @@ def test_concurrent_engines_match_sequential_runs():
 
 
 @needs_c
-def test_failed_level_call_drops_the_arena():
-    # a stand-in for the foreign kernel dirties every slot of the arena,
-    # then reports an allocation failure, as a failed push may leave a slot
-    # written but not on the reset list
-    be = get_backend("c")
-    args = level_call_args()
-    clean = be.delete_level(**args)
-    n = len(args["starts"])
-
-    def stand_in(*call):
-        arena = call[9]  # the cffi Arena struct pointer
-        for v in range(n):
-            arena.slack[v] = arena.sup[v] = arena.csup[v] = 0
-            arena.visited[v] = arena.removed[v] = 1
-        return -1
-
-    with pytest.raises(MemoryError):
-        be._level(stand_in, **args)
-    again = be.delete_level(**args)
-    assert (again[0].tolist(), again[1]) == (clean[0].tolist(), clean[1])
-
-
-@needs_c
 def test_failed_round_drops_the_callers_arena(monkeypatch):
-    # as above, for a stand-in of the whole round's foreign call that
-    # reports an allocation failure on a level the calling thread ran
+    # a stand-in for the round's foreign call dirties every slot of the
+    # calling thread's arena, then reports an allocation failure on a
+    # level that thread ran, as a failed push may leave a slot written but
+    # not on the reset list; a one-level call goes the same way
     be = get_backend("c")
-    args = level_call_args()
+    level_args = level_call_args()
+    args = dict(level_args)
     k = args.pop("k")
     round_args = dict(mode="delete", level_edges={k: (args.pop("eu"),
                                                       args.pop("ev"))},
@@ -347,6 +327,14 @@ def test_failed_round_drops_the_callers_arena(monkeypatch):
     monkeypatch.undo()
     again = be.run_levels(**round_args)
     assert [(r[0], r[1].tolist(), r[2]) for r in again] == \
+        [(r[0], r[1].tolist(), r[2]) for r in clean]
+
+    monkeypatch.setattr(be, "_lib", StandIn())
+    with pytest.raises(MemoryError):
+        be.delete_level(**level_args)
+    monkeypatch.undo()
+    moved, counters = be.delete_level(**level_args)
+    assert [(k, moved.tolist(), counters)] == \
         [(r[0], r[1].tolist(), r[2]) for r in clean]
 
 

@@ -435,11 +435,13 @@ def bad_backend(error):
 
 def two_level_case(mode):
     """Paths 0-1-5 and 6-7 (level 1) and triangles 2-3-4 and 8-9-10
-    (level 2), with a batch of two level-1 edges and one level-2 edge."""
+    (level 2), with a batch of two level-1 edges and one level-2 edge; an
+    insert batch also holds the present edge 9-10, last in canonical
+    order."""
     g = Graph.from_edges([(0, 1), (1, 5), (6, 7), (2, 3), (3, 4), (2, 4),
                           (8, 9), (9, 10), (8, 10)], dense_labels=True)
     if mode == "insert":
-        return g, build_insert_batch(g, [(0, 6), (5, 7), (2, 8)])
+        return g, build_insert_batch(g, [(0, 6), (5, 7), (2, 8), (9, 10)])
     return g, build_delete_batch(g, [(0, 1), (6, 7), (2, 3)])
 
 
@@ -476,6 +478,19 @@ def test_engine_round_rolls_back_on_task_failure(workers, error, raised,
     assert batch.alive.tolist() == before_alive.tolist()
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+@pytest.mark.parametrize("new_pair", [True, False])
+def test_engine_rejects_a_bad_worker_count_first(workers, new_pair):
+    g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
+    cores = peel(g)
+    batch = build_insert_batch(g, [(0, 1), (0, 2)] if new_pair else [(0, 1)])
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        insert_edges(g, cores, batch, workers=workers)
+    assert batch.alive.all()
+    assert sorted(g.edges()) == [(0, 1), (1, 2)]
+    assert cores == peel(g)
+
+
 @pytest.mark.parametrize("mode", ["insert", "delete"])
 @pytest.mark.parametrize("error, raised", [
     pytest.param(RuntimeError, LevelTaskError, id="error"),
@@ -487,10 +502,10 @@ def test_interrupted_baseline_keeps_the_failing_edge_pending(error, raised,
     # fails, then the other level-1 edge
     g, batch = two_level_case(mode)
     cores = peel(g)
-    done, failing, later = batch.pairs.tolist()
+    done, failing, later = batch.pairs.tolist()[:3]
     with pytest.raises(raised):
         sequential_baseline(g, cores, batch, mode, backend=bad_backend(error))
-    assert batch.alive.tolist() == [False, True, True]
+    assert batch.alive.tolist() == [False] + [True] * (batch.size - 1)
     assert g.has_edge(*done) == (mode == "insert")
     for u, v in (failing, later):
         assert g.has_edge(u, v) == (mode == "delete")
