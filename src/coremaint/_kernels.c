@@ -15,14 +15,18 @@
    forgets the parent's helpers and starts its own.
 
    Every entry point that takes vertex ids checks that they lie in 0..n-1
-   before it writes anything and returns BAD_ENDPOINT otherwise, and the
-   level kernels check that each edge lies at their level (BAD_LEVEL); the
-   caller checks dtypes, contiguity and lengths.
+   before it writes anything and returns BAD_ENDPOINT otherwise (a round
+   checks each level's edges before it runs that level, and also that they
+   lie at the level: BAD_LEVEL); the caller checks dtypes, contiguity and
+   lengths.
 
-   The calling thread's arena comes from Python, each helper's is its own.
-   Each level task records the arena slots it writes on its dirty list and
-   resets them before it returns; one that fails to allocate returns
-   ALLOC_FAILED and may leave a slot written but not recorded. */
+   This file owns every level-kernel arena: the calling thread passes in
+   its own (an OwnArena that Python only holds and frees with
+   cm_arena_drop), and each helper keeps one.  Each level task records the
+   arena slots it writes on its dirty list and resets them before it
+   returns; one that fails to allocate returns ALLOC_FAILED and may leave a
+   slot written but not recorded, so claim_levels, the one loop that runs
+   levels, drops the arena then. */
 
 #define _POSIX_C_SOURCE 200809L
 
@@ -72,6 +76,14 @@ typedef struct {
     uint8_t *visited, *removed;
     int32_t *slack, *sup, *csup;
 } Arena;
+
+/* An arena for cap vertices, with room for one level's visit order;
+   all zero before its first growth. */
+typedef struct {
+    Arena a;
+    int32_t *order;
+    int64_t cap;
+} OwnArena;
 
 typedef struct {
     const int64_t *starts;
@@ -309,22 +321,16 @@ static int64_t finish(Task *t, int keep_removed)
     return t->err ? ALLOC_FAILED : cnt;
 }
 
-/* Vertices of core level k that rise after the level's p edges (eu, ev)
-   were inserted into the adjacency arrays of the n vertices.  Returns their
-   count and leaves them, in visit order, at the front of moved (room for
-   one id per vertex); ctr receives the five counters.  Returns BAD_LEVEL
-   unless every edge lies at level k. */
-static int64_t cm_insert_level(int64_t n, const int64_t *starts,
-                               const int32_t *lens, const int32_t *pool,
-                               const int32_t *cores, int32_t k, int64_t p,
-                               const int32_t *eu, const int32_t *ev,
-                               const Arena *arena, int32_t *moved,
-                               int64_t *ctr)
+/* Vertices of core level k that rise after the level's p edges (eu, ev),
+   all in range and at level k, were inserted into the adjacency arrays.
+   Returns their count and leaves them, in visit order, at the front of
+   moved (room for one id per vertex); ctr receives the five counters. */
+static int64_t cm_insert_level(const int64_t *starts, const int32_t *lens,
+                               const int32_t *pool, const int32_t *cores,
+                               int32_t k, int64_t p, const int32_t *eu,
+                               const int32_t *ev, const Arena *arena,
+                               int32_t *moved, int64_t *ctr)
 {
-    if (!in_range(p, eu, ev, n))
-        return BAD_ENDPOINT;
-    if (!at_level(p, eu, ev, cores, k))
-        return BAD_LEVEL;
     Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
               ctr, 0};
     Arena a = t.a;
@@ -361,17 +367,12 @@ static int64_t cm_insert_level(int64_t n, const int64_t *starts,
 /* Vertices of core level k that fall after the level's p edges (eu, ev)
    were deleted from the adjacency arrays.  Inputs and outputs as
    cm_insert_level. */
-static int64_t cm_delete_level(int64_t n, const int64_t *starts,
-                               const int32_t *lens, const int32_t *pool,
-                               const int32_t *cores, int32_t k, int64_t p,
-                               const int32_t *eu, const int32_t *ev,
-                               const Arena *arena, int32_t *moved,
-                               int64_t *ctr)
+static int64_t cm_delete_level(const int64_t *starts, const int32_t *lens,
+                               const int32_t *pool, const int32_t *cores,
+                               int32_t k, int64_t p, const int32_t *eu,
+                               const int32_t *ev, const Arena *arena,
+                               int32_t *moved, int64_t *ctr)
 {
-    if (!in_range(p, eu, ev, n))
-        return BAD_ENDPOINT;
-    if (!at_level(p, eu, ev, cores, k))
-        return BAD_LEVEL;
     Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
               ctr, 0};
     for (int64_t i = 0; i < p && !t.err; i++) {
@@ -416,13 +417,6 @@ typedef struct Round {
     struct Round *link;  /* open rounds; under lock */
 } Round;
 
-/* A helper's arena, with room for one level's visit order. */
-typedef struct {
-    Arena a;
-    int32_t *order;
-    int64_t cap;
-} OwnArena;
-
 static OwnArena helper_arenas[MAX_HELPERS];
 static int64_t started;  /* helpers alive; under lock */
 static Round *open_rounds;  /* rounds helpers may join; under lock */
@@ -431,7 +425,8 @@ static pthread_cond_t work = PTHREAD_COND_INITIALIZER;  /* a round opened */
 static pthread_cond_t idle = PTHREAD_COND_INITIALIZER;  /* a helper left */
 static pthread_once_t fork_hooks = PTHREAD_ONCE_INIT;
 
-static void own_drop(OwnArena *o)
+/* Frees o's buffers and zeroes it; o itself stays the caller's. */
+void cm_arena_drop(OwnArena *o)
 {
     free(o->a.visited);
     free(o->a.removed);
@@ -449,7 +444,7 @@ static int own_fit(OwnArena *o, int64_t n)
     if (o->cap >= n)
         return 0;
     size_t cap = (size_t)(n > 2 * o->cap ? n : 2 * o->cap);
-    own_drop(o);
+    cm_arena_drop(o);
     o->a.visited = calloc(cap, 1);
     o->a.removed = calloc(cap, 1);
     o->a.slack = calloc(cap, sizeof *o->a.slack);
@@ -458,7 +453,7 @@ static int own_fit(OwnArena *o, int64_t n)
     o->order = malloc(cap * sizeof *o->order);
     if (!(o->a.visited && o->a.removed && o->a.slack && o->a.sup
           && o->a.csup && o->order)) {
-        own_drop(o);
+        cm_arena_drop(o);
         return ALLOC_FAILED;
     }
     memset(o->a.sup, 0xff, cap * sizeof *o->a.sup);  /* UNSET */
@@ -474,30 +469,48 @@ static int64_t ns(clockid_t clock)
     return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
 }
 
-/* Runs level i of r with an arena whose visit-order room is order (NULL
-   arena: it could not be allocated), and fills its row. */
-static void run_level(Round *r, int64_t i, int64_t slot, const Arena *arena,
-                      int32_t *order)
+/* Runs level i of r with arena o (NULL: it could not be grown), fills
+   its row, and returns its count. */
+static int64_t run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
 {
     int64_t *row = r->rows + i * ROW;
     int64_t wall = ns(CLOCK_MONOTONIC), cpu = ns(CLOCK_THREAD_CPUTIME_ID);
-    int64_t cnt = ALLOC_FAILED;
-    if (arena) {
-        int64_t b = r->bounds[i], p = r->bounds[i + 1] - b;
-        const int32_t *eu = r->edges + 2 * b;
+    int64_t b = r->bounds[i], p = r->bounds[i + 1] - b;
+    int32_t k = (int32_t)r->ks[i];
+    const int32_t *eu = r->edges + 2 * b, *ev = eu + p;
+    int64_t cnt;
+    if (!in_range(p, eu, ev, r->n))
+        cnt = BAD_ENDPOINT;
+    else if (!at_level(p, eu, ev, r->cores, k))
+        cnt = BAD_LEVEL;
+    else if (!o)
+        cnt = ALLOC_FAILED;
+    else
         cnt = (r->insert ? cm_insert_level : cm_delete_level)(
-            r->n, r->starts, r->lens, r->pool, r->cores, (int32_t)r->ks[i],
-            p, eu, eu + p, arena, order, row + R_CTR);
-    }
+            r->starts, r->lens, r->pool, r->cores, k, p, eu, ev, &o->a,
+            o->order, row + R_CTR);
     if (cnt > 0) {
         int64_t at = atomic_fetch_add(&r->used, cnt);
-        memcpy(r->out + at, order, (size_t)cnt * sizeof *order);
+        memcpy(r->out + at, o->order, (size_t)cnt * sizeof *o->order);
         row[R_OFFSET] = at;
     }
     row[R_COUNT] = cnt;
     row[R_WALL] = ns(CLOCK_MONOTONIC) - wall;
     row[R_CPU] = ns(CLOCK_THREAD_CPUTIME_ID) - cpu;
     row[R_WORKER] = slot;
+    return cnt;
+}
+
+/* Claims levels of r until none is left, running each as worker slot with
+   arena o grown to cover r's vertices.  A level that failed to allocate
+   may have left a slot of o written but not reset, so o is dropped and
+   grown afresh for the next level. */
+static void claim_levels(Round *r, int64_t slot, OwnArena *o)
+{
+    for (int64_t i; (i = atomic_fetch_add(&r->next, 1)) < r->levels;)
+        if (run_level(r, i, slot, own_fit(o, r->n) ? NULL : o)
+                == ALLOC_FAILED)
+            cm_arena_drop(o);
 }
 
 /* An open round with unclaimed levels that wants more helpers (under
@@ -523,12 +536,7 @@ static void *helper_main(void *arg)
         r->joined++;
         int64_t slot = ++r->seats;
         pthread_mutex_unlock(&lock);
-        for (int64_t i; (i = atomic_fetch_add(&r->next, 1)) < r->levels;) {
-            int ok = own_fit(own, r->n) == 0;
-            run_level(r, i, slot, ok ? &own->a : NULL, own->order);
-            if (r->rows[i * ROW + R_COUNT] == ALLOC_FAILED)
-                own_drop(own);
-        }
+        claim_levels(r, slot, own);
         pthread_mutex_lock(&lock);
         if (--r->joined == 0)
             pthread_cond_broadcast(&idle);
@@ -572,7 +580,7 @@ static void fork_parent(void)
 static void fork_child(void)
 {
     for (int64_t h = 0; h < started; h++)
-        own_drop(&helper_arenas[h]);
+        cm_arena_drop(&helper_arenas[h]);
     started = 0;
     open_rounds = NULL;
     pthread_mutex_init(&lock, NULL);
@@ -590,8 +598,8 @@ static void install_fork_hooks(void)
    claim order (heaviest first), then levels + 1 edge offsets: level i is
    meta[i], with p = bounds[i + 1] - bounds[i] edges (bounds = meta +
    levels) whose eu, then ev, start at edges + 2 * bounds[i].  The calling
-   thread uses arena and order (room for n ids) and asks for up to
-   helpers_wanted helper threads.  Each level's moved ids go to out (room
+   thread runs levels with arena caller, growing it as needed, and asks for
+   up to helpers_wanted helper threads.  Each level's moved ids go to out (room
    for n ids) and its results to its row of rows (ROW int64, counters
    zeroed); a failed level's count is its error return.  Returns once
    every level has finished. */
@@ -599,8 +607,8 @@ void cm_run_levels(int insert, int64_t n, const int64_t *starts,
                    const int32_t *lens, const int32_t *pool,
                    const int32_t *cores, int64_t levels,
                    const int64_t *meta, const int32_t *edges,
-                   int64_t helpers_wanted, const Arena *arena,
-                   int32_t *order, int32_t *out, int64_t *rows)
+                   int64_t helpers_wanted, OwnArena *caller, int32_t *out,
+                   int64_t *rows)
 {
     Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
                .pool = pool, .cores = cores, .levels = levels, .ks = meta,
@@ -621,8 +629,7 @@ void cm_run_levels(int insert, int64_t n, const int64_t *starts,
             pthread_cond_signal(&work);
         pthread_mutex_unlock(&lock);
     }
-    for (int64_t i; (i = atomic_fetch_add(&r.next, 1)) < levels;)
-        run_level(&r, i, 0, arena, order);
+    claim_levels(&r, 0, caller);
     if (want > 0) {
         pthread_mutex_lock(&lock);
         Round **at = &open_rounds;

@@ -15,8 +15,9 @@ tasks of a round in one foreign call, the calling thread taking levels
 heaviest first and up to ``min(workers, levels) - 1`` helper threads of
 the C code the rest.  The helpers start on first need and serve every
 later round of the process.  ``insert_level`` and ``delete_level`` are
-one-level rounds on the calling thread.  The calling thread's arena is
-kept here; each helper keeps its own in C.
+one-level rounds on the calling thread.  The C code owns every arena,
+grows it and drops it after a failed allocation; this module only holds
+each calling thread's arena as an opaque handle, freed with the thread.
 
 Every entry point checks dtypes, contiguity and lengths (``parse_pairs``:
 that it was given ``bytes``) before it calls into C; the C code checks
@@ -50,7 +51,6 @@ NAME = "c"
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _FLAGS = ("-std=c11", "-O3", "-shared", "-fPIC", "-pthread")
-_UNSET = -1
 # error returns of the C entry points
 _BAD_ORDER, _BAD_ENDPOINT, _NOT_MINE, _BAD_LEVEL = -2, -3, -5, -6
 _ROW = 10  # int64 per level row of cm_run_levels: count, offset, 5
@@ -103,14 +103,20 @@ typedef struct {
     uint8_t *visited, *removed;
     int32_t *slack, *sup, *csup;
 } Arena;
+typedef struct {
+    Arena a;
+    int32_t *order;
+    int64_t cap;
+} OwnArena;
+void cm_arena_drop(OwnArena *o);
 int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
             const int32_t *pool, int32_t *out);
 void cm_run_levels(int insert, int64_t n, const int64_t *starts,
                    const int32_t *lens, const int32_t *pool,
                    const int32_t *cores, int64_t levels,
                    const int64_t *meta, const int32_t *edges,
-                   int64_t helpers_wanted, const Arena *arena,
-                   int32_t *order, int32_t *out, int64_t *rows);
+                   int64_t helpers_wanted, OwnArena *caller, int32_t *out,
+                   int64_t *rows);
 int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
                  const int32_t *cores, int64_t n, int8_t *status);
 int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
@@ -125,44 +131,18 @@ int64_t cm_parse_pairs(const char *data, int64_t len, int64_t *out,
 _lib = _load(_ffi)
 _buf = _ffi.from_buffer
 _I64, _I32 = np.dtype(np.int64), np.dtype(np.int32)
-_CTYPES = {_I64: "int64_t[]", _I32: "int32_t[]",
-           np.dtype(np.uint8): "uint8_t[]"}
+_CTYPES = {_I64: "int64_t[]", _I32: "int32_t[]"}
 
 
-class _Scratch:
-    """Per-vertex slots of the level kernels for vertices 0..n-1, plus
-    room for the calling thread's visit order (``moved``) and for a
-    round's moved ids (``out``).  Between calls every slot holds its reset
-    value; each call resets the slots it wrote before it returns."""
+class _Thread(threading.local):
+    """``arena``: the calling thread's level-kernel arena, which the C code
+    grows and resets; freed with the thread."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.visited = np.zeros(n, dtype=np.uint8)
-        self.removed = np.zeros(n, dtype=np.uint8)
-        self.slack = np.zeros(n, dtype=np.int32)
-        self.sup = np.full(n, _UNSET, dtype=np.int32)
-        self.csup = np.full(n, _UNSET, dtype=np.int32)
-        self.moved = np.empty(n, dtype=np.int32)
-        self.moved_ptr = _buf("int32_t[]", self.moved)
-        self.out = np.empty(n, dtype=np.int32)
-        self.out_ptr = _buf("int32_t[]", self.out)
-        # the struct's pointers; the views keep the arrays' buffers exported
-        self._views = {f: _buf(_CTYPES[getattr(self, f).dtype],
-                               getattr(self, f))
-                       for f in ("visited", "removed", "slack", "sup", "csup")}
-        self.ref = _ffi.new("Arena *", self._views)
+    def __init__(self):
+        self.arena = _ffi.gc(_ffi.new("OwnArena *"), _lib.cm_arena_drop)
 
 
-_threads = threading.local()  # .arena: the calling thread's _Scratch
-
-
-def _arena(n: int) -> _Scratch:
-    """The calling thread's arena, grown (at least doubled) to cover n
-    vertices."""
-    have = getattr(_threads, "arena", None)
-    if have is None or have.n < n:
-        have = _threads.arena = _Scratch(max(n, 2 * have.n if have else 0))
-    return have
+_threads = _Thread()
 
 
 def _check_array(name: str, a, dtype, length: int | None = None):
@@ -256,22 +236,17 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
                     dtype=np.int64)
     edges = np.concatenate(parts)
     rows = np.zeros((len(ks), _ROW), dtype=np.int64)
-    arena = _arena(n)
+    out = np.empty(n, dtype=np.int32)
     _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr, len(ks),
                        _buf("int64_t[]", meta), _buf("int32_t[]", edges),
-                       min(workers, len(ks)) - 1, arena.ref, arena.moved_ptr,
-                       arena.out_ptr, _buf("int64_t[]", rows))
+                       min(workers, len(ks)) - 1, _threads.arena,
+                       _buf("int32_t[]", out), _buf("int64_t[]", rows))
     table = rows.tolist()
     failed = [i for i, row in enumerate(table) if row[0] < 0]
     if failed:
-        if any(table[i][0] not in (_BAD_ENDPOINT, _BAD_LEVEL)
-               and table[i][9] == 0 for i in failed):
-            # a failed push can leave a written slot off the reset list
-            del _threads.arena
         i = failed[0]
         exc = _level_error(table[i][0], n, ks[i])
         raise LevelTaskError(ks[i], exc) from exc
-    out = arena.out
     return [(k, np.sort(out[row[1]:row[1] + row[0]]), tuple(row[2:7]),
              row[7], row[8], row[9])
             for k, row in sorted(zip(ks, table))]

@@ -26,8 +26,9 @@ values.  Counter tuple layout:
 
 A backend may keep the level kernels' per-vertex scratch in an arena that
 one thread owns and keeps across calls, so concurrent tasks never share
-one.  Every call leaves its arena clean, and a call that fails in a way
-that may leave a slot dirty drops its arena.
+one.  Every level task leaves its arena clean, and a task that fails in a
+way that may leave a slot dirty (an allocation) drops its arena, which
+the next task grows afresh.  The caller never sees an arena.
 
 This lane keeps per-task state in dicts and sets and runs a round's
 levels one after another on the calling thread; the compiled lane

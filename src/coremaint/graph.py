@@ -92,31 +92,51 @@ class LoadStats:
     dropped_duplicates: int = 0
 
 
+_MAX_LABEL = int(np.iinfo(np.int64).max)
+_NEGATIVE = "vertex labels must be non-negative"
+_TOO_LARGE = f"vertex labels must lie in the int64 range 0..{_MAX_LABEL}"
+
+
+def _label(x) -> int:
+    """``x`` as a vertex label: a Python or numpy integer in 0..2**63-1.
+    Raises ValueError for anything else, floats and strings included (they
+    are never truncated or parsed)."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"vertex labels must be integers, got {x!r}") \
+            from None
+    if x < 0:
+        raise ValueError(_NEGATIVE)
+    if x > _MAX_LABEL:
+        raise ValueError(_TOO_LARGE)
+    return x
+
+
 def _as_pair(e) -> tuple[int, int]:
     try:
         u, v = e.as_pair() if isinstance(e, Edge) else e
     except (TypeError, ValueError):
         raise ValueError("edges must be vertex pairs") from None
-    try:
-        return (operator.index(u), operator.index(v))
-    except TypeError:
-        raise ValueError(f"vertex labels must be integers, got {(u, v)}") \
-            from None
+    return _label(u), _label(v)
 
 
 def label_pairs(edges) -> np.ndarray:
     """``edges`` as an (m, 2) int64 array of label pairs.
 
     ``edges`` is an (m, 2) integer array, or an iterable of pairs or
-    ``Edge`` objects whose labels are Python or numpy integers.  Raises
-    ValueError for anything else, floats and strings included (they are
-    never truncated or parsed), and for a negative label.
+    ``Edge`` objects whose labels ``_label`` accepts.  Raises ValueError
+    for anything else.
     """
     try:
         arr = np.asarray(edges)
     except ValueError:  # items of different lengths
         arr = None
-    if arr is None or arr.dtype == object:  # Edge objects, iterators, ...
+    if arr is None or (arr.dtype.kind not in "iu"
+                       and not isinstance(edges, np.ndarray)):
+        # Edge objects, iterators, and anything numpy did not read as
+        # integers (floats, strings, labels of 2**64 or more, or of 2**63
+        # or more beside others, which it reads as floats): pair by pair
         arr = np.array([_as_pair(e) for e in edges], dtype=np.int64)
     if arr.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
@@ -124,9 +144,11 @@ def label_pairs(edges) -> np.ndarray:
         raise ValueError(f"vertex labels must be integers, got {arr.dtype}")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be vertex pairs")
+    if arr.dtype == np.uint64 and arr.max() > _MAX_LABEL:
+        raise ValueError(_TOO_LARGE)
     arr = arr.astype(np.int64, copy=False)
     if arr.min() < 0:
-        raise ValueError("vertex labels must be non-negative")
+        raise ValueError(_NEGATIVE)
     return arr
 
 
@@ -235,9 +257,11 @@ class Graph:
         return self._labels[dense]
 
     def dense_of(self, label: int) -> int:
-        """Dense id for a label; KeyError if the label is unknown."""
+        """Dense id for a label; KeyError if the label is unknown, and
+        ValueError if it is not one (``_label``)."""
+        label = _label(label)
         if self._identity:
-            if 0 <= label < len(self._labels):
+            if label < len(self._labels):
                 return label
             raise KeyError(label)
         return self._labels_to_ids()[label]
@@ -258,9 +282,8 @@ class Graph:
         return self._label_map
 
     def _intern(self, label: int) -> int:
-        """Dense id for a label, creating the vertex on first sight."""
-        if label < 0:
-            raise ValueError("vertex labels must be non-negative")
+        """Dense id for a label that ``_label`` accepts, creating the vertex
+        on first sight."""
         if self._identity:
             if 0 <= label < len(self._labels):
                 return label
@@ -322,9 +345,10 @@ class Graph:
 
         Unknown endpoints are created as isolated vertices first.
         """
+        u, v = _label(u), _label(v)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        pair = [self._intern(int(u))], [self._intern(int(v))]
+        pair = [self._intern(u)], [self._intern(v)]
         if self._has_dense(*pair)[0]:
             return "duplicate"
         self._add_dense(*pair)
@@ -332,10 +356,11 @@ class Graph:
 
     def remove_edge(self, u: int, v: int) -> str:
         """Delete the undirected edge {u, v}; returns "removed" or "absent"."""
+        u, v = _label(u), _label(v)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         try:
-            pair = [self.dense_of(int(u))], [self.dense_of(int(v))]
+            pair = [self.dense_of(u)], [self.dense_of(v)]
         except KeyError:
             return "absent"
         if not self._has_dense(*pair)[0]:
@@ -416,18 +441,19 @@ class Graph:
     # queries
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = _label(u), _label(v)  # both checked, even if u is unknown
         try:
-            pair = [self.dense_of(int(u))], [self.dense_of(int(v))]
+            pair = [self.dense_of(u)], [self.dense_of(v)]
         except KeyError:
             return False
         return bool(self._has_dense(*pair)[0])
 
     def degree(self, u: int) -> int:
-        return int(self._lens[self.dense_of(int(u))])
+        return int(self._lens[self.dense_of(u)])
 
     def neighbors(self, u: int) -> list[int]:
         """Neighbor labels of u, in internal storage order."""
-        du = self.dense_of(int(u))
+        du = self.dense_of(u)
         s = self._starts[du]
         block = self._pool[s : s + self._lens[du]]
         return [self._labels[w] for w in block]
@@ -532,9 +558,6 @@ def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
 
 # ----------------------------------------------------------------------
 # edge-list text format (SNAP-style: "u v" per line, '#' comments)
-
-
-_MAX_LABEL = int(np.iinfo(np.int64).max)
 
 
 def _iter_lines(source):

@@ -557,6 +557,12 @@ LABEL_ENTRY_POINTS = {
                  id="negative-array"),
     pytest.param([(1, 2, 3)], "vertex pairs", id="triple"),
     pytest.param([(1, 2), (3,)], "vertex pairs", id="ragged"),
+    pytest.param([(1, 2 ** 70)], "int64 range", id="huge"),
+    pytest.param([(1, 2 ** 63)], "int64 range", id="2**63"),
+    pytest.param([(2 ** 63, 2 ** 63 + 1)], "int64 range", id="2**63-pair"),
+    pytest.param([Edge(1, 2 ** 70)], "int64 range", id="huge-edge"),
+    pytest.param(np.array([[1, 2 ** 63]], dtype=np.uint64), "int64 range",
+                 id="uint64-array"),
 ])
 def test_labels_that_are_not_non_negative_integers_are_rejected(
         entry, edges, error):
@@ -570,6 +576,43 @@ def test_labels_that_are_not_non_negative_integers_are_rejected(
         with pytest.raises(ValueError, match=error):
             build_insert_batch(g, [(7, 8), *edges])
         assert g.vertex_count == 5
+
+
+# every method that takes scalar labels: (call, good labels on path_0_to_4,
+# the call's result for them)
+SCALAR_ENTRY_POINTS = {
+    "add_edge": (Graph.add_edge, (1, 2), "duplicate"),
+    "remove_edge": (Graph.remove_edge, (1, 2), "removed"),
+    "has_edge": (Graph.has_edge, (1, 2), True),
+    "degree": (Graph.degree, (2,), 2),
+    "neighbors": (lambda g, v: sorted(g.neighbors(v)), (2,), [1, 3]),
+    "dense_of": (Graph.dense_of, (2,), 2),
+    "has_vertex": (Graph.has_vertex, (2,), True),
+    "core_of": (lambda g, v: peel(g).of(g, v), (2,), 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("bad, error", [
+    pytest.param(1.9, "integers", id="float"),
+    pytest.param(2.0, "integers", id="integral-float"),
+    pytest.param("2", "integers", id="string"),
+    pytest.param(None, "integers", id="none"),
+    pytest.param(-2, "non-negative", id="negative"),
+    pytest.param(2 ** 70, "int64 range", id="huge"),
+    pytest.param(2 ** 63, "int64 range", id="2**63"),
+])
+def test_scalar_labels_that_are_not_labels_are_rejected(entry, bad, error):
+    # no label is truncated, parsed or wrapped, whichever one is bad, and
+    # the graph is left as it was
+    call, good, result = SCALAR_ENTRY_POINTS[entry]
+    g = path_0_to_4()
+    for i in range(len(good)):
+        with pytest.raises(ValueError, match=error):
+            call(g, *good[:i], bad, *good[i + 1:])
+    assert (sorted(g.edges()), g.vertex_count) == \
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
+    assert call(g, *map(np.int64, good)) == result
 
 
 @pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))

@@ -205,40 +205,46 @@ def test_backends_share_one_contract():
 
 def growing_batches(seed):
     """Insert and delete batches, on two workers, on a graph whose vertex
-    count more than doubles from one insert batch to the next; yields after
-    each batch."""
+    count more than doubles from one insert batch to the next; yields the
+    graph, the cores and the batch's log after each batch."""
     rng = np.random.default_rng(seed)
     g = generate_er(8, 2, seed=seed)
     cores = peel(g)
     for step in range(6):
         n = g.vertex_count
         fresh = rng.integers(0, 3 * n, size=(4 * n, 2))
-        insert_edges(g, cores, build_insert_batch(g, fresh.tolist()),
-                     workers=2, backend="c")
-        yield g, cores
+        yield g, cores, insert_edges(
+            g, cores, build_insert_batch(g, fresh.tolist()), workers=2,
+            backend="c")
         gone = sample_existing_edges(g, g.edge_count // 5, seed=step)
-        delete_edges(g, cores, build_delete_batch(g, gone), workers=2,
-                     backend="c")
-        yield g, cores
+        yield g, cores, delete_edges(g, cores, build_delete_batch(g, gone),
+                                     workers=2, backend="c")
 
 
 @needs_c
 def test_arena_grows_with_the_graph():
     # a fresh thread starts without an arena, and the graph grows past the
     # arenas' size between batches; every batch leaves each slot of the
-    # calling thread's arena at its reset value, and the helpers' arenas
-    # grow too (cores still equal peel)
+    # calling thread's arena at its reset value, a batch in which that
+    # thread ran a level leaves its arena covering the graph, and the
+    # helpers' arenas grow too (cores still equal peel)
     sizes, errors = [], []
 
     def run():
         try:
-            for g, cores in growing_batches(5):
+            be = get_backend("c")
+            for g, cores, log in growing_batches(5):
                 assert cores == peel(g)
-                arena = get_backend("c")._threads.arena
-                sizes.append((g.vertex_count, arena.n))
-                assert not any(getattr(arena, f).any() for f in
-                               ("visited", "removed", "slack"))
-                assert (arena.sup == -1).all() and (arena.csup == -1).all()
+                arena = be._threads.arena
+                cap = arena.cap
+                for field, reset in [("visited", 0), ("removed", 0),
+                                     ("slack", 0), ("sup", -1),
+                                     ("csup", -1)]:
+                    values = be._ffi.unpack(getattr(arena.a, field), cap)
+                    assert set(values) <= {reset}, field
+                if any(task.worker == 0 for r in log.rounds
+                       for task in r.tasks):
+                    sizes.append((g.vertex_count, cap))
         except BaseException as exc:
             errors.append(exc)
 
@@ -246,7 +252,7 @@ def test_arena_grows_with_the_graph():
     worker.start()
     worker.join(timeout=120)
     assert not worker.is_alive() and not errors, errors
-    assert all(n <= have for n, have in sizes)
+    assert all(n <= have for n, have in sizes), sizes
     assert sizes[-1][0] > 4 * sizes[0][1]  # the arena had to grow
 
 
@@ -296,46 +302,115 @@ def test_concurrent_engines_match_sequential_runs():
     assert got == expect
 
 
+# Run in a child process, so that its address-space limit never applies to
+# the test runner.  Each failed call must raise the kernel's own
+# MemoryError, and a retry once the limit is lifted must give the clean
+# result: a failed allocation must not leave a written arena slot behind.
+ARENA_FAILURES = """
+import resource
+
+import numpy as np
+
+from coremaint import Graph
+from coremaint.kernels import get_backend
+
+be = get_backend("c")
+MB = 1 << 20
+KERNEL = "level kernel allocation failed"
+
+
+def failure(call, extra):
+    # call() while the address space may grow by extra bytes only
+    with open("/proc/self/status") as fh:
+        size = next(int(ln.split()[1]) << 10 for ln in fh
+                    if ln.startswith("VmSize:"))
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + extra, hard))
+    try:
+        call()
+    except MemoryError as exc:
+        return str(exc)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def delete_call(edges, cores, k, u, v):
+    # delete_level for the edge (u, v), cut from a graph of len(cores)
+    # vertices that now holds edges; it returns (moved, counters)
+    g = Graph.from_edges(edges, num_vertices=len(cores), dense_labels=True)
+    starts, lens, pool = g.adjacency_arrays()
+    eu, ev = np.array([u], np.int32), np.array([v], np.int32)
+
+    def call():
+        moved, counters = be.delete_level(starts, lens, pool, cores, k, eu,
+                                          ev)
+        return moved.tolist(), counters
+    return call
+
+
+def cut_tail(n):
+    # a triangle whose tail (2, 3) was cut, among n vertices
+    cores = np.zeros(n, np.int32)
+    cores[:4] = [2, 2, 2, 1]
+    return delete_call([(0, 1), (1, 2), (0, 2)], cores, 1, 2, 3)
+
+
+# (a) the arena cannot grow to cover the graph
+small, big = cut_tail(4), cut_tail(1 << 20)
+clean = small()
+assert failure(big, 8 * MB) == KERNEL
+assert big() == clean and small() == clean
+del big
+
+# (b) the dirty list cannot grow mid-kernel: a 2^20-cycle cut at (0, 1)
+# beside a K4 cut at (n, n + 1)
+n = 1 << 20
+path = np.arange(1, n - 1)
+edges = np.concatenate([np.stack([path, path + 1], 1), [[n - 1, 0]],
+                        n + np.array([[0, 2], [0, 3], [1, 2], [1, 3],
+                                      [2, 3]])])
+cores = np.full(n + 4, 2, np.int32)
+cores[n:] = 3
+clique = delete_call(edges, cores, 3, n, n + 1)
+cycle = delete_call(edges, cores, 2, 0, 1)
+for extra in (6 * MB, 8 * MB):
+    assert len(clique()[0]) == 4  # the arena covers the graph
+    assert failure(cycle, extra) == KERNEL
+    assert len(cycle()[0]) == n  # the whole cycle falls
+"""
+
+
 @needs_c
-def test_failed_round_drops_the_callers_arena(monkeypatch):
-    # a stand-in for the round's foreign call dirties every slot of the
-    # calling thread's arena, then reports an allocation failure on a
-    # level that thread ran, as a failed push may leave a slot written but
-    # not on the reset list; a one-level call goes the same way
-    be = get_backend("c")
-    level_args = level_call_args()
-    args = dict(level_args)
-    k = args.pop("k")
-    round_args = dict(mode="delete", level_edges={k: (args.pop("eu"),
-                                                      args.pop("ev"))},
-                      workers=1, **args)
-    clean = be.run_levels(**round_args)
-    n = len(args["starts"])
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process size from /proc")
+def test_failed_allocations_leave_the_arena_clean():
+    # a fixed mmap threshold makes every large buffer its own mapping, so
+    # the limit alone decides which allocation fails
+    env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
+           "PYTHONPATH": str(Path(coremaint.__file__).parent.parent)}
+    child = subprocess.run([sys.executable, "-c", ARENA_FAILURES], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
 
-    class StandIn:
-        def cm_run_levels(self, *call):
-            arena, rows = call[10], call[13]
-            for v in range(n):
-                arena.slack[v] = arena.sup[v] = arena.csup[v] = 0
-                arena.visited[v] = arena.removed[v] = 1
-            rows[0] = -1  # ALLOC_FAILED, on worker slot 0 (rows[9])
 
-    monkeypatch.setattr(be, "_lib", StandIn())
-    with pytest.raises(LevelTaskError) as err:
-        be.run_levels(**round_args)
-    assert isinstance(err.value.__cause__, MemoryError)
-    monkeypatch.undo()
-    again = be.run_levels(**round_args)
-    assert [(r[0], r[1].tolist(), r[2]) for r in again] == \
-        [(r[0], r[1].tolist(), r[2]) for r in clean]
-
-    monkeypatch.setattr(be, "_lib", StandIn())
-    with pytest.raises(MemoryError):
-        be.delete_level(**level_args)
-    monkeypatch.undo()
-    moved, counters = be.delete_level(**level_args)
-    assert [(k, moved.tolist(), counters)] == \
-        [(r[0], r[1].tolist(), r[2]) for r in clean]
+@needs_c
+@pytest.mark.skipif(shutil.which("nm") is None, reason="nm is not installed")
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="finds the loaded library in /proc")
+def test_library_exports_only_its_entry_points():
+    # the level kernels stay static: a round is their only way in
+    cache = get_backend("c")._CACHE.resolve()
+    with open("/proc/self/maps") as fh:
+        loaded = {Path(ln.split()[-1]) for ln in fh
+                  if ln.rstrip().endswith(".so")}
+    library, = [p for p in loaded if p.parent == cache]
+    symbols = subprocess.run(["nm", "-D", "--defined-only", str(library)],
+                             capture_output=True, text=True,
+                             check=True).stdout
+    exported = {ln.split()[-1] for ln in symbols.splitlines()}
+    assert {s for s in exported if s.startswith("cm_")} == {
+        "cm_arena_drop", "cm_has_edges", "cm_parse_pairs", "cm_peel",
+        "cm_plan_scan", "cm_remove_edges", "cm_run_levels"}
 
 
 @needs_c
