@@ -46,11 +46,12 @@ def fingerprint(g, comments: int, cores) -> str:
     """A digest of everything a load produces."""
     h = hashlib.sha256()
     arrays = [g._starts, g._lens, g._caps, g._pool, cores.values,
-              np.asarray(g._labels, dtype=np.int64)]
+              g.labels()]
     arrays += list(g._label_index or ())
     for a in arrays:
         h.update(a.dtype.str.encode() + a.tobytes() + b"|")
-    h.update(repr((g._identity, vars(g.load_stats), comments)).encode())
+    h.update(repr((g._label_index is None, vars(g.load_stats),
+                   comments)).encode())
     return h.hexdigest()
 
 

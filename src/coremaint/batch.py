@@ -72,13 +72,14 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     loop = labels[:, 0] == labels[:, 1]
     loops = np.count_nonzero(loop)
     flat = (labels[~loop] if loops else labels).ravel()
-    dense = g._dense_ids(flat)
-    unknown = (dense < 0).nonzero()[0]
-    if len(unknown):
-        if not create_vertices:
+    if create_vertices:
+        dense = g._intern(flat)
+    else:
+        dense = g._dense_ids(flat)
+        unknown = (dense < 0).nonzero()[0]
+        if len(unknown):
             raise BatchError(f"unknown vertex {int(flat[unknown[0]])} "
                              f"in batch")
-        dense[unknown] = [g._intern(x) for x in flat[unknown].tolist()]
     us, vs = dense[0::2], dense[1::2]
     n = max(g.vertex_count, 1)
     keys = sorted_unique(np.minimum(us, vs) * n + np.maximum(us, vs))

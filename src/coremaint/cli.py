@@ -96,21 +96,22 @@ def cmd_verify(args) -> int:
     g = _load_graph(args)
     cores = peel(g, backend=args.backend)
     recorded = read_core_file(args.cores)
-    labels = sorted(g.label_of(i) for i in range(g.vertex_count))
-    for label in labels:
-        expected = cores.of(g, label)
+    expected = cores.as_label_dict(g)
+    wrong = [label for label, core in expected.items()
+             if recorded.get(label) != core]
+    if wrong:
+        label = min(wrong)
         found = recorded.get(label)
-        if found != expected:
-            print(f"mismatch at vertex {label}: expected {expected}, "
-                  f"file has {found if found is not None else 'nothing'}")
-            return 3
-    extra = set(recorded) - set(labels)
+        print(f"mismatch at vertex {label}: expected {expected[label]}, "
+              f"file has {found if found is not None else 'nothing'}")
+        return 3
+    extra = recorded.keys() - expected.keys()
     if extra:
         label = min(extra)
         print(f"mismatch at vertex {label}: not in graph, "
               f"file has {recorded[label]}")
         return 3
-    print(f"verified {len(labels)} vertices")
+    print(f"verified {len(expected)} vertices")
     return 0
 
 

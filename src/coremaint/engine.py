@@ -133,15 +133,16 @@ class MaintenanceLog:
 
     def write_text(self, fh, g: Graph):
         """Line-oriented round records with external vertex labels."""
-        lab = g.label_of
+        labels = g.labels()
+        verb = "raised" if self.mode.startswith("insert") else "lowered"
         for rec in self.rounds:
             fh.write(f"round {rec.index} levels "
                      f"{','.join(map(str, rec.levels))}\n")
-            for k, edges in rec.edges_at_level.items():
-                for u, v in edges:
-                    fh.write(f"applied {k} {lab(u)} {lab(v)}\n")
-            verb = "raised" if self.mode.startswith("insert") else "lowered"
-            fh.write(f"{verb} {' '.join(str(lab(v)) for v in rec.changed)}\n")
+            for k, (us, vs) in rec.level_edges.items():
+                for u, v in zip(labels[us].tolist(), labels[vs].tolist()):
+                    fh.write(f"applied {k} {u} {v}\n")
+            changed = labels[list(rec.changed)].tolist()
+            fh.write(f"{verb} {' '.join(map(str, changed))}\n")
 
 
 def _audit_round(log: MaintenanceLog, pre: np.ndarray, post: np.ndarray,
@@ -176,8 +177,8 @@ def _check_pairs(g: Graph, batch: EdgeBatch, insert: bool,
         batch.alive[idx[present]] = False
         return idx[present]
     if not present.all():
-        missing = [(g.label_of(u), g.label_of(v))
-                   for u, v in batch.pairs[idx[~present]].tolist()]
+        missing = list(map(tuple, g.labels()[batch.pairs[idx[~present]]]
+                           .tolist()))
         raise BatchError(f"edges not present in graph: {missing}")
     return idx[:0]
 

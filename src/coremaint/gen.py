@@ -119,8 +119,7 @@ def sample_new_edges(g: Graph, count: int, seed: int,
         raise ValueError("graph too small to sample non-edges")
     rng = np.random.default_rng(seed)
     vals = cores.values if cores is not None else None
-    out: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    out: dict[tuple[int, int], None] = {}  # dense pairs, in draw order
     tries = 0
     limit = MAX_TRIES_FACTOR * max(count, 1)
     while len(out) < count:
@@ -139,12 +138,11 @@ def sample_new_edges(g: Graph, count: int, seed: int,
         if level is not None:
             ok &= np.minimum(vals[lo], vals[hi]) == level
         for u, v in zip(lo[ok].tolist(), hi[ok].tolist()):
-            if (u, v) not in seen:
-                seen.add((u, v))
-                out.append((g.label_of(u), g.label_of(v)))
-                if len(out) == count:
-                    break
-    return out
+            out[u, v] = None
+            if len(out) == count:
+                break
+    dense = np.array(list(out), dtype=np.int64).reshape(-1, 2)
+    return list(map(tuple, g.labels()[dense].tolist()))
 
 
 def sample_existing_edges(g: Graph, count: int, seed: int,
@@ -163,5 +161,5 @@ def sample_existing_edges(g: Graph, count: int, seed: int,
         raise ValueError(
             f"asked for {count} edges but only {len(dense)} candidates")
     idx = rng.choice(len(dense), size=count, replace=False)
-    return [(g.label_of(int(u)), g.label_of(int(v))) for u, v in dense[idx]]
+    return list(map(tuple, g.labels()[dense[idx]].tolist()))
 

@@ -24,9 +24,9 @@ ascending order; the sort key of the directed entry (src, dst) is
 ``src * 2n + dst`` when ``dst > src`` and ``src * 2n + n + dst`` otherwise.
 Labels are mapped to dense ids in label order: dense labels (the largest
 below twice the number of edge endpoints) through a presence table and
-a cumulative sum, sparser ones through the inverse of one argsort.  The
-label -> id dict behind scalar lookups is built only when one first
-needs it.
+a cumulative sum, sparser ones through the inverse of one argsort; later
+labels get the next ids in first-sight order.  Label -> id lookups are O(1)
+while the labels are 0..n-1, else binary searches of their sorted copy.
 
 Edge-list text is parsed in one pass when the whole source is in a plain
 subset: ASCII digits, spaces, tabs and ``\n`` or ``\r\n`` line ends, plus
@@ -161,12 +161,11 @@ class Graph:
         self._caps = np.zeros(0, dtype=np.int32)
         self._pool = np.zeros(0, dtype=_POOL_DTYPE)
         self._pool_used = 0
-        self._labels: list[int] = []
-        self._identity = True  # labels are exactly 0..n-1
-        # label -> dense id when not the identity; None until first needed
-        self._label_map: dict[int, int] | None = None
-        # (sorted labels, their dense ids) for array lookups; None when stale
+        self._labels = np.zeros(0, dtype=np.int64)  # label of each dense id
+        # (sorted labels, their dense ids); None while the labels are
+        # exactly 0..n-1
         self._label_index: tuple[np.ndarray, np.ndarray] | None = None
+        self.vertex_count = 0
         self.edge_count = 0
 
     # ------------------------------------------------------------------
@@ -180,8 +179,9 @@ class Graph:
         Self-loops and duplicate edges are dropped (counts on ``load_stats``).
         With ``dense_labels`` the labels are taken as internal ids directly
         (0..n-1); otherwise distinct labels are remapped in sorted order.
-        ``num_vertices`` (only with ``dense_labels``) forces trailing
-        isolated vertices to exist.
+        ``num_vertices`` (only with ``dense_labels``; a non-negative
+        integer, else ValueError) forces trailing isolated vertices to
+        exist.
         """
         if num_vertices is not None and not dense_labels:
             raise ValueError("num_vertices requires dense_labels")
@@ -190,20 +190,25 @@ class Graph:
         arr = label_pairs(edges)
 
         if dense_labels:
-            n = int(num_vertices if num_vertices is not None
-                    else (arr.max() + 1 if arr.size else 0))
+            if num_vertices is None:
+                num_vertices = int(arr.max()) + 1 if arr.size else 0
+            try:
+                n = operator.index(num_vertices)
+            except TypeError:
+                raise ValueError(f"num_vertices must be an integer, got "
+                                 f"{num_vertices!r}") from None
+            if n < 0:
+                raise ValueError("num_vertices must be non-negative")
             if arr.size and arr.max() >= n:
                 raise ValueError("edge endpoint outside 0..num_vertices-1")
             dense = arr
-            g._labels = list(range(n))
+            g._labels = np.arange(n)
         else:
-            dense, uniq = _rank_labels(arr.ravel())
-            n = len(uniq)
+            dense, g._labels = _rank_labels(arr.ravel())
+            n = len(g._labels)
             dense = dense.reshape(-1, 2)
-            g._labels = uniq.tolist()
-            if n and uniq[-1] != n - 1:  # labels not already 0..n-1
-                g._identity = False
-                g._label_index = (uniq, np.arange(n))
+            if n and g._labels[-1] != n - 1:  # labels not already 0..n-1
+                g._label_index = (g._labels, np.arange(n))
 
         loops = dense[:, 0] == dense[:, 1]
         stats.dropped_self_loops = int(np.count_nonzero(loops))
@@ -228,6 +233,7 @@ class Graph:
             np.cumsum(deg[:-1], out=g._starts[1:])
         g._pool = (keys % n).astype(_POOL_DTYPE)
         g._pool_used = 2 * m
+        g.vertex_count = n
         g.edge_count = m
         g.load_stats = stats
         return g
@@ -239,32 +245,41 @@ class Graph:
         g._caps = self._caps.copy()
         g._pool = self._pool.copy()
         g._pool_used = self._pool_used
-        g._labels = list(self._labels)
-        g._identity = self._identity
-        g._label_map = None if self._label_map is None else dict(self._label_map)
+        g._labels = self._labels.copy()
         g._label_index = self._label_index  # never written in place
+        g.vertex_count = self.vertex_count
         g.edge_count = self.edge_count
         return g
 
     # ------------------------------------------------------------------
     # label mapping
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self._labels)
+    def labels(self) -> np.ndarray:
+        """Read-only int64 view of every vertex's label, by dense id."""
+        view = self._labels[: self.vertex_count]
+        view.flags.writeable = False
+        return view
 
     def label_of(self, dense: int) -> int:
-        return self._labels[dense]
+        """Label of a dense id; IndexError outside 0..n-1."""
+        if not 0 <= dense < self.vertex_count:
+            raise IndexError(f"vertex id {dense} outside "
+                             f"0..{self.vertex_count - 1}")
+        return int(self._labels[dense])
 
     def dense_of(self, label: int) -> int:
         """Dense id for a label; KeyError if the label is unknown, and
         ValueError if it is not one (``_label``)."""
         label = _label(label)
-        if self._identity:
-            if label < len(self._labels):
+        if self._label_index is None:
+            if label < self.vertex_count:
                 return label
-            raise KeyError(label)
-        return self._labels_to_ids()[label]
+        else:
+            known, ids = self._label_index
+            pos = known.searchsorted(label)
+            if pos < len(known) and known[pos] == label:
+                return int(ids[pos])
+        raise KeyError(label)
 
     def has_vertex(self, label: int) -> bool:
         try:
@@ -273,44 +288,11 @@ class Graph:
         except KeyError:
             return False
 
-    def _labels_to_ids(self) -> dict[int, int]:
-        """The label -> dense id dict of a non-identity labelling, built on
-        first use."""
-        if self._label_map is None:
-            self._label_map = dict(zip(self._labels,
-                                       range(len(self._labels))))
-        return self._label_map
-
-    def _intern(self, label: int) -> int:
-        """Dense id for a label that ``_label`` accepts, creating the vertex
-        on first sight."""
-        if self._identity:
-            if 0 <= label < len(self._labels):
-                return label
-            if label == len(self._labels):  # stays an identity mapping
-                self._labels.append(label)
-                self._grow_vertex_arrays()
-                return label
-            self._identity = False
-        label_map = self._labels_to_ids()
-        dense = label_map.get(label)
-        if dense is None:
-            dense = len(self._labels)
-            label_map[label] = dense
-            self._labels.append(label)
-            self._label_index = None
-            self._grow_vertex_arrays()
-        return dense
-
     def _dense_ids(self, labels: np.ndarray) -> np.ndarray:
         """Dense ids of an int64 array of non-negative labels; -1 where a
         label is unknown."""
-        if self._identity:
-            return np.where(labels < len(self._labels), labels, -1)
         if self._label_index is None:
-            known = np.asarray(self._labels, dtype=np.int64)
-            order = np.argsort(known)
-            self._label_index = (known[order], order)
+            return np.where(labels < self.vertex_count, labels, -1)
         known, ids = self._label_index
         # searching the needles in ascending order walks ``known`` forward
         order = np.argsort(labels)
@@ -320,17 +302,41 @@ class Graph:
         out[order] = np.where(known[pos] == needles, ids[pos], -1)
         return out
 
-    def _grow_vertex_arrays(self):
-        n = len(self._labels)
+    def _intern(self, labels: np.ndarray) -> np.ndarray:
+        """Dense ids of an int64 array of labels that ``_label`` accepts;
+        unknown labels become new vertices, numbered in first-sight
+        order."""
+        dense = self._dense_ids(labels)
+        unknown = (dense < 0).nonzero()[0]
+        if not len(unknown):
+            return dense
+        fresh, first, inverse = np.unique(labels[unknown], return_index=True,
+                                          return_inverse=True)
+        n, k = self.vertex_count, len(fresh)
+        ids = n + first.argsort().argsort()  # fresh[i]'s id, by sight
+        dense[unknown] = ids[inverse]
+        self._grow_vertex_arrays(n + k)
+        self._labels[ids] = fresh
+        self.vertex_count = n + k
+        if self._label_index is not None:
+            known, old = self._label_index
+            at = np.searchsorted(known, fresh)
+            self._label_index = (np.insert(known, at, fresh),
+                                 np.insert(old, at, ids))
+        elif (fresh != ids).any():  # labels no longer 0..n-1
+            order = np.argsort(self._labels[: n + k])
+            self._label_index = (self._labels[order], order)
+        return dense
+
+    def _grow_vertex_arrays(self, n: int):
+        """Make room for ``n`` vertices in every per-vertex array."""
         if n > len(self._lens):
             grow = max(n, 2 * len(self._lens), 16)
-            starts = np.zeros(grow, dtype=np.int64)
-            lens = np.zeros(grow, dtype=np.int32)
-            caps = np.zeros(grow, dtype=np.int32)
-            starts[: len(self._starts)] = self._starts
-            lens[: len(self._lens)] = self._lens
-            caps[: len(self._caps)] = self._caps
-            self._starts, self._lens, self._caps = starts, lens, caps
+            for name in ("_starts", "_lens", "_caps", "_labels"):
+                old = getattr(self, name)
+                new = np.zeros(grow, dtype=old.dtype)
+                new[: len(old)] = old
+                setattr(self, name, new)
 
     # kernel-facing views, trimmed to the live vertex range
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,10 +354,10 @@ class Graph:
         u, v = _label(u), _label(v)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        pair = [self._intern(u)], [self._intern(v)]
-        if self._has_dense(*pair)[0]:
+        pair = self._intern(np.array([u, v]))
+        if self._has_dense(pair[:1], pair[1:])[0]:
             return "duplicate"
-        self._add_dense(*pair)
+        self._add_dense(pair[:1], pair[1:])
         return "new"
 
     def remove_edge(self, u: int, v: int) -> str:
@@ -455,8 +461,7 @@ class Graph:
         """Neighbor labels of u, in internal storage order."""
         du = self.dense_of(u)
         s = self._starts[du]
-        block = self._pool[s : s + self._lens[du]]
-        return [self._labels[w] for w in block]
+        return self._labels[self._pool[s : s + self._lens[du]]].tolist()
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array of canonical dense-id pairs."""
@@ -469,12 +474,8 @@ class Graph:
 
     def edges(self):
         """Yield each undirected edge once as a canonical label pair."""
-        for du in range(self.vertex_count):
-            s = int(self._starts[du])
-            for w in self._pool[s : s + int(self._lens[du])]:
-                if du < w:
-                    a, b = self._labels[du], self._labels[int(w)]
-                    yield (a, b) if a < b else (b, a)
+        ends = self._labels[self.edge_array()]
+        yield from zip(ends.min(axis=1).tolist(), ends.max(axis=1).tolist())
 
     def check_invariants(self):
         """Assert block bounds, symmetry, simplicity, and the edge-count
@@ -654,7 +655,7 @@ def _write_rows(path, first: np.ndarray, second: np.ndarray):
 def save_edge_list(g: Graph, path):
     """Write the graph back out, one canonical label pair per line."""
     n = g.vertex_count
-    labels = np.asarray(g._labels, dtype=np.int64)
+    labels = g.labels()
     by_label = np.argsort(labels)
     rank = np.empty(n, dtype=np.int64)  # rank order is label order
     rank[by_label] = np.arange(n)

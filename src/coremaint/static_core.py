@@ -27,7 +27,7 @@ class CoreMap:
         return int(self.values[g.dense_of(label)])
 
     def as_label_dict(self, g: Graph) -> dict[int, int]:
-        return {g.label_of(i): int(c) for i, c in enumerate(self.values)}
+        return dict(zip(g.labels().tolist(), self.values.tolist()))
 
     def fit_to(self, g: Graph):
         """Extend with core 0 for vertices created since the map was made.
@@ -69,7 +69,7 @@ def peel(g: Graph, backend: str | None = None) -> CoreMap:
 
 
 def write_core_file(path, g: Graph, cores: CoreMap):
-    labels = np.asarray(g._labels, dtype=np.int64)
+    labels = g.labels()
     order = np.argsort(labels)
     _write_rows(path, labels[order], cores.values[order])
 

@@ -184,7 +184,7 @@ def test_insert_batch_creates_vertices_in_first_sight_order():
     # identity labels stay identity only while new labels come in order
     g = Graph.from_edges([(0, 1), (1, 2)], dense_labels=True)
     build_insert_batch(g, [(3, 0), (4, 3)])
-    assert g._identity and g._label_map is None
+    assert g._label_index is None  # still the identity
     build_insert_batch(g, [(6, 5), (5, 7)])
     assert [g.label_of(i) for i in range(g.vertex_count)] == \
         [0, 1, 2, 3, 4, 6, 5, 7]

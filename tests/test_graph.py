@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,8 +441,8 @@ def test_from_edges_block_order(labels):
     uniq = sorted(set(raw.ravel().tolist()))
     nbrs, stats = _reference_build(raw.tolist(),
                                    {lab: i for i, lab in enumerate(uniq)})
-    assert g._labels == uniq
-    assert g._identity == (uniq == list(range(len(uniq))))
+    assert g.labels().tolist() == uniq
+    assert (g._label_index is None) == (uniq == list(range(len(uniq))))
     assert vars(g.load_stats) == stats and stats["dropped_self_loops"] >= 3
     _assert_blocks_in_construction_order(g, nbrs)
 
@@ -451,7 +452,7 @@ def _built(raw) -> tuple:
     index = g._label_index
     return ([getattr(g, a).tolist() for a in ("_starts", "_lens", "_caps",
                                               "_pool")],
-            g._labels, g._identity,
+            g.labels().tolist(),
             index and [a.tolist() for a in index], vars(g.load_stats))
 
 
@@ -497,7 +498,7 @@ def test_rank_paths_build_the_same_graph():
         elif raw.min() >= 2 ** 62:
             # too sparse for a table: the same graph as the labels near 0
             near_zero = _built(raw - 2 ** 62)
-            assert (got[0], got[4]) == (near_zero[0], near_zero[4])
+            assert (got[0], got[3]) == (near_zero[0], near_zero[3])
             assert got[1] == [lab + 2 ** 62 for lab in near_zero[1]]
 
     check()
@@ -508,11 +509,24 @@ def test_from_edges_dense_labels_pad_isolated_vertices():
     raw = [(3, 1), (1, 3), (0, 2), (2, 2), (4, 0), (1, 4), (0, 1)]
     g = Graph.from_edges(raw, num_vertices=8, dense_labels=True)
     nbrs, stats = _reference_build(raw, {i: i for i in range(8)})
-    assert g.vertex_count == 8 and g._labels == list(range(8))
+    assert g.vertex_count == 8 and g.labels().tolist() == list(range(8))
     assert vars(g.load_stats) == stats
     assert (stats["dropped_duplicates"], stats["dropped_self_loops"]) == (1, 1)
     _assert_blocks_in_construction_order(g, nbrs)
     assert g._lens[5:].tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("num_vertices, error", [
+    pytest.param(2.5, "integer", id="float"),
+    pytest.param(4.0, "integer", id="integral-float"),
+    pytest.param("4", "integer", id="string"),
+    pytest.param(-1, "non-negative", id="negative"),
+])
+def test_from_edges_rejects_num_vertices_that_are_not_counts(num_vertices,
+                                                             error):
+    # never truncated or parsed, and refused before numpy sees it
+    with pytest.raises(ValueError, match=f"num_vertices must be .*{error}"):
+        Graph.from_edges([], num_vertices=num_vertices, dense_labels=True)
 
 
 @pytest.mark.parametrize("num_vertices", [0, 2, 3, 5])
@@ -634,39 +648,80 @@ def test_integer_labels_are_accepted(entry, edges):
 # label lookups
 
 
-def test_label_map_is_built_on_first_scalar_lookup():
-    g = load_edge_list(b"1000000 5\n5 70000\n70000 123\n")
-    assert g._label_map is None  # array lookups do not need it
-    assert g._dense_ids(np.array([70000, 4, 1000000])).tolist() == [2, -1, 3]
-    assert g._label_map is None
-    early = g.copy()  # copied before the map exists
-    assert g.dense_of(70000) == 2 and g.has_vertex(123)
-    assert not g.has_vertex(6)
-    with pytest.raises(KeyError):
-        g.dense_of(6)
-    late = g.copy()  # copied after
-    assert early._intern(42) == 4 and early.dense_of(42) == 4
-    assert late._intern(7) == 4 and late.dense_of(7) == 4
-    assert early._dense_ids(np.array([7, 42, 123])).tolist() == [-1, 4, 1]
-    assert late._dense_ids(np.array([7, 42, 123])).tolist() == [4, -1, 1]
-    assert g.vertex_count == 4
-    assert not g.has_vertex(42) and not g.has_vertex(7)
-    assert g._dense_ids(np.array([7, 42])).tolist() == [-1, -1]
-    assert sorted(early.neighbors(5)) == [70000, 1000000]
-
-
 def test_dense_ids_match_scalar_lookups():
+    # batch and scalar lookups agree with a plain dict for identity, broken
+    # identity and sparse labels, and copies made before and after lookups
+    # and interns stay independent of each other
     rng = np.random.default_rng(4)
-    labels = rng.choice(10 ** 9, size=200, replace=False)
-    g = Graph.from_edges(labels.reshape(-1, 2))
-    for lab in rng.choice(10 ** 9, size=30).tolist():  # ids out of order
-        g._intern(lab)
-    known = np.asarray(g._labels)
-    queries = np.concatenate([rng.choice(known, 300),
-                              rng.integers(0, 2 * 10 ** 9, 100), [0]])
-    want = [g.dense_of(q) if g.has_vertex(q) else -1
-            for q in queries.tolist()]
-    assert g._dense_ids(queries).tolist() == want
+    graphs = {
+        "sparse": Graph.from_edges(rng.choice(10 ** 9, size=(100, 2),
+                                              replace=False)),
+        "small": load_edge_list(b"1000000 5\n5 70000\n70000 123\n"),
+        "identity": Graph.from_edges([(0, 1), (2, 3)], num_vertices=6,
+                                     dense_labels=True),
+        "empty": Graph(),
+    }
+    oracles = {name: dict(zip(g.labels().tolist(), range(g.vertex_count)))
+               for name, g in graphs.items()}
+
+    def copy(name, new):
+        graphs[new], oracles[new] = graphs[name].copy(), dict(oracles[name])
+
+    def intern(name, labels):
+        oracle = oracles[name]
+        got = graphs[name]._intern(np.array(labels, dtype=np.int64))
+        for lab in labels:
+            oracle.setdefault(lab, len(oracle))
+        assert got.tolist() == [oracle[lab] for lab in labels]
+
+    copy("small", "early")  # before any lookup
+    assert graphs["small"].dense_of(70000) == 2
+    copy("small", "late")  # after one
+    intern("early", [42])
+    intern("late", [7, 7, 123])
+    copy("late", "later")  # after an intern
+    intern("later", [8, 42])
+    intern("sparse", rng.choice(10 ** 9, size=30).tolist())  # out of order
+    copy("identity", "broken")
+    intern("identity", [6, 7, 6])  # in order: still the identity
+    intern("broken", [7, 6])  # out of order
+    intern("empty", [3, 0])
+    assert graphs["identity"]._label_index is None
+    assert graphs["broken"]._label_index is not None
+    for name, g in graphs.items():
+        oracle = oracles[name]
+        assert g.labels().tolist() == list(oracle), name
+        assert [g.label_of(i) for i in range(g.vertex_count)] == list(oracle)
+        for bad in (-1, g.vertex_count):
+            with pytest.raises(IndexError):
+                g.label_of(bad)
+        queries = np.concatenate([rng.choice(list(oracle), 60),
+                                  rng.integers(0, 2 * 10 ** 9, 30),
+                                  [0, 5, 6, 7, 8, 42, 123, 2 ** 63 - 1]])
+        want = [oracle.get(q, -1) for q in queries.tolist()]
+        assert g._dense_ids(queries).tolist() == want, name
+        for q, w in zip(queries.tolist(), want):
+            assert g.has_vertex(q) == (w >= 0)
+            if w >= 0:
+                assert g.dense_of(q) == w
+            else:
+                with pytest.raises(KeyError):
+                    g.dense_of(q)
+    assert sorted(graphs["early"].neighbors(5)) == [70000, 1000000]
+
+
+def test_identity_graph_and_a_copy_take_at_most_28_bytes_a_vertex():
+    # per vertex and graph: start, length, capacity and label, plus slack
+    n = 2 ** 20
+    tracemalloc.start()
+    try:
+        g = Graph.from_edges([(0, 1)], num_vertices=n, dense_labels=True)
+        h = g.copy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == h.vertex_count == n
+    assert peak <= 2 * 28 * n
 
 
 # ----------------------------------------------------------------------
