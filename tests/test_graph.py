@@ -648,6 +648,33 @@ def test_integer_labels_are_accepted(entry, edges):
 # label lookups
 
 
+def test_label_map_is_built_on_first_scalar_lookup():
+    # the sorted label index is built with the graph, never by a lookup,
+    # and copies made before and after a scalar lookup stay independent
+    g = load_edge_list(b"1000000 5\n5 70000\n70000 123\n")
+    index = g._label_index
+    assert index is not None  # sparse labels need it from the start
+    assert g._dense_ids(np.array([70000, 4, 1000000])).tolist() == [2, -1, 3]
+    assert g._label_index is index
+    early = g.copy()  # copied before any scalar lookup
+    assert g.dense_of(70000) == 2 and g.has_vertex(123)
+    assert not g.has_vertex(6)
+    with pytest.raises(KeyError):
+        g.dense_of(6)
+    assert g._label_index is index
+    late = g.copy()  # copied after
+    assert early._intern(np.array([42])).tolist() == [4]
+    assert early.dense_of(42) == 4
+    assert late._intern(np.array([7])).tolist() == [4]
+    assert late.dense_of(7) == 4
+    assert early._dense_ids(np.array([7, 42, 123])).tolist() == [-1, 4, 1]
+    assert late._dense_ids(np.array([7, 42, 123])).tolist() == [4, -1, 1]
+    assert g.vertex_count == 4
+    assert not g.has_vertex(42) and not g.has_vertex(7)
+    assert g._dense_ids(np.array([7, 42])).tolist() == [-1, -1]
+    assert sorted(early.neighbors(5)) == [70000, 1000000]
+
+
 def test_dense_ids_match_scalar_lookups():
     # batch and scalar lookups agree with a plain dict for identity, broken
     # identity and sparse labels, and copies made before and after lookups
