@@ -12,11 +12,14 @@ median time of each phase in milliseconds:
 - rank: ``graph._rank_labels`` (the labels' dense ids) inside
   ``Graph.from_edges``;
 - pool build: the rest of ``Graph.from_edges``;
-- peel: ``peel`` on the backend.
+- peel: ``peel`` on the backend;
+- cores: ``read_core_file`` on those cores, written as ``coremaint
+  verify`` reads them into the temporary directory, parsed by the
+  backend's ``parse_pairs``.
 
 Then it checks that every backend loaded the same graph (adjacency
-arrays, labels, load stats, comment count and cores) and exits with
-status 1 if not.  Run from the repository root; the program is imported
+arrays, labels, load stats, comment count, cores and the core file's
+rows) and exits with status 1 if not.  Run from the repository root; the program is imported
 from this checkout's ``src/``.
 """
 
@@ -36,17 +39,17 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "corebench"))
 
 import run  # noqa: E402  (corebench/run.py; imports coremaint from src/)
-from coremaint import graph  # noqa: E402
+from coremaint import graph, static_core  # noqa: E402
 
 REPEATS = 5
-PHASES = ("read", "parse", "rank", "pool build", "peel")
+PHASES = ("read", "parse", "rank", "pool build", "peel", "cores")
 
 
-def fingerprint(g, comments: int, cores) -> str:
+def fingerprint(g, comments: int, cores, rows) -> str:
     """A digest of everything a load produces."""
     h = hashlib.sha256()
     arrays = [g._starts, g._lens, g._caps, g._pool, cores.values,
-              g.labels()]
+              g.labels(), rows]
     arrays += list(g._label_index or ())
     for a in arrays:
         h.update(a.dtype.str.encode() + a.tobytes() + b"|")
@@ -87,7 +90,17 @@ def load_once(path: Path, backend: str) -> tuple[dict, str]:
     start = tick()
     cores = run.cm.peel(g, backend=backend)
     spent["peel"] = tick() - start
-    return spent, fingerprint(g, comments, cores)
+    core_path = path.with_name("graph.cores")
+    static_core.write_core_file(core_path, g, cores)
+    default = graph.get_backend
+    graph.get_backend = lambda name=None: default(backend)
+    try:
+        start = tick()
+        rows = static_core.read_core_file(core_path)
+        spent["cores"] = tick() - start
+    finally:
+        graph.get_backend = default
+    return spent, fingerprint(g, comments, cores, rows)
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,7 @@ from .engine import (LevelTaskResult, MaintenanceLog, RoundRecord,
                      TaskCounters, delete_edges, insert_edges,
                      run_level_tasks, sequential_baseline)
 from .graph import (Edge, EdgeListParseError, Graph, SelfLoopError,
-                    load_edge_list, load_edge_list_with_stats,
-                    save_edge_list)
+                    load_edge_list, save_edge_list)
 from .kernels import available_backends, default_backend_name, get_backend
 from .static_core import CoreMap, peel, read_core_file, write_core_file
 

@@ -11,10 +11,12 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from .batch import BatchError, build_delete_batch, build_insert_batch
 from .engine import delete_edges, insert_edges, sequential_baseline
 from .gen import generate_graph, sample_existing_edges, sample_new_edges
-from .graph import (EdgeListParseError, Graph, load_edge_list_with_stats,
+from .graph import (EdgeListParseError, Graph, load_edge_list,
                     read_edge_pairs, save_edge_list)
 from .kernels import FALLBACK_REASON, available_backends, get_backend
 from .static_core import peel, read_core_file, write_core_file
@@ -22,7 +24,8 @@ from .static_core import peel, read_core_file, write_core_file
 
 def _load_graph(args) -> Graph:
     if args.graph:
-        g, stats = load_edge_list_with_stats(args.graph)
+        g = load_edge_list(args.graph)
+        stats = g.load_stats
         print(f"loaded {args.graph}: {g.vertex_count} vertices "
               f"{g.edge_count} edges (dropped {stats.dropped_duplicates} "
               f"duplicates, {stats.dropped_self_loops} self-loops)",
@@ -94,24 +97,26 @@ def cmd_delete(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    cores = peel(g, backend=args.backend)
-    recorded = read_core_file(args.cores)
-    expected = cores.as_label_dict(g)
-    wrong = [label for label, core in expected.items()
-             if recorded.get(label) != core]
-    if wrong:
-        label = min(wrong)
-        found = recorded.get(label)
-        print(f"mismatch at vertex {label}: expected {expected[label]}, "
-              f"file has {found if found is not None else 'nothing'}")
+    expected = peel(g, backend=args.backend).values
+    rows = read_core_file(args.cores)
+    dense = g._dense_ids(rows[:, 0])
+    in_graph = dense >= 0
+    # each vertex's core as the file has it; -1 where it has no row
+    recorded = np.full(g.vertex_count, -1, dtype=np.int64)
+    recorded[dense[in_graph]] = rows[in_graph, 1]
+    wrong = (recorded != expected).nonzero()[0]
+    if len(wrong):
+        v = wrong[g.labels()[wrong].argmin()]
+        found = recorded[v] if recorded[v] >= 0 else "nothing"
+        print(f"mismatch at vertex {g.label_of(v)}: expected "
+              f"{expected[v]}, file has {found}")
         return 3
-    extra = recorded.keys() - expected.keys()
-    if extra:
-        label = min(extra)
-        print(f"mismatch at vertex {label}: not in graph, "
-              f"file has {recorded[label]}")
+    extra = rows[~in_graph]
+    if len(extra):
+        label, core = extra[extra[:, 0].argmin()]
+        print(f"mismatch at vertex {label}: not in graph, file has {core}")
         return 3
-    print(f"verified {len(expected)} vertices")
+    print(f"verified {g.vertex_count} vertices")
     return 0
 
 

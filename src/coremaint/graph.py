@@ -28,15 +28,19 @@ a cumulative sum, sparser ones through the inverse of one argsort; later
 labels get the next ids in first-sight order.  Label -> id lookups are O(1)
 while the labels are 0..n-1, else binary searches of their sorted copy.
 
-Edge-list text is parsed in one pass when the whole source is in a plain
-subset: ASCII digits, spaces, tabs and ``\n`` or ``\r\n`` line ends, plus
-comment lines (first non-blank byte ``#``, any ASCII after it).  That pass
-is the kernel backend's ``parse_pairs``: one C loop on the compiled lane,
-``np.loadtxt`` after the comments are dropped on the Python lane.
+Integer-pair text (edge lists; core files in ``static_core``) has one
+reader, ``read_edge_pairs``.  A path, a ``bytes`` object and a binary
+stream are read whole, once, and alike.  Bytes in a plain subset (ASCII
+digits, spaces, tabs and ``\n`` or ``\r\n`` line ends, plus comment
+lines: first non-blank byte ``#``, any ASCII after it) are parsed in one
+pass, the kernel backend's ``parse_pairs``: one C loop on the compiled
+lane, ``np.loadtxt`` after the comments are dropped on the Python lane.
 Anything else (signs, underscores, a lone ``\r``, an inline ``#``,
 non-ASCII bytes, a label too large for int64, a line without exactly two
-fields) is parsed by the line parser, which is the reference and the only
-code that raises ``EdgeListParseError``.
+fields) goes to the line parser, decoded as ``open(path, "rt",
+errors="surrogateescape")`` decodes a UTF-8 file; so does an iterable of
+lines.  The line parser is the reference and the only code that raises
+``EdgeListParseError``.
 """
 
 from __future__ import annotations
@@ -561,27 +565,23 @@ def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
 # edge-list text format (SNAP-style: "u v" per line, '#' comments)
 
 
-def _iter_lines(source):
-    """The source's lines as text.  Bytes that are not UTF-8 decode to lone
-    surrogates (``surrogateescape``), so the parser can name their line."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rt", encoding="utf-8",
-                  errors="surrogateescape") as fh:
-            yield from fh
-    elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8", "surrogateescape"))
-    else:
-        for line in source:
-            yield (line.decode("utf-8", "surrogateescape")
-                   if isinstance(line, bytes) else line)
+def _text_lines(data: bytes):
+    """The lines of ``data``, decoded as the module docstring says."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="surrogateescape")
 
 
 def _read_lines(source) -> tuple[np.ndarray, int]:
     """The line parser: reads every input the array path does not, and is
-    the only reader that raises ``EdgeListParseError``."""
+    the only reader that raises ``EdgeListParseError``.  ``source`` is the
+    text as bytes or an iterable of lines (text or bytes)."""
+    if isinstance(source, bytes):
+        source = _text_lines(source)
     pairs: list[tuple[int, int]] = []
     comments = 0
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    for line_no, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8", "surrogateescape")
         if not raw.isascii():
             try:
                 raw.encode("utf-8")  # fails on an escaped non-UTF-8 byte
@@ -607,37 +607,32 @@ def _read_lines(source) -> tuple[np.ndarray, int]:
 
 
 def read_edge_pairs(source) -> tuple[np.ndarray, int]:
-    """Raw label pairs from edge-list text as an (m, 2) int64 array, plus
-    the comment-line count.  ``source`` is a path, the text as bytes, or
-    an iterable of lines (only the first two take the array path, the
-    default backend's ``parse_pairs``; a file is read once).
-
-    No dedup or self-loop handling here; that is the consumer's business.
+    """Raw label pairs from edge-list text as an (m, 2) int64 array, in
+    text order, plus the comment-line count.  ``source`` is a path, the
+    text as bytes, a binary stream (read to its end) or an iterable of
+    lines (module docstring).  No dedup or self-loop handling here; that
+    is the consumer's business.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             data = fh.read()
-        # the line parser reads these bytes as open(source, "rt") would
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                 errors="surrogateescape")
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        data = source.read()
     elif isinstance(source, bytes):
-        data = lines = source
+        data = source
     else:
         return _read_lines(source)
     fast = get_backend().parse_pairs(data)
-    return fast if fast is not None else _read_lines(lines)
-
-
-def load_edge_list_with_stats(source) -> tuple[Graph, LoadStats]:
-    """Parse an edge-list text file/stream into a Graph plus drop counts."""
-    pairs, comments = read_edge_pairs(source)
-    g = Graph.from_edges(pairs)
-    g.load_stats.comment_lines = comments
-    return g, g.load_stats
+    return fast if fast is not None else _read_lines(data)
 
 
 def load_edge_list(source) -> Graph:
-    return load_edge_list_with_stats(source)[0]
+    """The graph of edge-list text from a ``read_edge_pairs`` source;
+    ``g.load_stats`` holds the edge, comment-line and drop counts."""
+    pairs, comments = read_edge_pairs(source)
+    g = Graph.from_edges(pairs)
+    g.load_stats.comment_lines = comments
+    return g
 
 
 def _write_rows(path, first: np.ndarray, second: np.ndarray):

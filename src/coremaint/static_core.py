@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _write_rows
+from .graph import (EdgeListParseError, Graph, _text_lines, _write_rows,
+                    read_edge_pairs)
 from .kernels import get_backend
 
 
@@ -74,26 +75,25 @@ def write_core_file(path, g: Graph, cores: CoreMap):
     _write_rows(path, labels[order], cores.values[order])
 
 
-def read_core_file(path) -> dict[int, int]:
-    """Core numbers by label from a core file.  Raises ValueError naming
-    the line for a line that is not two non-negative integers and for a
-    label listed twice."""
-    out: dict[int, int] = {}
-    with open(path, "rt", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                label, core = map(int, line.split())
-            except ValueError:
-                raise ValueError(f"core file line {line_no}: expected two "
-                                 f"integers, got {line!r}") from None
-            if label < 0 or core < 0:
-                raise ValueError(f"core file line {line_no}: negative "
-                                 f"value in {line!r}")
-            if label in out:
-                raise ValueError(f"core file line {line_no}: vertex "
-                                 f"{label} listed twice")
-            out[label] = core
-    return out
+def read_core_file(path) -> np.ndarray:
+    """The (label, core) rows of a core file, parsed by ``read_edge_pairs``,
+    as an (m, 2) int64 array in file order.  Raises ValueError naming the
+    line for a line that is not two integers in 0..2**63-1 and for a label
+    listed twice (the line of the repeat)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        rows, _ = read_edge_pairs(data)
+    except EdgeListParseError as err:
+        raise ValueError(f"core file line {err.line_no}: expected two "
+                         f"non-negative integers") from None
+    labels = rows[:, 0]
+    order = labels.argsort(kind="stable")
+    later = order[1:][labels[order[1:]] == labels[order[:-1]]]
+    if len(later):
+        row = int(later.min())  # the first row that repeats a label
+        pair_lines = [no for no, line in enumerate(_text_lines(data), 1)
+                      if line.strip()[:1] not in ("", "#")]
+        raise ValueError(f"core file line {pair_lines[row]}: vertex "
+                         f"{labels[row]} listed twice")
+    return rows

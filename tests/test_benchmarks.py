@@ -75,9 +75,9 @@ def test_load_phases_runs():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[1].split() == ["backend", "read", "parse", "rank", "pool",
-                                "build", "peel"]
+                                "build", "peel", "cores"]
     rows = [line.split() for line in lines[2:-1]]
     assert [r[0] for r in rows] == available_backends()
-    assert all(len(r) == 6 and all(float(x) >= 0 for x in r[1:])
+    assert all(len(r) == 7 and all(float(x) >= 0 for x in r[1:])
                for r in rows)
     assert lines[-1] == "backends load identical graphs"

@@ -70,20 +70,44 @@ def test_verify_detects_mismatch(small_graph, tmp_path, capsys):
     assert "mismatch at vertex 7" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text, line", [
-    ("0 5\n1 1\n0 1\n", 3),  # vertex 0 twice: the later line won
-    ("0 1\n1\n", 2),
-    ("# cores\n0 1 2\n", 2),
-    ("0 1\n\n1 x\n", 3),
-    ("0 -1\n", 1),
-    ("-4 1\n", 1),
+@pytest.mark.parametrize("rows, rc, out", [
+    ("40 1\n30 9\n10 7\n20 2\n", 3,
+     "mismatch at vertex 10: expected 2, file has 7"),
+    ("40 1\n30 9\n20 2\n", 3,
+     "mismatch at vertex 10: expected 2, file has nothing"),
+    ("10 2\n20 2\n30 2\n40 1\n70 3\n7 2\n", 3,
+     "mismatch at vertex 7: not in graph, file has 2"),
+    ("40 1\n10 2\n30 2\n20 2\n", 0, "verified 4 vertices"),
+], ids=["wrong", "no-row", "not-in-graph", "clean"])
+def test_verify_names_the_smallest_mismatch(rows, rc, out, tmp_path,
+                                            capsys):
+    graph, cores = tmp_path / "g.txt", tmp_path / "cores.txt"
+    save_edge_list(Graph.from_edges([(30, 10), (10, 20), (20, 30),
+                                     (20, 40)]), graph)
+    cores.write_text(rows)
+    assert main(["verify", "--graph", str(graph),
+                 "--cores", str(cores)]) == rc
+    assert capsys.readouterr().out == out + "\n"
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"0 5\n1 1\n0 1\n", 3),  # vertex 0 twice: the later line won
+    (b"0 1\n1\n", 2),
+    (b"# cores\n0 1 2\n", 2),
+    (b"0 1\n\n1 x\n", 3),
+    (b"0 -1\n", 1),
+    (b"-4 1\n", 1),
+    (b"0 1\n1 \xff\n", 2),
+    (b"0 1\n1 %d\n" % 10**23, 2),
+    (b"# c\r\n0 5\r\n\r\n 1 1\r0 1\n", 5),  # CRLF, lone CR, comment
 ], ids=["repeated", "short", "long", "not-integer", "negative-core",
-        "negative-label"])
-def test_bad_core_file_names_the_line(text, line, small_graph, tmp_path,
+        "negative-label", "not-utf8", "core-beyond-int64",
+        "repeated-after-other-lines"])
+def test_bad_core_file_names_the_line(data, line, small_graph, tmp_path,
                                       capsys):
     _, path = small_graph
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    bad.write_bytes(data)
     with pytest.raises(ValueError, match=f"line {line}:"):
         read_core_file(bad)
     rc = main(["verify", "--graph", str(path), "--cores", str(bad)])
@@ -106,7 +130,7 @@ def check_baseline_matches_engine(mode, small_graph, tmp_path, capsys):
     applied = int(re.match(rf"{mode}: (\d+) edges applied", line).group(1))
     fields = {k: int(v) for k, v in re.findall(r"(\w+)=(\d+)", line)}
     before = peel(g).as_label_dict(g)
-    moves = sum(abs(c - before[v]) for v, c in read_core_file(b).items())
+    moves = sum(abs(c - before[v]) for v, c in read_core_file(b).tolist())
     assert applied > 0 and moves > 0
     assert fields["rounds"] == applied
     assert fields["changed"] == moves

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from coremaint import (Edge, EdgeListParseError, Graph, SelfLoopError,
                        build_delete_batch, build_insert_batch, load_edge_list,
-                       load_edge_list_with_stats, peel, save_edge_list,
-                       write_core_file)
+                       peel, save_edge_list, write_core_file)
 from coremaint import graph as graph_module
 from coremaint.graph import _read_lines, read_edge_pairs, sorted_unique
 from coremaint.kernels import available_backends, get_backend
@@ -98,14 +97,16 @@ def test_load_edge_list_basic():
 
 
 def test_load_edge_list_dedup_and_comments():
-    g, stats = load_edge_list_with_stats(b"# c\n1 2\n1 2\n2 1\n")
+    g = load_edge_list(b"# c\n1 2\n1 2\n2 1\n")
+    stats = g.load_stats
     assert g.edge_count == 1
     assert stats.dropped_duplicates == 2
     assert stats.comment_lines == 1
 
 
 def test_load_edge_list_drops_self_loops():
-    g, stats = load_edge_list_with_stats(b"1 2\n3 3\n")
+    g = load_edge_list(b"1 2\n3 3\n")
+    stats = g.load_stats
     assert g.edge_count == 1
     assert stats.dropped_self_loops == 1
 
@@ -309,8 +310,9 @@ def test_array_path_matches_line_parser(tmp_path):
         # every lane reads the same subset of inputs
         assert len({f is None for f in fast}) == 1
         took_array_path.append(fast[0] is not None)
-        for source in (data, path):
-            want = _outcome(_read_lines, source)
+        # the same bytes read alike from every source kind
+        want = _outcome(_read_lines, data)
+        for source in (path, data, io.BytesIO(data)):
             assert _outcome(read_edge_pairs, source) == want
             for f in fast:
                 if f is not None:
