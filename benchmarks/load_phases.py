@@ -50,10 +50,12 @@ def fingerprint(g, comments: int, cores, rows) -> str:
     h = hashlib.sha256()
     arrays = [g._starts, g._lens, g._caps, g._pool, cores.values,
               g.labels(), rows]
-    arrays += list(g._label_index or ())
+    index = g._label_index  # None, a table or a (labels, ids) pair
+    arrays += [] if index is None else \
+        list(index) if isinstance(index, tuple) else [index]
     for a in arrays:
         h.update(a.dtype.str.encode() + a.tobytes() + b"|")
-    h.update(repr((g._label_index is None, vars(g.load_stats),
+    h.update(repr((index is None, vars(g.load_stats),
                    comments)).encode())
     return h.hexdigest()
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Where the time of a small delete batch goes, phase by phase.
+"""Where the time of a delete batch goes, phase by phase.
 
     python3 benchmarks/small_batch_phases.py [--seed 1] [--seconds 5]
+        [--workload ba-mixed-small]
 
-Runs corebench's ``ba-mixed-small`` workload (BA graph, n=2^14; 8-edge
-batches, each an insert or a delete by a fair coin; 2 workers) twice from
+Runs a corebench workload (by default ``ba-mixed-small``: BA graph,
+n=2^14; 8-edge batches, each an insert or a delete by a fair coin; for
+bulk deletes, ``er-delete-bulk``), with corebench's 2 workers, twice from
 the same loaded graph: untraced, then under corebench's tracer.  Prints
 the median wall time of a delete batch in the untraced pass, then splits
 the traced pass's mean delete batch into its phases:
@@ -58,11 +60,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=5.0)
+    ap.add_argument("--workload", choices=sorted(run.WORKLOADS),
+                    default="ba-mixed-small")
     args = ap.parse_args(argv)
-    spec = run.WORKLOADS["ba-mixed-small"]
+    spec = run.WORKLOADS[args.workload]
     base = spec.base_keys(args.seed)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "ba.edges"
+        path = Path(tmp) / "graph.edges"
         run.write_edge_list(path, base, spec.n, "small_batch_phases")
         g0, cores0 = run.load_and_peel(path)
     plain = run.drive(spec, g0, cores0, base, args.seed, args.seconds)
@@ -91,8 +95,8 @@ def main(argv=None) -> int:
     per = 1e6 / len(deletes)
     median = statistics.median(r.seconds for r in plain.records
                                if r.kind == "delete")
-    print(f"backend {run.cm.default_backend_name()}, seed {args.seed}: "
-          f"{len(deletes)} traced delete batches")
+    print(f"{args.workload}, backend {run.cm.default_backend_name()}, "
+          f"seed {args.seed}: {len(deletes)} traced delete batches")
     print(f"untraced delete batch median {median * 1e6:8.1f} us")
     for name, seconds in phases:
         print(f"  {name:<14}{seconds * per:8.1f} us")

@@ -710,43 +710,78 @@ static int64_t group_end(const int32_t *src, int64_t m, int64_t i)
     return e;
 }
 
+/* Puts back the blocks of the groups before the one that starts at stop,
+   each compacted after its entries were copied to undo in group order;
+   each lost exactly its group's entries. */
+static void restore_blocks(const int32_t *src, int64_t stop,
+                           const int64_t *starts, int32_t *lens,
+                           int32_t *pool, const int32_t *undo)
+{
+    for (int64_t i = 0, e; i < stop; i = e) {
+        e = group_end(src, stop, i);
+        int32_t len = lens[src[i]] + (int32_t)(e - i);
+        memcpy(pool + starts[src[i]], undo, (size_t)len * sizeof *undo);
+        lens[src[i]] = len;
+        undo += len;
+    }
+}
+
 /* Removes the m directed entries (src[i], dst[i]) from the adjacency
    blocks of the n vertices.  The pairs come grouped by ascending source,
    with ascending targets in each group.  Each touched block is compacted in
-   place and keeps the order of its remaining entries.  Returns 0; writing
-   nothing, BAD_ENDPOINT, BAD_ORDER if the pairs are not in that order, or
-   NOT_EDGES unless they are distinct entries of the blocks. */
+   place, in one scan that also copies it to an undo buffer, and keeps the
+   order of its remaining entries; a block that lacks a target puts back
+   every block touched so far.  Returns 0; or, leaving lens and pool as
+   they were, BAD_ENDPOINT, BAD_ORDER if the pairs are not in that order
+   (checked before repeats), NOT_EDGES unless they are distinct entries of
+   the blocks, or ALLOC_FAILED when the undo buffer cannot be allocated. */
 int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
                     int64_t n, const int64_t *starts, int32_t *lens,
                     int32_t *pool)
 {
     if (!in_range(m, src, dst, n))
         return BAD_ENDPOINT;
+    int repeated = 0;
+    int64_t total = 0;  /* entries of the touched blocks */
     for (int64_t i = 0, e; i < m; i = e) {
         e = group_end(src, m, i);
         if (i && src[i - 1] > src[i])
             return BAD_ORDER;
-        for (int64_t j = i + 1; j < e; j++)
-            if (dst[j] <= dst[j - 1])
-                return dst[j] == dst[j - 1] ? NOT_EDGES : BAD_ORDER;
-        /* block entries are distinct, so matching e - i of them means
-           every target is present */
-        const int32_t *nb = pool + starts[src[i]];
-        int64_t found = 0;
-        for (int32_t s = 0; s < lens[src[i]] && found < e - i; s++)
-            found += contains(dst + i, e - i, nb[s]);
-        if (found != e - i)
-            return NOT_EDGES;
+        for (int64_t j = i + 1; j < e; j++) {
+            if (dst[j] < dst[j - 1])
+                return BAD_ORDER;
+            repeated |= dst[j] == dst[j - 1];
+        }
+        total += lens[src[i]];
     }
+    if (repeated)
+        return NOT_EDGES;
+    int32_t *undo = malloc(total ? (size_t)total * sizeof *undo : 1);
+    if (!undo)
+        return ALLOC_FAILED;
+    int32_t *copy = undo;
     for (int64_t i = 0, e; i < m; i = e) {
         e = group_end(src, m, i);
         int32_t *nb = pool + starts[src[i]];
-        int32_t kept = 0;
-        for (int32_t s = 0; s < lens[src[i]]; s++)
-            if (!contains(dst + i, e - i, nb[s]))
-                nb[kept++] = nb[s];
+        int32_t len = lens[src[i]], kept = 0;
+        for (int32_t s = 0; s < len; s++) {
+            int32_t x = nb[s];
+            copy[s] = x;
+            if (!contains(dst + i, e - i, x))
+                nb[kept++] = x;
+        }
+        /* block entries are distinct, so losing e - i of them means every
+           target was present */
+        if (len - kept != e - i) {
+            memcpy(nb, copy, (size_t)len * sizeof *copy);
+            restore_blocks(src, i, starts, lens, pool, undo);
+            free(undo);
+            return NOT_EDGES;
+        }
         lens[src[i]] = kept;
+        copy += len;
     }
+    free(undo);
     return 0;
 }
 

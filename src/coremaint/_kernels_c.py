@@ -52,7 +52,8 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _FLAGS = ("-std=c11", "-O3", "-shared", "-fPIC", "-pthread")
 # error returns of the C entry points
-_BAD_ORDER, _BAD_ENDPOINT, _NOT_MINE, _BAD_LEVEL = -2, -3, -5, -6
+_ALLOC_FAILED, _BAD_ORDER, _BAD_ENDPOINT = -1, -2, -3
+_NOT_MINE, _BAD_LEVEL = -5, -6
 _ROW = 10  # int64 per level row of cm_run_levels: count, offset, 5
            # counters, wall ns, CPU ns, worker slot
 
@@ -277,6 +278,8 @@ def remove_edges(starts, lens, pool, src, dst):
     if err == _BAD_ORDER:
         raise ValueError("pairs to remove must be grouped by ascending "
                          "source with ascending targets")
+    if err == _ALLOC_FAILED:
+        raise MemoryError("remove_edges allocation failed")
     if err:
         raise ValueError("edges to remove must be distinct edges of the "
                          "graph")

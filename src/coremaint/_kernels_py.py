@@ -15,7 +15,11 @@ A kernel backend is a module with eight functions:
   running; an interrupt propagates as it is.
 - ``plan_scan(us, vs, cores)``: the round planner's greedy scan.
 - ``remove_edges(starts, lens, pool, src, dst)``: edge removal from the
-  adjacency blocks, in place.
+  adjacency blocks, in place; a rejected removal leaves ``lens`` and
+  ``pool`` byte-identical.  The compiled lane validates and compacts each
+  touched block in the same scan, copying it to an undo buffer first, and
+  puts back every block it touched when one lacks a target; when that
+  buffer cannot be allocated it raises MemoryError, writing nothing.
 - ``has_edges(starts, lens, pool, us, vs)``: edge lookup.
 - ``parse_pairs(data)``: the edge-list reader for its plain subset.
 

@@ -112,7 +112,9 @@ class RoundPlan:
     # level -> (us, vs): int32 dense endpoints, canonical order
     level_edges: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict)
-    selected_indices: list[int] = field(default_factory=list)
+    # the selected pairs' positions in the batch, ascending
+    selected_indices: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.intp))
 
     @property
     def edge_count(self) -> int:
@@ -154,7 +156,7 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
     bounds = ((level[1:] != level[:-1]).nonzero()[0] + 1).tolist()
     firsts = [0, *bounds] if len(level) else []
     plan = RoundPlan(levels=level[firsts].tolist(),
-                     selected_indices=selected.tolist())
+                     selected_indices=selected)
     for k, a, b in zip(plan.levels, firsts, [*bounds, len(level)]):
         plan.level_edges[k] = (us[a:b], vs[a:b])
     return plan

@@ -218,7 +218,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
         while batch.remaining:
             plan = plan_round(batch, cores, backend=be)
             pre = cores.values.copy() if audit else None
-            selected = np.asarray(plan.selected_indices, dtype=np.intp)
+            selected = plan.selected_indices
             edges = batch.pairs[selected]
             apply(edges[:, 0], edges[:, 1])
             starts, lens, pool = g.adjacency_arrays()

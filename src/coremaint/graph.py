@@ -9,14 +9,14 @@ Edges are added, removed and looked up a whole array of pairs at a time
 (one maintenance round's edges per call), touching the blocks of the
 touched vertices only.  Removal sorts the directed pairs by source and
 target and hands them to the kernel backend's ``remove_edges``, which
-checks that they are distinct edges, then compacts each touched block in
-place, keeping the order of its remaining entries.  Lookup is the
-backend's ``has_edges``.  Addition is numpy only: it first moves every
-block that would overflow to the pool tail in one pass, each with its
-capacity doubled until the new entries fit, then writes all new entries
-with one scatter; the vacated slots are not reused.  Mutations must
-happen in exclusive phases; between mutations the arrays may be read
-concurrently.
+compacts each touched block in place, keeping the order of its remaining
+entries, and leaves every block as it was unless the pairs are distinct
+edges.  Lookup is the backend's ``has_edges``.  Addition is numpy only: it
+first moves every block that would overflow to the pool tail in one pass,
+each with its capacity doubled until the new entries fit, then writes all
+new entries with one scatter; the vacated slots are not reused.
+Mutations must happen in exclusive phases; between mutations the arrays
+may be read concurrently.
 
 ``from_edges`` builds the pool with one sort.  Each vertex's block lists
 its larger neighbours in ascending order, then its smaller neighbours in
@@ -25,16 +25,26 @@ ascending order; the sort key of the directed entry (src, dst) is
 Labels are mapped to dense ids in label order: dense labels (the largest
 below twice the number of edge endpoints) through a presence table and
 a cumulative sum, sparser ones through the inverse of one argsort; later
-labels get the next ids in first-sight order.  Label -> id lookups are O(1)
-while the labels are 0..n-1, else binary searches of their sorted copy.
+labels get the next ids in first-sight order.
+
+``Graph._label_index`` maps labels to ids in one of three forms, chosen by
+one rule: ``None`` while the labels are exactly 0..n-1 (a label is its
+id); an int32 table (``table[label]`` is the id, -1 for an absent label)
+while the largest label is below twice the vertex count, so the table
+holds at most two slots a vertex; otherwise the labels in ascending order
+with their ids, searched by bisection.  The index is built once with the
+graph and kept by every copy.  Every lookup returns int64 ids in every form: callers build int64 keys
+such as ``u * n + v`` from them.  Copies share the index, so it is
+replaced, never written in place.
 
 Integer-pair text (edge lists; core files in ``static_core``) has one
-reader, ``read_edge_pairs``.  A path, a ``bytes`` object and a binary
-stream are read whole, once, and alike.  Bytes in a plain subset (ASCII
-digits, spaces, tabs and ``\n`` or ``\r\n`` line ends, plus comment
-lines: first non-blank byte ``#``, any ASCII after it) are parsed in one
-pass, the kernel backend's ``parse_pairs``: one C loop on the compiled
-lane, ``np.loadtxt`` after the comments are dropped on the Python lane.
+reader, ``read_edge_pairs``.  A path, the text as ``bytes``, ``bytearray``
+or ``memoryview``, and a binary stream are read whole, once, and alike.
+Bytes in a plain subset (ASCII digits, spaces, tabs and ``\n`` or
+``\r\n`` line ends, plus comment lines: first non-blank byte ``#``, any
+ASCII after it) are parsed in one pass, the kernel backend's
+``parse_pairs``: one C loop on the compiled lane, ``np.loadtxt`` after
+the comments are dropped on the Python lane.
 Anything else (signs, underscores, a lone ``\r``, an inline ``#``,
 non-ASCII bytes, a label too large for int64, a line without exactly two
 fields) goes to the line parser, decoded as ``open(path, "rt",
@@ -166,9 +176,9 @@ class Graph:
         self._pool = np.zeros(0, dtype=_POOL_DTYPE)
         self._pool_used = 0
         self._labels = np.zeros(0, dtype=np.int64)  # label of each dense id
-        # (sorted labels, their dense ids); None while the labels are
-        # exactly 0..n-1
-        self._label_index: tuple[np.ndarray, np.ndarray] | None = None
+        # label -> dense id: None, an int32 table or (sorted labels, their
+        # ids), as the module docstring says; replaced, never written
+        self._label_index = None
         self.vertex_count = 0
         self.edge_count = 0
 
@@ -212,7 +222,7 @@ class Graph:
             n = len(g._labels)
             dense = dense.reshape(-1, 2)
             if n and g._labels[-1] != n - 1:  # labels not already 0..n-1
-                g._label_index = (g._labels, np.arange(n))
+                g._label_index = _index_of(g._labels)
 
         loops = dense[:, 0] == dense[:, 1]
         stats.dropped_self_loops = int(np.count_nonzero(loops))
@@ -275,14 +285,17 @@ class Graph:
         """Dense id for a label; KeyError if the label is unknown, and
         ValueError if it is not one (``_label``)."""
         label = _label(label)
-        if self._label_index is None:
+        index = self._label_index
+        if index is None:
             if label < self.vertex_count:
                 return label
-        else:
-            known, ids = self._label_index
+        elif isinstance(index, tuple):
+            known, ids = index
             pos = known.searchsorted(label)
             if pos < len(known) and known[pos] == label:
                 return int(ids[pos])
+        elif label < len(index) and index[label] >= 0:
+            return int(index[label])
         raise KeyError(label)
 
     def has_vertex(self, label: int) -> bool:
@@ -293,11 +306,16 @@ class Graph:
             return False
 
     def _dense_ids(self, labels: np.ndarray) -> np.ndarray:
-        """Dense ids of an int64 array of non-negative labels; -1 where a
-        label is unknown."""
-        if self._label_index is None:
+        """Dense ids of an int64 array of non-negative labels, as int64;
+        -1 where a label is unknown."""
+        index = self._label_index
+        if index is None:
             return np.where(labels < self.vertex_count, labels, -1)
-        known, ids = self._label_index
+        if not isinstance(index, tuple):  # a table over 0..len(index)-1
+            out = index.take(labels, mode="clip").astype(np.int64)
+            out[labels >= len(index)] = -1
+            return out
+        known, ids = index
         # searching the needles in ascending order walks ``known`` forward
         order = np.argsort(labels)
         needles = labels[order]
@@ -322,14 +340,15 @@ class Graph:
         self._grow_vertex_arrays(n + k)
         self._labels[ids] = fresh
         self.vertex_count = n + k
-        if self._label_index is not None:
-            known, old = self._label_index
+        index = self._label_index
+        if isinstance(index, tuple) and \
+                max(index[0][-1], fresh[-1]) >= 2 * (n + k):
+            known, old = index  # still sparse: merge the new labels in
             at = np.searchsorted(known, fresh)
             self._label_index = (np.insert(known, at, fresh),
                                  np.insert(old, at, ids))
-        elif (fresh != ids).any():  # labels no longer 0..n-1
-            order = np.argsort(self._labels[: n + k])
-            self._label_index = (self._labels[order], order)
+        elif index is not None or (fresh != ids).any():
+            self._label_index = _index_of(self._labels[: n + k])
         return dense
 
     def _grow_vertex_arrays(self, n: int):
@@ -555,6 +574,19 @@ def _rank_by_sort(flat: np.ndarray):
     return dense, ranked[new]
 
 
+def _index_of(labels: np.ndarray):
+    """``Graph._label_index`` of ``labels`` (by dense id; not 0..n-1): the
+    table while the largest label is below twice their count, else the
+    sorted pair."""
+    top = int(labels.max()) + 1
+    if top > 2 * len(labels):
+        order = labels.argsort(kind="stable")  # linear on sorted labels
+        return labels[order], order
+    table = np.full(top, -1, dtype=np.int32)
+    table[labels] = np.arange(len(labels), dtype=np.int32)
+    return table
+
+
 def _directed(us, vs) -> tuple[np.ndarray, np.ndarray]:
     """Both directions of the pairs, as int64 (source, target) arrays."""
     return (np.concatenate((us, vs), dtype=np.int64),
@@ -609,17 +641,17 @@ def _read_lines(source) -> tuple[np.ndarray, int]:
 def read_edge_pairs(source) -> tuple[np.ndarray, int]:
     """Raw label pairs from edge-list text as an (m, 2) int64 array, in
     text order, plus the comment-line count.  ``source`` is a path, the
-    text as bytes, a binary stream (read to its end) or an iterable of
-    lines (module docstring).  No dedup or self-loop handling here; that
-    is the consumer's business.
+    text as ``bytes``, ``bytearray`` or ``memoryview``, a binary stream
+    (read to its end) or an iterable of lines (module docstring).  No
+    dedup or self-loop handling here; that is the consumer's business.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             data = fh.read()
     elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
         data = source.read()
-    elif isinstance(source, bytes):
-        data = source
+    elif isinstance(source, (bytes, bytearray, memoryview)):
+        data = bytes(source)
     else:
         return _read_lines(source)
     fast = get_backend().parse_pairs(data)

@@ -191,13 +191,45 @@ def test_insert_batch_creates_vertices_in_first_sight_order():
     assert g.dense_of(5) == 6 and g.dense_of(7) == 7
 
 
+def test_table_indexed_graph_builds_batches_as_the_sorted_form():
+    # 60,000 vertices with labels in 0..99,999: the label index is a table,
+    # and a batch's keys u * n + v pass 2^31, so the ids must be int64
+    rng = np.random.default_rng(11)
+    n = 60_000
+    labels = np.sort(rng.choice(100_000, size=n, replace=False))
+    ring = rng.permutation(labels)
+    edges = np.stack([ring, np.roll(ring, 1)], 1)  # every label, once round
+    table = Graph.from_edges(edges)
+    assert isinstance(table._label_index, np.ndarray)
+    by_sort = table.copy()
+    by_sort._label_index = (labels, np.arange(n))  # load gives label order
+    deletes = edges[rng.choice(n, 500, replace=False)]
+    ids = {lab: i for i, lab in enumerate(labels.tolist())}
+    want = sorted({(min(ids[u], ids[v]), max(ids[u], ids[v]))
+                   for u, v in deletes.tolist()})
+    inserts = np.concatenate([rng.choice(labels, size=(400, 2)),
+                              rng.integers(10 ** 5, 10 ** 6, size=(100, 2))])
+    for build, pairs in ((build_delete_batch, deletes),
+                         (build_insert_batch, inserts)):
+        a, b = (build(g, pairs) for g in (table, by_sort))
+        for field in ("pairs", "alive", "multiplicity"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.dropped_duplicates, a.dropped_self_loops) == \
+            (b.dropped_duplicates, b.dropped_self_loops)
+        if build is build_delete_batch:
+            assert list(map(tuple, a.pairs.tolist())) == want
+    assert np.array_equal(table.labels(), by_sort.labels())
+    assert table.vertex_count > n
+
+
 def test_plan_round_leaves_the_batch_unchanged():
     # the engine, not the planner, marks a round's pairs done
     g, cores = graph_with_cores([2, 2, 2, 2])
     b = build_insert_batch(g, [(0, 1), (1, 2), (2, 3)])
     alive, values = b.alive.copy(), cores.values.copy()
     plan = plan_round(b, cores)
-    assert plan.selected_indices == [0, 2]  # (1, 2) waits a round
+    assert plan.selected_indices.dtype == np.intp
+    assert plan.selected_indices.tolist() == [0, 2]  # (1, 2) waits a round
     assert np.array_equal(b.alive, alive)
     assert np.array_equal(cores.values, values)
 

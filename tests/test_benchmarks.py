@@ -56,15 +56,19 @@ def test_paper_comparison_flags_wrong_cores(monkeypatch):
 
 
 def test_small_batch_phases_runs():
-    out = subprocess.run(
-        [sys.executable, str(BENCHMARKS / "small_batch_phases.py"),
-         "--seconds", "0.2"],
-        capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    phases = [line.split()[0] for line in out.stdout.splitlines()
-              if line.startswith("  ")]
-    assert phases == ["build", "plan", "mutate", "kernel", "fan-out",
-                      "engine"]
+    for workload, args in (("ba-mixed-small", []),  # the default
+                           ("er-delete-bulk", ["--workload",
+                                               "er-delete-bulk"])):
+        out = subprocess.run(
+            [sys.executable, str(BENCHMARKS / "small_batch_phases.py"),
+             "--seconds", "0.2", *args],
+            capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith(f"{workload}, backend ")
+        phases = [line.split()[0] for line in lines if line.startswith("  ")]
+        assert phases == ["build", "plan", "mutate", "kernel", "fan-out",
+                          "engine"]
 
 
 def test_load_phases_runs():

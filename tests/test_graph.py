@@ -312,7 +312,8 @@ def test_array_path_matches_line_parser(tmp_path):
         took_array_path.append(fast[0] is not None)
         # the same bytes read alike from every source kind
         want = _outcome(_read_lines, data)
-        for source in (path, data, io.BytesIO(data)):
+        for source in (path, data, io.BytesIO(data), bytearray(data),
+                       memoryview(data)):
             assert _outcome(read_edge_pairs, source) == want
             for f in fast:
                 if f is not None:
@@ -449,13 +450,23 @@ def test_from_edges_block_order(labels):
     _assert_blocks_in_construction_order(g, nbrs)
 
 
+def _index_lists(index):
+    """``Graph._label_index`` as lists: None, a table's int32 entries, or
+    the sorted pair's two arrays."""
+    if isinstance(index, tuple):
+        return [a.tolist() for a in index]
+    if index is not None:
+        assert index.dtype == np.int32
+        return index.tolist()
+    return None
+
+
 def _built(raw) -> tuple:
     g = Graph.from_edges(raw)
-    index = g._label_index
     return ([getattr(g, a).tolist() for a in ("_starts", "_lens", "_caps",
                                               "_pool")],
-            g.labels().tolist(),
-            index and [a.tolist() for a in index], vars(g.load_stats))
+            g.labels().tolist(), _index_lists(g._label_index),
+            vars(g.load_stats))
 
 
 def _pairs(rows) -> np.ndarray:
@@ -677,11 +688,20 @@ def test_label_map_is_built_on_first_scalar_lookup():
     assert sorted(early.neighbors(5)) == [70000, 1000000]
 
 
+def _index_form(g) -> str:
+    index = g._label_index
+    if index is None:
+        return "identity"
+    return "sorted" if isinstance(index, tuple) else "table"
+
+
 def test_dense_ids_match_scalar_lookups():
     # batch and scalar lookups agree with a plain dict for identity, broken
-    # identity and sparse labels, and copies made before and after lookups
-    # and interns stay independent of each other
+    # identity, near-dense and sparse labels, in every form of the label
+    # index, and copies made before and after lookups and interns stay
+    # independent of each other
     rng = np.random.default_rng(4)
+    near = np.sort(rng.choice(120, size=70, replace=False))  # holes in 0..119
     graphs = {
         "sparse": Graph.from_edges(rng.choice(10 ** 9, size=(100, 2),
                                               replace=False)),
@@ -689,7 +709,10 @@ def test_dense_ids_match_scalar_lookups():
         "identity": Graph.from_edges([(0, 1), (2, 3)], num_vertices=6,
                                      dense_labels=True),
         "empty": Graph(),
+        "near": Graph.from_edges(rng.permutation(near).reshape(-1, 2)),
+        "two": load_edge_list(b"0 5\n"),
     }
+    holes = sorted(set(range(120)) - set(near.tolist()))
     oracles = {name: dict(zip(g.labels().tolist(), range(g.vertex_count)))
                for name, g in graphs.items()}
 
@@ -715,8 +738,25 @@ def test_dense_ids_match_scalar_lookups():
     intern("identity", [6, 7, 6])  # in order: still the identity
     intern("broken", [7, 6])  # out of order
     intern("empty", [3, 0])
-    assert graphs["identity"]._label_index is None
-    assert graphs["broken"]._label_index is not None
+    assert _index_form(graphs["near"]) == "table"
+    copy("near", "near-inside")
+    intern("near-inside", [holes[0], 130, holes[-1]])  # 130 < 2n: table
+    copy("near", "near-across")
+    intern("near-across", [holes[1], 300])  # 300 >= 2n: sorted
+    copy("near-across", "near-back")
+    intern("near-back", list(range(120, 300)))  # dense again
+    intern("near-across", [holes[2]])  # stays sorted: merged in
+    assert _index_form(graphs["two"]) == "sorted"
+    intern("two", [1, 2, 3])  # labels 0..5 less 4 among 5 vertices
+    copy("identity", "identity-far")
+    intern("identity-far", [10 ** 9])
+    forms = {name: _index_form(g) for name, g in graphs.items()}
+    assert forms == {
+        "sparse": "sorted", "small": "sorted", "identity": "identity",
+        "empty": "table", "near": "table", "two": "table", "early": "sorted",
+        "late": "sorted", "later": "sorted", "broken": "table",
+        "near-inside": "table", "near-across": "sorted",
+        "near-back": "table", "identity-far": "sorted"}
     for name, g in graphs.items():
         oracle = oracles[name]
         assert g.labels().tolist() == list(oracle), name
@@ -728,7 +768,8 @@ def test_dense_ids_match_scalar_lookups():
                                   rng.integers(0, 2 * 10 ** 9, 30),
                                   [0, 5, 6, 7, 8, 42, 123, 2 ** 63 - 1]])
         want = [oracle.get(q, -1) for q in queries.tolist()]
-        assert g._dense_ids(queries).tolist() == want, name
+        got = g._dense_ids(queries)
+        assert got.dtype == np.int64 and got.tolist() == want, name
         for q, w in zip(queries.tolist(), want):
             assert g.has_vertex(q) == (w >= 0)
             if w >= 0:

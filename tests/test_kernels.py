@@ -302,11 +302,10 @@ def test_concurrent_engines_match_sequential_runs():
     assert got == expect
 
 
-# Run in a child process, so that its address-space limit never applies to
-# the test runner.  Each failed call must raise the kernel's own
-# MemoryError, and a retry once the limit is lifted must give the clean
-# result: a failed allocation must not leave a written arena slot behind.
-ARENA_FAILURES = """
+# Scripts run in a child process, so that its address-space limit never
+# applies to the test runner.  Each failed call must raise the kernel's own
+# MemoryError.
+LIMITED = """
 import resource
 
 import numpy as np
@@ -316,7 +315,6 @@ from coremaint.kernels import get_backend
 
 be = get_backend("c")
 MB = 1 << 20
-KERNEL = "level kernel allocation failed"
 
 
 def failure(call, extra):
@@ -332,6 +330,12 @@ def failure(call, extra):
         return str(exc)
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+"""
+
+# A retry once the limit is lifted must give the clean result: a failed
+# allocation must not leave a written arena slot behind.
+ARENA_FAILURES = LIMITED + """
+KERNEL = "level kernel allocation failed"
 
 
 def delete_call(edges, cores, k, u, v):
@@ -380,17 +384,53 @@ for extra in (6 * MB, 8 * MB):
 """
 
 
-@needs_c
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads the process size from /proc")
-def test_failed_allocations_leave_the_arena_clean():
+# The undo buffer of one removal (the hub's 2^20 entries: 4 MiB) cannot be
+# allocated: nothing is written, and the removal succeeds once the limit is
+# lifted.
+REMOVAL_FAILURE = LIMITED + """
+hub = 1 << 20
+g = Graph.from_edges(np.stack([np.zeros(hub, np.int64),
+                               np.arange(1, hub + 1)], 1), dense_labels=True)
+starts, lens, pool = g.adjacency_arrays()
+src, dst = np.array([0, 0, 5, 9], np.int32), np.array([5, 9, 0, 0], np.int32)
+before = [a.copy() for a in (starts, lens, pool)]
+
+
+def call():
+    be.remove_edges(starts, lens, pool, src, dst)
+
+
+assert failure(call, 1 * MB) == "remove_edges allocation failed"
+assert all(np.array_equal(a, b) for a, b in zip((starts, lens, pool),
+                                               before))
+call()
+assert lens[0] == hub - 2 and lens[5] == lens[9] == 0
+"""
+
+
+def run_limited(script: str):
+    """Run ``script`` in a child process and fail on its error."""
     # a fixed mmap threshold makes every large buffer its own mapping, so
     # the limit alone decides which allocation fails
     env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
            "PYTHONPATH": str(Path(coremaint.__file__).parent.parent)}
-    child = subprocess.run([sys.executable, "-c", ARENA_FAILURES], env=env,
+    child = subprocess.run([sys.executable, "-c", script], env=env,
                            capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
+
+
+@needs_c
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process size from /proc")
+def test_failed_allocations_leave_the_arena_clean():
+    run_limited(ARENA_FAILURES)
+
+
+@needs_c
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process size from /proc")
+def test_failed_removal_allocation_writes_nothing():
+    run_limited(REMOVAL_FAILURE)
 
 
 @needs_c
@@ -603,7 +643,9 @@ def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
 
 
 def plans_equal(a, b):
-    return (a.levels == b.levels and a.selected_indices == b.selected_indices
+    return (a.levels == b.levels
+            and a.selected_indices.dtype == b.selected_indices.dtype == np.intp
+            and np.array_equal(a.selected_indices, b.selected_indices)
             and a.level_edges.keys() == b.level_edges.keys()
             and all(x.dtype == y.dtype and np.array_equal(x, y)
                     for k in a.level_edges
@@ -731,6 +773,34 @@ def test_removal_rejects_absent_or_repeated_pairs(lane, us, vs):
               g.edge_count]
     with pytest.raises(ValueError):
         g._remove_dense(np.array(us), np.array(vs), backend=lane)
+    assert [g._starts.tolist(), g._lens.tolist(), g._pool.tolist(),
+            g.edge_count] == before
+
+
+@pytest.mark.parametrize("lane", ["python",
+                                  pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("gone, one_way", [
+    # every group before the last loses its targets; the last, vertex 15
+    # (block [14, 0]), loses 14, shifting 0 over it, but lacks 1
+    ([(0, 3), (0, 5), (13, 14)], [(15, 1), (15, 14)]),
+    # the hub loses eleven targets (more than 8: found by bisection), then
+    # vertex 14 (block [15, 2, 13]) loses 2, shifting 13, but lacks 1
+    ([*[(0, v) for v in range(1, 11)], (0, 15), (2, 14)], [(14, 1)]),
+], ids=["last-group", "middle-group-after-hub"])
+def test_rejected_removal_restores_every_touched_block(lane, gone, one_way):
+    # hub 0 of degree 12, a path 13-14-15 and an edge {2, 14}; the entries
+    # (both directions of each gone edge, the one-way ones as given) go
+    # straight to the backend, grouped by source as it takes them
+    edges = [(0, v) for v in range(1, 13)] + [(13, 14), (14, 15), (2, 14)]
+    g = Graph.from_edges(edges, dense_labels=True)
+    g._add_dense(np.array([0]), np.array([15]))  # relocates 0 and 15
+    before = [g._starts.tolist(), g._lens.tolist(), g._pool.tolist(),
+              g.edge_count]
+    entries = sorted([*gone, *[(v, u) for u, v in gone], *one_way])
+    src, dst = np.array(entries, dtype=np.int32).T.copy()
+    starts, lens, pool = g.adjacency_arrays()
+    with pytest.raises(ValueError):
+        get_backend(lane).remove_edges(starts, lens, pool, src, dst)
     assert [g._starts.tolist(), g._lens.tolist(), g._pool.tolist(),
             g.edge_count] == before
 
