@@ -51,8 +51,8 @@ NAME = "c"
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _FLAGS = ("-std=c11", "-O3", "-shared", "-fPIC", "-pthread")
-# error returns of the C entry points
-_ALLOC_FAILED, _BAD_ORDER, _BAD_ENDPOINT = -1, -2, -3
+# return codes of the C entry points (``_error`` maps the errors)
+_ALLOC_FAILED, _BAD_ORDER, _BAD_ENDPOINT, _NOT_EDGES = -1, -2, -3, -4
 _NOT_MINE, _BAD_LEVEL = -5, -6
 _ROW = 10  # int64 per level row of cm_run_levels: count, offset, 5
            # counters, wall ns, CPU ns, worker slot
@@ -170,8 +170,27 @@ def _graph_ptrs(starts, lens, pool):
             _ptr("pool", pool, _I32))
 
 
-def _raise_bad_endpoint(n: int):
-    raise ValueError(f"edge endpoint outside 0..{n - 1}")
+def _error(code: int, call: str, n: int, k: int | None = None) -> Exception:
+    """The exception for error ``code`` of the C entry point behind
+    ``call``, on a graph of ``n`` vertices (level ``k`` for a level task)."""
+    if code == _ALLOC_FAILED:
+        return MemoryError(f"{call} allocation failed")
+    if code == _BAD_ORDER:
+        return ValueError("pairs to remove must be grouped by ascending "
+                          "source with ascending targets")
+    if code == _BAD_ENDPOINT:
+        return ValueError(f"edge endpoint outside 0..{n - 1}")
+    if code == _NOT_EDGES:
+        return ValueError("edges to remove must be distinct edges of the "
+                          "graph")
+    if code == _BAD_LEVEL:
+        return ValueError(f"edge not at level {k}")
+    return RuntimeError(f"{call} returned unknown code {code}")
+
+
+def _check_return(code: int, call: str, n: int):
+    if code:
+        raise _error(code, call, n)
 
 
 def peel_kernel(n, starts, lens, pool):
@@ -181,17 +200,10 @@ def peel_kernel(n, starts, lens, pool):
         raise ValueError(f"adjacency arrays cover {have} vertices, "
                          f"expected {n}")
     cores = np.zeros(n, dtype=np.int32)
-    if n and _lib.cm_peel(n, *graph, _buf("int32_t[]", cores)):
-        raise MemoryError("peel_kernel allocation failed")
+    if n:
+        _check_return(_lib.cm_peel(n, *graph, _buf("int32_t[]", cores)),
+                      "peel_kernel", n)
     return cores
-
-
-def _level_error(code: int, n: int, k: int) -> Exception:
-    if code == _BAD_ENDPOINT:
-        return ValueError(f"edge endpoint outside 0..{n - 1}")
-    if code == _BAD_LEVEL:
-        return ValueError(f"edge not at level {k}")
-    return MemoryError("level kernel allocation failed")
 
 
 def _one_level(mode, starts, lens, pool, cores, k, eu, ev):
@@ -246,7 +258,7 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
     failed = [i for i, row in enumerate(table) if row[0] < 0]
     if failed:
         i = failed[0]
-        exc = _level_error(table[i][0], n, ks[i])
+        exc = _error(table[i][0], "level kernel", n, ks[i])
         raise LevelTaskError(ks[i], exc) from exc
     return [(k, np.sort(out[row[1]:row[1] + row[0]]), tuple(row[2:7]),
              row[7], row[8], row[9])
@@ -259,11 +271,8 @@ def plan_scan(us, vs, cores):
     args = (m, _ptr("us", us, _I32), _ptr("vs", vs, _I32, m),
             _ptr("cores", cores, _I32), len(cores))
     status = np.empty(m, dtype=np.int8)
-    err = _lib.cm_plan_scan(*args, _buf("int8_t[]", status))
-    if err == _BAD_ENDPOINT:
-        _raise_bad_endpoint(len(cores))
-    if err:
-        raise MemoryError("plan_scan allocation failed")
+    _check_return(_lib.cm_plan_scan(*args, _buf("int8_t[]", status)),
+                  "plan_scan", len(cores))
     return status
 
 
@@ -271,18 +280,9 @@ def remove_edges(starts, lens, pool, src, dst):
     """As ``_kernels_py.remove_edges``."""
     n, *graph = _graph_ptrs(starts, lens, pool)
     m = len(src)
-    err = _lib.cm_remove_edges(m, _ptr("src", src, _I32),
-                               _ptr("dst", dst, _I32, m), n, *graph)
-    if err == _BAD_ENDPOINT:
-        _raise_bad_endpoint(n)
-    if err == _BAD_ORDER:
-        raise ValueError("pairs to remove must be grouped by ascending "
-                         "source with ascending targets")
-    if err == _ALLOC_FAILED:
-        raise MemoryError("remove_edges allocation failed")
-    if err:
-        raise ValueError("edges to remove must be distinct edges of the "
-                         "graph")
+    _check_return(_lib.cm_remove_edges(m, _ptr("src", src, _I32),
+                                       _ptr("dst", dst, _I32, m), n, *graph),
+                  "remove_edges", n)
 
 
 def has_edges(starts, lens, pool, us, vs):
@@ -291,8 +291,8 @@ def has_edges(starts, lens, pool, us, vs):
     m = len(us)
     args = (m, _ptr("us", us, _I32), _ptr("vs", vs, _I32, m), n, *graph)
     out = np.empty(m, dtype=np.bool_)
-    if _lib.cm_has_edges(*args, _buf("uint8_t[]", out)):
-        _raise_bad_endpoint(n)
+    _check_return(_lib.cm_has_edges(*args, _buf("uint8_t[]", out)),
+                  "has_edges", n)
     return out
 
 

@@ -55,12 +55,6 @@ class EdgeBatch:
         return int(self.multiplicity.max()) if len(self.multiplicity) else 0
 
 
-def _endpoint_counts(pairs: np.ndarray) -> np.ndarray:
-    """How many of the pairs touch each of their distinct endpoints (the
-    ``EdgeBatch.multiplicity`` of those pairs)."""
-    return sorted_unique(pairs, return_counts=True)[1]
-
-
 def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     """The label batch as deduplicated canonical dense pairs, self-loops
     dropped.
@@ -86,7 +80,7 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     pairs = np.empty((len(keys), 2), dtype=np.int32)
     pairs[:, 0], pairs[:, 1] = np.divmod(keys, n)
     return EdgeBatch(pairs=pairs, alive=np.ones(len(pairs), dtype=bool),
-                     multiplicity=_endpoint_counts(pairs),
+                     multiplicity=sorted_unique(pairs, return_counts=True)[1],
                      dropped_duplicates=len(us) - len(keys),
                      dropped_self_loops=loops)
 

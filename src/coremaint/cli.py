@@ -57,25 +57,28 @@ def _fallback_note(name: str) -> str:
 
 
 def _run_maintenance(args, mode: str) -> int:
+    if args.threads < 1:  # before any work, with or without --baseline
+        raise ValueError(f"workers must be >= 1, got {args.threads}")
     g = _load_graph(args)
     backend = get_backend(args.backend)
     cores = peel(g, backend=backend)
     edges = _batch_edges(args, g, cores, mode)
     build = build_insert_batch if mode == "insert" else build_delete_batch
     batch = build(g, edges)
+    threads = 1 if args.baseline else args.threads
     start = time.perf_counter()
     if args.baseline:
         log = sequential_baseline(g, cores, batch, mode, backend=backend)
     else:
         run = insert_edges if mode == "insert" else delete_edges
-        log = run(g, cores, batch, workers=args.threads, backend=backend)
+        log = run(g, cores, batch, workers=threads, backend=backend)
     elapsed = time.perf_counter() - start
     per_edge = elapsed / log.batch_size * 1000 if log.batch_size else 0.0
     print(f"{mode}: {log.edges_applied} edges applied in {elapsed:.4f}s "
           f"({per_edge:.4f} ms/edge), rounds={log.rounds_executed}, "
           f"changed={log.changed_total}, visited={log.counters.visited}, "
           f"backend={backend.NAME}{_fallback_note(backend.NAME)}, "
-          f"threads={args.threads}")
+          f"threads={threads}")
     if log.dropped_existing:
         print(f"dropped {log.dropped_existing} already-present edges",
               file=sys.stderr)
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"apply a batch of edge {name}s")
         common(p)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker limit")
+                       help="worker limit (the baseline uses one)")
         p.add_argument("--out-cores", help="write final core numbers here")
         p.add_argument("--log", help="write the per-round change log here")
         p.add_argument("--baseline", action="store_true",

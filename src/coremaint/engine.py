@@ -26,9 +26,10 @@ With ``audit=True`` the engine first checks the core map against a fresh
 differ; without it, keeping the map in step with the graph is the
 caller's job.
 
-``sequential_baseline`` runs the same round loop one edge at a time,
-mirroring how single-edge maintenance algorithms process a batch; it is
-the comparison target for the round-based engines.
+``sequential_baseline`` runs the same round loop with one-edge rounds:
+each round takes the first live pair in canonical order, alone, at its
+level, as single-edge maintenance algorithms process a batch.  It is the
+comparison target for the round-based engines.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from functools import partial
 import numpy as np
 
 from ._kernels_py import _check_round
-from .batch import (BatchError, EdgeBatch, edge_lists, _endpoint_counts,
-                    plan_round)
+from .batch import BatchError, EdgeBatch, RoundPlan, edge_lists, plan_round
 from .graph import Graph
 from .kernels import get_backend
 from .static_core import CoreMap, peel
@@ -198,9 +198,23 @@ def _check_cores(g: Graph, cores: CoreMap, be):
             f"({len(wrong)} vertices differ)")
 
 
+def _first_pair(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
+    """The baseline's round plan: the first live pair in canonical order,
+    alone, at its level."""
+    i = int(batch.alive.argmax())
+    pair = batch.pairs[i]
+    k = int(cores.values[pair].min())
+    return RoundPlan([k], {k: (pair[:1], pair[1:])},
+                     np.array([i], dtype=np.intp))
+
+
 def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
-               workers: int, backend, audit: bool) -> MaintenanceLog:
+               workers: int, backend, audit: bool,
+               planner=None) -> MaintenanceLog:
+    """The round loop; ``planner`` plans each round (default: the module's
+    ``plan_round``, looked up on each call)."""
     insert = mode == "insert"
+    planner = planner or plan_round
     be = get_backend(backend)
     _check_round(mode, workers)  # before anything changes
     if audit:
@@ -216,7 +230,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     log.dropped_existing = len(dropped)
     try:
         while batch.remaining:
-            plan = plan_round(batch, cores, backend=be)
+            plan = planner(batch, cores, backend=be)
             pre = cores.values.copy() if audit else None
             selected = plan.selected_indices
             edges = batch.pairs[selected]
@@ -281,30 +295,13 @@ def sequential_baseline(g: Graph, cores: CoreMap, batch: EdgeBatch,
                         mode: str, backend=None) -> MaintenanceLog:
     """Process the batch strictly one edge at a time.
 
-    Each live pair, in canonical order, runs through the round engine as a
-    one-edge batch, so cores are updated right after it, exactly as
-    single-edge maintenance would do.  The whole batch is checked against
-    the graph first, as in the round engine.  A pair is consumed only once
-    its run has returned, so an interrupt leaves it pending and unapplied.
-    Final cores must match the round-based engine.
+    Every round takes the first live pair in canonical order, alone, at
+    its level, so cores are updated right after each edge, exactly as
+    single-edge maintenance would do.  The batch is checked against the
+    graph once, and a pair is consumed only when its round commits, as in
+    the round engine, whose final cores it must match.
     """
-    log = MaintenanceLog(mode=f"{mode}-baseline", batch_size=batch.size,
-                         max_multiplicity=batch.max_multiplicity)
-    dropped = _check_pairs(g, batch, mode == "insert", get_backend(backend))
-    log.dropped_existing = len(dropped)
-    try:
-        for i in batch.alive.nonzero()[0].tolist():
-            one = EdgeBatch(batch.pairs[i:i + 1], np.ones(1, dtype=bool),
-                            multiplicity=_endpoint_counts(batch.pairs[i]))
-            run = _run_batch(g, cores, one, mode, workers=1,
-                             backend=backend, audit=False)
-            batch.alive[i] = False
-            for rec in run.rounds:
-                rec.index = len(log.rounds) + 1
-                log.rounds.append(rec)
-            log.counters = log.counters + run.counters
-            log.edges_applied += run.edges_applied
-    except BaseException:  # the pairs found present are pending again
-        batch.alive[dropped] = True
-        raise
+    log = _run_batch(g, cores, batch, mode, workers=1, backend=backend,
+                     audit=False, planner=_first_pair)
+    log.mode = f"{mode}-baseline"
     return log

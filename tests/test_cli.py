@@ -153,6 +153,29 @@ def test_insert_baseline_matches_engine(small_graph, tmp_path, capsys):
     check_baseline_matches_engine("insert", small_graph, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("baseline", [False, True])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bad_thread_count_is_rejected_before_any_work(baseline, threads,
+                                                      tmp_path, capsys):
+    # rejected before the (absent) graph file is even opened
+    out = tmp_path / "cores.txt"
+    rc = main(["delete", "--graph", str(tmp_path / "absent.txt"),
+               "--batch-size", "5", "--threads", threads,
+               "--out-cores", str(out)] + ["--baseline"] * baseline)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"workers must be >= 1, got {threads}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+def test_baseline_reports_its_one_thread(mode, capsys):
+    rc = main([mode, "--gen", "ba", "--n", "200", "--deg", "3",
+               "--batch-size", "5", "--baseline", "--threads", "4"])
+    assert rc == 0
+    assert capsys.readouterr().out.rstrip().endswith("threads=1")
+
+
 def test_gen_writes_edge_list(tmp_path):
     out = tmp_path / "gen.txt"
     rc = main(["gen", "--gen", "ba", "--n", "50", "--deg", "3",

@@ -6,6 +6,7 @@ arena, and its build and fallback."""
 import importlib.util
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -567,6 +568,23 @@ def test_compiled_parse_rejects_bad_inputs(bad):
         be.parse_pairs(bad)
     pairs, comments = be.parse_pairs(b"# c\n1 2\n3 4")
     assert (pairs.tolist(), comments) == ([[1, 2], [3, 4]], 1)
+
+
+@needs_c
+def test_every_c_error_code_maps_to_its_exception():
+    # each error return the C file declares has a Python name and a typed
+    # exception; NOT_MINE is parse_pairs' "not my subset", not an error
+    be = get_backend("c")
+    text = Path(be.__file__).with_name("_kernels.c").read_text()
+    enum = re.search(r"enum \{ (ALLOC_FAILED[^}]*)\}", text).group(1)
+    codes = {name: int(code) for name, code
+             in re.findall(r"(\w+) = (-\d+)", enum)}
+    assert len(codes) == 6
+    for name, code in codes.items():
+        assert getattr(be, f"_{name}") == code
+        if name != "NOT_MINE":
+            exc = be._error(code, "call", 4, 2)
+            assert isinstance(exc, (ValueError, MemoryError)), name
 
 
 def removal_call_args():

@@ -511,3 +511,43 @@ def test_interrupted_baseline_keeps_the_failing_edge_pending(error, raised,
         assert g.has_edge(u, v) == (mode == "delete")
     g.check_invariants()
     assert cores == peel(g)
+
+
+class CountingBackend:
+    """A real backend whose entry points count their calls."""
+
+    def __init__(self, real):
+        self.NAME = real.NAME
+        self.real = real
+        self.calls = {}
+
+    def __getattr__(self, name):
+        fn = getattr(self.real, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+def test_baseline_runs_one_edge_rounds_in_one_loop(lane, mode):
+    # the batch is looked up in the graph once, and every round takes one
+    # pair without the planner's scan
+    g = generate_er(300, 4, seed=9)
+    sample = sample_new_edges if mode == "insert" else sample_existing_edges
+    build = build_insert_batch if mode == "insert" else build_delete_batch
+    batch = build(g, sample(g, 40, seed=9))
+    cores = peel(g)
+    be = CountingBackend(get_backend(lane))
+    log = sequential_baseline(g, cores, batch, mode, backend=be)
+    m = batch.size
+    assert be.calls.get("has_edges") == 1
+    assert "plan_scan" not in be.calls
+    assert [r.index for r in log.rounds] == list(range(1, m + 1))
+    assert all(sum(len(us) for us, _ in r.level_edges.values()) == 1
+               for r in log.rounds)
+    assert (log.mode, log.edges_applied) == (f"{mode}-baseline", m)
+    assert not batch.alive.any()
+    assert cores == peel(g)
