@@ -229,7 +229,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     dropped = _check_pairs(g, batch, insert, be)
     log.dropped_existing = len(dropped)
     try:
-        while batch.remaining:
+        while batch.alive.any():
             plan = planner(batch, cores, backend=be)
             pre = cores.values.copy() if audit else None
             selected = plan.selected_indices
