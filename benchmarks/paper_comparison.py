@@ -11,10 +11,12 @@ a batch size), every available kernel backend and every worker count of
 baseline runs a seeded sample of the batch (``Case.sample`` edges), as
 acceptance test A9 does.  Both are timed around the maintenance call
 alone and reported in milliseconds per edge; ``speedup`` is the baseline's
-figure over the engine's.  The engine's round records give
-``runtime.parallelism`` (level-task CPU time over fan-out wall time) and
-``runtime.straggler_share`` (the slowest level task's share of the
-fan-out), summed over the rounds.  Every run is checked against a fresh
+figure over the engine's.  ``rounds`` counts the engine's committed
+rounds and ``replayed_rounds`` its free rounds undone and run again by
+the strict rule (whose work is in no counter).  The engine's round
+records give ``runtime.parallelism`` (level-task CPU time over fan-out
+wall time) and ``runtime.straggler_share`` (the slowest level task's
+share of the fan-out), summed over the rounds.  Every run is checked against a fresh
 ``peel``; a row whose runs did not all match has ``"correct": false`` and
 the script exits 1.
 
@@ -117,6 +119,7 @@ def run_case(case: Case, backend: str, seed: int) -> list[dict]:
             "baseline_ms_per_edge": baseline_ms,
             "speedup": baseline_ms / engine_ms,
             "rounds": log.rounds_executed,
+            "replayed_rounds": log.replayed_rounds,
             "counters": asdict(log.counters),
             "runtime.parallelism": parallelism,
             "runtime.straggler_share": straggler_share,

@@ -1,25 +1,32 @@
 #!/usr/bin/env python3
-"""Where the time of a delete batch goes, phase by phase.
+"""Where the time of a delete or insert batch goes, phase by phase and
+round by round.
 
     python3 benchmarks/small_batch_phases.py [--seed 1] [--seconds 5]
-        [--workload ba-mixed-small]
+        [--workload ba-mixed-small] [--kind delete|insert]
 
 Runs a corebench workload (by default ``ba-mixed-small``: BA graph,
 n=2^14; 8-edge batches, each an insert or a delete by a fair coin; for
-bulk deletes, ``er-delete-bulk``), with corebench's 2 workers, twice from
-the same loaded graph: untraced, then under corebench's tracer.  Prints
-the median wall time of a delete batch in the untraced pass, then splits
-the traced pass's mean delete batch into its phases:
+bulk deletes, ``er-delete-bulk``; for bulk inserts, ``er-insert-bulk``
+with ``--kind insert``), with corebench's 2 workers, twice from the same
+loaded graph: untraced, then under corebench's tracer.  Prints the median
+wall time of a batch of the chosen kind (``--kind``, default delete) in
+the untraced pass, then splits the traced pass's mean batch of that kind
+into its phases:
 
-- build: ``build_delete_batch``;
+- build: ``build_delete_batch`` or ``build_insert_batch``;
 - plan: ``plan_round``;
-- mutate: ``Graph._remove_dense``;
+- mutate: ``Graph._remove_dense`` and ``Graph._add_dense``;
 - kernel call: the level tasks' wall time, summed over the round's tasks,
   from the engine's round records;
 - fan-out self: ``run_level_tasks`` less, per round, the kernel time of
   its busiest worker (the records again);
-- engine self: the rest of ``delete_edges``, its one edge lookup
+- engine self: the rest of the engine call, its one edge lookup
   included.
+
+Then, from the round records, the mean rounds per batch (and replayed
+free rounds), and the mean kernel visits and fan-out time per batch of
+round 1 and of the later rounds.
 
 Times are in microseconds.  Run from the repository root; the program is
 imported from this checkout's ``src/``.
@@ -62,6 +69,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=5.0)
     ap.add_argument("--workload", choices=sorted(run.WORKLOADS),
                     default="ba-mixed-small")
+    ap.add_argument("--kind", choices=("delete", "insert"),
+                    default="delete")
     args = ap.parse_args(argv)
     spec = run.WORKLOADS[args.workload]
     base = spec.base_keys(args.seed)
@@ -70,20 +79,24 @@ def main(argv=None) -> int:
         run.write_edge_list(path, base, spec.n, "small_batch_phases")
         g0, cores0 = run.load_and_peel(path)
     plain = run.drive(spec, g0, cores0, base, args.seed, args.seconds)
-    logs, delete_edges = [], run.cm.delete_edges
+    engine_call = f"{args.kind}_edges"
+    logs, engine = [], getattr(run.cm, engine_call)
 
     def logged(*a, **kw):
-        logs.append(delete_edges(*a, **kw))
+        logs.append(engine(*a, **kw))
         return logs[-1]
 
-    with mock.patch.object(run.cm, "delete_edges", logged), \
+    with mock.patch.object(run.cm, engine_call, logged), \
             Tracer() as tracer:
         traced = run.drive(spec, g0, cores0, base, args.seed, args.seconds,
                            tracer)
     if plain.error or traced.error:
         raise SystemExit(f"run failed: {plain.error or traced.error}")
-    deletes = {i for i, r in enumerate(traced.records) if r.kind == "delete"}
-    tracer.spans = [s for s in tracer.spans if s.batch in deletes]
+    chosen = {i for i, r in enumerate(traced.records)
+              if r.kind == args.kind}
+    if not chosen:
+        raise SystemExit(f"{args.workload} ran no {args.kind} batch")
+    tracer.spans = [s for s in tracer.spans if s.batch in chosen]
     metrics = span_metrics(tracer)
     kernel_s, busiest_s = kernel_seconds(logs)
     phases = (("build", metrics["batch.build_s"][0]),
@@ -92,14 +105,23 @@ def main(argv=None) -> int:
               ("kernel call", kernel_s),
               ("fan-out self", metrics["runtime.fanout_s"][0] - busiest_s),
               ("engine self", metrics["engine.self_s"][0]))
-    per = 1e6 / len(deletes)
+    per = 1e6 / len(chosen)
     median = statistics.median(r.seconds for r in plain.records
-                               if r.kind == "delete")
+                               if r.kind == args.kind)
     print(f"{args.workload}, backend {run.cm.default_backend_name()}, "
-          f"seed {args.seed}: {len(deletes)} traced delete batches")
-    print(f"untraced delete batch median {median * 1e6:8.1f} us")
+          f"seed {args.seed}: {len(chosen)} traced {args.kind} batches")
+    print(f"untraced {args.kind} batch median {median * 1e6:8.1f} us")
     for name, seconds in phases:
         print(f"  {name:<14}{seconds * per:8.1f} us")
+    rounds = sum(log.rounds_executed for log in logs) / len(logs)
+    replayed = sum(log.replayed_rounds for log in logs) / len(logs)
+    print(f"rounds per batch {rounds:.2f} (replayed {replayed:.2f})")
+    for name, part in (("round 1", slice(None, 1)),
+                       ("rounds 2+", slice(1, None))):
+        recs = [rec for log in logs for rec in log.rounds[part]]
+        visits = sum(rec.counters.visited for rec in recs) / len(logs)
+        fanout = sum(rec.fanout_ns for rec in recs) * 1e-3 / len(logs)
+        print(f"{name:<10} visits {visits:10.1f}  fan-out {fanout:10.1f} us")
     return 0
 
 

@@ -12,7 +12,9 @@
    threads, started on first need and kept for the life of the process,
    claim the rest.  The caller waits only for levels a helper has claimed,
    so a round of tiny levels costs no thread handoff.  A fork() child
-   forgets the parent's helpers and starts its own.
+   forgets the parent's helpers and starts its own.  In an insert round
+   with a free level (see batch.py), that level's task ends with a peel of
+   its risers and reports how many survive.
 
    Every entry point that takes vertex ids checks that they lie in 0..n-1
    before it writes anything and returns BAD_ENDPOINT otherwise (a round
@@ -392,14 +394,17 @@ static int64_t cm_delete_level(const int64_t *starts, const int32_t *lens,
 
 /* A row of results per level: the moved count (or an error return), the
    offset of the level's ids in the round's output, the five counters, wall
-   and thread-CPU nanoseconds, and the worker slot that ran it (0 is the
-   calling thread, h the h-th helper to join the round). */
-enum { R_COUNT, R_OFFSET, R_CTR, R_WALL = R_CTR + 5, R_CPU, R_WORKER, ROW };
+   and thread-CPU nanoseconds, the worker slot that ran it (0 is the
+   calling thread, h the h-th helper to join the round), and the survivors
+   of the free level's riser peel (0 at every other level). */
+enum { R_COUNT, R_OFFSET, R_CTR, R_WALL = R_CTR + 5, R_CPU, R_WORKER,
+       R_SURVIVORS, ROW };
 
 #define MAX_HELPERS 63
 
 typedef struct Round {
     int insert;
+    int64_t free_level;  /* an insert round's free level, or -1 */
     int64_t n;
     const int64_t *starts;
     const int32_t *lens, *pool, *cores;
@@ -469,8 +474,55 @@ static int64_t ns(clockid_t clock)
     return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
 }
 
+/* How many of the cnt level-k risers survive a peel at threshold k + 2,
+   a riser's support being its neighbours of core above k or among the
+   risers: one worklist pass, linear in the risers' degrees.  Marks risers
+   in o's visited slots and peeled ones in its removed slots, keeps each
+   support in its slack slot and the worklist in its order (each riser
+   enters once), and resets every slot it wrote. */
+static int64_t riser_peel(const Round *r, int32_t k, const int32_t *risers,
+                          int64_t cnt, OwnArena *o)
+{
+    Arena a = o->a;
+    int32_t *work = o->order;
+    int64_t top = 0, need = (int64_t)k + 2;
+    for (int64_t i = 0; i < cnt; i++)
+        a.visited[risers[i]] = 1;
+    for (int64_t i = 0; i < cnt; i++) {
+        int32_t v = risers[i], s = 0;
+        const int32_t *nb = r->pool + r->starts[v];
+        for (int32_t j = 0; j < r->lens[v]; j++)
+            s += r->cores[nb[j]] > k || a.visited[nb[j]];
+        a.slack[v] = s;
+        if (s < need) {
+            a.removed[v] = 1;
+            work[top++] = v;
+        }
+    }
+    int64_t gone = top;
+    while (top) {
+        int32_t v = work[--top];
+        const int32_t *nb = r->pool + r->starts[v];
+        for (int32_t j = 0; j < r->lens[v]; j++) {
+            int32_t w = nb[j];
+            if (a.visited[w] && !a.removed[w] && --a.slack[w] < need) {
+                a.removed[w] = 1;
+                work[top++] = w;
+                gone++;
+            }
+        }
+    }
+    for (int64_t i = 0; i < cnt; i++) {
+        int32_t v = risers[i];
+        a.visited[v] = a.removed[v] = 0;
+        a.slack[v] = 0;
+    }
+    return cnt - gone;
+}
+
 /* Runs level i of r with arena o (NULL: it could not be grown), fills
-   its row, and returns its count. */
+   its row, and returns its count.  The free level's task ends with
+   riser_peel over its moved ids, once they are copied out. */
 static int64_t run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
 {
     int64_t *row = r->rows + i * ROW;
@@ -493,6 +545,8 @@ static int64_t run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
         int64_t at = atomic_fetch_add(&r->used, cnt);
         memcpy(r->out + at, o->order, (size_t)cnt * sizeof *o->order);
         row[R_OFFSET] = at;
+        if (r->insert && k == r->free_level)
+            row[R_SURVIVORS] = riser_peel(r, k, r->out + at, cnt, o);
     }
     row[R_COUNT] = cnt;
     row[R_WALL] = ns(CLOCK_MONOTONIC) - wall;
@@ -594,26 +648,28 @@ static void install_fork_hooks(void)
 }
 
 /* Runs the level tasks of one round over the adjacency arrays and cores
-   of the n vertices; insert selects the kernel.  meta holds the levels in
-   claim order (heaviest first), then levels + 1 edge offsets: level i is
-   meta[i], with p = bounds[i + 1] - bounds[i] edges (bounds = meta +
-   levels) whose eu, then ev, start at edges + 2 * bounds[i].  The calling
+   of the n vertices; insert selects the kernel, and free_level names an
+   insert round's free level (-1: none), whose task ends with riser_peel.
+   meta holds the levels in claim order (heaviest first), then levels + 1
+   edge offsets: level i is meta[i], with p = bounds[i + 1] - bounds[i]
+   edges (bounds = meta + levels) whose eu, then ev, start at edges + 2 *
+   bounds[i].  The calling
    thread runs levels with arena caller, growing it as needed, and asks for
    up to helpers_wanted helper threads.  Each level's moved ids go to out (room
    for n ids) and its results to its row of rows (ROW int64, counters
    zeroed); a failed level's count is its error return.  Returns once
    every level has finished. */
-void cm_run_levels(int insert, int64_t n, const int64_t *starts,
-                   const int32_t *lens, const int32_t *pool,
-                   const int32_t *cores, int64_t levels,
+void cm_run_levels(int insert, int64_t free_level, int64_t n,
+                   const int64_t *starts, const int32_t *lens,
+                   const int32_t *pool, const int32_t *cores, int64_t levels,
                    const int64_t *meta, const int32_t *edges,
                    int64_t helpers_wanted, OwnArena *caller, int32_t *out,
                    int64_t *rows)
 {
-    Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
-               .pool = pool, .cores = cores, .levels = levels, .ks = meta,
-               .bounds = meta + levels, .edges = edges, .out = out,
-               .rows = rows};
+    Round r = {.insert = insert, .free_level = free_level, .n = n,
+               .starts = starts, .lens = lens, .pool = pool, .cores = cores,
+               .levels = levels, .ks = meta, .bounds = meta + levels,
+               .edges = edges, .out = out, .rows = rows};
     atomic_init(&r.next, 0);
     atomic_init(&r.used, 0);
     int64_t want = helpers_wanted < MAX_HELPERS ? helpers_wanted : MAX_HELPERS;

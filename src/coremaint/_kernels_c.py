@@ -54,8 +54,8 @@ _FLAGS = ("-std=c11", "-O3", "-shared", "-fPIC", "-pthread")
 # return codes of the C entry points (``_error`` maps the errors)
 _ALLOC_FAILED, _BAD_ORDER, _BAD_ENDPOINT, _NOT_EDGES = -1, -2, -3, -4
 _NOT_MINE, _BAD_LEVEL = -5, -6
-_ROW = 10  # int64 per level row of cm_run_levels: count, offset, 5
-           # counters, wall ns, CPU ns, worker slot
+_ROW = 11  # int64 per level row of cm_run_levels: count, offset, 5
+           # counters, wall ns, CPU ns, worker slot, peel survivors
 
 
 def _compile(source: Path, target: Path):
@@ -112,9 +112,9 @@ typedef struct {
 void cm_arena_drop(OwnArena *o);
 int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
             const int32_t *pool, int32_t *out);
-void cm_run_levels(int insert, int64_t n, const int64_t *starts,
-                   const int32_t *lens, const int32_t *pool,
-                   const int32_t *cores, int64_t levels,
+void cm_run_levels(int insert, int64_t free_level, int64_t n,
+                   const int64_t *starts, const int32_t *lens,
+                   const int32_t *pool, const int32_t *cores, int64_t levels,
                    const int64_t *meta, const int32_t *edges,
                    int64_t helpers_wanted, OwnArena *caller, int32_t *out,
                    int64_t *rows);
@@ -226,11 +226,12 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
     return _one_level("delete", starts, lens, pool, cores, k, eu, ev)
 
 
-def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
+def run_levels(mode, starts, lens, pool, cores, level_edges, workers,
+               free_level=None):
     """As ``_kernels_py.run_levels``, in one foreign call: the calling
     thread claims levels heaviest first, and up to ``min(workers, levels)
     - 1`` helper threads claim the rest."""
-    _check_round(mode, workers)
+    _check_round(mode, workers, free_level)
     n, *graph = _graph_ptrs(starts, lens, pool)
     cores_ptr = _ptr("cores", cores, _I32, n)
     ks = _claim_order(level_edges)
@@ -250,8 +251,10 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
     edges = np.concatenate(parts)
     rows = np.zeros((len(ks), _ROW), dtype=np.int64)
     out = np.empty(n, dtype=np.int32)
-    _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr, len(ks),
-                       _buf("int64_t[]", meta), _buf("int32_t[]", edges),
+    free = -1 if free_level is None else int(free_level)
+    _lib.cm_run_levels(mode == "insert", free, n, *graph, cores_ptr,
+                       len(ks), _buf("int64_t[]", meta),
+                       _buf("int32_t[]", edges),
                        min(workers, len(ks)) - 1, _threads.arena,
                        _buf("int32_t[]", out), _buf("int64_t[]", rows))
     table = rows.tolist()
@@ -261,7 +264,7 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
         exc = _error(table[i][0], "level kernel", n, ks[i])
         raise LevelTaskError(ks[i], exc) from exc
     return [(k, np.sort(out[row[1]:row[1] + row[0]]), tuple(row[2:7]),
-             row[7], row[8], row[9])
+             *row[7:])
             for k, row in sorted(zip(ks, table))]
 
 

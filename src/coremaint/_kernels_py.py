@@ -8,11 +8,13 @@ A kernel backend is a module with eight functions:
   the vertices of core level k whose core rises (falls) once the level's
   edges (eu, ev) are in (out of) the adjacency arrays, as (ascending id
   array, counter tuple).  A failed call raises the level's own error.
-- ``run_levels(mode, starts, lens, pool, cores, level_edges, workers)``:
-  the level task of every level of one round, at most ``workers`` at a
-  time (rows as described at its definition below).  A failed level
-  raises ``LevelTaskError`` naming it, once no level of the round is
-  running; an interrupt propagates as it is.
+- ``run_levels(mode, starts, lens, pool, cores, level_edges, workers,
+  free_level=None)``: the level task of every level of one round, at
+  most ``workers`` at a time (rows as described at its definition
+  below); in an insert round the task of ``free_level`` ends with a peel
+  of its risers (``riser_peel``).  A failed level raises
+  ``LevelTaskError`` naming it, once no level of the round is running;
+  an interrupt propagates as it is.
 - ``plan_scan(us, vs, cores)``: the round planner's greedy scan.
 - ``remove_edges(starts, lens, pool, src, dst)``: edge removal from the
   adjacency blocks, in place; a rejected removal leaves ``lens`` and
@@ -343,11 +345,36 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
     return np.asarray(falling, dtype=np.int32), st.counters()
 
 
-def _check_round(mode, workers):
+def _check_round(mode, workers, free_level=None):
     if mode not in ("insert", "delete"):
         raise ValueError(f"mode must be 'insert' or 'delete', got {mode!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if free_level is not None and mode != "insert":
+        raise ValueError("only an insert round has a free level")
+
+
+def riser_peel(starts, lens, pool, cores, k, risers) -> int:
+    """How many of the level-k ``risers`` survive a peel at threshold k + 2
+    in which a riser's support is its neighbours of core above k or among
+    the risers.  One worklist pass, linear in the risers' degrees; the
+    count does not depend on the order of the risers."""
+    adj = _Adj(starts, lens, pool)
+    rose = set(risers.tolist())
+    support, work = {}, []
+    for v in rose:
+        support[v] = sum(1 for w in adj(v) if cores[w] > k or w in rose)
+        if support[v] < k + 2:
+            work.append(v)
+    gone = set(work)
+    while work:
+        for w in adj(work.pop()):
+            if w in rose and w not in gone:
+                support[w] -= 1
+                if support[w] < k + 2:
+                    gone.add(w)
+                    work.append(w)
+    return len(rose) - len(gone)
 
 
 def _claim_order(level_edges) -> list[int]:
@@ -355,18 +382,22 @@ def _claim_order(level_edges) -> list[int]:
     return sorted(level_edges, key=lambda k: (-len(level_edges[k][0]), k))
 
 
-def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
+def run_levels(mode, starts, lens, pool, cores, level_edges, workers,
+               free_level=None):
     """Run the level task of every level of a round: ``insert_level`` or
     ``delete_level`` (``mode`` "insert" or "delete") on each level k of
     ``level_edges`` (k -> (eu, ev)), with at most ``workers`` at a time.
+    In an insert round, the task of level ``free_level`` (None: no level)
+    ends with ``riser_peel`` over its moved ids.
 
     Returns, in ascending level order, one (level, moved ids, counter
-    tuple, wall ns, thread-CPU ns, worker slot) per level; slot 0 is the
-    calling thread.  A failed level raises ``LevelTaskError`` naming it,
-    once no level is running.  Here the levels run one after another on
-    the calling thread, heaviest first: the kernels hold the GIL.
+    tuple, wall ns, thread-CPU ns, worker slot, peel survivors) per level;
+    slot 0 is the calling thread, and a level without a peel has 0
+    survivors.  A failed level raises ``LevelTaskError`` naming it, once
+    no level is running.  Here the levels run one after another on the
+    calling thread, heaviest first: the kernels hold the GIL.
     """
-    _check_round(mode, workers)
+    _check_round(mode, workers, free_level)
     _check_len("lens", lens, len(starts))
     _check_len("cores", cores, len(starts))
     kernel = insert_level if mode == "insert" else delete_level
@@ -376,10 +407,12 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
         wall, cpu = time.perf_counter_ns(), time.thread_time_ns()
         try:
             moved, counters = kernel(starts, lens, pool, cores, k, eu, ev)
+            survivors = (riser_peel(starts, lens, pool, cores, k, moved)
+                         if k == free_level else 0)
         except Exception as exc:
             raise LevelTaskError(k, exc) from exc
         rows[k] = (k, moved, counters, time.perf_counter_ns() - wall,
-                   time.thread_time_ns() - cpu, 0)
+                   time.thread_time_ns() - cpu, 0, survivors)
     return [rows[k] for k in sorted(rows)]
 
 

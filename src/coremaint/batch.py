@@ -5,15 +5,50 @@ dense-id pairs.  It is built without looking at the graph's edges: the
 engine checks its pairs against the graph once, when the batch runs.
 Each maintenance round reads one "round plan" from it: for every core
 level k present among the pending edges, a set of level-k edges in which
-no vertex of core k is incident to more than one selected edge.  That
-restriction is what caps every vertex's core change at one per round, so
-the per-level sets can be processed concurrently.
+no vertex of core k is incident to more than one selected edge (the
+strict rule).  That restriction caps every vertex's core change at one
+per round, so the per-level sets can be processed concurrently.
 
-The selection is one greedy scan over the live pairs in canonical order,
-done by the kernel backend's ``plan_scan``.  The scan only marks each pair
-selected or pending; the plan is assembled here with numpy.  Planning
-writes nothing: the engine marks a plan's pairs done once its round has
-committed.
+The strict selection is one greedy scan over the live pairs in canonical
+order, done by the kernel backend's ``plan_scan``.  The scan only marks
+each pair selected or pending; the plan is assembled here with numpy.
+Planning writes nothing: the engine marks a plan's pairs done once its
+round has committed.
+
+An insert round may free one level.  After the strict scan, let h be the
+highest level with a pending pair.  While a pair below h is pending, the
+round holds level h back and takes none of its pairs.  Once none is, it
+takes every live pair, covered or not, and h is the round's free level:
+every other level's pairs were all selected by the scan.  The level-h task
+then peels its own risers at threshold h + 2, where a riser's support is
+its neighbours whose pre-round core is above h or that also rose
+(``run_levels`` in ``_kernels_py``).  If nothing survives, every level's
+moved set is exact; otherwise the engine undoes the round and plans it,
+and the rest of the batch, by the strict rule.
+
+Why an empty peel suffices.  Let G be the graph before the round and G'
+after it, with old cores c and new cores c'.  Say some vertex rises by
+two or more, and let j be the lowest old core among such vertices.  Let
+T be the new (j+2)-core and C the old (j+1)-core.
+
+- Peel T | C in G at threshold j + 1.  C survives, being G's
+  (j+1)-core, and nothing outside it can, so the peel removes exactly
+  T - C, which is not empty.  A vertex of T - C rose from at most j to at
+  least j + 2, so by the choice of j its old core is j.
+- The first vertex x removed has at most j neighbours in T | C in G, and,
+  being in T, at least j + 2 in G'.  So at least two round pairs join x
+  to T | C.  Their other endpoints have old core j or more, so both pairs
+  lie at level j, and both cover x, whose core is j.
+- The strict rule forbids that at every level but h, so j = h.
+
+So no vertex of old core below h rises by two or more, and none enters
+the (h+1)-core: the level-h risers are exact, since the level-h task
+counts only neighbours of core h or more.  A vertex of T with old core h
+rose by two and is a riser; one below h cannot be in T; so T lies within
+the risers and the vertices of core above h.  Some vertex of old core j =
+h moved by two: it is in T and keeps at least h + 2 neighbours in T, so
+it survives the peel.  Hence an empty peel means no vertex moved by two,
+and then every level's moved set is exact, as under the strict rule.
 """
 
 from __future__ import annotations
@@ -109,6 +144,9 @@ class RoundPlan:
     # the selected pairs' positions in the batch, ascending
     selected_indices: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.intp))
+    # the level whose every live pair is taken, covered or not; None when
+    # the plan keeps the strict rule at every level
+    free_level: int | None = None
 
     @property
     def edge_count(self) -> int:
@@ -126,21 +164,35 @@ def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
             for k, (us, vs) in level_edges.items()}
 
 
-def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
+def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None, *,
+               free: bool = False) -> RoundPlan:
     """Plan one round from the batch under the current core numbers.
 
     Scans live pairs in ascending canonical order.  An edge is selected
     unless one of its endpoints sits at the edge's own level and is already
     covered by an earlier selection this round; a selected edge covers each
-    of its endpoints whose core equals the level.  ``backend`` (as for
-    ``get_backend``) runs the scan (``plan_scan``).  Reads the batch and
-    the cores and writes neither; the selected pairs stay live until the
-    caller clears them in ``batch.alive``.
+    of its endpoints whose core equals the level.  With ``free`` (insert
+    rounds) the highest level h with a pending pair is held back while a
+    pair below it is pending, and otherwise freed: the plan takes every
+    live pair and sets ``free_level`` to h (see the module docstring).
+    ``backend`` (as for ``get_backend``) runs the scan (``plan_scan``).
+    Reads the batch and the cores and writes neither; the selected pairs
+    stay live until the caller clears them in ``batch.alive``.
     """
     idx = batch.alive.nonzero()[0]
     us, vs = batch.pairs[idx, 0], batch.pairs[idx, 1]
-    status = get_backend(backend).plan_scan(us, vs, cores.values)
-    picked = (status == SELECTED).nonzero()[0]
+    picked = get_backend(backend).plan_scan(us, vs, cores.values) == SELECTED
+    free_level = None
+    if free and not picked.all():
+        level = np.minimum(cores.values[us], cores.values[vs])
+        waiting = level[~picked]
+        top = waiting.max()
+        if (waiting < top).any():
+            picked &= level != top
+        else:
+            picked[:] = True
+            free_level = int(top)
+    picked = picked.nonzero()[0]
     selected = idx[picked]
     us, vs = us[picked], vs[picked]
     # group the selected pairs by level, canonical order within a level
@@ -150,8 +202,7 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
     bounds = ((level[1:] != level[:-1]).nonzero()[0] + 1).tolist()
     firsts = [0, *bounds] if len(level) else []
     plan = RoundPlan(levels=level[firsts].tolist(),
-                     selected_indices=selected)
+                     selected_indices=selected, free_level=free_level)
     for k, a, b in zip(plan.levels, firsts, [*bounds, len(level)]):
         plan.level_edges[k] = (us[a:b], vs[a:b])
     return plan
-

@@ -5,7 +5,11 @@ round: plan one per-level edge selection, apply it to the graph in an
 exclusive phase, traverse every level concurrently to find the vertices
 whose core moves, then shift those cores by exactly one.  The selection
 rule (at most one pending edge per vertex at its own core level) is what
-makes the one-step shift correct.
+makes the one-step shift correct.  An insert round may instead take every
+pair of one free level (``batch``'s docstring has the rule and its
+proof); that level's task then peels its risers, and when a riser
+survives, the engine undoes the round and plans it, and the rest of the
+batch, by the strict rule, counting one replayed round.
 
 Before its first round the engine looks the batch's live pairs up in the
 graph once: an insert batch drops the pairs already present, and a delete
@@ -77,13 +81,15 @@ class LevelTaskResult:
     wall_ns: int  # the task's wall time
     cpu_ns: int  # CPU time of the thread that ran it, during the task
     worker: int  # 0: the calling thread; h: the round's h-th helper
+    survivors: int = 0  # risers left by the free level's peel
 
 
 def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
-                    workers: int) -> list[LevelTaskResult]:
+                    workers: int, free_level=None) -> list[LevelTaskResult]:
     """Run the level task of every level of ``level_edges`` with backend
     ``be`` (see its ``run_levels``), at most ``workers`` at a time, and
-    return the results in ascending level order.
+    return the results in ascending level order.  The task of an insert
+    round's ``free_level`` ends with the peel of its risers.
 
     Results are identical for every worker count: tasks neither share
     mutable state nor observe each other.  A failed task raises
@@ -91,9 +97,10 @@ def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
     round has finished, so a rollback never runs beside a live task.
     """
     return [LevelTaskResult(k, moved, TaskCounters.from_tuple(counters),
-                            wall, cpu, worker)
-            for k, moved, counters, wall, cpu, worker in be.run_levels(
-                mode, starts, lens, pool, cores, level_edges, workers)]
+                            *row)
+            for k, moved, counters, *row in be.run_levels(
+                mode, starts, lens, pool, cores, level_edges, workers,
+                free_level)]
 
 
 @dataclass
@@ -105,6 +112,7 @@ class RoundRecord:
     counters: TaskCounters
     tasks: tuple[LevelTaskResult, ...]  # per level, ascending
     fanout_ns: int  # wall time of the round's run_level_tasks call
+    free_level: int | None = None  # as in RoundPlan
 
     @property
     def edges_at_level(self) -> dict[int, list[tuple[int, int]]]:
@@ -121,6 +129,8 @@ class MaintenanceLog:
     counters: TaskCounters = field(default_factory=TaskCounters)
     edges_applied: int = 0
     dropped_existing: int = 0
+    # free rounds undone and planned again; their work is in no record
+    replayed_rounds: int = 0
     audit_violations: list[str] = field(default_factory=list)
 
     @property
@@ -212,9 +222,10 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                workers: int, backend, audit: bool,
                planner=None) -> MaintenanceLog:
     """The round loop; ``planner`` plans each round (default: the module's
-    ``plan_round``, looked up on each call)."""
+    ``plan_round``, looked up on each call, which frees a level of insert
+    rounds until a free round is replayed)."""
     insert = mode == "insert"
-    planner = planner or plan_round
+    free = insert and planner is None
     be = get_backend(backend)
     _check_round(mode, workers)  # before anything changes
     if audit:
@@ -230,7 +241,8 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     log.dropped_existing = len(dropped)
     try:
         while batch.alive.any():
-            plan = planner(batch, cores, backend=be)
+            plan = (planner(batch, cores, backend=be) if planner else
+                    plan_round(batch, cores, backend=be, free=free))
             pre = cores.values.copy() if audit else None
             selected = plan.selected_indices
             edges = batch.pairs[selected]
@@ -240,11 +252,18 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             try:
                 results = run_level_tasks(be, mode, starts, lens, pool,
                                           cores.values, plan.level_edges,
-                                          workers)
+                                          workers, plan.free_level)
             except BaseException:  # interrupts too: re-playable round
                 undo(edges[:, 0], edges[:, 1])
                 raise
             fanout_ns = time.perf_counter_ns() - start
+            if plan.free_level is not None and any(
+                    res.survivors for res in results):
+                # a riser may have moved by two: strict rounds from here
+                undo(edges[:, 0], edges[:, 1])
+                log.replayed_rounds += 1
+                free = False
+                continue
             moved = np.concatenate([res.vertices for res in results])
             cores.values[moved] += step  # levels move disjoint vertex sets
             agg = sum((res.counters for res in results), TaskCounters())
@@ -253,7 +272,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             rec = RoundRecord(len(log.rounds) + 1, tuple(plan.levels),
                               plan.level_edges,
                               tuple(np.sort(moved).tolist()), agg,
-                              tuple(results), fanout_ns)
+                              tuple(results), fanout_ns, plan.free_level)
             log.rounds.append(rec)
             log.counters = log.counters + agg
             if audit:

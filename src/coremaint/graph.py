@@ -447,14 +447,20 @@ class Graph:
         edges of the graph.  ``backend`` (as for ``get_backend``) does the
         removal.
         """
-        src, dst = _directed(us, vs)
         n = self.vertex_count
-        keys = src * n + dst
-        keys.sort()
-        src, dst = np.divmod(keys, max(n, 1))
+        us, vs = np.asarray(us, np.int64), np.asarray(vs, np.int64)
+        # key (source << 32) | target; a round's pairs come in canonical
+        # order, so the forward keys are one ascending run: only the
+        # reversed half needs a sort, and the stable sort (a merge sort)
+        # joins the two runs in linear time
+        back = vs << 32 | us
+        back.sort()
+        keys = np.concatenate((us << 32 | vs, back))
+        keys.sort(kind="stable")
         get_backend(backend).remove_edges(
             self._starts[:n], self._lens[:n], self._pool,
-            src.astype(np.int32), dst.astype(np.int32))
+            (keys >> 32).astype(np.int32),
+            (keys & 0xFFFFFFFF).astype(np.int32))
         self.edge_count -= len(keys) // 2
 
     def _has_dense(self, us, vs, backend=None) -> np.ndarray:

@@ -36,6 +36,7 @@ def test_paper_comparison_rows(mode):
         assert r["speedup"] == (r["baseline_ms_per_edge"]
                                 / r["engine_ms_per_edge"])
         assert r["rounds"] >= 1
+        assert r["replayed_rounds"] >= 0
         assert r["counters"].keys() == COUNTERS
         assert r["counters"]["visited"] > 0
         assert r["runtime.parallelism"] > 0
@@ -56,9 +57,11 @@ def test_paper_comparison_flags_wrong_cores(monkeypatch):
 
 
 def test_small_batch_phases_runs():
-    for workload, args in (("ba-mixed-small", []),  # the default
-                           ("er-delete-bulk", ["--workload",
-                                               "er-delete-bulk"])):
+    for workload, kind, args in (
+            ("ba-mixed-small", "delete", []),  # the defaults
+            ("er-delete-bulk", "delete", ["--workload", "er-delete-bulk"]),
+            ("er-insert-bulk", "insert", ["--workload", "er-insert-bulk",
+                                          "--kind", "insert"])):
         out = subprocess.run(
             [sys.executable, str(BENCHMARKS / "small_batch_phases.py"),
              "--seconds", "0.2", *args],
@@ -66,9 +69,14 @@ def test_small_batch_phases_runs():
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
         assert lines[0].startswith(f"{workload}, backend ")
+        assert lines[0].endswith(f" traced {kind} batches")
         phases = [line.split()[0] for line in lines if line.startswith("  ")]
         assert phases == ["build", "plan", "mutate", "kernel", "fan-out",
                           "engine"]
+        assert lines[-3].startswith("rounds per batch ")
+        assert float(lines[-3].split()[3]) >= 1
+        assert [line.split()[:3] for line in lines[-2:]] == [
+            ["round", "1", "visits"], ["rounds", "2+", "visits"]]
 
 
 def test_load_phases_runs():

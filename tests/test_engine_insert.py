@@ -260,16 +260,95 @@ def test_round_count_counterexamples():
     assert cores == peel(g)
 
     # ... while a same-level triangle of pending edges needs THREE rounds
-    # although every multiplicity is 2: any two of them share an endpoint
-    # at the common level, so each round can apply only one.
-    g2 = Graph.from_edges([(0, 3), (1, 4), (2, 5)], dense_labels=True)
+    # although every multiplicity is 2, when a higher level also has a
+    # pending pair: that level waits, and any two of the triangle's edges
+    # share an endpoint at the common level, so each strict round can
+    # apply only one.  Triangles 6-8, 9-11 and 12-14 (core 2) take the
+    # level-2 pairs 6-9 and 6-12, which share vertex 6; level 2 is freed
+    # in the last round.
+    paths = [(0, 3), (1, 4), (2, 5)]
+    triangles = [(b, b + i) for b in (6, 9, 12) for i in (1, 2)] + \
+        [(b + 1, b + 2) for b in (6, 9, 12)]
+    g2 = Graph.from_edges(paths + triangles, dense_labels=True)
     cores2 = peel(g2)
     assert cores2.values.tolist()[:3] == [1, 1, 1]
-    batch2 = build_insert_batch(g2, [(0, 1), (0, 2), (1, 2)])
+    assert cores2.of(g2, 6) == 2
+    batch2 = build_insert_batch(g2, [(0, 1), (0, 2), (1, 2), (6, 9),
+                                     (6, 12)])
     assert batch2.max_multiplicity == 2
     log2 = insert_edges(g2, cores2, batch2)
     assert log2.rounds_executed == 3
+    assert [r.levels for r in log2.rounds] == [(1,), (1,), (1, 2)]
+    assert [r.free_level for r in log2.rounds] == [None, None, 2]
+    assert log2.replayed_rounds == 0
     assert cores2 == peel(g2)
+
+    # the same triangle with nothing pending above it is the free level
+    # of one round: its risers have only two risen neighbours each, so the
+    # peel at 3 leaves none
+    g3 = Graph.from_edges(paths, dense_labels=True)
+    cores3 = peel(g3)
+    log3 = insert_edges(g3, cores3,
+                        build_insert_batch(g3, [(0, 1), (0, 2), (1, 2)]))
+    assert log3.rounds_executed == 1
+    assert log3.rounds[0].free_level == 1
+    assert log3.rounds[0].tasks[0].survivors == 0
+    assert log3.replayed_rounds == 0
+    assert cores3 == peel(g3)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_surviving_riser_replays_the_round_strictly(backend):
+    # a triangle on three isolated vertices: level 0 is freed, all three
+    # rise, and each keeps two risen neighbours, so all survive the peel
+    # at 2; the round is undone and the batch runs by the strict rule
+    g = Graph.from_edges([], num_vertices=3, dense_labels=True)
+    cores = peel(g)
+    batch = build_insert_batch(g, [(0, 1), (0, 2), (1, 2)])
+    log = insert_edges(g, cores, batch, backend=backend, audit=True)
+    assert log.replayed_rounds == 1
+    assert cores.values.tolist() == [2, 2, 2]
+    assert cores == peel(g)
+    assert log.audit_violations == []
+    assert [r.free_level for r in log.rounds] == [None] * 3
+    assert log.edges_applied == 3 and g.edge_count == 3
+
+
+def every_insert_batch(n):
+    """Every graph on n vertices, with its cores, and every non-empty batch
+    of its absent pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        absent = [p for i, p in enumerate(pairs) if not mask >> i & 1]
+        g = Graph.from_edges(np.asarray(edges, np.int64).reshape(-1, 2),
+                             num_vertices=n, dense_labels=True)
+        cores = peel(g)
+        for pick in range(1, 1 << len(absent)):
+            yield g, cores, [p for i, p in enumerate(absent)
+                             if pick >> i & 1]
+
+
+@pytest.mark.parametrize("backend, most", [
+    pytest.param("python", 4, id="python"),
+    pytest.param("c", 5, id="c", marks=pytest.mark.skipif(
+        "c" not in available_backends(), reason="no compiled lane")),
+])
+def test_every_small_insert_batch_matches_peel(backend, most):
+    # free levels, held-back levels and replays on every insert batch of
+    # every graph of at most ``most`` vertices
+    batches = replays = 0
+    for n in range(most + 1):
+        for g0, cores0, edges in every_insert_batch(n):
+            g, cores = g0.copy(), cores0.copy()
+            log = insert_edges(g, cores, build_insert_batch(g, edges),
+                               backend=backend)
+            assert cores == peel(g), (n, sorted(g0.edges()), edges)
+            batches += 1
+            replays += log.replayed_rounds
+    assert replays > 0
+    assert batches == sum(3 ** (n * (n - 1) // 2) - 2 ** (n * (n - 1) // 2)
+                          for n in range(most + 1))
 
 
 def test_per_round_change_is_at_most_one():

@@ -239,6 +239,40 @@ def test_remove_dense_rejects_absent_or_repeated_pairs():
         g.check_invariants()
 
 
+def test_removal_entries_match_a_full_sort():
+    # the directed entries handed to the backend are those of one sort of
+    # all 2m (source, target) keys, byte for byte, whatever the order and
+    # orientation of the pairs
+    rng = np.random.default_rng(12)
+    real = get_backend()
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        g = Graph.from_edges(rng.integers(n, size=(4 * n, 2)),
+                             num_vertices=n, dense_labels=True)
+        pairs = g.edge_array()
+        pairs = pairs[rng.random(len(pairs)) < 0.4]
+        pairs = pairs[rng.permutation(len(pairs))]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip][:, ::-1]
+        us, vs = pairs[:, 0], pairs[:, 1]
+        keys = np.sort(np.concatenate((us * n + vs, vs * n + us)))
+        expect = [a.astype(np.int32).tobytes() for a in np.divmod(keys, n)]
+        seen = []
+
+        class Spy:
+            NAME = "spy"
+
+            @staticmethod
+            def remove_edges(starts, lens, pool, src, dst):
+                seen.append([src.dtype, dst.dtype, src.tobytes(),
+                             dst.tobytes()])
+                real.remove_edges(starts, lens, pool, src, dst)
+
+        g._remove_dense(us, vs, backend=Spy())
+        assert seen == [[np.int32, np.int32, *expect]], trial
+        g.check_invariants()
+
+
 def test_check_invariants_catches_one_sided_entry():
     g = Graph.from_edges([(0, 1), (1, 2), (0, 3)], dense_labels=True)
     g.check_invariants()

@@ -186,6 +186,63 @@ def test_an_edge_off_its_level_is_rejected():
                                           cores, level_edges)
 
 
+@pytest.mark.parametrize("lane", LANES)
+def test_free_level_task_reports_its_peel_survivors(lane):
+    # level 0: a triangle on three isolated vertices, whose risers keep two
+    # risen neighbours each; level 1: a pair joining paths 3-4 and 5-6,
+    # which raises nothing
+    g = Graph.from_edges([(3, 4), (5, 6)], num_vertices=7, dense_labels=True)
+    cores = peel(g)
+    g._add_dense(np.array([0, 0, 1, 4]), np.array([1, 2, 2, 5]))
+    level_edges = {0: (np.array([0, 0, 1], np.int32),
+                       np.array([1, 2, 2], np.int32)),
+                   1: (np.array([4], np.int32), np.array([5], np.int32))}
+    be = get_backend(lane)
+    args = (*g.adjacency_arrays(), cores.values, level_edges)
+    for free_level, survivors in ((None, [0, 0]), (0, [3, 0]), (1, [0, 0])):
+        for workers in (1, 2):
+            rows = be.run_levels("insert", *args, workers, free_level)
+            assert [len(r) for r in rows] == [7, 7]
+            assert [r[6] for r in rows] == survivors
+            assert [r[1].tolist() for r in rows] == [[0, 1, 2], []]
+            assert all(0 <= r[5] < workers for r in rows)
+    with pytest.raises(ValueError, match="free level"):
+        be.run_levels("delete", *args, 1, 0)
+
+
+def log_signature(log):
+    """What a batch's log says, timings aside."""
+    return (log.replayed_rounds, log.counters, [
+        (r.index, r.levels, r.free_level, r.changed, r.counters,
+         [(k, us.tolist(), vs.tolist()) for k, (us, vs)
+          in sorted(r.level_edges.items())],
+         [t.survivors for t in r.tasks]) for r in log.rounds])
+
+
+@needs_c
+def test_free_rounds_agree_across_lanes_and_workers():
+    # random multi-level insert batches: identical plans, round records,
+    # replays and cores on both lanes and for 1, 2 and 8 workers
+    rng = np.random.default_rng(45)
+    free = replayed = 0
+    for trial in range(16):
+        g0 = generate_er(int(rng.integers(60, 300)), rng.uniform(1.5, 5),
+                         seed=trial)
+        edges = sample_new_edges(g0, int(rng.integers(20, 150)), seed=trial)
+        seen = []
+        for lane, workers in (("python", 1), ("c", 1), ("c", 2), ("c", 8)):
+            g, cores = g0.copy(), peel(g0)
+            log = insert_edges(g, cores, build_insert_batch(g, edges),
+                               workers=workers, backend=lane)
+            assert cores == peel(g), (trial, lane, workers)
+            seen.append((cores.values.tolist(), log_signature(log)))
+        assert all(s == seen[0] for s in seen[1:]), trial
+        assert any(len(r.levels) > 1 for r in log.rounds)
+        free += sum(r.free_level is not None for r in log.rounds)
+        replayed += log.replayed_rounds
+    assert free > 0 and replayed > 0
+
+
 def timed(be, *args):
     """Seconds a two-worker delete round takes."""
     start = time.perf_counter()
@@ -412,10 +469,11 @@ def bad_backend(error):
     it is)."""
     real = get_backend()
 
-    def failing(mode, starts, lens, pool, cores, level_edges, workers):
+    def failing(mode, starts, lens, pool, cores, level_edges, workers,
+                free_level=None):
         rows = real.run_levels(mode, starts, lens, pool, cores,
                                {k: e for k, e in level_edges.items()
-                                if k != 2}, workers)
+                                if k != 2}, workers, free_level)
         if 2 in level_edges:
             exc = error("injected")
             if isinstance(exc, Exception):
