@@ -264,7 +264,7 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers,
         exc = _error(table[i][0], "level kernel", n, ks[i])
         raise LevelTaskError(ks[i], exc) from exc
     return [(k, np.sort(out[row[1]:row[1] + row[0]]), tuple(row[2:7]),
-             *row[7:])
+             row[7], row[8], row[9], row[10])
             for k, row in sorted(zip(ks, table))]
 
 

@@ -97,10 +97,10 @@ def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
     round has finished, so a rollback never runs beside a live task.
     """
     return [LevelTaskResult(k, moved, TaskCounters.from_tuple(counters),
-                            *row)
-            for k, moved, counters, *row in be.run_levels(
-                mode, starts, lens, pool, cores, level_edges, workers,
-                free_level)]
+                            wall, cpu, worker, survivors)
+            for k, moved, counters, wall, cpu, worker, survivors
+            in be.run_levels(mode, starts, lens, pool, cores, level_edges,
+                             workers, free_level)]
 
 
 @dataclass

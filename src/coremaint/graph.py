@@ -448,15 +448,9 @@ class Graph:
         removal.
         """
         n = self.vertex_count
-        us, vs = np.asarray(us, np.int64), np.asarray(vs, np.int64)
-        # key (source << 32) | target; a round's pairs come in canonical
-        # order, so the forward keys are one ascending run: only the
-        # reversed half needs a sort, and the stable sort (a merge sort)
-        # joins the two runs in linear time
-        back = vs << 32 | us
-        back.sort()
-        keys = np.concatenate((us << 32 | vs, back))
-        keys.sort(kind="stable")
+        src, dst = _directed(us, vs)
+        keys = src << 32 | dst  # split by shifts: a divmod costs more
+        keys.sort()
         get_backend(backend).remove_edges(
             self._starts[:n], self._lens[:n], self._pool,
             (keys >> 32).astype(np.int32),
