@@ -81,7 +81,7 @@ class LevelTaskResult:
     wall_ns: int  # the task's wall time
     cpu_ns: int  # CPU time of the thread that ran it, during the task
     worker: int  # 0: the calling thread; h: the round's h-th helper
-    survivors: int = 0  # risers left by the free level's peel
+    survivors: int  # risers left by the free level's peel; 0 elsewhere
 
 
 def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
