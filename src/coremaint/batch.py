@@ -17,14 +17,15 @@ round has committed.
 
 An insert round may free one level.  After the strict scan, let h be the
 highest level with a pending pair.  While a pair below h is pending, the
-round holds level h back and takes none of its pairs.  Once none is, it
-takes every live pair, covered or not, and h is the round's free level:
-every other level's pairs were all selected by the scan.  The level-h task
-then peels its own risers at threshold h + 2, where a riser's support is
-its neighbours whose pre-round core is above h or that also rose
-(``run_levels`` in ``_kernels_py``).  If nothing survives, every level's
-moved set is exact; otherwise the engine undoes the round and plans it,
-and the rest of the batch, by the strict rule.
+round holds level h back and takes none of its pairs, if the round bound
+below allows it, and otherwise keeps the strict plan.  Once no pair below
+h is pending, it takes every live pair, covered or not, and h is the
+round's free level: every other level's pairs were all selected by the
+scan.  The level-h task then peels its own risers at threshold h + 2,
+where a riser's support is its neighbours whose pre-round core is above h
+or that also rose (``run_levels`` in ``_kernels_py``).  If nothing
+survives, every level's moved set is exact; otherwise the engine undoes
+the round and plans it, and the rest of the batch, by the strict rule.
 
 Why an empty peel suffices.  Let G be the graph before the round and G'
 after it, with old cores c and new cores c'.  Say some vertex rises by
@@ -49,6 +50,21 @@ the risers and the vertices of core above h.  Some vertex of old core j =
 h moved by two: it is in T and keeps at least h + 2 neighbours in T, so
 it survives the peel.  Hence an empty peel means no vertex moved by two,
 and then every level's moved set is exact, as under the strict rule.
+
+The round bound.  A batch of maximum multiplicity M commits at most
+B = 2M - 1 rounds.  The scan blocks a pair only for an adjacent pair
+before it in canonical order that it selected at the same level.  Give
+each live pair e, before round r, the value r + a(e), a(e) being the
+number of live pairs before e that share an endpoint with it; at the
+start every value is at most 1 + 2(M - 1) = B.  A round that takes every
+pair it selects lowers a(e) by one or more for each pair it leaves, so
+no value grows.  A replayed round commits nothing and changes no value.
+A hold-back round takes no pair of level h, so their values may grow by
+one, and a round holds level h back only while every live level-h pair's
+value is below B.  Every value thus stays at most B.  A pair taken in
+round r had value r + a(e) >= r, so no round past B commits.  Holding
+back without this check can exceed B: the rounds it spends are added to
+the strict rounds that a replay then needs at level h.
 """
 
 from __future__ import annotations
@@ -164,8 +180,22 @@ def edge_lists(level_edges) -> dict[int, list[tuple[int, int]]]:
             for k, (us, vs) in level_edges.items()}
 
 
+def _earlier_adjacent(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """For each of the canonical pairs (us, vs), in ascending order, the
+    number of pairs before it that share an endpoint with it."""
+    at = np.arange(len(us))
+    by_v = vs.argsort(kind="stable")  # (v, u) order: u ascends per v
+    sorted_vs = vs[by_v]
+    ranked = np.empty_like(at)
+    ranked[by_v] = at - sorted_vs.searchsorted(sorted_vs)
+    return (at - us.searchsorted(us)  # (u, w) with w < v
+            + sorted_vs.searchsorted(us, "right")
+            - sorted_vs.searchsorted(us)  # (w, u), all before (u, v)
+            + ranked)  # (w, v) with w < u
+
+
 def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None, *,
-               free: bool = False) -> RoundPlan:
+               free: bool = False, index: int = 1) -> RoundPlan:
     """Plan one round from the batch under the current core numbers.
 
     Scans live pairs in ascending canonical order.  An edge is selected
@@ -173,8 +203,10 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None, *,
     covered by an earlier selection this round; a selected edge covers each
     of its endpoints whose core equals the level.  With ``free`` (insert
     rounds) the highest level h with a pending pair is held back while a
-    pair below it is pending, and otherwise freed: the plan takes every
-    live pair and sets ``free_level`` to h (see the module docstring).
+    pair below it is pending and the round bound allows it, and freed when
+    none is: the plan takes every live pair and sets ``free_level`` to h.
+    ``index`` is the round's 1-based number among the batch's committed
+    rounds, which the bound needs (see the module docstring).
     ``backend`` (as for ``get_backend``) runs the scan (``plan_scan``).
     Reads the batch and the cores and writes neither; the selected pairs
     stay live until the caller clears them in ``batch.alive``.
@@ -188,7 +220,10 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None, *,
         waiting = level[~picked]
         top = waiting.max()
         if (waiting < top).any():
-            picked &= level != top
+            held = level == top
+            if (index + _earlier_adjacent(us, vs)[held].max()
+                    < 2 * batch.max_multiplicity - 1):
+                picked &= ~held
         else:
             picked[:] = True
             free_level = int(top)

@@ -131,6 +131,7 @@ class MaintenanceLog:
     dropped_existing: int = 0
     # free rounds undone and planned again; their work is in no record
     replayed_rounds: int = 0
+    replayed_ns: int = 0  # wall time of their run_level_tasks calls
     audit_violations: list[str] = field(default_factory=list)
 
     @property
@@ -242,7 +243,8 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     try:
         while batch.alive.any():
             plan = (planner(batch, cores, backend=be) if planner else
-                    plan_round(batch, cores, backend=be, free=free))
+                    plan_round(batch, cores, backend=be, free=free,
+                               index=len(log.rounds) + 1))
             pre = cores.values.copy() if audit else None
             selected = plan.selected_indices
             edges = batch.pairs[selected]
@@ -262,6 +264,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                 # a riser may have moved by two: strict rounds from here
                 undo(edges[:, 0], edges[:, 1])
                 log.replayed_rounds += 1
+                log.replayed_ns += fanout_ns
                 free = False
                 continue
             moved = np.concatenate([res.vertices for res in results])

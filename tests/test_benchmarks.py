@@ -60,8 +60,7 @@ def test_small_batch_phases_runs():
     for workload, kind, args in (
             ("ba-mixed-small", "delete", []),  # the defaults
             ("er-delete-bulk", "delete", ["--workload", "er-delete-bulk"]),
-            ("er-insert-bulk", "insert", ["--workload", "er-insert-bulk",
-                                          "--kind", "insert"])):
+            ("er-insert-bulk", "insert", ["--workload", "er-insert-bulk"])):
         out = subprocess.run(
             [sys.executable, str(BENCHMARKS / "small_batch_phases.py"),
              "--seconds", "0.2", *args],
@@ -72,7 +71,7 @@ def test_small_batch_phases_runs():
         assert lines[0].endswith(f" traced {kind} batches")
         phases = [line.split()[0] for line in lines if line.startswith("  ")]
         assert phases == ["build", "plan", "mutate", "kernel", "fan-out",
-                          "engine"]
+                          "replayed", "engine"]
         assert lines[-3].startswith("rounds per batch ")
         assert float(lines[-3].split()[3]) >= 1
         assert [line.split()[:3] for line in lines[-2:]] == [

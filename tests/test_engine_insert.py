@@ -261,11 +261,12 @@ def test_round_count_counterexamples():
 
     # ... while a same-level triangle of pending edges needs THREE rounds
     # although every multiplicity is 2, when a higher level also has a
-    # pending pair: that level waits, and any two of the triangle's edges
-    # share an endpoint at the common level, so each strict round can
-    # apply only one.  Triangles 6-8, 9-11 and 12-14 (core 2) take the
-    # level-2 pairs 6-9 and 6-12, which share vertex 6; level 2 is freed
-    # in the last round.
+    # pending pair: that level cannot be freed, and any two of the
+    # triangle's edges share an endpoint at the common level, so each
+    # strict round can apply only one.  Triangles 6-8, 9-11 and 12-14
+    # (core 2) take the level-2 pairs 6-9 and 6-12, which share vertex 6.
+    # Round 1 holds level 2 back; round 2 may not, as 6-12 would then
+    # need a fourth round if a replay followed, so it takes 6-9 strictly.
     paths = [(0, 3), (1, 4), (2, 5)]
     triangles = [(b, b + i) for b in (6, 9, 12) for i in (1, 2)] + \
         [(b + 1, b + 2) for b in (6, 9, 12)]
@@ -278,8 +279,8 @@ def test_round_count_counterexamples():
     assert batch2.max_multiplicity == 2
     log2 = insert_edges(g2, cores2, batch2)
     assert log2.rounds_executed == 3
-    assert [r.levels for r in log2.rounds] == [(1,), (1,), (1, 2)]
-    assert [r.free_level for r in log2.rounds] == [None, None, 2]
+    assert [r.levels for r in log2.rounds] == [(1,), (1, 2), (1, 2)]
+    assert [r.free_level for r in log2.rounds] == [None, None, None]
     assert log2.replayed_rounds == 0
     assert cores2 == peel(g2)
 
@@ -298,6 +299,28 @@ def test_round_count_counterexamples():
 
 
 @pytest.mark.parametrize("backend", available_backends())
+def test_replay_after_held_back_rounds_keeps_the_round_bound(backend):
+    # isolated 0, 1, 2 and the path 3-4-5-6 (core 1) take the triangle
+    # 0-1-2 and 3-5, 3-6, 4-6, which make 3..6 a K4: multiplicity 2, so at
+    # most 3 rounds.  Round 1 may hold level 1 back, round 2 may not: had
+    # it waited, round 3 would free level 1, the K4's risers would
+    # survive its peel, and the strict replay would leave 3-6 for a
+    # fourth round.
+    g = Graph.from_edges([(3, 4), (4, 5), (5, 6)], num_vertices=7,
+                         dense_labels=True)
+    cores = peel(g)
+    batch = build_insert_batch(g, [(0, 1), (0, 2), (1, 2), (3, 5), (3, 6),
+                                   (4, 6)])
+    assert batch.max_multiplicity == 2
+    log = insert_edges(g, cores, batch, backend=backend, audit=True)
+    assert log.rounds_executed == 3
+    assert [r.levels for r in log.rounds] == [(0,), (0, 1), (1, 2)]
+    assert log.replayed_rounds == 0
+    assert cores == peel(g)
+    assert log.audit_violations == []
+
+
+@pytest.mark.parametrize("backend", available_backends())
 def test_surviving_riser_replays_the_round_strictly(backend):
     # a triangle on three isolated vertices: level 0 is freed, all three
     # rise, and each keeps two risen neighbours, so all survive the peel
@@ -306,7 +329,7 @@ def test_surviving_riser_replays_the_round_strictly(backend):
     cores = peel(g)
     batch = build_insert_batch(g, [(0, 1), (0, 2), (1, 2)])
     log = insert_edges(g, cores, batch, backend=backend, audit=True)
-    assert log.replayed_rounds == 1
+    assert log.replayed_rounds == 1 and log.replayed_ns > 0
     assert cores.values.tolist() == [2, 2, 2]
     assert cores == peel(g)
     assert log.audit_violations == []
@@ -336,14 +359,15 @@ def every_insert_batch(n):
 ])
 def test_every_small_insert_batch_matches_peel(backend, most):
     # free levels, held-back levels and replays on every insert batch of
-    # every graph of at most ``most`` vertices
+    # every graph of at most ``most`` vertices, within the round bound
     batches = replays = 0
     for n in range(most + 1):
         for g0, cores0, edges in every_insert_batch(n):
             g, cores = g0.copy(), cores0.copy()
-            log = insert_edges(g, cores, build_insert_batch(g, edges),
-                               backend=backend)
+            batch = build_insert_batch(g, edges)
+            log = insert_edges(g, cores, batch, backend=backend)
             assert cores == peel(g), (n, sorted(g0.edges()), edges)
+            assert log.rounds_executed <= 2 * batch.max_multiplicity - 1
             batches += 1
             replays += log.replayed_rounds
     assert replays > 0
