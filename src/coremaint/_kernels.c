@@ -7,14 +7,13 @@
    duration of a call.
 
    cm_run_levels is the only entry point into the level kernels: it runs
-   all level tasks of a round in one call.  The calling thread claims
-   levels from an atomic cursor, heaviest first; persistent helper
-   threads, started on first need and kept for the life of the process,
-   claim the rest.  The caller waits only for levels a helper has claimed,
-   so a round of tiny levels costs no thread handoff.  A fork() child
-   forgets the parent's helpers and starts its own.  In an insert round
-   with a free level (see batch.py), that level's task ends with a peel of
-   its risers and reports how many survive.
+   all level tasks of a round in one call.  The calling thread claims the
+   heaviest level, wakes helpers for the rest, and runs it; it and the
+   persistent helper threads, started on first need and kept for the life
+   of the process, then claim the other levels from an atomic cursor.  A
+   fork() child forgets the parent's helpers and starts its own.  Every
+   insert task ends with a peel of its risers and reports how many
+   survive (see batch.py).
 
    Every entry point that takes vertex ids checks that they lie in 0..n-1
    before it writes anything and returns BAD_ENDPOINT otherwise (a round
@@ -24,11 +23,11 @@
 
    This file owns every level-kernel arena: the calling thread passes in
    its own (an OwnArena that Python only holds and frees with
-   cm_arena_drop), and each helper keeps one.  Each level task records the
-   arena slots it writes on its dirty list and resets them before it
-   returns; one that fails to allocate returns ALLOC_FAILED and may leave a
-   slot written but not recorded, so claim_levels, the one loop that runs
-   levels, drops the arena then. */
+   cm_arena_drop), and each helper keeps one.  An arena holds every slot
+   and list a level task uses, each sized by its bound, so a task
+   allocates only when it grows its arena, and once that succeeds it
+   cannot fail.  Each task records the slots it writes on its dirty list
+   and resets them before it returns. */
 
 #define _POSIX_C_SOURCE 200809L
 
@@ -69,21 +68,22 @@ static int at_level(int64_t p, const int32_t *a, const int32_t *b,
     return 1;
 }
 
-typedef struct {
-    int32_t *data;
-    int64_t size, cap;
-} Stack;
-
+/* A level task's per-vertex slots (reset between tasks) and its lists,
+   each with room for its bound on cap vertices (see own_fit).  A vertex
+   enters order, stack and cascade at most once per task: it is visited
+   once, pushed on stack when visited, and on cascade when removed.  It
+   enters dirty at most four times: when its sup and its csup are cached,
+   when it is visited, and when a cascade first touches it unvisited (its
+   slack then only falls, so it leaves 0 once). */
 typedef struct {
     uint8_t *visited, *removed;
     int32_t *slack, *sup, *csup;
+    int32_t *order, *stack, *cascade, *dirty;
 } Arena;
 
-/* An arena for cap vertices, with room for one level's visit order;
-   all zero before its first growth. */
+/* An arena for cap vertices; all zero before its first growth. */
 typedef struct {
     Arena a;
-    int32_t *order;
     int64_t cap;
 } OwnArena;
 
@@ -92,28 +92,10 @@ typedef struct {
     const int32_t *lens, *pool, *cores;
     Arena a;
     int32_t k;
-    int32_t *order;  /* visit order; a vertex is visited at most once */
-    int64_t visits;
-    Stack stack, cascade, dirty;
+    int64_t visits, cascaded, dirtied;  /* entries of a.order, a.cascade
+                                           and a.dirty */
     int64_t *ctr;
-    int err;
 } Task;
-
-/* Sets t->err instead of writing when the stack cannot grow. */
-static void push(Task *t, Stack *s, int32_t v)
-{
-    if (s->size == s->cap) {
-        int64_t cap = s->cap ? 2 * s->cap : 256;
-        int32_t *p = realloc(s->data, (size_t)cap * sizeof *p);
-        if (!p) {
-            t->err = 1;
-            return;
-        }
-        s->data = p;
-        s->cap = cap;
-    }
-    s->data[s->size++] = v;
-}
 
 /* ------------------------------------------------------------------
    static peeling (bucket sort by effective degree, ties by ascending id) */
@@ -194,7 +176,7 @@ static int32_t support(Task *t, int32_t u)
             cnt++;
     t->a.sup[u] = cnt;
     t->ctr[3]++;
-    push(t, &t->dirty, u);
+    t->a.dirty[t->dirtied++] = u;
     return cnt;
 }
 
@@ -214,7 +196,7 @@ static int32_t constrained_support(Task *t, int32_t u)
     }
     t->a.csup[u] = cnt;
     t->ctr[4]++;
-    push(t, &t->dirty, u);
+    t->a.dirty[t->dirtied++] = u;
     return cnt;
 }
 
@@ -222,15 +204,15 @@ static void mark_visited(Task *t, int32_t v)
 {
     t->a.visited[v] = 1;
     t->ctr[0]++;
-    t->order[t->visits++] = v;
-    push(t, &t->dirty, v);
+    t->a.order[t->visits++] = v;
+    t->a.dirty[t->dirtied++] = v;
 }
 
 static void mark_removed(Task *t, int32_t v)
 {
     t->a.removed[v] = 1;
     t->ctr[1]++;
-    push(t, &t->cascade, v);
+    t->a.cascade[t->cascaded++] = v;
 }
 
 /* Insertion flavor of the negative cascade: a vertex whose slack falls to
@@ -240,17 +222,17 @@ static void rule_out_cascade(Task *t, int32_t r)
 {
     Arena a = t->a;
     int32_t k = t->k;
-    t->cascade.size = 0;
+    t->cascaded = 0;
     mark_removed(t, r);
-    while (t->cascade.size && !t->err) {
-        int32_t v = t->cascade.data[--t->cascade.size];
+    while (t->cascaded) {
+        int32_t v = a.cascade[--t->cascaded];
         const int32_t *nb = t->pool + t->starts[v];
         for (int32_t j = 0; j < t->lens[v]; j++) {
             int32_t w = nb[j];
             if (t->cores[w] != k)
                 continue;
             if (!a.visited[w] && a.sup[w] == UNSET && a.slack[w] == 0)
-                push(t, &t->dirty, w);
+                a.dirty[t->dirtied++] = w;
             a.slack[w]--;
             t->ctr[2]++;
             if (a.slack[w] == k && !a.removed[w])
@@ -265,10 +247,10 @@ static void drop_cascade(Task *t, int32_t r)
 {
     Arena a = t->a;
     int32_t k = t->k;
-    t->cascade.size = 0;
+    t->cascaded = 0;
     mark_removed(t, r);
-    while (t->cascade.size && !t->err) {
-        int32_t v = t->cascade.data[--t->cascade.size];
+    while (t->cascaded) {
+        int32_t v = a.cascade[--t->cascaded];
         const int32_t *nb = t->pool + t->starts[v];
         for (int32_t j = 0; j < t->lens[v]; j++) {
             int32_t w = nb[j];
@@ -297,96 +279,85 @@ static void delete_check(Task *t, int32_t r)
 }
 
 /* Keeps, in visit order, the visited vertices whose removed flag equals
-   keep_removed; resets every touched arena slot; frees the work stacks.
-   Returns the kept count (the ids are left at the front of t->order), or
-   ALLOC_FAILED when a stack could not grow. */
+   keep_removed, and resets every touched arena slot.  Returns the kept
+   count (the ids are left at the front of t->a.order). */
 static int64_t finish(Task *t, int keep_removed)
 {
     Arena a = t->a;
     int64_t cnt = 0;
     for (int64_t i = 0; i < t->visits; i++) {
-        int32_t v = t->order[i];
+        int32_t v = a.order[i];
         if ((a.removed[v] != 0) == keep_removed)
-            t->order[cnt++] = v;
+            a.order[cnt++] = v;
     }
-    for (int64_t i = 0; i < t->dirty.size; i++) {
-        int32_t v = t->dirty.data[i];
+    for (int64_t i = 0; i < t->dirtied; i++) {
+        int32_t v = a.dirty[i];
         a.visited[v] = 0;
         a.removed[v] = 0;
         a.slack[v] = 0;
         a.sup[v] = UNSET;
         a.csup[v] = UNSET;
     }
-    free(t->stack.data);
-    free(t->cascade.data);
-    free(t->dirty.data);
-    return t->err ? ALLOC_FAILED : cnt;
+    return cnt;
 }
 
-/* Vertices of core level k that rise after the level's p edges (eu, ev),
-   all in range and at level k, were inserted into the adjacency arrays.
-   Returns their count and leaves them, in visit order, at the front of
-   moved (room for one id per vertex); ctr receives the five counters. */
-static int64_t cm_insert_level(const int64_t *starts, const int32_t *lens,
-                               const int32_t *pool, const int32_t *cores,
-                               int32_t k, int64_t p, const int32_t *eu,
-                               const int32_t *ev, const Arena *arena,
-                               int32_t *moved, int64_t *ctr)
+/* Vertices of core level t->k that rise after the level's p edges (eu,
+   ev), all in range and at the level, were inserted into the adjacency
+   arrays.  Returns their count and leaves them, in visit order, at the
+   front of t->a.order; t->ctr receives the five counters. */
+static int64_t cm_insert_level(Task *t, int64_t p, const int32_t *eu,
+                               const int32_t *ev)
 {
-    Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
-              ctr, 0};
-    Arena a = t.a;
-    for (int64_t i = 0; i < p && !t.err; i++) {
+    Arena a = t->a;
+    int32_t k = t->k;
+    const int32_t *cores = t->cores;
+    for (int64_t i = 0; i < p; i++) {
         int32_t r = cores[eu[i]] >= cores[ev[i]] ? ev[i] : eu[i];
         if (a.visited[r] || a.removed[r])
             continue;
-        int32_t c = constrained_support(&t, r);
+        int32_t c = constrained_support(t, r);
         a.slack[r] = a.slack[r] >= 0 ? c : a.slack[r] + c;
-        mark_visited(&t, r);
-        t.stack.size = 0;
-        push(&t, &t.stack, r);
-        while (t.stack.size && !t.err) {
-            int32_t v = t.stack.data[--t.stack.size];
+        mark_visited(t, r);
+        int64_t top = 0;
+        a.stack[top++] = r;
+        while (top) {
+            int32_t v = a.stack[--top];
             if (a.slack[v] > k) {
-                const int32_t *nb = pool + starts[v];
-                for (int32_t j = 0; j < lens[v]; j++) {
+                const int32_t *nb = t->pool + t->starts[v];
+                for (int32_t j = 0; j < t->lens[v]; j++) {
                     int32_t w = nb[j];
                     if (cores[w] == k && !a.visited[w]
-                            && support(&t, w) > k) {
-                        mark_visited(&t, w);
-                        a.slack[w] += constrained_support(&t, w);
-                        push(&t, &t.stack, w);
+                            && support(t, w) > k) {
+                        mark_visited(t, w);
+                        a.slack[w] += constrained_support(t, w);
+                        a.stack[top++] = w;
                     }
                 }
             } else if (!a.removed[v]) {
-                rule_out_cascade(&t, v);
+                rule_out_cascade(t, v);
             }
         }
     }
-    return finish(&t, 0);
+    return finish(t, 0);
 }
 
-/* Vertices of core level k that fall after the level's p edges (eu, ev)
-   were deleted from the adjacency arrays.  Inputs and outputs as
+/* Vertices of core level t->k that fall after the level's p edges (eu,
+   ev) were deleted from the adjacency arrays.  Inputs and outputs as
    cm_insert_level. */
-static int64_t cm_delete_level(const int64_t *starts, const int32_t *lens,
-                               const int32_t *pool, const int32_t *cores,
-                               int32_t k, int64_t p, const int32_t *eu,
-                               const int32_t *ev, const Arena *arena,
-                               int32_t *moved, int64_t *ctr)
+static int64_t cm_delete_level(Task *t, int64_t p, const int32_t *eu,
+                               const int32_t *ev)
 {
-    Task t = {starts, lens, pool, cores, *arena, k, moved, 0, {0}, {0}, {0},
-              ctr, 0};
-    for (int64_t i = 0; i < p && !t.err; i++) {
+    const int32_t *cores = t->cores;
+    for (int64_t i = 0; i < p; i++) {
         int32_t a = eu[i], b = ev[i];
         if (cores[a] != cores[b]) {
-            delete_check(&t, cores[a] >= cores[b] ? b : a);
+            delete_check(t, cores[a] >= cores[b] ? b : a);
         } else {
-            delete_check(&t, a);
-            delete_check(&t, b);
+            delete_check(t, a);
+            delete_check(t, b);
         }
     }
-    return finish(&t, 1);
+    return finish(t, 1);
 }
 
 /* ------------------------------------------------------------------
@@ -396,7 +367,7 @@ static int64_t cm_delete_level(const int64_t *starts, const int32_t *lens,
    offset of the level's ids in the round's output, the five counters, wall
    and thread-CPU nanoseconds, the worker slot that ran it (0 is the
    calling thread, h the h-th helper to join the round), and the survivors
-   of the free level's riser peel (0 at every other level). */
+   of an insert task's riser peel (0 in a delete round). */
 enum { R_COUNT, R_OFFSET, R_CTR, R_WALL = R_CTR + 5, R_CPU, R_WORKER,
        R_SURVIVORS, ROW };
 
@@ -404,7 +375,6 @@ enum { R_COUNT, R_OFFSET, R_CTR, R_WALL = R_CTR + 5, R_CPU, R_WORKER,
 
 typedef struct Round {
     int insert;
-    int64_t free_level;  /* an insert round's free level, or -1 */
     int64_t n;
     const int64_t *starts;
     const int32_t *lens, *pool, *cores;
@@ -438,12 +408,16 @@ void cm_arena_drop(OwnArena *o)
     free(o->a.slack);
     free(o->a.sup);
     free(o->a.csup);
-    free(o->order);
+    free(o->a.order);
+    free(o->a.stack);
+    free(o->a.cascade);
+    free(o->a.dirty);
     memset(o, 0, sizeof *o);
 }
 
 /* Grows o (at least doubling it) to cover n vertices, every slot at its
-   reset value.  Returns 0, or ALLOC_FAILED with o dropped. */
+   reset value and every list with room for its bound (see Arena).
+   Returns 0, or ALLOC_FAILED with o dropped. */
 static int own_fit(OwnArena *o, int64_t n)
 {
     if (o->cap >= n)
@@ -455,9 +429,13 @@ static int own_fit(OwnArena *o, int64_t n)
     o->a.slack = calloc(cap, sizeof *o->a.slack);
     o->a.sup = malloc(cap * sizeof *o->a.sup);
     o->a.csup = malloc(cap * sizeof *o->a.csup);
-    o->order = malloc(cap * sizeof *o->order);
+    o->a.order = malloc(cap * sizeof *o->a.order);
+    o->a.stack = malloc(cap * sizeof *o->a.stack);
+    o->a.cascade = malloc(cap * sizeof *o->a.cascade);
+    o->a.dirty = malloc(4 * cap * sizeof *o->a.dirty);
     if (!(o->a.visited && o->a.removed && o->a.slack && o->a.sup
-          && o->a.csup && o->order)) {
+          && o->a.csup && o->a.order && o->a.stack && o->a.cascade
+          && o->a.dirty)) {
         cm_arena_drop(o);
         return ALLOC_FAILED;
     }
@@ -481,10 +459,9 @@ static int64_t ns(clockid_t clock)
    support in its slack slot and the worklist in its order (each riser
    enters once), and resets every slot it wrote. */
 static int64_t riser_peel(const Round *r, int32_t k, const int32_t *risers,
-                          int64_t cnt, OwnArena *o)
+                          int64_t cnt, Arena a)
 {
-    Arena a = o->a;
-    int32_t *work = o->order;
+    int32_t *work = a.order;
     int64_t top = 0, need = (int64_t)k + 2;
     for (int64_t i = 0; i < cnt; i++)
         a.visited[risers[i]] = 1;
@@ -520,10 +497,10 @@ static int64_t riser_peel(const Round *r, int32_t k, const int32_t *risers,
     return cnt - gone;
 }
 
-/* Runs level i of r with arena o (NULL: it could not be grown), fills
-   its row, and returns its count.  The free level's task ends with
-   riser_peel over its moved ids, once they are copied out. */
-static int64_t run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
+/* Runs level i of r with arena o (NULL: it could not be grown) and fills
+   its row.  An insert task ends with riser_peel over its moved ids, once
+   they are copied out. */
+static void run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
 {
     int64_t *row = r->rows + i * ROW;
     int64_t wall = ns(CLOCK_MONOTONIC), cpu = ns(CLOCK_THREAD_CPUTIME_ID);
@@ -537,34 +514,31 @@ static int64_t run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
         cnt = BAD_LEVEL;
     else if (!o)
         cnt = ALLOC_FAILED;
-    else
-        cnt = (r->insert ? cm_insert_level : cm_delete_level)(
-            r->starts, r->lens, r->pool, r->cores, k, p, eu, ev, &o->a,
-            o->order, row + R_CTR);
+    else {
+        Task t = {r->starts, r->lens, r->pool, r->cores, o->a, k, 0, 0, 0,
+                  row + R_CTR};
+        cnt = (r->insert ? cm_insert_level : cm_delete_level)(&t, p, eu, ev);
+    }
     if (cnt > 0) {
         int64_t at = atomic_fetch_add(&r->used, cnt);
-        memcpy(r->out + at, o->order, (size_t)cnt * sizeof *o->order);
+        memcpy(r->out + at, o->a.order, (size_t)cnt * sizeof *o->a.order);
         row[R_OFFSET] = at;
-        if (r->insert && k == r->free_level)
-            row[R_SURVIVORS] = riser_peel(r, k, r->out + at, cnt, o);
+        if (r->insert)
+            row[R_SURVIVORS] = riser_peel(r, k, r->out + at, cnt, o->a);
     }
     row[R_COUNT] = cnt;
     row[R_WALL] = ns(CLOCK_MONOTONIC) - wall;
     row[R_CPU] = ns(CLOCK_THREAD_CPUTIME_ID) - cpu;
     row[R_WORKER] = slot;
-    return cnt;
 }
 
-/* Claims levels of r until none is left, running each as worker slot with
-   arena o grown to cover r's vertices.  A level that failed to allocate
-   may have left a slot of o written but not reset, so o is dropped and
-   grown afresh for the next level. */
-static void claim_levels(Round *r, int64_t slot, OwnArena *o)
+/* Runs level i of r, already claimed, then claims and runs levels until
+   none is left, each as worker slot with arena o grown to cover r's
+   vertices. */
+static void claim_levels(Round *r, int64_t i, int64_t slot, OwnArena *o)
 {
-    for (int64_t i; (i = atomic_fetch_add(&r->next, 1)) < r->levels;)
-        if (run_level(r, i, slot, own_fit(o, r->n) ? NULL : o)
-                == ALLOC_FAILED)
-            cm_arena_drop(o);
+    for (; i < r->levels; i = atomic_fetch_add(&r->next, 1))
+        run_level(r, i, slot, own_fit(o, r->n) ? NULL : o);
 }
 
 /* An open round with unclaimed levels that wants more helpers (under
@@ -590,7 +564,7 @@ static void *helper_main(void *arg)
         r->joined++;
         int64_t slot = ++r->seats;
         pthread_mutex_unlock(&lock);
-        claim_levels(r, slot, own);
+        claim_levels(r, atomic_fetch_add(&r->next, 1), slot, own);
         pthread_mutex_lock(&lock);
         if (--r->joined == 0)
             pthread_cond_broadcast(&idle);
@@ -648,29 +622,27 @@ static void install_fork_hooks(void)
 }
 
 /* Runs the level tasks of one round over the adjacency arrays and cores
-   of the n vertices; insert selects the kernel, and free_level names an
-   insert round's free level (-1: none), whose task ends with riser_peel.
-   meta holds the levels in claim order (heaviest first), then levels + 1
-   edge offsets: level i is meta[i], with p = bounds[i + 1] - bounds[i]
-   edges (bounds = meta + levels) whose eu, then ev, start at edges + 2 *
-   bounds[i].  The calling
-   thread runs levels with arena caller, growing it as needed, and asks for
-   up to helpers_wanted helper threads.  Each level's moved ids go to out (room
-   for n ids) and its results to its row of rows (ROW int64, counters
-   zeroed); a failed level's count is its error return.  Returns once
-   every level has finished. */
-void cm_run_levels(int insert, int64_t free_level, int64_t n,
-                   const int64_t *starts, const int32_t *lens,
-                   const int32_t *pool, const int32_t *cores, int64_t levels,
+   of the n vertices; insert selects the kernel.  meta holds the levels in
+   claim order (heaviest first), then levels + 1 edge offsets: level i is
+   meta[i], with p = bounds[i + 1] - bounds[i] edges (bounds = meta +
+   levels) whose eu, then ev, start at edges + 2 * bounds[i].  The calling
+   thread claims level 0 before it wakes up to helpers_wanted helper
+   threads for the rest, so it always runs the heaviest level; it runs
+   levels with arena caller, growing it as needed.  Each level's moved ids
+   go to out (room for n ids) and its results to its row of rows (ROW
+   int64, counters zeroed); a failed level's count is its error return.
+   Returns once every level has finished. */
+void cm_run_levels(int insert, int64_t n, const int64_t *starts,
+                   const int32_t *lens, const int32_t *pool,
+                   const int32_t *cores, int64_t levels,
                    const int64_t *meta, const int32_t *edges,
                    int64_t helpers_wanted, OwnArena *caller, int32_t *out,
                    int64_t *rows)
 {
-    Round r = {.insert = insert, .free_level = free_level, .n = n,
-               .starts = starts, .lens = lens, .pool = pool, .cores = cores,
-               .levels = levels, .ks = meta, .bounds = meta + levels,
-               .edges = edges, .out = out, .rows = rows};
-    atomic_init(&r.next, 0);
+    Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
+               .pool = pool, .cores = cores, .levels = levels, .ks = meta,
+               .bounds = meta + levels, .edges = edges, .out = out, .rows = rows};
+    atomic_init(&r.next, 1);  /* the caller holds level 0 */
     atomic_init(&r.used, 0);
     int64_t want = helpers_wanted < MAX_HELPERS ? helpers_wanted : MAX_HELPERS;
     if (want > 0) {
@@ -685,7 +657,7 @@ void cm_run_levels(int insert, int64_t free_level, int64_t n,
             pthread_cond_signal(&work);
         pthread_mutex_unlock(&lock);
     }
-    claim_levels(&r, 0, caller);
+    claim_levels(&r, 0, 0, caller);
     if (want > 0) {
         pthread_mutex_lock(&lock);
         Round **at = &open_rounds;

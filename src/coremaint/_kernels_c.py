@@ -11,13 +11,14 @@ reason, and ``kernels`` then falls back to the pure-Python lane.  cffi
 releases the GIL for the duration of each foreign call.
 
 ``run_levels`` is the only way into the level kernels: it runs all level
-tasks of a round in one foreign call, the calling thread taking levels
-heaviest first and up to ``min(workers, levels) - 1`` helper threads of
-the C code the rest.  The helpers start on first need and serve every
-later round of the process.  ``insert_level`` and ``delete_level`` are
-one-level rounds on the calling thread.  The C code owns every arena,
-grows it and drops it after a failed allocation; this module only holds
-each calling thread's arena as an opaque handle, freed with the thread.
+tasks of a round in one foreign call, the calling thread taking the
+heaviest level and, with up to ``min(workers, levels) - 1`` helper
+threads of the C code, the rest.  The helpers start on first need and
+serve every later round of the process.  ``insert_level`` and
+``delete_level`` are one-level rounds on the calling thread.  The C code
+owns every arena and grows it; a level task allocates nothing else.  This
+module only holds each calling thread's arena as an opaque handle, freed
+with the thread.
 
 Every entry point checks dtypes, contiguity and lengths (``parse_pairs``:
 that it was given ``bytes``) before it calls into C; the C code checks
@@ -103,18 +104,18 @@ _ffi.cdef("""
 typedef struct {
     uint8_t *visited, *removed;
     int32_t *slack, *sup, *csup;
+    int32_t *order, *stack, *cascade, *dirty;
 } Arena;
 typedef struct {
     Arena a;
-    int32_t *order;
     int64_t cap;
 } OwnArena;
 void cm_arena_drop(OwnArena *o);
 int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
             const int32_t *pool, int32_t *out);
-void cm_run_levels(int insert, int64_t free_level, int64_t n,
-                   const int64_t *starts, const int32_t *lens,
-                   const int32_t *pool, const int32_t *cores, int64_t levels,
+void cm_run_levels(int insert, int64_t n, const int64_t *starts,
+                   const int32_t *lens, const int32_t *pool,
+                   const int32_t *cores, int64_t levels,
                    const int64_t *meta, const int32_t *edges,
                    int64_t helpers_wanted, OwnArena *caller, int32_t *out,
                    int64_t *rows);
@@ -226,12 +227,11 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
     return _one_level("delete", starts, lens, pool, cores, k, eu, ev)
 
 
-def run_levels(mode, starts, lens, pool, cores, level_edges, workers,
-               free_level=None):
+def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
     """As ``_kernels_py.run_levels``, in one foreign call: the calling
-    thread claims levels heaviest first, and up to ``min(workers, levels)
-    - 1`` helper threads claim the rest."""
-    _check_round(mode, workers, free_level)
+    thread runs the heaviest level, and it and up to ``min(workers,
+    levels) - 1`` helper threads claim the rest."""
+    _check_round(mode, workers)
     n, *graph = _graph_ptrs(starts, lens, pool)
     cores_ptr = _ptr("cores", cores, _I32, n)
     ks = _claim_order(level_edges)
@@ -251,8 +251,7 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers,
     edges = np.concatenate(parts)
     rows = np.zeros((len(ks), _ROW), dtype=np.int64)
     out = np.empty(n, dtype=np.int32)
-    free = -1 if free_level is None else int(free_level)
-    _lib.cm_run_levels(mode == "insert", free, n, *graph, cores_ptr,
+    _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr,
                        len(ks), _buf("int64_t[]", meta),
                        _buf("int32_t[]", edges),
                        min(workers, len(ks)) - 1, _threads.arena,

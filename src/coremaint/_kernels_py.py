@@ -8,11 +8,10 @@ A kernel backend is a module with eight functions:
   the vertices of core level k whose core rises (falls) once the level's
   edges (eu, ev) are in (out of) the adjacency arrays, as (ascending id
   array, counter tuple).  A failed call raises the level's own error.
-- ``run_levels(mode, starts, lens, pool, cores, level_edges, workers,
-  free_level=None)``: the level task of every level of one round, at
-  most ``workers`` at a time (rows as described at its definition
-  below); in an insert round the task of ``free_level`` ends with a peel
-  of its risers (``riser_peel``).  A failed level raises
+- ``run_levels(mode, starts, lens, pool, cores, level_edges, workers)``:
+  the level task of every level of one round, at most ``workers`` at a
+  time (rows as described at its definition below); every insert task
+  ends with a peel of its risers (``riser_peel``).  A failed level raises
   ``LevelTaskError`` naming it, once no level of the round is running;
   an interrupt propagates as it is.
 - ``plan_scan(us, vs, cores)``: the round planner's greedy scan.
@@ -32,9 +31,10 @@ values.  Counter tuple layout:
 
 A backend may keep the level kernels' per-vertex scratch in an arena that
 one thread owns and keeps across calls, so concurrent tasks never share
-one.  Every level task leaves its arena clean, and a task that fails in a
-way that may leave a slot dirty (an allocation) drops its arena, which
-the next task grows afresh.  The caller never sees an arena.
+one.  Every level task leaves its arena clean.  The compiled lane's arena
+also holds each task's work lists, sized by their bounds, so a compiled
+task allocates only when it grows its arena, and once that succeeds it
+cannot fail.  The caller never sees an arena.
 
 This lane keeps per-task state in dicts and sets and runs a round's
 levels one after another on the calling thread; the compiled lane
@@ -345,36 +345,42 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
     return np.asarray(falling, dtype=np.int32), st.counters()
 
 
-def _check_round(mode, workers, free_level=None):
+def _check_round(mode, workers):
     if mode not in ("insert", "delete"):
         raise ValueError(f"mode must be 'insert' or 'delete', got {mode!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if free_level is not None and mode != "insert":
-        raise ValueError("only an insert round has a free level")
 
 
 def riser_peel(starts, lens, pool, cores, k, risers) -> int:
-    """How many of the level-k ``risers`` survive a peel at threshold k + 2
-    in which a riser's support is its neighbours of core above k or among
-    the risers.  One worklist pass, linear in the risers' degrees; the
-    count does not depend on the order of the risers."""
-    adj = _Adj(starts, lens, pool)
-    rose = set(risers.tolist())
-    support, work = {}, []
-    for v in rose:
-        support[v] = sum(1 for w in adj(v) if cores[w] > k or w in rose)
-        if support[v] < k + 2:
-            work.append(v)
+    """How many of the level-k ``risers`` (ascending ids, as
+    ``insert_level`` returns them) survive a peel at threshold k + 2 in
+    which a riser's support is its neighbours of core above k or among the
+    risers.  It reads only the risers' blocks (a byte mask over the
+    vertices marks the risers), counts every support in one numpy pass,
+    and then walks only the entries that join two risers."""
+    if not len(risers):
+        return 0
+    blens = lens[risers].astype(np.int64)
+    nbrs = pool[_block_slots(starts[risers], blens)]
+    is_riser = np.zeros(len(cores), dtype=bool)
+    is_riser[risers] = True
+    rose = is_riser[nbrs]
+    support = _segment_counts((cores[nbrs] > k) | rose, blens).tolist()
+    inner = _segment_counts(rose, blens)  # by riser index from here on
+    firsts = (np.add.accumulate(inner) - inner).tolist()
+    inner, mates = inner.tolist(), risers.searchsorted(nbrs[rose]).tolist()
+    work = [i for i, s in enumerate(support) if s < k + 2]
     gone = set(work)
     while work:
-        for w in adj(work.pop()):
-            if w in rose and w not in gone:
-                support[w] -= 1
-                if support[w] < k + 2:
-                    gone.add(w)
-                    work.append(w)
-    return len(rose) - len(gone)
+        i = work.pop()
+        for j in mates[firsts[i]:firsts[i] + inner[i]]:
+            if j not in gone:
+                support[j] -= 1
+                if support[j] < k + 2:
+                    gone.add(j)
+                    work.append(j)
+    return len(support) - len(gone)
 
 
 def _claim_order(level_edges) -> list[int]:
@@ -382,25 +388,25 @@ def _claim_order(level_edges) -> list[int]:
     return sorted(level_edges, key=lambda k: (-len(level_edges[k][0]), k))
 
 
-def run_levels(mode, starts, lens, pool, cores, level_edges, workers,
-               free_level=None):
+def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
     """Run the level task of every level of a round: ``insert_level`` or
     ``delete_level`` (``mode`` "insert" or "delete") on each level k of
     ``level_edges`` (k -> (eu, ev)), with at most ``workers`` at a time.
-    In an insert round, the task of level ``free_level`` (None: no level)
-    ends with ``riser_peel`` over its moved ids.
+    An insert task ends with ``riser_peel`` over its moved ids; at a level
+    where the strict rule held, nothing survives (``batch``'s docstring).
 
     Returns, in ascending level order, one (level, moved ids, counter
     tuple, wall ns, thread-CPU ns, worker slot, peel survivors) per level;
-    slot 0 is the calling thread, and a level without a peel has 0
-    survivors.  A failed level raises ``LevelTaskError`` naming it, once
-    no level is running.  Here the levels run one after another on the
-    calling thread, heaviest first: the kernels hold the GIL.
+    slot 0 is the calling thread, and a delete task has 0 survivors.  A
+    failed level raises ``LevelTaskError`` naming it, once no level is
+    running.  Here the levels run one after another on the calling
+    thread, heaviest first: the kernels hold the GIL.
     """
-    _check_round(mode, workers, free_level)
+    _check_round(mode, workers)
     _check_len("lens", lens, len(starts))
     _check_len("cores", cores, len(starts))
-    kernel = insert_level if mode == "insert" else delete_level
+    insert = mode == "insert"
+    kernel = insert_level if insert else delete_level
     rows = {}
     for k in _claim_order(level_edges):
         eu, ev = level_edges[k]
@@ -408,7 +414,7 @@ def run_levels(mode, starts, lens, pool, cores, level_edges, workers,
         try:
             moved, counters = kernel(starts, lens, pool, cores, k, eu, ev)
             survivors = (riser_peel(starts, lens, pool, cores, k, moved)
-                         if k == free_level else 0)
+                         if insert else 0)
         except Exception as exc:
             raise LevelTaskError(k, exc) from exc
         rows[k] = (k, moved, counters, time.perf_counter_ns() - wall,

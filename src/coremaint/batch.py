@@ -21,11 +21,23 @@ round holds level h back and takes none of its pairs, if the round bound
 below allows it, and otherwise keeps the strict plan.  Once no pair below
 h is pending, it takes every live pair, covered or not, and h is the
 round's free level: every other level's pairs were all selected by the
-scan.  The level-h task then peels its own risers at threshold h + 2,
-where a riser's support is its neighbours whose pre-round core is above h
-or that also rose (``run_levels`` in ``_kernels_py``).  If nothing
+scan.  Every insert task ends by peeling its own risers: at level k, at
+threshold k + 2, a riser's support being its neighbours whose pre-round
+core is above k or that also rose (``run_levels`` in ``_kernels_py``).
+At a level where no vertex is covered twice the peel leaves nothing
+(below), so only the free level's peel can report survivors.  If nothing
 survives, every level's moved set is exact; otherwise the engine undoes
 the round and plans it, and the rest of the batch, by the strict rule.
+
+Why a strict level's peel is empty.  Let C be the old (k+1)-core, and
+suppose the peel of the level-k risers leaves survivors S.  Counted in
+the new graph, each vertex of S has at least k + 2 neighbours in S | C.
+Each vertex x of S gained at most one round pair into S | C: such a pair
+has both endpoints at core k or above, so it lies at level k and covers
+x, whose core is k.  So in the old graph each vertex of S has at least
+k + 1 neighbours in S | C, as each vertex of C has in C, and S | C lies
+within the old (k+1)-core, a contradiction with S having core k.  Hence
+S is empty.
 
 Why an empty peel suffices.  Let G be the graph before the round and G'
 after it, with old cores c and new cores c'.  Say some vertex rises by

@@ -7,9 +7,10 @@ whose core moves, then shift those cores by exactly one.  The selection
 rule (at most one pending edge per vertex at its own core level) is what
 makes the one-step shift correct.  An insert round may instead take every
 pair of one free level (``batch``'s docstring has the rule and its
-proof); that level's task then peels its risers, and when a riser
-survives, the engine undoes the round and plans it, and the rest of the
-batch, by the strict rule, counting one replayed round.
+proof).  Every insert task ends with a peel of its risers, of which only
+the free level's can leave survivors; when one survives, the engine
+undoes the round and plans it, and the rest of the batch, by the strict
+rule, counting one replayed round.
 
 Before its first round the engine looks the batch's live pairs up in the
 graph once: an insert batch drops the pairs already present, and a delete
@@ -81,15 +82,15 @@ class LevelTaskResult:
     wall_ns: int  # the task's wall time
     cpu_ns: int  # CPU time of the thread that ran it, during the task
     worker: int  # 0: the calling thread; h: the round's h-th helper
-    survivors: int  # risers left by the free level's peel; 0 elsewhere
+    survivors: int  # risers left by an insert task's peel; 0 on delete
 
 
 def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
-                    workers: int, free_level=None) -> list[LevelTaskResult]:
+                    workers: int) -> list[LevelTaskResult]:
     """Run the level task of every level of ``level_edges`` with backend
     ``be`` (see its ``run_levels``), at most ``workers`` at a time, and
-    return the results in ascending level order.  The task of an insert
-    round's ``free_level`` ends with the peel of its risers.
+    return the results in ascending level order.  Every insert task ends
+    with the peel of its risers.
 
     Results are identical for every worker count: tasks neither share
     mutable state nor observe each other.  A failed task raises
@@ -100,7 +101,7 @@ def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
                             wall, cpu, worker, survivors)
             for k, moved, counters, wall, cpu, worker, survivors
             in be.run_levels(mode, starts, lens, pool, cores, level_edges,
-                             workers, free_level)]
+                             workers)]
 
 
 @dataclass
@@ -254,7 +255,7 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             try:
                 results = run_level_tasks(be, mode, starts, lens, pool,
                                           cores.values, plan.level_edges,
-                                          workers, plan.free_level)
+                                          workers)
             except BaseException:  # interrupts too: re-playable round
                 undo(edges[:, 0], edges[:, 1])
                 raise

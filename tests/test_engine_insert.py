@@ -368,6 +368,9 @@ def test_every_small_insert_batch_matches_peel(backend, most):
             log = insert_edges(g, cores, batch, backend=backend)
             assert cores == peel(g), (n, sorted(g0.edges()), edges)
             assert log.rounds_executed <= 2 * batch.max_multiplicity - 1
+            # a strict level's riser peel leaves nothing
+            assert all(t.survivors == 0 for r in log.rounds
+                       for t in r.tasks if t.level != r.free_level)
             batches += 1
             replays += log.replayed_rounds
     assert replays > 0

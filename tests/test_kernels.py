@@ -257,6 +257,49 @@ def test_arena_grows_with_the_graph():
     assert sizes[-1][0] > 4 * sizes[0][1]  # the arena had to grow
 
 
+@needs_c
+def test_a_task_that_rules_out_a_whole_level_fits_a_fresh_arena():
+    # a path 0..n-1 whose ends are tied into a K5 (core 2 along the path)
+    # gains chords pairing every path vertex but 0.  The task's walk from
+    # vertex 2 visits all of them, with 1, next to 0, popped last; 0 is
+    # the one vertex without the support to rise, so ruling out 1 starts a
+    # cascade that rules out every visited vertex and touches 0.  Its work
+    # lists run long (about 3n dirty entries, n/4 on the stack and on the
+    # cascade) in the arena of a fresh thread, grown to this graph alone.
+    m = 1 << 15
+    n = 2 * m + 1
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], 1)
+    k5 = n + np.array([(i, j) for i in range(5) for j in range(i + 1, 5)])
+    g = Graph.from_edges(np.concatenate([path, k5, [[0, n], [n - 1, n + 1]]]),
+                         dense_labels=True)
+    cores = peel(g).values
+    assert set(cores[:n].tolist()) == {2}
+    i = np.arange(2, m + 1)
+    chords = np.concatenate([np.stack([i + m, i], 1), [[1 + m, 1]]])
+    g._add_dense(chords[:, 0], chords[:, 1])
+    args = (*g.adjacency_arrays(), cores, 2, chords[:, 0].astype(np.int32),
+            chords[:, 1].astype(np.int32))
+    got, errors = [], []
+
+    def run():
+        try:
+            be = get_backend("c")
+            moved, counters = be.insert_level(*args)
+            got.append((moved.tolist(), counters, be._threads.arena.cap))
+        except BaseException as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and not errors, errors
+    moved, counters, cap = got[0]
+    assert cap == g.vertex_count
+    assert moved == [] and counters[:2] == (n - 1, n - 1)
+    python = get_backend("python").insert_level(*args)
+    assert (moved, counters) == (python[0].tolist(), python[1])
+
+
 def two_thread_run(seed, n):
     """Cores, counters and rounds of a few insert and delete batches on an
     ER graph, with two workers."""
@@ -339,49 +382,28 @@ ARENA_FAILURES = LIMITED + """
 KERNEL = "level kernel allocation failed"
 
 
-def delete_call(edges, cores, k, u, v):
-    # delete_level for the edge (u, v), cut from a graph of len(cores)
-    # vertices that now holds edges; it returns (moved, counters)
-    g = Graph.from_edges(edges, num_vertices=len(cores), dense_labels=True)
+def cut_tail(n):
+    # delete_level for the tail (2, 3) cut from a triangle, among n
+    # vertices; the call returns (moved, counters)
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=n,
+                         dense_labels=True)
     starts, lens, pool = g.adjacency_arrays()
-    eu, ev = np.array([u], np.int32), np.array([v], np.int32)
+    cores = np.zeros(n, np.int32)
+    cores[:4] = [2, 2, 2, 1]
+    eu, ev = np.array([2], np.int32), np.array([3], np.int32)
 
     def call():
-        moved, counters = be.delete_level(starts, lens, pool, cores, k, eu,
+        moved, counters = be.delete_level(starts, lens, pool, cores, 1, eu,
                                           ev)
         return moved.tolist(), counters
     return call
 
 
-def cut_tail(n):
-    # a triangle whose tail (2, 3) was cut, among n vertices
-    cores = np.zeros(n, np.int32)
-    cores[:4] = [2, 2, 2, 1]
-    return delete_call([(0, 1), (1, 2), (0, 2)], cores, 1, 2, 3)
-
-
-# (a) the arena cannot grow to cover the graph
+# the arena cannot grow to cover the graph
 small, big = cut_tail(4), cut_tail(1 << 20)
 clean = small()
 assert failure(big, 8 * MB) == KERNEL
 assert big() == clean and small() == clean
-del big
-
-# (b) the dirty list cannot grow mid-kernel: a 2^20-cycle cut at (0, 1)
-# beside a K4 cut at (n, n + 1)
-n = 1 << 20
-path = np.arange(1, n - 1)
-edges = np.concatenate([np.stack([path, path + 1], 1), [[n - 1, 0]],
-                        n + np.array([[0, 2], [0, 3], [1, 2], [1, 3],
-                                      [2, 3]])])
-cores = np.full(n + 4, 2, np.int32)
-cores[n:] = 3
-clique = delete_call(edges, cores, 3, n, n + 1)
-cycle = delete_call(edges, cores, 2, 0, 1)
-for extra in (6 * MB, 8 * MB):
-    assert len(clique()[0]) == 4  # the arena covers the graph
-    assert failure(cycle, extra) == KERNEL
-    assert len(cycle()[0]) == n  # the whole cycle falls
 """
 
 

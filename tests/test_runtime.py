@@ -188,9 +188,11 @@ def test_an_edge_off_its_level_is_rejected():
 
 @pytest.mark.parametrize("lane", LANES)
 def test_free_level_task_reports_its_peel_survivors(lane):
-    # level 0: a triangle on three isolated vertices, whose risers keep two
-    # risen neighbours each; level 1: a pair joining paths 3-4 and 5-6,
-    # which raises nothing
+    # every insert task peels its risers.  Level 0: a triangle on three
+    # isolated vertices, which covers each of them twice as only a free
+    # level may; its risers keep two risen neighbours each.  Level 1: a
+    # pair joining paths 3-4 and 5-6, which raises nothing.  Delete tasks
+    # report no survivors.
     g = Graph.from_edges([(3, 4), (5, 6)], num_vertices=7, dense_labels=True)
     cores = peel(g)
     g._add_dense(np.array([0, 0, 1, 4]), np.array([1, 2, 2, 5]))
@@ -199,15 +201,22 @@ def test_free_level_task_reports_its_peel_survivors(lane):
                    1: (np.array([4], np.int32), np.array([5], np.int32))}
     be = get_backend(lane)
     args = (*g.adjacency_arrays(), cores.values, level_edges)
-    for free_level, survivors in ((None, [0, 0]), (0, [3, 0]), (1, [0, 0])):
-        for workers in (1, 2):
-            rows = be.run_levels("insert", *args, workers, free_level)
-            assert [len(r) for r in rows] == [7, 7]
-            assert [r[6] for r in rows] == survivors
-            assert [r[1].tolist() for r in rows] == [[0, 1, 2], []]
-            assert all(0 <= r[5] < workers for r in rows)
-    with pytest.raises(ValueError, match="free level"):
-        be.run_levels("delete", *args, 1, 0)
+    for workers in (1, 2):
+        rows = be.run_levels("insert", *args, workers)
+        assert [len(r) for r in rows] == [7, 7]
+        assert [r[6] for r in rows] == [3, 0]
+        assert [r[1].tolist() for r in rows] == [[0, 1, 2], []]
+        assert all(0 <= r[5] < workers for r in rows)
+    # then 0-1 (level 2) and 4-5 (level 1) go: the triangle falls
+    cores = peel(g)
+    g._remove_dense(np.array([0, 4]), np.array([1, 5]))
+    level_edges = {1: (np.array([4], np.int32), np.array([5], np.int32)),
+                   2: (np.array([0], np.int32), np.array([1], np.int32))}
+    for workers in (1, 2):
+        rows = be.run_levels("delete", *g.adjacency_arrays(), cores.values,
+                             level_edges, workers)
+        assert [(r[0], r[1].tolist(), r[6]) for r in rows] == [
+            (1, [], 0), (2, [0, 1, 2], 0)]
 
 
 def log_signature(log):
@@ -469,11 +478,10 @@ def bad_backend(error):
     it is)."""
     real = get_backend()
 
-    def failing(mode, starts, lens, pool, cores, level_edges, workers,
-                free_level=None):
+    def failing(mode, starts, lens, pool, cores, level_edges, workers):
         rows = real.run_levels(mode, starts, lens, pool, cores,
                                {k: e for k, e in level_edges.items()
-                                if k != 2}, workers, free_level)
+                                if k != 2}, workers)
         if 2 in level_edges:
             exc = error("injected")
             if isinstance(exc, Exception):
