@@ -21,6 +21,11 @@
    lie at the level: BAD_LEVEL); the caller checks dtypes, contiguity and
    lengths.
 
+   A round travels as one flat plan: its pairs grouped by ascending level
+   (canonical order within a level) in two id arrays, plus the levels and
+   their offsets.  cm_plan_scan writes it, and cm_remove_edges and
+   cm_run_levels read it as it is.
+
    This file owns every level-kernel arena: the calling thread passes in
    its own (an OwnArena that Python only holds and frees with
    cm_arena_drop), and each helper keeps one.  An arena holds every slot
@@ -66,6 +71,36 @@ static int at_level(int64_t p, const int32_t *a, const int32_t *b,
             return 0;
     }
     return 1;
+}
+
+/* Sorts the c keys at a stably by their bytes lowest..7 (all of a key
+   when lowest is 0), with tmp (room for c keys) as scratch: one counting
+   pass per such byte in which the keys differ, least significant first,
+   so a key's constant high bytes cost no pass. */
+static void radix_sort(uint64_t *a, uint64_t *tmp, int64_t c, int lowest)
+{
+    int64_t count[8][256] = {{0}};
+    for (int64_t i = 0; i < c; i++)
+        for (int d = 0; d < 8; d++)
+            count[d][a[i] >> (8 * d) & 255]++;
+    uint64_t *src = a, *dst = tmp;
+    for (int d = lowest; d < 8 && c; d++) {
+        int64_t *at = count[d], sum = 0;
+        if (at[src[0] >> (8 * d) & 255] == c)
+            continue;  /* every key has this byte */
+        for (int b = 0; b < 256; b++) {
+            int64_t here = at[b];
+            at[b] = sum;
+            sum += here;
+        }
+        for (int64_t i = 0; i < c; i++)
+            dst[at[src[i] >> (8 * d) & 255]++] = src[i];
+        uint64_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != a)
+        memcpy(a, src, (size_t)c * sizeof *a);
 }
 
 /* A level task's per-vertex slots (reset between tasks) and its lists,
@@ -363,13 +398,13 @@ static int64_t cm_delete_level(Task *t, int64_t p, const int32_t *eu,
 /* ------------------------------------------------------------------
    one round's level tasks on the calling thread and helper threads */
 
-/* A row of results per level: the moved count (or an error return), the
-   offset of the level's ids in the round's output, the five counters, wall
-   and thread-CPU nanoseconds, the worker slot that ran it (0 is the
-   calling thread, h the h-th helper to join the round), and the survivors
-   of an insert task's riser peel (0 in a delete round). */
-enum { R_COUNT, R_OFFSET, R_CTR, R_WALL = R_CTR + 5, R_CPU, R_WORKER,
-       R_SURVIVORS, ROW };
+/* A row of results per level: the level, its moved count (or an error
+   return), the offset of its ids in the round's output, the five
+   counters, wall and thread-CPU nanoseconds, the worker slot that ran it
+   (0 is the calling thread, h the h-th helper to join the round), and the
+   survivors of an insert task's riser peel (0 in a delete round). */
+enum { R_LEVEL, R_COUNT, R_OFFSET, R_CTR, R_WALL = R_CTR + 5, R_CPU,
+       R_WORKER, R_SURVIVORS, ROW };
 
 #define MAX_HELPERS 63
 
@@ -378,11 +413,11 @@ typedef struct Round {
     int64_t n;
     const int64_t *starts;
     const int32_t *lens, *pool, *cores;
-    int64_t levels;  /* in claim order */
-    const int64_t *ks, *bounds;  /* level i is ks[i] with p = bounds[i+1] -
-                                    bounds[i] edges: eu at edges + 2 *
-                                    bounds[i], then ev */
-    const int32_t *edges;
+    int64_t levels;
+    const int64_t *ks, *offsets;  /* level i is ks[i], with the pairs
+                                     offsets[i] .. offsets[i + 1] - 1 */
+    const int32_t *us, *vs;
+    const int64_t *claim;  /* the level indices in claim order */
     int32_t *out;
     int64_t *rows;
     atomic_int_fast64_t next;  /* claim cursor */
@@ -497,16 +532,16 @@ static int64_t riser_peel(const Round *r, int32_t k, const int32_t *risers,
     return cnt - gone;
 }
 
-/* Runs level i of r with arena o (NULL: it could not be grown) and fills
-   its row.  An insert task ends with riser_peel over its moved ids, once
-   they are copied out. */
-static void run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
+/* Runs the level r claims c-th with arena o (NULL: it could not be
+   grown) and fills its row.  An insert task ends with riser_peel over its
+   moved ids, once they are copied out. */
+static void run_level(Round *r, int64_t c, int64_t slot, OwnArena *o)
 {
-    int64_t *row = r->rows + i * ROW;
+    int64_t i = r->claim[c], *row = r->rows + i * ROW;
     int64_t wall = ns(CLOCK_MONOTONIC), cpu = ns(CLOCK_THREAD_CPUTIME_ID);
-    int64_t b = r->bounds[i], p = r->bounds[i + 1] - b;
+    int64_t b = r->offsets[i], p = r->offsets[i + 1] - b;
     int32_t k = (int32_t)r->ks[i];
-    const int32_t *eu = r->edges + 2 * b, *ev = eu + p;
+    const int32_t *eu = r->us + b, *ev = r->vs + b;
     int64_t cnt;
     if (!in_range(p, eu, ev, r->n))
         cnt = BAD_ENDPOINT;
@@ -526,19 +561,20 @@ static void run_level(Round *r, int64_t i, int64_t slot, OwnArena *o)
         if (r->insert)
             row[R_SURVIVORS] = riser_peel(r, k, r->out + at, cnt, o->a);
     }
+    row[R_LEVEL] = k;
     row[R_COUNT] = cnt;
     row[R_WALL] = ns(CLOCK_MONOTONIC) - wall;
     row[R_CPU] = ns(CLOCK_THREAD_CPUTIME_ID) - cpu;
     row[R_WORKER] = slot;
 }
 
-/* Runs level i of r, already claimed, then claims and runs levels until
-   none is left, each as worker slot with arena o grown to cover r's
-   vertices. */
-static void claim_levels(Round *r, int64_t i, int64_t slot, OwnArena *o)
+/* Runs the c-th level of r's claim order, already claimed, then claims
+   and runs levels until none is left, each as worker slot with arena o
+   grown to cover r's vertices. */
+static void claim_levels(Round *r, int64_t c, int64_t slot, OwnArena *o)
 {
-    for (; i < r->levels; i = atomic_fetch_add(&r->next, 1))
-        run_level(r, i, slot, own_fit(o, r->n) ? NULL : o);
+    for (; c < r->levels; c = atomic_fetch_add(&r->next, 1))
+        run_level(r, c, slot, own_fit(o, r->n) ? NULL : o);
 }
 
 /* An open round with unclaimed levels that wants more helpers (under
@@ -621,28 +657,63 @@ static void install_fork_hooks(void)
     pthread_atfork(fork_prepare, fork_parent, fork_child);
 }
 
-/* Runs the level tasks of one round over the adjacency arrays and cores
-   of the n vertices; insert selects the kernel.  meta holds the levels in
-   claim order (heaviest first), then levels + 1 edge offsets: level i is
-   meta[i], with p = bounds[i + 1] - bounds[i] edges (bounds = meta +
-   levels) whose eu, then ev, start at edges + 2 * bounds[i].  The calling
-   thread claims level 0 before it wakes up to helpers_wanted helper
-   threads for the rest, so it always runs the heaviest level; it runs
-   levels with arena caller, growing it as needed.  Each level's moved ids
-   go to out (room for n ids) and its results to its row of rows (ROW
-   int64, counters zeroed); a failed level's count is its error return.
-   Returns once every level has finished. */
-void cm_run_levels(int insert, int64_t n, const int64_t *starts,
-                   const int32_t *lens, const int32_t *pool,
-                   const int32_t *cores, int64_t levels,
-                   const int64_t *meta, const int32_t *edges,
-                   int64_t helpers_wanted, OwnArena *caller, int32_t *out,
-                   int64_t *rows)
+/* The level indices of a round in claim order: most pairs first, ties by
+   ascending level (so by index, the levels ascending).  Returns NULL when
+   the buffer (also the sort's scratch) cannot be allocated. */
+static int64_t *claim_order(int64_t levels, const int64_t *offsets)
 {
+    uint64_t *key = malloc(2 * (size_t)levels * sizeof *key);
+    if (!key)
+        return NULL;
+    for (int64_t i = 0; i < levels; i++)
+        key[i] = (uint64_t)(UINT32_MAX - (offsets[i + 1] - offsets[i])) << 32
+                 | (uint64_t)i;
+    radix_sort(key, key + levels, levels, 0);
+    int64_t *claim = (int64_t *)key;
+    for (int64_t i = 0; i < levels; i++)
+        claim[i] = (int64_t)(key[i] & UINT32_MAX);
+    return claim;
+}
+
+/* Runs the level tasks of one round over the adjacency arrays and cores
+   of the n vertices; insert selects the kernel.  The round is a flat
+   plan: level i is ks[i], and its pairs are (us[j], vs[j]) for j in
+   offsets[i] .. offsets[i + 1] - 1, the levels ascending, the offsets
+   rising from 0 to m (below 2^32 pairs a level).  The calling thread
+   claims the heaviest level before it wakes up to helpers_wanted helper
+   threads for the rest, so it always runs the heaviest level; it runs
+   levels with arena caller, growing it as needed.  Each level fills its
+   row of rows (ROW int64, zeroed here first); a failed level's count is
+   its error return.  Once every level has finished, the moved ids of each
+   level lie in out (room for n ids), in the task's visit order, level
+   after level in ascending level order.  Returns their count; BAD_ORDER,
+   before any level runs, unless the levels and offsets are as described;
+   ALLOC_FAILED if the claim order cannot be allocated; or the error of
+   the lowest failed level. */
+int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
+                      const int32_t *lens, const int32_t *pool,
+                      const int32_t *cores, int64_t levels,
+                      const int64_t *ks, const int64_t *offsets, int64_t m,
+                      const int32_t *us, const int32_t *vs,
+                      int64_t helpers_wanted, OwnArena *caller, int32_t *out,
+                      int64_t *rows)
+{
+    memset(rows, 0, (size_t)levels * ROW * sizeof *rows);
+    if (offsets[0] != 0 || offsets[levels] != m)
+        return BAD_ORDER;
+    for (int64_t i = 0; i < levels; i++)
+        if (ks[i] < 0 || ks[i] > INT32_MAX || (i && ks[i] <= ks[i - 1])
+                || offsets[i + 1] < offsets[i]
+                || offsets[i + 1] - offsets[i] > UINT32_MAX)
+            return BAD_ORDER;
+    int64_t *claim = claim_order(levels, offsets);
+    if (!claim)
+        return ALLOC_FAILED;
     Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
-               .pool = pool, .cores = cores, .levels = levels, .ks = meta,
-               .bounds = meta + levels, .edges = edges, .out = out, .rows = rows};
-    atomic_init(&r.next, 1);  /* the caller holds level 0 */
+               .pool = pool, .cores = cores, .levels = levels, .ks = ks,
+               .offsets = offsets, .us = us, .vs = vs, .claim = claim,
+               .out = out, .rows = rows};
+    atomic_init(&r.next, 1);  /* the caller holds the heaviest level */
     atomic_init(&r.used, 0);
     int64_t want = helpers_wanted < MAX_HELPERS ? helpers_wanted : MAX_HELPERS;
     if (want > 0) {
@@ -668,22 +739,59 @@ void cm_run_levels(int insert, int64_t n, const int64_t *starts,
             pthread_cond_wait(&idle, &lock);
         pthread_mutex_unlock(&lock);
     }
+    free(claim);
+    int64_t total = 0;
+    for (int64_t i = 0; i < levels; i++) {
+        if (rows[i * ROW + R_COUNT] < 0)
+            return rows[i * ROW + R_COUNT];
+        total += rows[i * ROW + R_COUNT];
+    }
+    /* the levels wrote their ids as they finished; lay them out in level
+       order through the caller's order list, free now and (the caller
+       having run a level) grown to n */
+    int32_t *laid = caller->a.order;
+    for (int64_t i = 0, at = 0; i < levels; i++) {
+        int64_t *row = rows + i * ROW;
+        memcpy(laid + at, out + row[R_OFFSET],
+               (size_t)row[R_COUNT] * sizeof *out);
+        row[R_OFFSET] = at;
+        at += row[R_COUNT];
+    }
+    memcpy(out, laid, (size_t)total * sizeof *out);
+    return total;
 }
 
 /* ------------------------------------------------------------------
    round planning and edge removal */
 
-enum { PENDING = 0, SELECTED = 1 };
+/* The level of pair j: its lower endpoint core. */
+static int32_t pair_level(const int32_t *us, const int32_t *vs,
+                          const int32_t *cores, int64_t j)
+{
+    int32_t cu = cores[us[j]], cv = cores[vs[j]];
+    return cu < cv ? cu : cv;
+}
 
-/* plan_round's greedy scan over the m live pairs (us, vs) in canonical
-   order; cores covers the n vertices.  A pair is left pending when one of
-   its endpoints sits at the pair's level (the lower endpoint core) and is
-   already covered by an earlier selection; otherwise it is selected and
-   covers each endpoint at its level.  Writes status[j]; returns 0,
-   BAD_ENDPOINT, or ALLOC_FAILED when the covered marks cannot be
-   allocated. */
-int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
-                 const int32_t *cores, int64_t n, int8_t *status)
+/* plan_round's scan over the m pairs (us, vs), in canonical order, of
+   which those marked alive are live; cores covers the n vertices.  A live
+   pair at level hold is left pending, and one at level free_level is
+   selected.  Any other is left pending when one of its endpoints sits at
+   the pair's level (the lower endpoint core) and is already covered by an
+   earlier selection; otherwise it is selected and covers each endpoint at
+   its level.  Writes the selected pairs' indices, ascending, to picked,
+   and the round as a flat plan: its levels, ascending, to ks, their
+   offsets (one more than the levels) to offsets, and the selected pairs,
+   grouped by level in canonical order within each, to pus and pvs (each
+   with room for m entries, offsets for m + 1).  tally[0] and tally[1]
+   receive the lowest and highest level of a pending live pair, or -1, and
+   tally[2] the selected count.  Returns the level count; BAD_ENDPOINT, or
+   ALLOC_FAILED when the scan's marks cannot be allocated, having written
+   only to the outputs. */
+int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
+                     const uint8_t *alive, const int32_t *cores, int64_t n,
+                     int64_t hold, int64_t free_level, int64_t *picked,
+                     int64_t *ks, int64_t *offsets, int32_t *pus,
+                     int32_t *pvs, int64_t *tally)
 {
     if (!in_range(m, us, vs, n))
         return BAD_ENDPOINT;
@@ -692,41 +800,61 @@ int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
         return ALLOC_FAILED;
     for (int64_t j = 0; j < m; j++)  /* only endpoint marks are read */
         covered[us[j]] = covered[vs[j]] = 0;
+    int64_t s = 0;
+    int32_t lo = INT32_MAX, hi = -1;  /* the selected levels' range */
+    tally[0] = tally[1] = -1;
     for (int64_t j = 0; j < m; j++) {
+        if (!alive[j])
+            continue;
         int32_t u = us[j], v = vs[j], cu = cores[u], cv = cores[v];
         int32_t k = cu < cv ? cu : cv;
-        if ((cu == k && covered[u]) || (cv == k && covered[v])) {
-            status[j] = PENDING;
-        } else {
-            status[j] = SELECTED;
-            if (cu == k)
-                covered[u] = 1;
-            if (cv == k)
-                covered[v] = 1;
+        if (k == hold || (k != free_level && ((cu == k && covered[u])
+                                              || (cv == k && covered[v])))) {
+            if (tally[1] < 0 || k < tally[0])
+                tally[0] = k;
+            if (k > tally[1])
+                tally[1] = k;
+            continue;
         }
+        picked[s++] = j;
+        if (cu == k)
+            covered[u] = 1;
+        if (cv == k)
+            covered[v] = 1;
+        if (k < lo)
+            lo = k;
+        if (k > hi)
+            hi = k;
     }
     free(covered);
-    return 0;
-}
-
-/* Is x among the c ascending values t? */
-static int contains(const int32_t *t, int64_t c, int32_t x)
-{
-    if (c <= 8) {  /* most sources lose one or two entries a round */
-        int hit = 0;
-        for (int64_t i = 0; i < c; i++)
-            hit |= t[i] == x;
-        return hit;
+    tally[2] = s;
+    offsets[0] = 0;
+    if (!s)
+        return 0;
+    /* a stable counting sort of the selected pairs by level */
+    int64_t *at = calloc((size_t)(hi - lo) + 1, sizeof *at);
+    if (!at)
+        return ALLOC_FAILED;
+    for (int64_t i = 0; i < s; i++)
+        at[pair_level(us, vs, cores, picked[i]) - lo]++;
+    int64_t levels = 0, sum = 0;
+    for (int64_t b = 0; b <= hi - lo; b++) {
+        if (!at[b])
+            continue;
+        int64_t here = at[b];
+        at[b] = sum;
+        sum += here;
+        ks[levels++] = lo + b;
+        offsets[levels] = sum;
     }
-    int64_t lo = 0, hi = c;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (t[mid] < x)
-            lo = mid + 1;
-        else
-            hi = mid;
+    for (int64_t i = 0; i < s; i++) {
+        int64_t j = picked[i];
+        int64_t p = at[pair_level(us, vs, cores, j) - lo]++;
+        pus[p] = us[j];
+        pvs[p] = vs[j];
     }
-    return lo < c && t[lo] == x;
+    free(at);
+    return levels;
 }
 
 /* End of the group of equal sources that starts at i. */
@@ -754,53 +882,42 @@ static void restore_blocks(const int32_t *src, int64_t stop,
     }
 }
 
-/* Removes the m directed entries (src[i], dst[i]) from the adjacency
-   blocks of the n vertices.  The pairs come grouped by ascending source,
-   with ascending targets in each group.  Each touched block is compacted in
-   place, in one scan that also copies it to an undo buffer, and keeps the
-   order of its remaining entries; a block that lacks a target puts back
-   every block touched so far.  Returns 0; or, leaving lens and pool as
-   they were, BAD_ENDPOINT, BAD_ORDER if the pairs are not in that order
-   (checked before repeats), NOT_EDGES unless they are distinct entries of
-   the blocks, or ALLOC_FAILED when the undo buffer cannot be allocated. */
-int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
-                    int64_t n, const int64_t *starts, int32_t *lens,
-                    int32_t *pool)
+/* Removes the m directed entries (src[i], dst[i]), grouped by ascending
+   source, as cm_remove_edges says; each group marks its targets in mark
+   (all 0, and left so). */
+static int remove_grouped(int64_t m, const int32_t *src, const int32_t *dst,
+                          const int64_t *starts, int32_t *lens,
+                          int32_t *pool, uint8_t *mark)
 {
-    if (!in_range(m, src, dst, n))
-        return BAD_ENDPOINT;
-    int repeated = 0;
     int64_t total = 0;  /* entries of the touched blocks */
     for (int64_t i = 0, e; i < m; i = e) {
         e = group_end(src, m, i);
-        if (i && src[i - 1] > src[i])
-            return BAD_ORDER;
-        for (int64_t j = i + 1; j < e; j++) {
-            if (dst[j] < dst[j - 1])
-                return BAD_ORDER;
-            repeated |= dst[j] == dst[j - 1];
-        }
         total += lens[src[i]];
     }
-    if (repeated)
-        return NOT_EDGES;
     int32_t *undo = malloc(total ? (size_t)total * sizeof *undo : 1);
     if (!undo)
         return ALLOC_FAILED;
     int32_t *copy = undo;
     for (int64_t i = 0, e; i < m; i = e) {
         e = group_end(src, m, i);
+        int repeated = 0;
+        for (int64_t j = i; j < e; j++) {
+            repeated |= mark[dst[j]];
+            mark[dst[j]] = 1;
+        }
         int32_t *nb = pool + starts[src[i]];
-        int32_t len = lens[src[i]], kept = 0;
+        int32_t len = repeated ? 0 : lens[src[i]], kept = 0;
         for (int32_t s = 0; s < len; s++) {
             int32_t x = nb[s];
             copy[s] = x;
-            if (!contains(dst + i, e - i, x))
+            if (!mark[x])
                 nb[kept++] = x;
         }
+        for (int64_t j = i; j < e; j++)
+            mark[dst[j]] = 0;
         /* block entries are distinct, so losing e - i of them means every
            target was present */
-        if (len - kept != e - i) {
+        if (repeated || len - kept != e - i) {
             memcpy(nb, copy, (size_t)len * sizeof *copy);
             restore_blocks(src, i, starts, lens, pool, undo);
             free(undo);
@@ -813,8 +930,47 @@ int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
     return 0;
 }
 
-/* out[i] = is vs[i] in the block of us[i], for the m pairs over the n
-   vertices.  Returns 0, or BAD_ENDPOINT, writing nothing. */
+/* Removes the m edges {us[i], vs[i]} from the adjacency blocks of the n
+   vertices: both directed entries of each, grouped by ascending source
+   (a sort of the sources alone, which keeps each block's targets in their
+   input order), which arena o's visited slots mark in turn.  Each touched
+   block is compacted in place, in one scan that also copies it to an undo
+   buffer, and keeps the order of its remaining entries; a block that
+   lacks a target, or a target given twice, puts back every block touched
+   so far.  Returns 0; or, leaving lens and pool as they were,
+   BAD_ENDPOINT, NOT_EDGES unless the pairs are distinct edges of the
+   blocks, or ALLOC_FAILED when o or a buffer cannot be grown. */
+int cm_remove_edges(int64_t m, const int32_t *us, const int32_t *vs,
+                    int64_t n, const int64_t *starts, int32_t *lens,
+                    int32_t *pool, OwnArena *o)
+{
+    if (!in_range(m, us, vs, n))
+        return BAD_ENDPOINT;
+    if (own_fit(o, n))
+        return ALLOC_FAILED;
+    int64_t e = 2 * m;  /* directed entries */
+    uint64_t *keys = malloc(e ? 2 * (size_t)e * sizeof *keys : 1);
+    if (!keys)
+        return ALLOC_FAILED;
+    for (int64_t i = 0; i < m; i++) {
+        keys[2 * i] = (uint64_t)us[i] << 32 | (uint64_t)vs[i];
+        keys[2 * i + 1] = (uint64_t)vs[i] << 32 | (uint64_t)us[i];
+    }
+    radix_sort(keys, keys + e, e, 4);
+    int32_t *src = (int32_t *)(keys + e), *dst = src + e;  /* the scratch */
+    for (int64_t i = 0; i < e; i++) {
+        src[i] = (int32_t)(keys[i] >> 32);
+        dst[i] = (int32_t)(keys[i] & UINT32_MAX);
+    }
+    int code = remove_grouped(e, src, dst, starts, lens, pool,
+                              o->a.visited);
+    free(keys);
+    return code;
+}
+
+/* out[i] = is {us[i], vs[i]} an edge, for the m pairs over the n vertices:
+   is the one endpoint in the block of the other, the shorter block (that
+   of us[i] on a tie)?  Returns 0, or BAD_ENDPOINT, writing nothing. */
 int cm_has_edges(int64_t m, const int32_t *us, const int32_t *vs, int64_t n,
                  const int64_t *starts, const int32_t *lens,
                  const int32_t *pool, uint8_t *out)
@@ -822,8 +978,13 @@ int cm_has_edges(int64_t m, const int32_t *us, const int32_t *vs, int64_t n,
     if (!in_range(m, us, vs, n))
         return BAD_ENDPOINT;
     for (int64_t i = 0; i < m; i++) {
-        const int32_t *nb = pool + starts[us[i]];
-        int32_t v = vs[i], len = lens[us[i]], s = 0;
+        int32_t u = us[i], v = vs[i];
+        if (lens[v] < lens[u]) {
+            u = vs[i];
+            v = us[i];
+        }
+        const int32_t *nb = pool + starts[u];
+        int32_t len = lens[u], s = 0;
         while (s < len && nb[s] != v)
             s++;
         out[i] = s < len;

@@ -3,12 +3,15 @@
 It keeps the backend contract described in ``_kernels_py``.
 
 Importing this module compiles the C file with the system C compiler
-(``cc``, with ``-pthread``) into ``__pycache__/`` next to it, keyed by a
-hash of the source and flags, and opens the shared library with
-``cffi.FFI.dlopen``; a new build deletes the builds of earlier sources
-there.  A failed build, or a missing ``cffi``, raises ImportError with the
-reason, and ``kernels`` then falls back to the pure-Python lane.  cffi
-releases the GIL for the duration of each foreign call.
+(``cc``, with ``-pthread``) into ``__pycache__/`` next to it and opens the
+shared library with ``cffi.FFI.dlopen``.  A build is named by a CRC-32 of
+the source and flags and kept beside an exact copy of both, so a build is
+loaded only if its copy matches byte for byte, and a new build deletes the
+builds of earlier sources there.  (A CRC from ``zlib`` names it:
+``hashlib`` would map OpenSSL's libcrypto into every process.)  A failed
+build, or a missing ``cffi``, raises ImportError with the reason, and
+``kernels`` then falls back to the pure-Python lane.  cffi releases the
+GIL for the duration of each foreign call.
 
 ``run_levels`` is the only way into the level kernels: it runs all level
 tasks of a round in one foreign call, the calling thread taking the
@@ -16,31 +19,40 @@ heaviest level and, with up to ``min(workers, levels) - 1`` helper
 threads of the C code, the rest.  The helpers start on first need and
 serve every later round of the process.  ``insert_level`` and
 ``delete_level`` are one-level rounds on the calling thread.  The C code
-owns every arena and grows it; a level task allocates nothing else.  This
-module only holds each calling thread's arena as an opaque handle, freed
-with the thread.
+owns every arena and grows it; a level task allocates nothing else, and
+``remove_edges`` borrows the calling thread's arena to chain its entries
+by source.  This module only holds each calling thread's arena as an
+opaque handle, freed with the thread, and the buffer the round writes its
+moved ids to.
 
-Every entry point checks dtypes, contiguity and lengths (``parse_pairs``:
-that it was given ``bytes``) before it calls into C; the C code checks
-that every vertex id it is given lies in 0..n-1, and that every edge of a
-level lies at that level, before it writes anything.  The adjacency
-contents themselves (pool entries, block extents) are trusted: ``Graph``
-keeps them consistent.
+Each layer of a round is one foreign call, and the round's flat plan
+crosses as the arrays ``plan_scan`` returned.  Every entry point checks
+dtypes, contiguity and lengths (``parse_pairs``: that it was given
+``bytes``) before it calls into C.  The long-lived arrays (a graph's
+``starts``, ``lens`` and ``pool``, and the cores) are checked and given a
+C pointer once per array object: ``_held`` keeps, per argument name, the
+last array seen and its pointer, and holds that array so its memory
+cannot move or be freed; a replaced array (a grown pool, a relocated
+block table, a padded core map) is a new object and is checked again.
+The C code checks that every vertex id it is given lies in 0..n-1, that
+a round's levels ascend with offsets that fit its pairs, and that every
+pair of a level lies at that level, before it writes anything.  The
+adjacency contents themselves (pool entries, block extents) are trusted:
+``Graph`` keeps them consistent.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import subprocess
 import threading
-from itertools import accumulate
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from ._kernels_py import (LevelTaskError, _check_len, _check_round,
-                          _claim_order)
+from ._kernels_py import (_ORDER, COUNT, COUNTERS, OFFSET, ROW,
+                          LevelTaskError, _check_len, _check_round)
 
 try:
     import cffi
@@ -55,8 +67,6 @@ _FLAGS = ("-std=c11", "-O3", "-shared", "-fPIC", "-pthread")
 # return codes of the C entry points (``_error`` maps the errors)
 _ALLOC_FAILED, _BAD_ORDER, _BAD_ENDPOINT, _NOT_EDGES = -1, -2, -3, -4
 _NOT_MINE, _BAD_LEVEL = -5, -6
-_ROW = 11  # int64 per level row of cm_run_levels: count, offset, 5
-           # counters, wall ns, CPU ns, worker slot, peel survivors
 
 
 def _compile(source: Path, target: Path):
@@ -72,23 +82,41 @@ def _compile(source: Path, target: Path):
 
 
 def _remove_stale(current: Path):
-    """Delete the other builds next to ``current``, best effort."""
-    for old in current.parent.glob("_kernels.*.so"):
-        if old != current:
+    """Delete the other builds next to ``current``, and their copies of
+    the source, best effort."""
+    for old in [*current.parent.glob("_kernels.*.so"),
+                *current.parent.glob("_kernels.*.src")]:
+        if old.stem != current.stem:
             try:
                 old.unlink()
             except OSError:
                 pass
 
 
-def _load(ffi: cffi.FFI):
-    source = _SOURCE.read_bytes()
-    tag = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
-    target = _CACHE / f"_kernels.{tag}.so"
+def _write(target: Path, data: bytes):
+    """Write ``data`` to ``target`` through a temporary name."""
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
-        if not target.exists():
+        tmp.write_bytes(data)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load(ffi: cffi.FFI):
+    """Open the build of the current source, compiling it first unless
+    the copy of the source and flags beside it matches them exactly.  The
+    library is replaced before its copy, so a copy never vouches for an
+    older library."""
+    recipe = _SOURCE.read_bytes() + " ".join(_FLAGS).encode()
+    target = _CACHE / f"_kernels.{zlib.crc32(recipe):08x}.so"
+    built = target.with_suffix(".src")
+    try:
+        if not (target.exists() and built.exists()
+                and built.read_bytes() == recipe):
             _CACHE.mkdir(exist_ok=True)
             _compile(_SOURCE, target)
+            _write(built, recipe)
             _remove_stale(target)
         return ffi.dlopen(str(target))
     except subprocess.CalledProcessError as exc:
@@ -113,17 +141,21 @@ typedef struct {
 void cm_arena_drop(OwnArena *o);
 int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
             const int32_t *pool, int32_t *out);
-void cm_run_levels(int insert, int64_t n, const int64_t *starts,
-                   const int32_t *lens, const int32_t *pool,
-                   const int32_t *cores, int64_t levels,
-                   const int64_t *meta, const int32_t *edges,
-                   int64_t helpers_wanted, OwnArena *caller, int32_t *out,
-                   int64_t *rows);
-int cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
-                 const int32_t *cores, int64_t n, int8_t *status);
-int cm_remove_edges(int64_t m, const int32_t *src, const int32_t *dst,
+int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
+                      const int32_t *lens, const int32_t *pool,
+                      const int32_t *cores, int64_t levels,
+                      const int64_t *ks, const int64_t *offsets, int64_t m,
+                      const int32_t *us, const int32_t *vs,
+                      int64_t helpers_wanted, OwnArena *caller, int32_t *out,
+                      int64_t *rows);
+int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
+                     const uint8_t *alive, const int32_t *cores, int64_t n,
+                     int64_t hold, int64_t free_level, int64_t *picked,
+                     int64_t *ks, int64_t *offsets, int32_t *pus,
+                     int32_t *pvs, int64_t *tally);
+int cm_remove_edges(int64_t m, const int32_t *us, const int32_t *vs,
                     int64_t n, const int64_t *starts, int32_t *lens,
-                    int32_t *pool);
+                    int32_t *pool, OwnArena *o);
 int cm_has_edges(int64_t m, const int32_t *us, const int32_t *vs, int64_t n,
                  const int64_t *starts, const int32_t *lens,
                  const int32_t *pool, uint8_t *out);
@@ -132,19 +164,27 @@ int64_t cm_parse_pairs(const char *data, int64_t len, int64_t *out,
 """)
 _lib = _load(_ffi)
 _buf = _ffi.from_buffer
-_I64, _I32 = np.dtype(np.int64), np.dtype(np.int32)
-_CTYPES = {_I64: "int64_t[]", _I32: "int32_t[]"}
+_I64, _I32, _BOOL = np.dtype(np.int64), np.dtype(np.int32), np.dtype(bool)
+_CTYPES = {dtype: _ffi.typeof(name) for dtype, name in (
+    (_I64, "int64_t[]"), (_I32, "int32_t[]"), (_BOOL, "uint8_t[]"))}
 
 
 class _Thread(threading.local):
     """``arena``: the calling thread's level-kernel arena, which the C code
-    grows and resets; freed with the thread."""
+    grows and resets; freed with the thread.  ``out``: the buffer its
+    rounds write their moved ids to, grown to the graph, with its
+    pointer."""
 
     def __init__(self):
         self.arena = _ffi.gc(_ffi.new("OwnArena *"), _lib.cm_arena_drop)
+        self.out = np.zeros(0, dtype=np.int32)
+        self.out_ptr = _buf(_CTYPES[_I32], self.out)
 
 
 _threads = _Thread()
+# argument name -> (the last array seen as it, its pointer); "graph" ->
+# ((starts, lens, pool), (n, their pointers))
+_held_ptrs: dict[str, tuple] = {}
 
 
 def _check_array(name: str, a, dtype, length: int | None = None):
@@ -165,10 +205,28 @@ def _ptr(name: str, a, dtype, length: int | None = None):
     return _buf(_CTYPES[dtype], a)
 
 
+def _held(name: str, a, dtype, length: int | None = None):
+    """``_ptr`` for an array that crosses more than once: checked and
+    pointed to once per array object seen as argument ``name`` (the module
+    docstring); its length is checked on every call."""
+    seen = _held_ptrs.get(name)
+    if seen is None or seen[0] is not a:
+        seen = _held_ptrs[name] = (a, _ptr(name, a, dtype))
+    if length is not None:
+        _check_len(name, a, length)
+    return seen[1]
+
+
 def _graph_ptrs(starts, lens, pool):
-    n = len(starts)
-    return (n, _ptr("starts", starts, _I64), _ptr("lens", lens, _I32, n),
-            _ptr("pool", pool, _I32))
+    """(n, starts, lens, pool pointers), made once per array triple."""
+    seen = _held_ptrs.get("graph")
+    if seen is None or any(a is not b for a, b in zip(seen[0],
+                                                      (starts, lens, pool))):
+        n = len(starts)
+        seen = _held_ptrs["graph"] = ((starts, lens, pool), (
+            n, _ptr("starts", starts, _I64), _ptr("lens", lens, _I32, n),
+            _ptr("pool", pool, _I32)))
+    return seen[1]
 
 
 def _error(code: int, call: str, n: int, k: int | None = None) -> Exception:
@@ -177,8 +235,7 @@ def _error(code: int, call: str, n: int, k: int | None = None) -> Exception:
     if code == _ALLOC_FAILED:
         return MemoryError(f"{call} allocation failed")
     if code == _BAD_ORDER:
-        return ValueError("pairs to remove must be grouped by ascending "
-                          "source with ascending targets")
+        return ValueError(_ORDER)
     if code == _BAD_ENDPOINT:
         return ValueError(f"edge endpoint outside 0..{n - 1}")
     if code == _NOT_EDGES:
@@ -190,7 +247,7 @@ def _error(code: int, call: str, n: int, k: int | None = None) -> Exception:
 
 
 def _check_return(code: int, call: str, n: int):
-    if code:
+    if code < 0:
         raise _error(code, call, n)
 
 
@@ -202,7 +259,7 @@ def peel_kernel(n, starts, lens, pool):
                          f"expected {n}")
     cores = np.zeros(n, dtype=np.int32)
     if n:
-        _check_return(_lib.cm_peel(n, *graph, _buf("int32_t[]", cores)),
+        _check_return(_lib.cm_peel(n, *graph, _buf(_CTYPES[_I32], cores)),
                       "peel_kernel", n)
     return cores
 
@@ -210,11 +267,13 @@ def peel_kernel(n, starts, lens, pool):
 def _one_level(mode, starts, lens, pool, cores, k, eu, ev):
     """Level k alone, as a one-level round on the calling thread."""
     try:
-        (_, moved, counters, *_), = run_levels(
-            mode, starts, lens, pool, cores, {k: (eu, ev)}, 1)
+        moved, rows = run_levels(mode, starts, lens, pool, cores,
+                                 np.array([k], dtype=np.int64),
+                                 np.array([0, len(eu)], dtype=np.int64),
+                                 eu, ev, 1)
     except LevelTaskError as exc:
         raise exc.__cause__ from None
-    return moved, counters
+    return moved, tuple(rows[0, COUNTERS].tolist())
 
 
 def insert_level(starts, lens, pool, cores, k, eu, ev):
@@ -227,63 +286,82 @@ def delete_level(starts, lens, pool, cores, k, eu, ev):
     return _one_level("delete", starts, lens, pool, cores, k, eu, ev)
 
 
-def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
+def _out_buffer(n: int):
+    """The calling thread's moved-id buffer and its pointer, grown to
+    hold ``n`` ids."""
+    t = _threads
+    if len(t.out) < n:
+        t.out = np.empty(max(n, 2 * len(t.out)), dtype=np.int32)
+        t.out_ptr = _buf(_CTYPES[_I32], t.out)
+    return t.out, t.out_ptr
+
+
+def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
+               workers):
     """As ``_kernels_py.run_levels``, in one foreign call: the calling
     thread runs the heaviest level, and it and up to ``min(workers,
-    levels) - 1`` helper threads claim the rest."""
+    levels) - 1`` helper threads claim the rest.  Each level's ids are
+    sorted here, once the call has returned."""
     _check_round(mode, workers)
     n, *graph = _graph_ptrs(starts, lens, pool)
-    cores_ptr = _ptr("cores", cores, _I32, n)
-    ks = _claim_order(level_edges)
-    if not ks:
-        return []
-    for k in ks:
-        eu, ev = level_edges[k]
-        try:
-            _check_array("eu", eu, _I32)
-            _check_array("ev", ev, _I32, len(eu))
-        except (TypeError, ValueError) as exc:
-            raise LevelTaskError(k, exc) from exc
-    parts = [a for k in ks for a in level_edges[k]]
-    # the levels, then their edge offsets; each level's eu, then its ev
-    meta = np.array([*ks, 0, *accumulate(map(len, parts[::2]))],
-                    dtype=np.int64)
-    edges = np.concatenate(parts)
-    rows = np.zeros((len(ks), _ROW), dtype=np.int64)
-    out = np.empty(n, dtype=np.int32)
-    _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr,
-                       len(ks), _buf("int64_t[]", meta),
-                       _buf("int32_t[]", edges),
-                       min(workers, len(ks)) - 1, _threads.arena,
-                       _buf("int32_t[]", out), _buf("int64_t[]", rows))
-    table = rows.tolist()
-    failed = [i for i, row in enumerate(table) if row[0] < 0]
-    if failed:
-        i = failed[0]
-        exc = _error(table[i][0], "level kernel", n, ks[i])
-        raise LevelTaskError(ks[i], exc) from exc
-    return [(k, np.sort(out[row[1]:row[1] + row[0]]), tuple(row[2:7]),
-             row[7], row[8], row[9], row[10])
-            for k, row in sorted(zip(ks, table))]
+    cores_ptr = _held("cores", cores, _I32, n)
+    levels, m = len(ks), len(us)
+    args = (levels, _held("ks", ks, _I64), _held("offsets", offsets, _I64,
+                                                 levels + 1),
+            m, _held("us", us, _I32), _held("vs", vs, _I32, m))
+    rows = np.empty((levels, ROW), dtype=np.int64)
+    if not levels:
+        if len(us) or offsets[0]:
+            raise ValueError(_ORDER)
+        return np.zeros(0, dtype=np.int32), rows
+    out, out_ptr = _out_buffer(n)
+    total = _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr,
+                               *args, min(workers, levels) - 1,
+                               _threads.arena, out_ptr,
+                               _buf(_CTYPES[_I64], rows))
+    if total < 0:
+        failed = (rows[:, COUNT] < 0).nonzero()[0]
+        if not len(failed):
+            raise _error(total, "run_levels", n)
+        k = int(ks[failed[0]])
+        exc = _error(int(rows[failed[0], COUNT]), "level kernel", n, k)
+        raise LevelTaskError(k, exc) from exc
+    moved = out[:total].copy()
+    if total > 1:
+        for row in rows.tolist():
+            if row[COUNT] > 1:
+                moved[row[OFFSET]:row[OFFSET] + row[COUNT]].sort()
+    return moved, rows
 
 
-def plan_scan(us, vs, cores):
-    """As ``_kernels_py.plan_scan``."""
+def plan_scan(us, vs, alive, cores, hold=-1, free=-1):
+    """As ``_kernels_py.plan_scan``.  The flat plan's pointers are kept
+    for the calls that read it (``_held``)."""
     m = len(us)
-    args = (m, _ptr("us", us, _I32), _ptr("vs", vs, _I32, m),
-            _ptr("cores", cores, _I32), len(cores))
-    status = np.empty(m, dtype=np.int8)
-    _check_return(_lib.cm_plan_scan(*args, _buf("int8_t[]", status)),
-                  "plan_scan", len(cores))
-    return status
+    args = (m, _held("us", us, _I32), _held("vs", vs, _I32, m),
+            _ptr("alive", alive, _BOOL, m), _held("cores", cores, _I32),
+            len(cores), hold, free)
+    # picked, ks, offsets and the tally share one buffer; the pairs another
+    index = np.empty(3 * m + 4, dtype=np.int64)
+    ids = np.empty(2 * m, dtype=np.int32)
+    at, pairs = _buf(_CTYPES[_I64], index), _buf(_CTYPES[_I32], ids)
+    ptrs = (at + m, at + 2 * m, pairs, pairs + m)
+    levels = _lib.cm_plan_scan(*args, at, *ptrs, at + 3 * m + 1)
+    _check_return(levels, "plan_scan", len(cores))
+    *waiting, s = index[3 * m + 1:].tolist()
+    plan = (index[m:m + levels], index[2 * m:2 * m + levels + 1], ids[:s],
+            ids[m:m + s])
+    _held_ptrs.update(zip(("ks", "offsets", "us", "vs"), zip(plan, ptrs)))
+    return (index[:s], *plan, tuple(waiting))
 
 
-def remove_edges(starts, lens, pool, src, dst):
+def remove_edges(starts, lens, pool, us, vs):
     """As ``_kernels_py.remove_edges``."""
     n, *graph = _graph_ptrs(starts, lens, pool)
-    m = len(src)
-    _check_return(_lib.cm_remove_edges(m, _ptr("src", src, _I32),
-                                       _ptr("dst", dst, _I32, m), n, *graph),
+    m = len(us)
+    _check_return(_lib.cm_remove_edges(m, _held("us", us, _I32),
+                                       _held("vs", vs, _I32, m), n, *graph,
+                                       _threads.arena),
                   "remove_edges", n)
 
 
@@ -291,9 +369,9 @@ def has_edges(starts, lens, pool, us, vs):
     """As ``_kernels_py.has_edges``."""
     n, *graph = _graph_ptrs(starts, lens, pool)
     m = len(us)
-    args = (m, _ptr("us", us, _I32), _ptr("vs", vs, _I32, m), n, *graph)
+    args = (m, _held("us", us, _I32), _held("vs", vs, _I32, m), n, *graph)
     out = np.empty(m, dtype=np.bool_)
-    _check_return(_lib.cm_has_edges(*args, _buf("uint8_t[]", out)),
+    _check_return(_lib.cm_has_edges(*args, _buf(_CTYPES[_BOOL], out)),
                   "has_edges", n)
     return out
 

@@ -8,21 +8,34 @@ A kernel backend is a module with eight functions:
   the vertices of core level k whose core rises (falls) once the level's
   edges (eu, ev) are in (out of) the adjacency arrays, as (ascending id
   array, counter tuple).  A failed call raises the level's own error.
-- ``run_levels(mode, starts, lens, pool, cores, level_edges, workers)``:
-  the level task of every level of one round, at most ``workers`` at a
-  time (rows as described at its definition below); every insert task
-  ends with a peel of its risers (``riser_peel``).  A failed level raises
-  ``LevelTaskError`` naming it, once no level of the round is running;
-  an interrupt propagates as it is.
-- ``plan_scan(us, vs, cores)``: the round planner's greedy scan.
-- ``remove_edges(starts, lens, pool, src, dst)``: edge removal from the
+- ``run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
+  workers)``: the level task of every level of one round given as a flat
+  plan (below), at most ``workers`` at a time; every insert task ends
+  with a peel of its risers (``riser_peel``).  Returns one moved-id array
+  and one row per level (as described at its definition below).  A
+  failed level raises ``LevelTaskError`` naming it, once no level of the
+  round is running; an interrupt propagates as it is.
+- ``plan_scan(us, vs, alive, cores, hold=-1, free=-1)``: the round
+  planner's greedy scan over a batch's live pairs, returning the round as
+  a flat plan.
+- ``remove_edges(starts, lens, pool, us, vs)``: edge removal from the
   adjacency blocks, in place; a rejected removal leaves ``lens`` and
-  ``pool`` byte-identical.  The compiled lane validates and compacts each
-  touched block in the same scan, copying it to an undo buffer first, and
-  puts back every block it touched when one lacks a target; when that
-  buffer cannot be allocated it raises MemoryError, writing nothing.
+  ``pool`` byte-identical.  The compiled lane chains the directed entries
+  by source in the calling thread's arena (no sort), validates and
+  compacts each touched block in the same scan, copying it to an undo
+  buffer first, and puts back every block it touched when one lacks a
+  target; when a buffer cannot be allocated it raises MemoryError,
+  writing nothing.
 - ``has_edges(starts, lens, pool, us, vs)``: edge lookup.
 - ``parse_pairs(data)``: the edge-list reader for its plain subset.
+
+A round's flat plan is four arrays: ``ks``, its levels ascending (int64);
+``offsets``, one more than the levels, rising from 0 to the pair count
+(int64); and ``us``, ``vs``, the round's pairs (int32), level i's being
+those at positions ``offsets[i]`` to ``offsets[i + 1] - 1``, in canonical
+order within a level.  ``plan_scan`` returns it, and the engine hands the
+same arrays to ``Graph``'s mutation and to ``run_levels``, with no
+repacking between layers.
 
 Every backend has the same signatures and produces identical results
 *and* counters, and every backend raises ValueError for the same bad
@@ -51,7 +64,11 @@ import numpy as np
 
 NAME = "python"
 
-PENDING, SELECTED = 0, 1  # plan_scan status per pair
+# the columns of a run_levels row (int64)
+LEVEL, COUNT, OFFSET, COUNTERS = 0, 1, 2, slice(3, 8)
+WALL, CPU, WORKER, SURVIVORS, ROW = 8, 9, 10, 11, 12
+_ORDER = ("levels must ascend, with offsets rising from 0 to the pair "
+          "count")
 _PLAIN_BYTES = b"0123456789 \t\r\n"  # what parse_pairs reads outside comments
 
 
@@ -383,96 +400,144 @@ def riser_peel(starts, lens, pool, cores, k, risers) -> int:
     return len(support) - len(gone)
 
 
-def _claim_order(level_edges) -> list[int]:
-    """The levels heaviest first (most edges), ties by ascending level."""
-    return sorted(level_edges, key=lambda k: (-len(level_edges[k][0]), k))
+def _check_plan(ks, offsets, us, vs):
+    """The checks of a flat plan (module docstring), as lists."""
+    _check_len("offsets", offsets, len(ks) + 1)
+    _check_len("vs", vs, len(us))
+    ks, offsets = ks.tolist(), offsets.tolist()
+    if (offsets[0] or offsets[-1] != len(us)
+            or any(b < a for a, b in zip(offsets, offsets[1:]))
+            or any(b <= a for a, b in zip(ks, ks[1:]))
+            or (ks and (ks[0] < 0 or ks[-1] >= 1 << 31))):
+        raise ValueError(_ORDER)
+    return ks, offsets
 
 
-def run_levels(mode, starts, lens, pool, cores, level_edges, workers):
+def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
+               workers):
     """Run the level task of every level of a round: ``insert_level`` or
-    ``delete_level`` (``mode`` "insert" or "delete") on each level k of
-    ``level_edges`` (k -> (eu, ev)), with at most ``workers`` at a time.
-    An insert task ends with ``riser_peel`` over its moved ids; at a level
-    where the strict rule held, nothing survives (``batch``'s docstring).
+    ``delete_level`` (``mode`` "insert" or "delete") on each level ks[i]
+    with its pairs of the flat plan (module docstring), with at most
+    ``workers`` at a time.  An insert task ends with ``riser_peel`` over
+    its moved ids; at a level where the strict rule held, nothing survives
+    (``batch``'s docstring).
 
-    Returns, in ascending level order, one (level, moved ids, counter
-    tuple, wall ns, thread-CPU ns, worker slot, peel survivors) per level;
-    slot 0 is the calling thread, and a delete task has 0 survivors.  A
-    failed level raises ``LevelTaskError`` naming it, once no level is
-    running.  Here the levels run one after another on the calling
-    thread, heaviest first: the kernels hold the GIL.
+    Returns (moved, rows).  ``moved`` holds every level's moved ids, level
+    after level in ascending level order, each level's ascending.
+    ``rows`` is an int64 array with a row per level, in ascending level
+    order, whose columns are named above: the level, its moved count,
+    their offset in ``moved``, the five counters, the task's wall and
+    thread-CPU nanoseconds, its worker slot (0 is the calling thread), and
+    the survivors of its riser peel (0 for a delete task).  A failed level
+    raises ``LevelTaskError`` naming it (the lowest one, if several fail),
+    once no level is running.  Here the levels run one after another on
+    the calling thread, most pairs first, ties by ascending level: the
+    kernels hold the GIL.
     """
     _check_round(mode, workers)
     _check_len("lens", lens, len(starts))
     _check_len("cores", cores, len(starts))
+    ks, offsets = _check_plan(ks, offsets, us, vs)
     insert = mode == "insert"
     kernel = insert_level if insert else delete_level
-    rows = {}
-    for k in _claim_order(level_edges):
-        eu, ev = level_edges[k]
+    rows = np.zeros((len(ks), ROW), dtype=np.int64)
+    parts = [None] * len(ks)
+    failed = {}
+    for i in sorted(range(len(ks)),
+                    key=lambda i: (offsets[i] - offsets[i + 1], i)):
+        k, a, b = ks[i], offsets[i], offsets[i + 1]
         wall, cpu = time.perf_counter_ns(), time.thread_time_ns()
         try:
-            moved, counters = kernel(starts, lens, pool, cores, k, eu, ev)
+            moved, counters = kernel(starts, lens, pool, cores, k, us[a:b],
+                                     vs[a:b])
             survivors = (riser_peel(starts, lens, pool, cores, k, moved)
                          if insert else 0)
         except Exception as exc:
-            raise LevelTaskError(k, exc) from exc
-        rows[k] = (k, moved, counters, time.perf_counter_ns() - wall,
+            failed[i] = exc
+            continue
+        parts[i] = moved
+        rows[i] = (k, len(moved), 0, *counters,
+                   time.perf_counter_ns() - wall,
                    time.thread_time_ns() - cpu, 0, survivors)
-    return [rows[k] for k in sorted(rows)]
+    if failed:
+        i = min(failed)
+        raise LevelTaskError(ks[i], failed[i]) from failed[i]
+    counts = rows[:, COUNT]
+    rows[:, OFFSET] = np.cumsum(counts) - counts
+    return np.concatenate([np.zeros(0, np.int32), *parts]), rows
 
 
 # ----------------------------------------------------------------------
 # round planning and edge removal
 
 
-def plan_scan(us, vs, cores) -> np.ndarray:
-    """``plan_round``'s greedy scan, by its rule, over the live pairs
-    (us, vs) in canonical order under ``cores``.  Returns an int8 status
-    per pair: PENDING or SELECTED."""
+def plan_scan(us, vs, alive, cores, hold=-1, free=-1):
+    """``plan_round``'s greedy scan over the pairs (us, vs) marked
+    ``alive``, in canonical order, under ``cores``.  A live pair at level
+    ``hold`` waits and one at level ``free`` is taken; any other is taken
+    unless an endpoint at the pair's level (its lower endpoint core) is
+    covered by a pair taken before it, and a taken pair covers each
+    endpoint at its level.
+
+    Returns (picked, ks, offsets, us, vs, waiting): the taken pairs'
+    indices, ascending (int64); the round as a flat plan (module
+    docstring); and the lowest and highest level of a waiting live pair,
+    (-1, -1) when none waits."""
     m = len(us)
     _check_len("vs", vs, m)
+    _check_len("alive", alive, m)
     _check_endpoints(len(cores), us, vs)
-    status = [PENDING] * m
+    picked, levels, low, high = [], [], -1, -1
     covered: set[int] = set()
-    for j, (u, v, cu, cv) in enumerate(zip(
-            us.tolist(), vs.tolist(), cores[us].tolist(),
-            cores[vs].tolist())):
+    live = alive.nonzero()[0]
+    for j, u, v, cu, cv in zip(live.tolist(), us[live].tolist(),
+                               vs[live].tolist(), cores[us[live]].tolist(),
+                               cores[vs[live]].tolist()):
         k = cu if cu < cv else cv
-        if (cu == k and u in covered) or (cv == k and v in covered):
+        if k == hold or (k != free and ((cu == k and u in covered)
+                                        or (cv == k and v in covered))):
+            low = k if high < 0 else min(low, k)
+            high = max(high, k)
             continue
-        status[j] = SELECTED
+        picked.append(j)
+        levels.append(k)
         if cu == k:
             covered.add(u)
         if cv == k:
             covered.add(v)
-    return np.array(status, dtype=np.int8)
+    picked = np.array(picked, dtype=np.int64)
+    by_level = np.argsort(levels, kind="stable")
+    ks, counts = np.unique(levels, return_counts=True)
+    offsets = np.zeros(len(ks) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    chosen = picked[by_level]
+    return (picked, ks.astype(np.int64), offsets,
+            us[chosen].astype(np.int32), vs[chosen].astype(np.int32),
+            (low, high))
 
 
-def remove_edges(starts, lens, pool, src, dst):
-    """Remove the directed entries (src[i], dst[i]), grouped by ascending
-    source with ascending targets, compacting each touched block in place
-    and keeping the order of its remaining entries (``lens`` and ``pool``
-    are written).  Raises ValueError, writing nothing, unless they are
-    distinct entries of the blocks."""
+def remove_edges(starts, lens, pool, us, vs):
+    """Remove the edges {us[i], vs[i]}: both directed entries of each,
+    taken in order of source and target, compacting each touched block in
+    place and keeping the order of its remaining entries (``lens`` and
+    ``pool`` are written).  Raises ValueError, writing nothing, unless they
+    are distinct edges of the graph."""
     n = len(starts)
     _check_len("lens", lens, n)
-    m = len(src)
-    _check_len("dst", dst, m)
-    _check_endpoints(n, src, dst)
-    keys = src.astype(np.int64) * n + dst
-    step = keys[1:] - keys[:-1]
-    if (step < 0).any():
-        raise ValueError("pairs to remove must be grouped by ascending "
-                         "source with ascending targets")
-    touched = src[np.diff(src, prepend=-1) != 0].astype(np.int64)
+    m = len(us)
+    _check_len("vs", vs, m)
+    _check_endpoints(n, us, vs)
+    keys = np.sort(np.concatenate((us, vs), dtype=np.int64) * n
+                   + np.concatenate((vs, us)))
+    src, dst = np.divmod(keys, n)
+    touched = src[np.diff(src, prepend=-1) != 0]
     at = starts[touched]
     blens = lens[touched].astype(np.int64)
     slots = _block_slots(at, blens)
     slot_keys = (touched * n).repeat(blens) + pool[slots]
     pos = keys.searchsorted(slot_keys)
-    drop = keys[np.minimum(pos, m - 1)] == slot_keys
-    if (step == 0).any() or np.count_nonzero(drop) != m:
+    drop = keys[np.minimum(pos, 2 * m - 1)] == slot_keys
+    if (keys[1:] == keys[:-1]).any() or np.count_nonzero(drop) != 2 * m:
         raise ValueError("edges to remove must be distinct edges of the "
                          "graph")
     kept = blens - _segment_counts(drop, blens)
@@ -481,17 +546,20 @@ def remove_edges(starts, lens, pool, src, dst):
 
 
 def has_edges(starts, lens, pool, us, vs) -> np.ndarray:
-    """Bool mask over the pairs (us[i], vs[i]): is vs[i] in the block of
-    us[i]?  Raises ValueError unless every id lies in 0..len(starts)-1."""
+    """Bool mask over the pairs (us[i], vs[i]): is the one endpoint in the
+    block of the other?  The shorter block is searched, that of us[i] on a
+    tie.  Raises ValueError unless every id lies in 0..len(starts)-1."""
     n = len(starts)
     _check_len("lens", lens, n)
     m = len(us)
     _check_len("vs", vs, m)
     _check_endpoints(n, us, vs)
     us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    swap = lens[vs] < lens[us]
+    us, vs = np.where(swap, vs, us), np.where(swap, us, vs)
     blens = lens[us].astype(np.int64)
-    match = pool[_block_slots(starts[us], blens)] \
-        == np.asarray(vs, dtype=np.int64).repeat(blens)
+    match = pool[_block_slots(starts[us], blens)] == vs.repeat(blens)
     return _segment_counts(match, blens) > 0
 
 

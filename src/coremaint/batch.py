@@ -10,10 +10,12 @@ strict rule).  That restriction caps every vertex's core change at one
 per round, so the per-level sets can be processed concurrently.
 
 The strict selection is one greedy scan over the live pairs in canonical
-order, done by the kernel backend's ``plan_scan``.  The scan only marks
-each pair selected or pending; the plan is assembled here with numpy.
-Planning writes nothing: the engine marks a plan's pairs done once its
-round has committed.
+order, done by the kernel backend's ``plan_scan``, which also writes the
+plan itself: the selected pairs grouped by ascending level as two flat id
+arrays with the levels and their offsets (``_kernels_py``'s docstring).
+The engine hands those arrays on to the graph's mutation and to the level
+tasks as they are.  Planning writes nothing: the engine marks a plan's
+pairs done once its round has committed.
 
 An insert round may free one level.  After the strict scan, let h be the
 highest level with a pending pair.  While a pair below h is pending, the
@@ -81,11 +83,11 @@ the strict rounds that a replay then needs at level h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._kernels_py import SELECTED
 from .graph import Graph, label_pairs, sorted_unique
 from .kernels import get_backend
 from .static_core import CoreMap
@@ -104,6 +106,12 @@ class EdgeBatch:
     multiplicity: np.ndarray  # batch-edge count per distinct endpoint
     dropped_duplicates: int = 0
     dropped_self_loops: int = 0
+
+    def __post_init__(self):
+        # column-major, so that each endpoint column is one contiguous
+        # array that every round's kernel calls read in place
+        self.pairs = np.asfortranarray(self.pairs, dtype=np.int32)
+        self.columns = (self.pairs[:, 0], self.pairs[:, 1])
 
     @property
     def size(self) -> int:
@@ -140,10 +148,11 @@ def _new_batch(g: Graph, edges, create_vertices: bool) -> EdgeBatch:
     us, vs = dense[0::2], dense[1::2]
     n = max(g.vertex_count, 1)
     keys = sorted_unique(np.minimum(us, vs) * n + np.maximum(us, vs))
-    pairs = np.empty((len(keys), 2), dtype=np.int32)
-    pairs[:, 0], pairs[:, 1] = np.divmod(keys, n)
-    return EdgeBatch(pairs=pairs, alive=np.ones(len(pairs), dtype=bool),
-                     multiplicity=sorted_unique(pairs, return_counts=True)[1],
+    columns = np.empty((2, len(keys)), dtype=np.int32)
+    np.divmod(keys, n, out=(columns[0], columns[1]), casting="unsafe")
+    return EdgeBatch(pairs=columns.T, alive=np.ones(len(keys), dtype=bool),
+                     multiplicity=sorted_unique(columns,
+                                                return_counts=True)[1],
                      dropped_duplicates=len(us) - len(keys),
                      dropped_self_loops=loops)
 
@@ -163,22 +172,34 @@ def build_delete_batch(g: Graph, edges) -> EdgeBatch:
 
 @dataclass
 class RoundPlan:
-    """One round's work: per core level, the selected level-k edges."""
+    """One round's work, as the flat plan of ``_kernels_py``'s docstring:
+    per core level, the selected level-k edges."""
 
-    levels: list[int] = field(default_factory=list)
-    # level -> (us, vs): int32 dense endpoints, canonical order
-    level_edges: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict)
+    ks: np.ndarray  # the levels, ascending (int64)
+    offsets: np.ndarray  # level i's pairs: offsets[i] .. offsets[i+1] - 1
+    us: np.ndarray  # int32 dense endpoints, grouped by level, canonical
+    vs: np.ndarray  # order within a level
     # the selected pairs' positions in the batch, ascending
-    selected_indices: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.intp))
+    selected_indices: np.ndarray
     # the level whose every live pair is taken, covered or not; None when
     # the plan keeps the strict rule at every level
     free_level: int | None = None
 
     @property
+    def levels(self) -> list[int]:
+        return self.ks.tolist()
+
+    @property
     def edge_count(self) -> int:
         return len(self.selected_indices)
+
+    @property
+    def level_edges(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """level -> (us, vs): views of the level's pairs, built on each
+        access."""
+        bounds = self.offsets.tolist()
+        return {k: (self.us[a:b], self.vs[a:b])
+                for k, a, b in zip(self.levels, bounds, bounds[1:])}
 
     @property
     def edges_at_level(self) -> dict[int, list[tuple[int, int]]]:
@@ -223,33 +244,20 @@ def plan_round(batch: EdgeBatch, cores: CoreMap, backend=None, *,
     Reads the batch and the cores and writes neither; the selected pairs
     stay live until the caller clears them in ``batch.alive``.
     """
-    idx = batch.alive.nonzero()[0]
-    us, vs = batch.pairs[idx, 0], batch.pairs[idx, 1]
-    picked = get_backend(backend).plan_scan(us, vs, cores.values) == SELECTED
+    be = get_backend(backend)
+    scan = partial(be.plan_scan, *batch.columns, batch.alive, cores.values)
+    *plan, (low, high) = scan()
     free_level = None
-    if free and not picked.all():
-        level = np.minimum(cores.values[us], cores.values[vs])
-        waiting = level[~picked]
-        top = waiting.max()
-        if (waiting < top).any():
-            held = level == top
+    if free and high >= 0:  # some pair waits
+        if low < high:
+            live = batch.alive.nonzero()[0]
+            us, vs = batch.pairs[live, 0], batch.pairs[live, 1]
+            held = np.minimum(cores.values[us], cores.values[vs]) == high
             if (index + _earlier_adjacent(us, vs)[held].max()
                     < 2 * batch.max_multiplicity - 1):
-                picked &= ~held
+                *plan, _ = scan(hold=high)
         else:
-            picked[:] = True
-            free_level = int(top)
-    picked = picked.nonzero()[0]
-    selected = idx[picked]
-    us, vs = us[picked], vs[picked]
-    # group the selected pairs by level, canonical order within a level
-    level = np.minimum(cores.values[us], cores.values[vs])
-    order = level.argsort(kind="stable")
-    level, us, vs = level[order], us[order], vs[order]
-    bounds = ((level[1:] != level[:-1]).nonzero()[0] + 1).tolist()
-    firsts = [0, *bounds] if len(level) else []
-    plan = RoundPlan(levels=level[firsts].tolist(),
-                     selected_indices=selected, free_level=free_level)
-    for k, a, b in zip(plan.levels, firsts, [*bounds, len(level)]):
-        plan.level_edges[k] = (us[a:b], vs[a:b])
-    return plan
+            *plan, _ = scan(free=high)
+            free_level = high
+    selected, ks, offsets, us, vs = plan
+    return RoundPlan(ks, offsets, us, vs, selected, free_level)

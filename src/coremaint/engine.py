@@ -18,13 +18,19 @@ batch with an absent pair is rejected before anything changes.  A round's
 pairs are marked done in the batch only once its cores have shifted, so a
 failed round undoes its graph mutation and leaves the batch as it was.
 
-Each round's level tasks run in one ``run_level_tasks`` call, which hands
-them to the kernel backend's ``run_levels`` (the backend contract is in
-``_kernels_py``).  Tasks receive a frozen graph and core map and keep
-their working state to themselves, so they move disjoint vertex sets.
-The round's ``RoundRecord`` keeps, per level, the task's wall time,
-thread-CPU time and worker slot beside its moved vertices and counters,
-plus the wall time of the whole fan-out.
+Each layer of a round is one call into the kernel backend (the contract
+is in ``_kernels_py``): the pair check, the plan, the mutation and the
+level fan-out.  The plan is flat, the selected pairs grouped by level in
+two id arrays, and the mutation and the level tasks read those arrays as
+they are.  A round's level tasks run in one ``run_level_tasks`` call,
+which hands them to the backend's ``run_levels``.  Tasks receive a frozen
+graph and core map and keep their working state to themselves, so they
+move disjoint vertex sets.  The fan-out returns one array of moved ids and
+one row per level, so the core shift is one numpy operation.  The round's
+``RoundRecord`` keeps the plan and those two arrays, plus the wall time of
+the whole fan-out, and builds its per-level view (each task's moved
+vertices, counters, wall time, thread-CPU time and worker slot), its
+changed vertices and its counters when they are read.
 
 With ``audit=True`` the engine first checks the core map against a fresh
 ``peel`` of the graph and raises ValueError, changing nothing, when they
@@ -45,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from ._kernels_py import _check_round
+from ._kernels_py import COUNTERS, SURVIVORS, _check_round
 from .batch import BatchError, EdgeBatch, RoundPlan, edge_lists, plan_round
 from .graph import Graph
 from .kernels import get_backend
@@ -59,10 +65,6 @@ class TaskCounters:
     neg_touches: int = 0
     sup_evals: int = 0
     csup_evals: int = 0
-
-    @classmethod
-    def from_tuple(cls, t) -> "TaskCounters":
-        return cls(*map(int, t))
 
     def __add__(self, other: "TaskCounters") -> "TaskCounters":
         return TaskCounters(
@@ -85,11 +87,12 @@ class LevelTaskResult:
     survivors: int  # risers left by an insert task's peel; 0 on delete
 
 
-def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
-                    workers: int) -> list[LevelTaskResult]:
-    """Run the level task of every level of ``level_edges`` with backend
-    ``be`` (see its ``run_levels``), at most ``workers`` at a time, and
-    return the results in ascending level order.  Every insert task ends
+def run_level_tasks(be, mode: str, starts, lens, pool, cores, ks, offsets,
+                    us, vs, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run the level task of every level of the flat plan (ks, offsets,
+    us, vs) with backend ``be``, at most ``workers`` at a time, and return
+    its ``run_levels`` result: the moved ids, level after level, and one
+    row per level, both in ascending level order.  Every insert task ends
     with the peel of its risers.
 
     Results are identical for every worker count: tasks neither share
@@ -97,23 +100,49 @@ def run_level_tasks(be, mode: str, starts, lens, pool, cores, level_edges,
     ``LevelTaskError`` naming its level, and only once every task of the
     round has finished, so a rollback never runs beside a live task.
     """
-    return [LevelTaskResult(k, moved, TaskCounters.from_tuple(counters),
-                            wall, cpu, worker, survivors)
-            for k, moved, counters, wall, cpu, worker, survivors
-            in be.run_levels(mode, starts, lens, pool, cores, level_edges,
-                             workers)]
+    return be.run_levels(mode, starts, lens, pool, cores, ks, offsets, us,
+                         vs, workers)
 
 
 @dataclass
 class RoundRecord:
     index: int
-    levels: tuple[int, ...]
-    level_edges: dict[int, tuple[np.ndarray, np.ndarray]]  # as in RoundPlan
-    changed: tuple[int, ...]  # dense ids, ascending
-    counters: TaskCounters
-    tasks: tuple[LevelTaskResult, ...]  # per level, ascending
+    plan: RoundPlan
+    moved: np.ndarray  # the moved ids and the level rows of run_levels
+    rows: np.ndarray
     fanout_ns: int  # wall time of the round's run_level_tasks call
-    free_level: int | None = None  # as in RoundPlan
+
+    @property
+    def counters(self) -> TaskCounters:
+        """The round's five counters, summed over its levels."""
+        return TaskCounters(*self.rows[:, COUNTERS].sum(axis=0).tolist())
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(self.plan.levels)
+
+    @property
+    def level_edges(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """As ``RoundPlan.level_edges``."""
+        return self.plan.level_edges
+
+    @property
+    def free_level(self) -> int | None:
+        return self.plan.free_level
+
+    @property
+    def changed(self) -> tuple[int, ...]:
+        """The dense ids whose core moved, ascending."""
+        return tuple(np.sort(self.moved).tolist())
+
+    @property
+    def tasks(self) -> tuple[LevelTaskResult, ...]:
+        """Per level, ascending, built on each access."""
+        return tuple(LevelTaskResult(k, self.moved[at:at + count],
+                                     TaskCounters(*counters), wall, cpu,
+                                     worker, survivors)
+                     for k, count, at, *counters, wall, cpu, worker,
+                     survivors in self.rows.tolist())
 
     @property
     def edges_at_level(self) -> dict[int, list[tuple[int, int]]]:
@@ -127,7 +156,6 @@ class MaintenanceLog:
     batch_size: int
     max_multiplicity: int
     rounds: list[RoundRecord] = field(default_factory=list)
-    counters: TaskCounters = field(default_factory=TaskCounters)
     edges_applied: int = 0
     dropped_existing: int = 0
     # free rounds undone and planned again; their work is in no record
@@ -140,8 +168,13 @@ class MaintenanceLog:
         return len(self.rounds)
 
     @property
+    def counters(self) -> TaskCounters:
+        """The five counters, summed over the committed rounds."""
+        return sum((r.counters for r in self.rounds), TaskCounters())
+
+    @property
     def changed_total(self) -> int:
-        return sum(len(r.changed) for r in self.rounds)
+        return sum(len(r.moved) for r in self.rounds)
 
     def write_text(self, fh, g: Graph):
         """Line-oriented round records with external vertex labels."""
@@ -176,23 +209,28 @@ def _audit_round(log: MaintenanceLog, pre: np.ndarray, post: np.ndarray,
         log.audit_violations.append(f"round {rnd}: core increased on delete")
 
 
+_NONE = np.zeros(0, dtype=np.intp)
+_NONE.flags.writeable = False
+
+
 def _check_pairs(g: Graph, batch: EdgeBatch, insert: bool,
                  be) -> np.ndarray:
-    """Look the batch's live pairs up in the graph, in one call.  An insert
-    batch drops the pairs already present and returns their indices; a
-    delete batch returns none, or raises ``BatchError``, changing nothing,
-    when a pair is absent."""
-    idx = batch.alive.nonzero()[0]
-    present = g._has_dense(batch.pairs[idx, 0], batch.pairs[idx, 1],
-                           backend=be)
+    """Look the batch's pairs up in the graph, in one call.  An insert
+    batch drops the live pairs already present and returns their indices;
+    a delete batch returns none, or raises ``BatchError``, changing
+    nothing, when a live pair is absent."""
+    present = g._has_dense(*batch.columns, backend=be)
     if insert:
-        batch.alive[idx[present]] = False
-        return idx[present]
-    if not present.all():
-        missing = list(map(tuple, g.labels()[batch.pairs[idx[~present]]]
+        present &= batch.alive
+        dropped = present.nonzero()[0]
+        batch.alive[dropped] = False
+        return dropped
+    absent = batch.alive > present
+    if absent.any():
+        missing = list(map(tuple, g.labels()[batch.pairs[absent]]
                            .tolist()))
         raise BatchError(f"edges not present in graph: {missing}")
-    return idx[:0]
+    return _NONE
 
 
 def _check_cores(g: Graph, cores: CoreMap, be):
@@ -214,9 +252,10 @@ def _first_pair(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
     """The baseline's round plan: the first live pair in canonical order,
     alone, at its level."""
     i = int(batch.alive.argmax())
-    pair = batch.pairs[i]
-    k = int(cores.values[pair].min())
-    return RoundPlan([k], {k: (pair[:1], pair[1:])},
+    us, vs = batch.pairs[i:i + 1, 0], batch.pairs[i:i + 1, 1]
+    k = min(int(cores.values[us[0]]), int(cores.values[vs[0]]))
+    return RoundPlan(np.array([k], dtype=np.int64),
+                     np.array([0, 1], dtype=np.int64), us, vs,
                      np.array([i], dtype=np.intp))
 
 
@@ -241,44 +280,37 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
                          max_multiplicity=batch.max_multiplicity)
     dropped = _check_pairs(g, batch, insert, be)
     log.dropped_existing = len(dropped)
+    pending = batch.remaining
     try:
-        while batch.alive.any():
+        while pending:
             plan = (planner(batch, cores, backend=be) if planner else
                     plan_round(batch, cores, backend=be, free=free,
                                index=len(log.rounds) + 1))
             pre = cores.values.copy() if audit else None
-            selected = plan.selected_indices
-            edges = batch.pairs[selected]
-            apply(edges[:, 0], edges[:, 1])
-            starts, lens, pool = g.adjacency_arrays()
+            apply(plan.us, plan.vs)
             start = time.perf_counter_ns()
             try:
-                results = run_level_tasks(be, mode, starts, lens, pool,
-                                          cores.values, plan.level_edges,
-                                          workers)
+                moved, rows = run_level_tasks(
+                    be, mode, *g.adjacency_arrays(), cores.values, plan.ks,
+                    plan.offsets, plan.us, plan.vs, workers)
             except BaseException:  # interrupts too: re-playable round
-                undo(edges[:, 0], edges[:, 1])
+                undo(plan.us, plan.vs)
                 raise
             fanout_ns = time.perf_counter_ns() - start
-            if plan.free_level is not None and any(
-                    res.survivors for res in results):
+            if plan.free_level is not None and rows[:, SURVIVORS].any():
                 # a riser may have moved by two: strict rounds from here
-                undo(edges[:, 0], edges[:, 1])
+                undo(plan.us, plan.vs)
                 log.replayed_rounds += 1
                 log.replayed_ns += fanout_ns
                 free = False
                 continue
-            moved = np.concatenate([res.vertices for res in results])
             cores.values[moved] += step  # levels move disjoint vertex sets
-            agg = sum((res.counters for res in results), TaskCounters())
-            batch.alive[selected] = False  # the round has committed
+            batch.alive[plan.selected_indices] = False  # committed
+            pending -= plan.edge_count
             log.edges_applied += plan.edge_count
-            rec = RoundRecord(len(log.rounds) + 1, tuple(plan.levels),
-                              plan.level_edges,
-                              tuple(np.sort(moved).tolist()), agg,
-                              tuple(results), fanout_ns, plan.free_level)
+            rec = RoundRecord(len(log.rounds) + 1, plan, moved, rows,
+                              fanout_ns)
             log.rounds.append(rec)
-            log.counters = log.counters + agg
             if audit:
                 _audit_round(log, pre, cores.values, rec.levels, step,
                              rec.index)

@@ -6,17 +6,21 @@ can live in flat arrays.  Adjacency is stored in one shared pool array with
 per-vertex (start, length, capacity) blocks.
 
 Edges are added, removed and looked up a whole array of pairs at a time
-(one maintenance round's edges per call), touching the blocks of the
-touched vertices only.  Removal sorts the directed pairs by source and
-target and hands them to the kernel backend's ``remove_edges``, which
-compacts each touched block in place, keeping the order of its remaining
-entries, and leaves every block as it was unless the pairs are distinct
-edges.  Lookup is the backend's ``has_edges``.  Addition is numpy only: it
-first moves every block that would overflow to the pool tail in one pass,
-each with its capacity doubled until the new entries fit, then writes all
-new entries with one scatter; the vacated slots are not reused.
-Mutations must happen in exclusive phases; between mutations the arrays
-may be read concurrently.
+(one maintenance round's edges per call, in any order), touching the
+blocks of the touched vertices only.  Removal is one call of the kernel
+backend's ``remove_edges``, which compacts each touched block in place,
+keeping the order of its remaining entries, and leaves every block as it
+was unless the pairs are distinct edges.  Lookup is the backend's
+``has_edges``.  Addition is numpy only: it first moves every block that
+would overflow to the pool tail in one pass, each with its capacity
+doubled until the new entries fit, then writes all new entries with one
+scatter, each block's in the block order below (its larger new
+neighbours ascending, then its smaller ones); the vacated slots are not
+reused.  Mutations must happen in exclusive phases; between mutations
+the arrays may be read concurrently.  ``adjacency_arrays`` returns the
+same view objects until a vertex is added or an array is replaced, so
+the compiled lane makes their C pointers once per array
+(``_kernels_c``).
 
 ``from_edges`` builds the pool with one sort.  Each vertex's block lists
 its larger neighbours in ascending order, then its smaller neighbours in
@@ -181,6 +185,7 @@ class Graph:
         self._label_index = None
         self.vertex_count = 0
         self.edge_count = 0
+        self._views = self._adjacency_views()
 
     # ------------------------------------------------------------------
     # construction
@@ -361,8 +366,17 @@ class Graph:
                 new[: len(old)] = old
                 setattr(self, name, new)
 
-    # kernel-facing views, trimmed to the live vertex range
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel-facing views, trimmed to the live vertex range: the
+        same objects until a vertex is added or an array replaced."""
+        starts, lens, pool = views = self._views
+        if (pool is not self._pool or len(starts) != self.vertex_count
+                or starts.base is not self._starts
+                or lens.base is not self._lens):
+            views = self._views = self._adjacency_views()
+        return views
+
+    def _adjacency_views(self):
         n = self.vertex_count
         return self._starts[:n], self._lens[:n], self._pool
 
@@ -403,8 +417,12 @@ class Graph:
         The pairs must be distinct, absent from the graph and free of
         self-loops; every caller has checked that already.
         """
+        n = self.vertex_count
         src, dst = _directed(us, vs)
-        order = src.argsort(kind="stable")
+        keys = src * (2 * n) + dst  # in block order (module docstring)
+        keys[dst < src] += n
+        keys.sort()
+        src = keys // (2 * n)
         touched, counts = sorted_unique(src, return_counts=True)
         lens = self._lens[touched].astype(np.int64)
         need = lens + counts
@@ -413,7 +431,7 @@ class Graph:
             self._relocate(touched[over], need[over])
         # the i-th new entry of a vertex goes to slot start + len + i
         self._pool[_block_slots(self._starts[touched] + lens, counts)] = \
-            dst[order]
+            keys % n
         self._lens[touched] = need
         self.edge_count += len(src) // 2
 
@@ -447,22 +465,17 @@ class Graph:
         edges of the graph.  ``backend`` (as for ``get_backend``) does the
         removal.
         """
-        n = self.vertex_count
-        src, dst = _directed(us, vs)
-        keys = src << 32 | dst  # split by shifts: a divmod costs more
-        keys.sort()
+        us = np.ascontiguousarray(us, dtype=np.int32)
         get_backend(backend).remove_edges(
-            self._starts[:n], self._lens[:n], self._pool,
-            (keys >> 32).astype(np.int32),
-            (keys & 0xFFFFFFFF).astype(np.int32))
-        self.edge_count -= len(keys) // 2
+            *self.adjacency_arrays(), us,
+            np.ascontiguousarray(vs, dtype=np.int32))
+        self.edge_count -= len(us)
 
     def _has_dense(self, us, vs, backend=None) -> np.ndarray:
-        """Bool mask over the pairs: is vs[i] in the block of us[i]?
+        """Bool mask over the pairs: is {us[i], vs[i]} an edge?
         ``backend`` (as for ``get_backend``) does the lookup."""
-        n = self.vertex_count
         return get_backend(backend).has_edges(
-            self._starts[:n], self._lens[:n], self._pool,
+            *self.adjacency_arrays(),
             np.ascontiguousarray(us, dtype=np.int32),
             np.ascontiguousarray(vs, dtype=np.int32))
 
@@ -520,7 +533,8 @@ class Graph:
         assert not (src == dst).any(), "self-loop"
         keys = np.sort(src * n + dst)
         assert not (keys[1:] == keys[:-1]).any(), "parallel edge"
-        assert self._has_dense(dst, src).all(), "asymmetric adjacency"
+        assert np.array_equal(keys, np.sort(dst * n + src)), \
+            "asymmetric adjacency"
         assert len(src) == 2 * self.edge_count, "edge_count mismatch"
 
 

@@ -239,10 +239,10 @@ def test_remove_dense_rejects_absent_or_repeated_pairs():
         g.check_invariants()
 
 
-def test_removal_entries_match_a_full_sort():
-    # the directed entries handed to the backend are those of one sort of
-    # all 2m (source, target) keys, byte for byte, whatever the order and
-    # orientation of the pairs
+def test_removal_hands_the_pairs_over_as_they_are():
+    # the backend gets the pairs as given, whatever their order and
+    # orientation, as int32, and each touched block keeps its other
+    # entries in their order
     rng = np.random.default_rng(12)
     real = get_backend()
     for trial in range(40):
@@ -255,21 +255,24 @@ def test_removal_entries_match_a_full_sort():
         flip = rng.random(len(pairs)) < 0.5
         pairs[flip] = pairs[flip][:, ::-1]
         us, vs = pairs[:, 0], pairs[:, 1]
-        keys = np.sort(np.concatenate((us * n + vs, vs * n + us)))
-        expect = [a.astype(np.int32).tobytes() for a in np.divmod(keys, n)]
+        gone = set(zip(us.tolist(), vs.tolist()))
+        gone |= {(v, u) for u, v in gone}
+        expect = [[w for w in g.neighbors(v) if (v, w) not in gone]
+                  for v in range(n)]
         seen = []
 
         class Spy:
             NAME = "spy"
 
             @staticmethod
-            def remove_edges(starts, lens, pool, src, dst):
-                seen.append([src.dtype, dst.dtype, src.tobytes(),
-                             dst.tobytes()])
-                real.remove_edges(starts, lens, pool, src, dst)
+            def remove_edges(starts, lens, pool, us, vs):
+                seen.append([us.dtype, vs.dtype, us.tobytes(), vs.tobytes()])
+                real.remove_edges(starts, lens, pool, us, vs)
 
         g._remove_dense(us, vs, backend=Spy())
-        assert seen == [[np.int32, np.int32, *expect]], trial
+        assert seen == [[np.int32, np.int32,
+                         *(a.astype(np.int32).tobytes() for a in (us, vs))]]
+        assert [g.neighbors(v) for v in range(n)] == expect, trial
         g.check_invariants()
 
 

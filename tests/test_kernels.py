@@ -407,20 +407,21 @@ assert big() == clean and small() == clean
 """
 
 
-# The undo buffer of one removal (the hub's 2^20 entries: 4 MiB) cannot be
-# allocated: nothing is written, and the removal succeeds once the limit is
-# lifted.
+# The buffers of one removal (the calling thread's arena, grown to the
+# 2^20 + 1 vertices, and the undo copy of the hub's 2^20 entries: 4 MiB)
+# cannot be allocated: nothing is written, and the removal succeeds once
+# the limit is lifted.
 REMOVAL_FAILURE = LIMITED + """
 hub = 1 << 20
 g = Graph.from_edges(np.stack([np.zeros(hub, np.int64),
                                np.arange(1, hub + 1)], 1), dense_labels=True)
 starts, lens, pool = g.adjacency_arrays()
-src, dst = np.array([0, 0, 5, 9], np.int32), np.array([5, 9, 0, 0], np.int32)
+us, vs = np.array([0, 9], np.int32), np.array([5, 0], np.int32)
 before = [a.copy() for a in (starts, lens, pool)]
 
 
 def call():
-    be.remove_edges(starts, lens, pool, src, dst)
+    be.remove_edges(starts, lens, pool, us, vs)
 
 
 assert failure(call, 1 * MB) == "remove_edges allocation failed"
@@ -610,13 +611,14 @@ def test_every_c_error_code_maps_to_its_exception():
 
 
 def removal_call_args():
-    """A triangle 0-1-2 with a tail 2-3, and the directed entries of its
-    edge {1, 2} grouped by source, as ``remove_edges`` takes them."""
+    """A triangle 0-1-2 with a tail 2-3, and its edges {1, 2} and {3, 2}
+    as ``remove_edges`` takes them: ``src`` and ``dst`` are its ``us`` and
+    ``vs``."""
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], dense_labels=True)
     starts, lens, pool = g.adjacency_arrays()
     return g, dict(starts=starts, lens=lens, pool=pool,
-                   src=np.array([1, 2], dtype=np.int32),
-                   dst=np.array([2, 1], dtype=np.int32))
+                   src=np.array([1, 3], dtype=np.int32),
+                   dst=np.array([2, 2], dtype=np.int32))
 
 
 def graph_arrays(g):
@@ -628,34 +630,48 @@ def graph_arrays(g):
     ("lens", lambda a: a.astype(np.int64), TypeError),
     ("pool", lambda a: np.repeat(a, 2)[::2], TypeError),
     ("dst", lambda a: np.array([2, 4], dtype=np.int32), ValueError),
-    ("src", lambda a: np.array([-1, 2], dtype=np.int32), ValueError),
+    ("src", lambda a: np.array([-1, 3], dtype=np.int32), ValueError),
     ("lens", lambda a: a[:-1], ValueError),
     ("dst", lambda a: a[:1], ValueError),
-    ("src", lambda a: a[::-1].copy(), ValueError),  # not grouped by source
+    ("src", lambda a: np.array([2, 3], dtype=np.int32), ValueError),  # twice
 ])
 def test_compiled_removal_rejects_bad_inputs(field, bad, error):
     # the Python lane takes any integer arrays, so it shares the value
     # checks only
+    def remove(lane, starts, lens, pool, src, dst):
+        get_backend(lane).remove_edges(starts, lens, pool, src, dst)
+
     for lane in ("c", "python") if error is ValueError else ("c",):
         g, args = removal_call_args()
         before = graph_arrays(g)
         args[field] = bad(args[field])
         with pytest.raises(error):
-            get_backend(lane).remove_edges(**args)
+            remove(lane, **args)
         assert graph_arrays(g) == before
         g, args = removal_call_args()
-        get_backend(lane).remove_edges(**args)
+        remove(lane, **args)
         assert sorted(map(tuple, g.edge_array().tolist())) == [
-            (0, 1), (0, 2), (2, 3)]
+            (0, 1), (0, 2)]
+
+
+def scans_equal(a, b):
+    """Are two ``plan_scan`` results equal, arrays in dtype and value?"""
+    *arrays, waiting = a
+    *others, other_waiting = b
+    return waiting == other_waiting and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in zip(arrays, others, strict=True))
 
 
 @needs_c
 @pytest.mark.parametrize("field, bad, error", [
     ("cores", lambda a: a.astype(np.int64), TypeError),
     ("us", lambda a: np.repeat(a, 2)[::2], TypeError),
+    ("alive", lambda a: a.astype(np.int8), TypeError),
     ("vs", lambda a: np.array([3, 3, 5], dtype=np.int32), ValueError),
     ("us", lambda a: np.array([-1, 0, 1], dtype=np.int32), ValueError),
     ("vs", lambda a: a[:-1], ValueError),
+    ("alive", lambda a: a[:-1], ValueError),
 ])
 def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], dense_labels=True)
@@ -664,7 +680,7 @@ def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
     cores.fit_to(g)  # vertex 4 is new
     before = (graph_arrays(g), cores.values.tolist(), batch.alive.tolist())
     us, vs = batch.pairs.T.copy()
-    args = dict(us=us, vs=vs, cores=cores.values)
+    args = dict(us=us, vs=vs, alive=batch.alive, cores=cores.values)
     expect = get_backend("c").plan_scan(**args)
     args[field] = bad(args[field])
     for lane in ("c", "python") if error is ValueError else ("c",):
@@ -675,7 +691,7 @@ def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
             plan_round(batch, CoreMap(args["cores"]), backend="c")
     assert (graph_arrays(g), cores.values.tolist(),
             batch.alive.tolist()) == before
-    assert expect.tolist() == _plan_scan(us, vs, cores.values).tolist()
+    assert scans_equal(expect, _plan_scan(us, vs, batch.alive, cores.values))
 
 
 # ----------------------------------------------------------------------
@@ -683,9 +699,14 @@ def test_compiled_plan_scan_rejects_bad_inputs(field, bad, error):
 
 
 def plans_equal(a, b):
-    return (a.levels == b.levels
-            and a.selected_indices.dtype == b.selected_indices.dtype == np.intp
-            and np.array_equal(a.selected_indices, b.selected_indices)
+    """Equal plans, down to the dtypes of the flat plan's arrays."""
+    flat = ("ks", "offsets", "us", "vs", "selected_indices")
+    return (a.levels == b.levels and a.free_level == b.free_level
+            and a.selected_indices.dtype == np.intp
+            and [getattr(a, f).dtype for f in flat]
+            == [getattr(b, f).dtype for f in flat]
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in flat)
             and a.level_edges.keys() == b.level_edges.keys()
             and all(x.dtype == y.dtype and np.array_equal(x, y)
                     for k in a.level_edges
@@ -819,28 +840,28 @@ def test_removal_rejects_absent_or_repeated_pairs(lane, us, vs):
 
 @pytest.mark.parametrize("lane", ["python",
                                   pytest.param("c", marks=needs_c)])
-@pytest.mark.parametrize("gone, one_way", [
-    # every group before the last loses its targets; the last, vertex 15
-    # (block [14, 0]), loses 14, shifting 0 over it, but lacks 1
-    ([(0, 3), (0, 5), (13, 14)], [(15, 1), (15, 14)]),
+@pytest.mark.parametrize("gone, absent", [
+    # sources 0, 3 and 5 lose their targets; then vertex 13 (block [14])
+    # loses 14 but lacks 15
+    ([(0, 3), (0, 5), (13, 14)], (15, 13)),
     # the hub loses eleven targets (more than 8: found by bisection), then
-    # vertex 14 (block [15, 2, 13]) loses 2, shifting 13, but lacks 1
-    ([*[(0, v) for v in range(1, 11)], (0, 15), (2, 14)], [(14, 1)]),
-], ids=["last-group", "middle-group-after-hub"])
-def test_rejected_removal_restores_every_touched_block(lane, gone, one_way):
-    # hub 0 of degree 12, a path 13-14-15 and an edge {2, 14}; the entries
-    # (both directions of each gone edge, the one-way ones as given) go
-    # straight to the backend, grouped by source as it takes them
+    # vertex 1 (block [0]) loses 0 but lacks 14
+    ([*[(0, v) for v in range(1, 11)], (0, 15), (2, 14)], (14, 1)),
+], ids=["after-small-groups", "middle-group-after-hub"])
+def test_rejected_removal_restores_every_touched_block(lane, gone, absent):
+    # hub 0 of degree 12, a path 13-14-15 and an edge {2, 14}; the backend
+    # takes the entries of the pairs in order of source, and the group of
+    # the absent pair's lower endpoint fails after the groups before it
+    # were compacted
     edges = [(0, v) for v in range(1, 13)] + [(13, 14), (14, 15), (2, 14)]
     g = Graph.from_edges(edges, dense_labels=True)
     g._add_dense(np.array([0]), np.array([15]))  # relocates 0 and 15
     before = [g._starts.tolist(), g._lens.tolist(), g._pool.tolist(),
               g.edge_count]
-    entries = sorted([*gone, *[(v, u) for u, v in gone], *one_way])
-    src, dst = np.array(entries, dtype=np.int32).T.copy()
+    us, vs = np.array([*gone, absent], dtype=np.int32)[::-1].T.copy()
     starts, lens, pool = g.adjacency_arrays()
     with pytest.raises(ValueError):
-        get_backend(lane).remove_edges(starts, lens, pool, src, dst)
+        get_backend(lane).remove_edges(starts, lens, pool, us, vs)
     assert [g._starts.tolist(), g._lens.tolist(), g._pool.tolist(),
             g.edge_count] == before
 
@@ -891,3 +912,50 @@ def test_new_build_removes_stale_builds(tmp_path):
     assert out.split() == ["c"]
     assert not stale.exists()
     assert len(list(cache.glob("_kernels.*.so"))) == 1
+
+
+@needs_c
+def test_import_leaves_openssl_unloaded():
+    # the build is named without hashlib, whose _hashlib maps libcrypto
+    probe = ("import sys, coremaint; "
+             "print(coremaint.kernels.default_backend_name(), "
+             "'_hashlib' in sys.modules)")
+    env = {k: v for k, v in os.environ.items() if k != "COREMAINT_BACKEND"}
+    env["PYTHONPATH"] = str(Path(coremaint.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["c", "False"]
+
+
+@needs_c
+def test_a_build_whose_recorded_source_differs_is_rebuilt(tmp_path):
+    # a library is loaded only beside an exact copy of the source and
+    # flags it was built from; one whose copy differs (here: garbage under
+    # the current name, as a build of a colliding source would leave) is
+    # built again
+    package = tmp_path / "coremaint"
+    shutil.copytree(Path(coremaint.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "COREMAINT_BACKEND"}
+    env["PYTHONPATH"] = str(tmp_path)
+    probe = ("from coremaint import kernels; "
+             "print(kernels.default_backend_name())")
+
+    def backend():
+        return subprocess.run([sys.executable, "-c", probe], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              check=True).stdout.split()
+
+    assert backend() == ["c"]
+    cache = package / "__pycache__"
+    library, = cache.glob("_kernels.*.so")
+    recorded = library.with_suffix(".src")
+    recipe = recorded.read_bytes()
+    assert recipe.startswith((package / "_kernels.c").read_bytes())
+    library.write_bytes(b"not a library")
+    recorded.write_bytes(recipe + b" -DOTHER")
+    assert backend() == ["c"]
+    assert recorded.read_bytes() == recipe
+    assert library.read_bytes() != b"not a library"
+    assert sorted(cache.glob("_kernels.*")) == sorted([library, recorded])
+

@@ -16,6 +16,7 @@ from coremaint import (Graph, LevelTaskError, build_delete_batch,
                        build_insert_batch, delete_edges, get_backend,
                        insert_edges, peel, plan_round, run_level_tasks,
                        sequential_baseline)
+from coremaint._kernels_py import LEVEL
 from coremaint.gen import generate_er, sample_existing_edges, sample_new_edges
 from coremaint.kernels import BACKENDS, FALLBACK_REASON
 
@@ -29,14 +30,44 @@ def lanes():
     return [get_backend(name) for name in sorted(BACKENDS)]
 
 
+def flat(level_edges):
+    """A round given as {level: (eu, ev)} as the flat plan ``run_levels``
+    takes: (ks, offsets, us, vs)."""
+    ks = sorted(level_edges)
+    parts = [level_edges[k] for k in ks]
+    offsets = np.cumsum([0, *(len(eu) for eu, _ in parts)], dtype=np.int64)
+    us, vs = (np.concatenate([np.zeros(0, np.int32),
+                              *(part[i] for part in parts)], dtype=np.int32)
+              for i in (0, 1))
+    return np.array(ks, dtype=np.int64), offsets, us, vs
+
+
+def unflat(ks, offsets, us, vs):
+    """The inverse of ``flat``."""
+    bounds = offsets.tolist()
+    return {k: (us[a:b], vs[a:b])
+            for k, a, b in zip(ks.tolist(), bounds, bounds[1:])}
+
+
+def run_round(be, mode, starts, lens, pool, cores, level_edges, workers):
+    """``run_levels`` of backend ``be`` on the round ``level_edges``, as one
+    (level, moved ids, counters, wall ns, CPU ns, worker, survivors) tuple
+    per level, ascending."""
+    moved, rows = be.run_levels(mode, starts, lens, pool, cores,
+                                *flat(level_edges), workers)
+    return [(k, moved[at:at + count], tuple(counters), wall, cpu, worker,
+             survivors)
+            for k, count, at, *counters, wall, cpu, worker, survivors
+            in rows.tolist()]
+
+
 def planned_round(g, cores, mode, pairs):
     """The first round of a batch of ``pairs``, applied to ``g``: the
-    arguments of ``run_levels`` without mode and workers."""
+    arguments of ``run_round`` without backend, mode and workers."""
     insert = mode == "insert"
     batch = (build_insert_batch if insert else build_delete_batch)(g, pairs)
     plan = plan_round(batch, cores)
-    edges = batch.pairs[plan.selected_indices]
-    (g._add_dense if insert else g._remove_dense)(edges[:, 0], edges[:, 1])
+    (g._add_dense if insert else g._remove_dense)(plan.us, plan.vs)
     return (*g.adjacency_arrays(), cores.values, plan.level_edges)
 
 
@@ -85,12 +116,8 @@ def circulant_round(sizes=(1 << 18, 1 << 17), degrees=(8, 4)):
         at += 2 * d * size
     starts, lens, pool, cores = map(np.concatenate,
                                     (starts, lens, pool, cores))
-    ends = [(int(eu[0]), int(ev[0])) for eu, ev in level_edges.values()]
-    src = np.array([x for u, v in sorted(ends) for x in (u, v)],
-                   dtype=np.int32)
-    dst = np.array([x for u, v in sorted(ends) for x in (v, u)],
-                   dtype=np.int32)
-    get_backend("python").remove_edges(starts, lens, pool, src, dst)
+    us, vs = (np.concatenate(ends) for ends in zip(*level_edges.values()))
+    get_backend("python").remove_edges(starts, lens, pool, us, vs)
     return starts, lens, pool, cores, level_edges
 
 
@@ -119,7 +146,7 @@ def thread_count():
 def test_single_worker_is_sequential_and_ordered():
     args = random_round(1, "delete")
     for be in lanes():
-        rows = be.run_levels("delete", *args, 1)
+        rows = run_round(be, "delete", *args, 1)
         assert [r[0] for r in rows] == sorted(args[-1])
         assert {r[5] for r in rows} == {0}  # all on the calling thread
 
@@ -131,7 +158,7 @@ def test_many_workers_same_result():
             expect = per_level(get_backend("python"), mode, *args)
             for be in lanes():
                 for workers in (1, 2, 8):
-                    rows = be.run_levels(mode, *args, workers)
+                    rows = run_round(be, mode, *args, workers)
                     assert outcome(rows) == expect, (seed, mode, be.NAME,
                                                      workers)
                     assert all(0 <= r[5] < workers for r in rows)
@@ -141,9 +168,9 @@ def test_worker_limit_validation():
     args = random_round(1, "insert")
     for be in lanes():
         with pytest.raises(ValueError):
-            be.run_levels("insert", *args, 0)
+            run_round(be, "insert", *args, 0)
         with pytest.raises(ValueError):
-            be.run_levels("update", *args, 1)
+            run_round(be, "update", *args, 1)
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -156,12 +183,12 @@ def test_failure_names_the_level(workers):
                       .astype(np.int32))
     for be in lanes():
         with pytest.raises(LevelTaskError) as err:
-            be.run_levels("delete", starts, lens, pool, cores, level_edges,
+            run_round(be, "delete", starts, lens, pool, cores, level_edges,
                           workers)
         assert err.value.level == k
         assert isinstance(err.value.__cause__, ValueError)
         # no arena kept a trace of the failed round
-        rows = be.run_levels("delete", starts, lens, pool, cores, clean,
+        rows = run_round(be, "delete", starts, lens, pool, cores, clean,
                              workers)
         assert outcome(rows) == per_level(be, "delete", starts, lens, pool,
                                           cores, clean)
@@ -177,10 +204,10 @@ def test_an_edge_off_its_level_is_rejected():
                         zip(level_edges[low], level_edges[high]))
     for be in lanes():
         with pytest.raises(LevelTaskError) as err:
-            be.run_levels("insert", starts, lens, pool, cores, moved, 2)
+            run_round(be, "insert", starts, lens, pool, cores, moved, 2)
         assert err.value.level == high
         assert "not at level" in str(err.value.__cause__)
-        rows = be.run_levels("insert", starts, lens, pool, cores,
+        rows = run_round(be, "insert", starts, lens, pool, cores,
                              level_edges, 2)
         assert outcome(rows) == per_level(be, "insert", starts, lens, pool,
                                           cores, level_edges)
@@ -202,7 +229,7 @@ def test_free_level_task_reports_its_peel_survivors(lane):
     be = get_backend(lane)
     args = (*g.adjacency_arrays(), cores.values, level_edges)
     for workers in (1, 2):
-        rows = be.run_levels("insert", *args, workers)
+        rows = run_round(be, "insert", *args, workers)
         assert [len(r) for r in rows] == [7, 7]
         assert [r[6] for r in rows] == [3, 0]
         assert [r[1].tolist() for r in rows] == [[0, 1, 2], []]
@@ -213,7 +240,7 @@ def test_free_level_task_reports_its_peel_survivors(lane):
     level_edges = {1: (np.array([4], np.int32), np.array([5], np.int32)),
                    2: (np.array([0], np.int32), np.array([1], np.int32))}
     for workers in (1, 2):
-        rows = be.run_levels("delete", *g.adjacency_arrays(), cores.values,
+        rows = run_round(be, "delete", *g.adjacency_arrays(), cores.values,
                              level_edges, workers)
         assert [(r[0], r[1].tolist(), r[6]) for r in rows] == [
             (1, [], 0), (2, [0, 1, 2], 0)]
@@ -255,7 +282,7 @@ def test_free_rounds_agree_across_lanes_and_workers():
 def timed(be, *args):
     """Seconds a two-worker delete round takes."""
     start = time.perf_counter()
-    be.run_levels("delete", *args, 2)
+    run_round(be, "delete", *args, 2)
     return time.perf_counter() - start
 
 
@@ -265,7 +292,7 @@ def timed(be, *args):
 def test_failure_waits_for_the_whole_round(error, raised):
     be = get_backend("c")
     starts, lens, pool, cores, level_edges = circulant_round()
-    expect = outcome(be.run_levels("delete", starts, lens, pool, cores,
+    expect = outcome(run_round(be, "delete", starts, lens, pool, cores,
                                    level_edges, 2))
     if error is RuntimeError:
         # a level with an endpoint out of range fails at once, claimed
@@ -278,7 +305,7 @@ def test_failure_waits_for_the_whole_round(error, raised):
                     for _ in range(3))
         start = time.perf_counter()
         with pytest.raises(raised) as err:
-            be.run_levels("delete", starts, lens, pool, cores, bad, 2)
+            run_round(be, "delete", starts, lens, pool, cores, bad, 2)
         assert err.value.level == 1
         assert time.perf_counter() - start > clean / 2
     else:
@@ -289,11 +316,11 @@ def test_failure_waits_for_the_whole_round(error, raised):
         with pytest.raises(raised):
             interrupter.start()
             while time.perf_counter() < deadline:
-                calls.append(be.run_levels("delete", starts, lens, pool,
+                calls.append(run_round(be, "delete", starts, lens, pool,
                                            cores, level_edges, 2))
         interrupter.join(timeout=10)
         assert all(outcome(rows) == expect for rows in calls)
-    again = be.run_levels("delete", starts, lens, pool, cores, level_edges, 2)
+    again = run_round(be, "delete", starts, lens, pool, cores, level_edges, 2)
     assert outcome(again) == expect
 
 
@@ -307,7 +334,7 @@ def test_each_level_runs_once_when_the_caller_takes_levels_back():
     expect = per_level(be, "delete", *args)
     slots = set()
     for _ in range(300):
-        rows = be.run_levels("delete", *args, 8)
+        rows = run_round(be, "delete", *args, 8)
         assert [r[0] for r in rows] == list(range(1, 9))
         assert outcome(rows) == expect
         slots |= {r[5] for r in rows}
@@ -322,12 +349,27 @@ def test_pool_threads_are_reused_across_rounds():
     args = clique_round()
     workers = 3
     before = thread_count()
-    be.run_levels("delete", *args, workers)
+    run_round(be, "delete", *args, workers)
     after_first = thread_count()
     for _ in range(199):
-        be.run_levels("delete", *args, workers)
+        run_round(be, "delete", *args, workers)
     assert thread_count() == after_first
     assert after_first - before <= workers - 1
+
+
+class Counting:
+    """Stands in for the compiled library and logs each call's name."""
+
+    def __init__(self, lib, calls):
+        self._lib, self._calls = lib, calls
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+
+        def call(*args):
+            self._calls.append(name)
+            return fn(*args)
+        return call
 
 
 @needs_c
@@ -335,24 +377,67 @@ def test_a_round_is_one_foreign_call(monkeypatch):
     be = get_backend("c")
     starts, lens, pool, cores, level_edges = random_round(3, "insert")
     calls = []
-
-    class Counting:
-        def __init__(self, lib):
-            self._lib = lib
-
-        def __getattr__(self, name):
-            fn = getattr(self._lib, name)
-
-            def call(*args):
-                calls.append(name)
-                return fn(*args)
-            return call
-
-    monkeypatch.setattr(be, "_lib", Counting(be._lib))
-    results = run_level_tasks(be, "insert", starts, lens, pool, cores,
-                              level_edges, 2)
+    monkeypatch.setattr(be, "_lib", Counting(be._lib, calls))
+    _, rows = run_level_tasks(be, "insert", starts, lens, pool, cores,
+                              *flat(level_edges), 2)
     assert calls == ["cm_run_levels"]
-    assert [r.level for r in results] == sorted(level_edges)
+    assert rows[:, LEVEL].tolist() == sorted(level_edges)
+
+
+@needs_c
+def test_a_small_delete_batch_is_one_call_per_layer(monkeypatch):
+    # pair check, plan, mutation and level fan-out: one foreign call each
+    # for an 8-edge delete batch that takes one round
+    be = get_backend("c")
+    g = generate_er(400, 5, seed=3)
+    cores = peel(g)
+    edges, used = [], set()
+    for u, v in g.edge_array().tolist():  # a matching: one round
+        if len(edges) < 8 and not used & {u, v}:
+            edges.append((u, v))
+            used |= {u, v}
+    batch = build_delete_batch(g, g.labels()[np.array(edges)])
+    calls = []
+    monkeypatch.setattr(be, "_lib", Counting(be._lib, calls))
+    log = delete_edges(g, cores, batch, workers=2, backend="c")
+    monkeypatch.undo()
+    assert log.rounds_executed == 1 and log.edges_applied == 8
+    assert sorted(calls) == ["cm_has_edges", "cm_plan_scan",
+                             "cm_remove_edges", "cm_run_levels"]
+    assert cores == peel(g)
+
+
+def grown_state(lane):
+    """A graph packed tight, then an insert batch whose rounds relocate
+    blocks and grow the pool, a batch whose new vertices grow the block
+    arrays and the core map, and a delete batch, all on backend ``lane``:
+    the final cores and pools, and every batch's log signature."""
+    g = generate_er(60, 3, seed=4)
+    cores = peel(g)
+    pool, starts, values = g._pool, g._starts, cores.values
+    logs = [insert_edges(g, cores, build_insert_batch(
+        g, sample_new_edges(g, 150, seed=4)), workers=2, backend=lane)]
+    assert g._pool is not pool and logs[0].rounds_executed > 1
+    fresh = [(int(u), 1000 + i) for i, u in enumerate(range(0, 60, 3))]
+    fresh += [(1000 + i, 1001 + i) for i in range(0, 19, 2)]
+    logs.append(insert_edges(g, cores, build_insert_batch(g, fresh),
+                             workers=2, backend=lane))
+    assert g._starts is not starts and cores.values is not values
+    logs.append(delete_edges(g, cores, build_delete_batch(
+        g, sample_existing_edges(g, 80, seed=4)), workers=2, backend=lane))
+    assert cores == peel(g)
+    n = g.vertex_count
+    return ([a.tobytes() for a in (cores.values, g._starts[:n],
+                                   g._lens[:n], g._pool)],
+            [log_signature(log) for log in logs])
+
+
+@needs_c
+def test_replaced_arrays_get_new_pointers():
+    # the compiled lane points into each array once; a grown pool, grown
+    # block arrays and a padded core map are new arrays, and every later
+    # call must use them: both lanes end byte for byte alike
+    assert grown_state("c") == grown_state("python")
 
 
 @needs_c
@@ -366,7 +451,7 @@ def test_compiled_round_releases_the_gil():
 
     def work():
         start = time.perf_counter()
-        rows = be.run_levels("delete", *args, 2)
+        rows = run_round(be, "delete", *args, 2)
         span.extend((start, time.perf_counter(), len(rows)))
 
     worker = threading.Thread(target=work)
@@ -391,7 +476,7 @@ def test_concurrent_rounds_match_sequential_runs():
     rounds = [random_round(seed, mode) for seed, mode in cases]
 
     def run_all(order):
-        return [outcome(be.run_levels(cases[i][1], *rounds[i], 2))
+        return [outcome(run_round(be, cases[i][1], *rounds[i], 2))
                 for i in order]
 
     expect = run_all(range(len(cases)))
@@ -424,7 +509,7 @@ def test_concurrent_rounds_match_sequential_runs():
 
 def _round_in_child(args, expect, done):
     before = thread_count()
-    rows = get_backend("c").run_levels("delete", *args, 2)
+    rows = run_round(get_backend("c"), "delete", *args, 2)
     done.put((outcome(rows) == expect, thread_count() - before))
 
 
@@ -434,7 +519,7 @@ def test_fork_child_completes_a_round():
     # neither wait on them nor count them, and starts one of its own
     be = get_backend("c")
     args = random_round(4, "delete", n=3000, size=400)
-    expect = outcome(be.run_levels("delete", *args, 2))  # helpers started
+    expect = outcome(run_round(be, "delete", *args, 2))  # helpers started
     ctx = multiprocessing.get_context("fork")
     done = ctx.Queue()
     child = ctx.Process(target=_round_in_child, args=(args, expect, done))
@@ -478,10 +563,12 @@ def bad_backend(error):
     it is)."""
     real = get_backend()
 
-    def failing(mode, starts, lens, pool, cores, level_edges, workers):
+    def failing(mode, starts, lens, pool, cores, ks, offsets, us, vs,
+                workers):
+        level_edges = unflat(ks, offsets, us, vs)
         rows = real.run_levels(mode, starts, lens, pool, cores,
-                               {k: e for k, e in level_edges.items()
-                                if k != 2}, workers)
+                               *flat({k: e for k, e in level_edges.items()
+                                      if k != 2}), workers)
         if 2 in level_edges:
             exc = error("injected")
             if isinstance(exc, Exception):
