@@ -778,20 +778,20 @@ static int32_t pair_level(const int32_t *us, const int32_t *vs,
    selected.  Any other is left pending when one of its endpoints sits at
    the pair's level (the lower endpoint core) and is already covered by an
    earlier selection; otherwise it is selected and covers each endpoint at
-   its level.  Writes the selected pairs' indices, ascending, to picked,
-   and the round as a flat plan: its levels, ascending, to ks, their
-   offsets (one more than the levels) to offsets, and the selected pairs,
-   grouped by level in canonical order within each, to pus and pvs (each
-   with room for m entries, offsets for m + 1).  tally[0] and tally[1]
-   receive the lowest and highest level of a pending live pair, or -1, and
-   tally[2] the selected count.  Returns the level count; BAD_ENDPOINT, or
-   ALLOC_FAILED when the scan's marks cannot be allocated, having written
-   only to the outputs. */
+   its level.  With s pairs selected at L levels, writes back to back to
+   index (room for 3m + 1 entries): the selected pairs' indices,
+   ascending (s), and the round as a flat plan, its levels, ascending
+   (L), and their offsets (L + 1); and to pairs (room for 2m) the selected
+   pairs, grouped by level in canonical order within each, as their us
+   (s) and then their vs (s).  tally[0] and tally[1] receive the lowest
+   and highest level of a pending live pair, or -1, and tally[2] the
+   selected count.  Returns L; BAD_ENDPOINT, or ALLOC_FAILED when the
+   scan's marks cannot be allocated, having written only to the
+   outputs. */
 int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
                      const uint8_t *alive, const int32_t *cores, int64_t n,
-                     int64_t hold, int64_t free_level, int64_t *picked,
-                     int64_t *ks, int64_t *offsets, int32_t *pus,
-                     int32_t *pvs, int64_t *tally)
+                     int64_t hold, int64_t free_level, int64_t *index,
+                     int32_t *pairs, int64_t *tally)
 {
     if (!in_range(m, us, vs, n))
         return BAD_ENDPOINT;
@@ -800,7 +800,7 @@ int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
         return ALLOC_FAILED;
     for (int64_t j = 0; j < m; j++)  /* only endpoint marks are read */
         covered[us[j]] = covered[vs[j]] = 0;
-    int64_t s = 0;
+    int64_t *picked = index, s = 0;
     int32_t lo = INT32_MAX, hi = -1;  /* the selected levels' range */
     tally[0] = tally[1] = -1;
     for (int64_t j = 0; j < m; j++) {
@@ -828,9 +828,10 @@ int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
     }
     free(covered);
     tally[2] = s;
-    offsets[0] = 0;
-    if (!s)
+    if (!s) {
+        index[0] = 0;  /* the offsets of no level */
         return 0;
+    }
     /* a stable counting sort of the selected pairs by level */
     int64_t *at = calloc((size_t)(hi - lo) + 1, sizeof *at);
     if (!at)
@@ -838,6 +839,12 @@ int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
     for (int64_t i = 0; i < s; i++)
         at[pair_level(us, vs, cores, picked[i]) - lo]++;
     int64_t levels = 0, sum = 0;
+    for (int64_t b = 0; b <= hi - lo; b++)
+        levels += at[b] != 0;
+    int64_t *ks = picked + s, *offsets = ks + levels;
+    int32_t *pus = pairs, *pvs = pairs + s;
+    offsets[0] = 0;
+    levels = 0;
     for (int64_t b = 0; b <= hi - lo; b++) {
         if (!at[b])
             continue;

@@ -3,15 +3,12 @@
 It keeps the backend contract described in ``_kernels_py``.
 
 Importing this module compiles the C file with the system C compiler
-(``cc``, with ``-pthread``) into ``__pycache__/`` next to it and opens the
-shared library with ``cffi.FFI.dlopen``.  A build is named by a CRC-32 of
-the source and flags and kept beside an exact copy of both, so a build is
-loaded only if its copy matches byte for byte, and a new build deletes the
-builds of earlier sources there.  (A CRC from ``zlib`` names it:
-``hashlib`` would map OpenSSL's libcrypto into every process.)  A failed
-build, or a missing ``cffi``, raises ImportError with the reason, and
-``kernels`` then falls back to the pure-Python lane.  cffi releases the
-GIL for the duration of each foreign call.
+(``cc``, with ``-pthread``) into ``__pycache__/`` next to it, keyed by a
+hash of the source and flags, and opens the shared library with
+``cffi.FFI.dlopen``; a new build deletes the builds of earlier sources
+there.  A failed build, or a missing ``cffi``, raises ImportError with the
+reason, and ``kernels`` then falls back to the pure-Python lane.  cffi
+releases the GIL for the duration of each foreign call.
 
 ``run_levels`` is the only way into the level kernels: it runs all level
 tasks of a round in one foreign call, the calling thread taking the
@@ -20,8 +17,9 @@ threads of the C code, the rest.  The helpers start on first need and
 serve every later round of the process.  ``insert_level`` and
 ``delete_level`` are one-level rounds on the calling thread.  The C code
 owns every arena and grows it; a level task allocates nothing else, and
-``remove_edges`` borrows the calling thread's arena to chain its entries
-by source.  This module only holds each calling thread's arena as an
+``remove_edges`` groups its entries by source with a stable radix sort
+of the sources and marks each group's targets in the calling thread's
+arena.  This module only holds each calling thread's arena as an
 opaque handle, freed with the thread, and the buffer the round writes its
 moved ids to.
 
@@ -30,10 +28,14 @@ crosses as the arrays ``plan_scan`` returned.  Every entry point checks
 dtypes, contiguity and lengths (``parse_pairs``: that it was given
 ``bytes``) before it calls into C.  The long-lived arrays (a graph's
 ``starts``, ``lens`` and ``pool``, and the cores) are checked and given a
-C pointer once per array object: ``_held`` keeps, per argument name, the
-last array seen and its pointer, and holds that array so its memory
-cannot move or be freed; a replaced array (a grown pool, a relocated
-block table, a padded core map) is a new object and is checked again.
+C pointer once per array object: ``_held`` keeps, per argument name, a
+weak reference to the last array seen and a bare pointer to its data,
+which keeps nothing alive.  The pointer is used only while the caller
+passes that same live array again, and numpy refuses to resize a weakly
+referenced array in place, so its data cannot have moved; a
+replaced array (a grown pool, a relocated block table, a padded core
+map) is a new object and is checked again.  So the cache pins no graph,
+core map or plan that its owner has dropped.
 The C code checks that every vertex id it is given lies in 0..n-1, that
 a round's levels ascend with offsets that fit its pairs, and that every
 pair of a level lies at that level, before it writes anything.  The
@@ -43,10 +45,11 @@ adjacency contents themselves (pool entries, block extents) are trusted:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import threading
-import zlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -82,41 +85,23 @@ def _compile(source: Path, target: Path):
 
 
 def _remove_stale(current: Path):
-    """Delete the other builds next to ``current``, and their copies of
-    the source, best effort."""
-    for old in [*current.parent.glob("_kernels.*.so"),
-                *current.parent.glob("_kernels.*.src")]:
-        if old.stem != current.stem:
+    """Delete the other builds next to ``current``, best effort."""
+    for old in current.parent.glob("_kernels.*.so"):
+        if old != current:
             try:
                 old.unlink()
             except OSError:
                 pass
 
 
-def _write(target: Path, data: bytes):
-    """Write ``data`` to ``target`` through a temporary name."""
-    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _load(ffi: cffi.FFI):
-    """Open the build of the current source, compiling it first unless
-    the copy of the source and flags beside it matches them exactly.  The
-    library is replaced before its copy, so a copy never vouches for an
-    older library."""
-    recipe = _SOURCE.read_bytes() + " ".join(_FLAGS).encode()
-    target = _CACHE / f"_kernels.{zlib.crc32(recipe):08x}.so"
-    built = target.with_suffix(".src")
+    source = _SOURCE.read_bytes()
+    tag = hashlib.sha256(source + " ".join(_FLAGS).encode()).hexdigest()[:16]
+    target = _CACHE / f"_kernels.{tag}.so"
     try:
-        if not (target.exists() and built.exists()
-                and built.read_bytes() == recipe):
+        if not target.exists():
             _CACHE.mkdir(exist_ok=True)
             _compile(_SOURCE, target)
-            _write(built, recipe)
             _remove_stale(target)
         return ffi.dlopen(str(target))
     except subprocess.CalledProcessError as exc:
@@ -150,9 +135,8 @@ int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
                       int64_t *rows);
 int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
                      const uint8_t *alive, const int32_t *cores, int64_t n,
-                     int64_t hold, int64_t free_level, int64_t *picked,
-                     int64_t *ks, int64_t *offsets, int32_t *pus,
-                     int32_t *pvs, int64_t *tally);
+                     int64_t hold, int64_t free_level, int64_t *index,
+                     int32_t *pairs, int64_t *tally);
 int cm_remove_edges(int64_t m, const int32_t *us, const int32_t *vs,
                     int64_t n, const int64_t *starts, int32_t *lens,
                     int32_t *pool, OwnArena *o);
@@ -167,6 +151,8 @@ _buf = _ffi.from_buffer
 _I64, _I32, _BOOL = np.dtype(np.int64), np.dtype(np.int32), np.dtype(bool)
 _CTYPES = {dtype: _ffi.typeof(name) for dtype, name in (
     (_I64, "int64_t[]"), (_I32, "int32_t[]"), (_BOOL, "uint8_t[]"))}
+_PTYPES = {dtype: _ffi.typeof(name) for dtype, name in (
+    (_I64, "int64_t *"), (_I32, "int32_t *"))}
 
 
 class _Thread(threading.local):
@@ -182,8 +168,9 @@ class _Thread(threading.local):
 
 
 _threads = _Thread()
-# argument name -> (the last array seen as it, its pointer); "graph" ->
-# ((starts, lens, pool), (n, their pointers))
+# argument name -> (a weak reference to the last array seen as it, its
+# bare pointer); "graph" -> ((starts, lens, pool) references, (n, their
+# pointers))
 _held_ptrs: dict[str, tuple] = {}
 
 
@@ -205,13 +192,18 @@ def _ptr(name: str, a, dtype, length: int | None = None):
     return _buf(_CTYPES[dtype], a)
 
 
+def _bare(name: str, a, dtype, length: int | None = None):
+    """``_ptr`` as a bare pointer, which does not keep ``a`` alive."""
+    return _ffi.cast(_PTYPES[dtype], _ptr(name, a, dtype, length))
+
+
 def _held(name: str, a, dtype, length: int | None = None):
     """``_ptr`` for an array that crosses more than once: checked and
     pointed to once per array object seen as argument ``name`` (the module
     docstring); its length is checked on every call."""
     seen = _held_ptrs.get(name)
-    if seen is None or seen[0] is not a:
-        seen = _held_ptrs[name] = (a, _ptr(name, a, dtype))
+    if seen is None or seen[0]() is not a:
+        seen = _held_ptrs[name] = (weakref.ref(a), _bare(name, a, dtype))
     if length is not None:
         _check_len(name, a, length)
     return seen[1]
@@ -220,12 +212,13 @@ def _held(name: str, a, dtype, length: int | None = None):
 def _graph_ptrs(starts, lens, pool):
     """(n, starts, lens, pool pointers), made once per array triple."""
     seen = _held_ptrs.get("graph")
-    if seen is None or any(a is not b for a, b in zip(seen[0],
-                                                      (starts, lens, pool))):
+    if (seen is None or seen[0][0]() is not starts
+            or seen[0][1]() is not lens or seen[0][2]() is not pool):
         n = len(starts)
-        seen = _held_ptrs["graph"] = ((starts, lens, pool), (
-            n, _ptr("starts", starts, _I64), _ptr("lens", lens, _I32, n),
-            _ptr("pool", pool, _I32)))
+        seen = _held_ptrs["graph"] = (
+            tuple(map(weakref.ref, (starts, lens, pool))),
+            (n, _bare("starts", starts, _I64), _bare("lens", lens, _I32, n),
+             _bare("pool", pool, _I32)))
     return seen[1]
 
 
@@ -335,24 +328,32 @@ def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
 
 
 def plan_scan(us, vs, alive, cores, hold=-1, free=-1):
-    """As ``_kernels_py.plan_scan``.  The flat plan's pointers are kept
-    for the calls that read it (``_held``)."""
+    """As ``_kernels_py.plan_scan``.  The scan writes to buffers sized by
+    the batch; the results are exact-size copies, so a kept plan holds
+    only its own pairs, and their pointers are kept for the calls that
+    read them (``_held``)."""
     m = len(us)
     args = (m, _held("us", us, _I32), _held("vs", vs, _I32, m),
             _ptr("alive", alive, _BOOL, m), _held("cores", cores, _I32),
             len(cores), hold, free)
-    # picked, ks, offsets and the tally share one buffer; the pairs another
+    # picked, ks and offsets back to back, then the tally; the pairs
     index = np.empty(3 * m + 4, dtype=np.int64)
     ids = np.empty(2 * m, dtype=np.int32)
-    at, pairs = _buf(_CTYPES[_I64], index), _buf(_CTYPES[_I32], ids)
-    ptrs = (at + m, at + 2 * m, pairs, pairs + m)
-    levels = _lib.cm_plan_scan(*args, at, *ptrs, at + 3 * m + 1)
+    at = _buf(_CTYPES[_I64], index)
+    levels = _lib.cm_plan_scan(*args, at, _buf(_CTYPES[_I32], ids),
+                               at + 3 * m + 1)
     _check_return(levels, "plan_scan", len(cores))
     *waiting, s = index[3 * m + 1:].tolist()
-    plan = (index[m:m + levels], index[2 * m:2 * m + levels + 1], ids[:s],
-            ids[m:m + s])
-    _held_ptrs.update(zip(("ks", "offsets", "us", "vs"), zip(plan, ptrs)))
-    return (index[:s], *plan, tuple(waiting))
+    head, flat = index[:s + 2 * levels + 1].copy(), ids[:2 * s].copy()
+    # pointers made by arithmetic are bare, as ``_held`` keeps them
+    at, pairs = _buf(_CTYPES[_I64], head), _buf(_CTYPES[_I32], flat)
+    ks, offsets = head[s:s + levels], head[s + levels:]
+    us, vs = flat[:s], flat[s:]
+    _held_ptrs["ks"] = (weakref.ref(ks), at + s)
+    _held_ptrs["offsets"] = (weakref.ref(offsets), at + s + levels)
+    _held_ptrs["us"] = (weakref.ref(us), pairs + 0)
+    _held_ptrs["vs"] = (weakref.ref(vs), pairs + s)
+    return head[:s], ks, offsets, us, vs, tuple(waiting)
 
 
 def remove_edges(starts, lens, pool, us, vs):

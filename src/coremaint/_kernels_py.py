@@ -20,12 +20,12 @@ A kernel backend is a module with eight functions:
   a flat plan.
 - ``remove_edges(starts, lens, pool, us, vs)``: edge removal from the
   adjacency blocks, in place; a rejected removal leaves ``lens`` and
-  ``pool`` byte-identical.  The compiled lane chains the directed entries
-  by source in the calling thread's arena (no sort), validates and
-  compacts each touched block in the same scan, copying it to an undo
-  buffer first, and puts back every block it touched when one lacks a
-  target; when a buffer cannot be allocated it raises MemoryError,
-  writing nothing.
+  ``pool`` byte-identical.  The compiled lane groups the directed
+  entries by source with a stable radix sort of the sources, marks each
+  group's targets in the calling thread's arena, validates and compacts
+  each touched block in one scan, copying it to an undo buffer first,
+  and puts back every block it touched when one lacks a target; when a
+  buffer cannot be allocated it raises MemoryError, writing nothing.
 - ``has_edges(starts, lens, pool, us, vs)``: edge lookup.
 - ``parse_pairs(data)``: the edge-list reader for its plain subset.
 

@@ -912,50 +912,3 @@ def test_new_build_removes_stale_builds(tmp_path):
     assert out.split() == ["c"]
     assert not stale.exists()
     assert len(list(cache.glob("_kernels.*.so"))) == 1
-
-
-@needs_c
-def test_import_leaves_openssl_unloaded():
-    # the build is named without hashlib, whose _hashlib maps libcrypto
-    probe = ("import sys, coremaint; "
-             "print(coremaint.kernels.default_backend_name(), "
-             "'_hashlib' in sys.modules)")
-    env = {k: v for k, v in os.environ.items() if k != "COREMAINT_BACKEND"}
-    env["PYTHONPATH"] = str(Path(coremaint.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["c", "False"]
-
-
-@needs_c
-def test_a_build_whose_recorded_source_differs_is_rebuilt(tmp_path):
-    # a library is loaded only beside an exact copy of the source and
-    # flags it was built from; one whose copy differs (here: garbage under
-    # the current name, as a build of a colliding source would leave) is
-    # built again
-    package = tmp_path / "coremaint"
-    shutil.copytree(Path(coremaint.__file__).parent, package,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    env = {k: v for k, v in os.environ.items() if k != "COREMAINT_BACKEND"}
-    env["PYTHONPATH"] = str(tmp_path)
-    probe = ("from coremaint import kernels; "
-             "print(kernels.default_backend_name())")
-
-    def backend():
-        return subprocess.run([sys.executable, "-c", probe], env=env,
-                              cwd=tmp_path, capture_output=True, text=True,
-                              check=True).stdout.split()
-
-    assert backend() == ["c"]
-    cache = package / "__pycache__"
-    library, = cache.glob("_kernels.*.so")
-    recorded = library.with_suffix(".src")
-    recipe = recorded.read_bytes()
-    assert recipe.startswith((package / "_kernels.c").read_bytes())
-    library.write_bytes(b"not a library")
-    recorded.write_bytes(recipe + b" -DOTHER")
-    assert backend() == ["c"]
-    assert recorded.read_bytes() == recipe
-    assert library.read_bytes() != b"not a library"
-    assert sorted(cache.glob("_kernels.*")) == sorted([library, recorded])
-

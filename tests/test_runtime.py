@@ -3,11 +3,13 @@ compiled lane's helper threads, ``run_level_tasks`` and the engine's round
 rollback."""
 
 import _thread
+import gc
 import multiprocessing
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from coremaint import (Graph, LevelTaskError, build_delete_batch,
                        insert_edges, peel, plan_round, run_level_tasks,
                        sequential_baseline)
 from coremaint._kernels_py import LEVEL
-from coremaint.gen import generate_er, sample_existing_edges, sample_new_edges
+from coremaint.gen import (generate_ba, generate_er, sample_existing_edges,
+                           sample_new_edges)
 from coremaint.kernels import BACKENDS, FALLBACK_REASON
 
 needs_c = pytest.mark.skipif("c" not in BACKENDS, reason=FALLBACK_REASON)
@@ -555,6 +558,53 @@ def test_round_records_keep_each_level_task(lane):
                    for t in rec.tasks)
         assert max(t.wall_ns for t in rec.tasks) <= rec.fanout_ns
 
+
+
+def owner(a):
+    """The array whose memory ``a`` keeps alive."""
+    return a if a.base is None else a.base
+
+
+@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+def test_round_records_hold_only_their_own_round(lane, mode):
+    # a record keeps arrays sized by its round, not by the batch, so a
+    # many-round log holds O(batch) and not O(rounds x batch)
+    g = generate_ba(300, 3, seed=9)
+    cores = peel(g)
+    if mode == "insert":
+        batch = build_insert_batch(g, sample_new_edges(g, 200, seed=9))
+        log = insert_edges(g, cores, batch, backend=lane)
+    else:
+        batch = build_delete_batch(g, sample_existing_edges(g, 200, seed=9))
+        log = delete_edges(g, cores, batch, backend=lane)
+    assert cores == peel(g)
+    assert log.rounds_executed > 2
+    for rec in log.rounds:
+        plan, s = rec.plan, rec.plan.edge_count
+        for a in (plan.ks, plan.offsets, plan.selected_indices):
+            assert owner(a).size <= s + 2 * len(plan.ks) + 1
+        for a in (plan.us, plan.vs):
+            assert owner(a).size <= 2 * s
+        assert owner(rec.moved).size == len(rec.moved)
+        assert owner(rec.rows).size == rec.rows.size
+
+
+@needs_c
+def test_compiled_lane_keeps_no_dropped_array_alive():
+    # the pointers kept across calls are bare: once the graph, the core
+    # map, the batch and the log are dropped, their arrays are freed
+    g = generate_er(300, 4, seed=5)
+    cores = peel(g, backend="c")
+    batch = build_delete_batch(g, sample_existing_edges(g, 40, seed=5))
+    log = delete_edges(g, cores, batch, workers=2, backend="c")
+    plan = log.rounds[-1].plan
+    refs = [weakref.ref(a) for a in (
+        *g.adjacency_arrays(), g._starts, g._lens, g._pool, cores.values,
+        batch.pairs, *map(owner, (plan.ks, plan.offsets, plan.us, plan.vs)))]
+    del g, cores, batch, log, plan
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * len(refs)
 
 def bad_backend(error):
     """The default backend, but its level-2 tasks raise ``error``: its
