@@ -107,12 +107,12 @@ static void radix_sort(uint64_t *a, uint64_t *tmp, int64_t c, int lowest)
    each with room for its bound on cap vertices (see own_fit).  A vertex
    enters order, stack and cascade at most once per task: it is visited
    once, pushed on stack when visited, and on cascade when removed.  It
-   enters dirty at most four times: when its sup and its csup are cached,
-   when it is visited, and when a cascade first touches it unvisited (its
-   slack then only falls, so it leaves 0 once). */
+   enters dirty at most three times: when its csup is cached, when it is
+   visited, and when a cascade first touches it unvisited (its slack then
+   only falls, so it leaves 0 once). */
 typedef struct {
     uint8_t *visited, *removed;
-    int32_t *slack, *sup, *csup;
+    int32_t *slack, *csup;
     int32_t *order, *stack, *cascade, *dirty;
 } Arena;
 
@@ -124,7 +124,7 @@ typedef struct {
 
 typedef struct {
     const int64_t *starts;
-    const int32_t *lens, *pool, *cores;
+    const int32_t *lens, *pool, *cores, *support;
     Arena a;
     int32_t k;
     int64_t visits, cascaded, dirtied;  /* entries of a.order, a.cascade
@@ -196,23 +196,29 @@ int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
     return ok ? 0 : ALLOC_FAILED;
 }
 
+/* out[v] = v's support, the number of its neighbours whose core is at
+   least its own, for each of the n vertices. */
+void cm_count_support(int64_t n, const int64_t *starts, const int32_t *lens,
+                      const int32_t *pool, const int32_t *cores,
+                      int32_t *out)
+{
+    for (int64_t v = 0; v < n; v++) {
+        const int32_t *nb = pool + starts[v];
+        int32_t cv = cores[v], cnt = 0;
+        for (int32_t j = 0; j < lens[v]; j++)
+            cnt += cores[nb[j]] >= cv;
+        out[v] = cnt;
+    }
+}
+
 /* ------------------------------------------------------------------
    per-level maintenance kernels */
 
-/* Number of u's neighbors whose core is at least u's own (cached). */
-static int32_t support(Task *t, int32_t u)
+/* Number of u's neighbors whose core is at least u's own: the round's
+   maintained support, the level's pairs counted in (see run_level). */
+static int32_t support(const Task *t, int32_t u)
 {
-    if (t->a.sup[u] != UNSET)
-        return t->a.sup[u];
-    const int32_t *nb = t->pool + t->starts[u];
-    int32_t cu = t->cores[u], cnt = 0;
-    for (int32_t j = 0; j < t->lens[u]; j++)
-        if (t->cores[nb[j]] >= cu)
-            cnt++;
-    t->a.sup[u] = cnt;
-    t->ctr[3]++;
-    t->a.dirty[t->dirtied++] = u;
-    return cnt;
+    return t->support[u];
 }
 
 /* Number of u's neighbors able to back a rise of u's core (cached). */
@@ -266,7 +272,7 @@ static void rule_out_cascade(Task *t, int32_t r)
             int32_t w = nb[j];
             if (t->cores[w] != k)
                 continue;
-            if (!a.visited[w] && a.sup[w] == UNSET && a.slack[w] == 0)
+            if (!a.visited[w] && a.slack[w] == 0)
                 a.dirty[t->dirtied++] = w;
             a.slack[w]--;
             t->ctr[2]++;
@@ -330,7 +336,6 @@ static int64_t finish(Task *t, int keep_removed)
         a.visited[v] = 0;
         a.removed[v] = 0;
         a.slack[v] = 0;
-        a.sup[v] = UNSET;
         a.csup[v] = UNSET;
     }
     return cnt;
@@ -413,6 +418,7 @@ typedef struct Round {
     int64_t n;
     const int64_t *starts;
     const int32_t *lens, *pool, *cores;
+    int32_t *support;  /* each task writes its level's entries only */
     int64_t levels;
     const int64_t *ks, *offsets;  /* level i is ks[i], with the pairs
                                      offsets[i] .. offsets[i + 1] - 1 */
@@ -441,7 +447,6 @@ void cm_arena_drop(OwnArena *o)
     free(o->a.visited);
     free(o->a.removed);
     free(o->a.slack);
-    free(o->a.sup);
     free(o->a.csup);
     free(o->a.order);
     free(o->a.stack);
@@ -462,20 +467,17 @@ static int own_fit(OwnArena *o, int64_t n)
     o->a.visited = calloc(cap, 1);
     o->a.removed = calloc(cap, 1);
     o->a.slack = calloc(cap, sizeof *o->a.slack);
-    o->a.sup = malloc(cap * sizeof *o->a.sup);
     o->a.csup = malloc(cap * sizeof *o->a.csup);
     o->a.order = malloc(cap * sizeof *o->a.order);
     o->a.stack = malloc(cap * sizeof *o->a.stack);
     o->a.cascade = malloc(cap * sizeof *o->a.cascade);
-    o->a.dirty = malloc(4 * cap * sizeof *o->a.dirty);
-    if (!(o->a.visited && o->a.removed && o->a.slack && o->a.sup
-          && o->a.csup && o->a.order && o->a.stack && o->a.cascade
-          && o->a.dirty)) {
+    o->a.dirty = malloc(3 * cap * sizeof *o->a.dirty);
+    if (!(o->a.visited && o->a.removed && o->a.slack && o->a.csup
+          && o->a.order && o->a.stack && o->a.cascade && o->a.dirty)) {
         cm_arena_drop(o);
         return ALLOC_FAILED;
     }
-    memset(o->a.sup, 0xff, cap * sizeof *o->a.sup);  /* UNSET */
-    memset(o->a.csup, 0xff, cap * sizeof *o->a.csup);
+    memset(o->a.csup, 0xff, cap * sizeof *o->a.csup);  /* UNSET */
     o->cap = (int64_t)cap;
     return 0;
 }
@@ -532,9 +534,23 @@ static int64_t riser_peel(const Round *r, int32_t k, const int32_t *risers,
     return cnt - gone;
 }
 
+/* Moves by step the support of the level-k endpoints of the p pairs (eu,
+   ev): a pair at level k changes no other vertex's support. */
+static void count_pairs(const Round *r, int32_t k, int64_t p,
+                        const int32_t *eu, const int32_t *ev, int32_t step)
+{
+    for (int64_t i = 0; i < p; i++) {
+        if (r->cores[eu[i]] == k)
+            r->support[eu[i]] += step;
+        if (r->cores[ev[i]] == k)
+            r->support[ev[i]] += step;
+    }
+}
+
 /* Runs the level r claims c-th with arena o (NULL: it could not be
-   grown) and fills its row.  An insert task ends with riser_peel over its
-   moved ids, once they are copied out. */
+   grown) and fills its row.  The task first counts its pairs into the
+   support, and an insert task ends with riser_peel over its moved ids,
+   once they are copied out. */
 static void run_level(Round *r, int64_t c, int64_t slot, OwnArena *o)
 {
     int64_t i = r->claim[c], *row = r->rows + i * ROW;
@@ -550,8 +566,9 @@ static void run_level(Round *r, int64_t c, int64_t slot, OwnArena *o)
     else if (!o)
         cnt = ALLOC_FAILED;
     else {
-        Task t = {r->starts, r->lens, r->pool, r->cores, o->a, k, 0, 0, 0,
-                  row + R_CTR};
+        count_pairs(r, k, p, eu, ev, r->insert ? 1 : -1);
+        Task t = {r->starts, r->lens, r->pool, r->cores, r->support, o->a, k,
+                  0, 0, 0, row + R_CTR};
         cnt = (r->insert ? cm_insert_level : cm_delete_level)(&t, p, eu, ev);
     }
     if (cnt > 0) {
@@ -657,6 +674,36 @@ static void install_fork_hooks(void)
     pthread_atfork(fork_prepare, fork_parent, fork_child);
 }
 
+/* Brings the support up to date for the total moved ids in r->out, whose
+   cores move by one (r->cores are the old ones): recounts each moved
+   vertex from its block under the new cores, and moves by one the support
+   of each unmoved neighbour w of a moved x, up on insert where cores[w] is
+   x's old core plus one, down on delete where cores[w] is x's old core.
+   Marks the moved ids in a's visited slots, and resets them. */
+static void shift_support(const Round *r, int64_t total, Arena a)
+{
+    int32_t step = r->insert ? 1 : -1, above = r->insert ? 1 : 0;
+    for (int64_t i = 0; i < total; i++)
+        a.visited[r->out[i]] = 1;
+    for (int64_t i = 0; i < total; i++) {
+        int32_t x = r->out[i], cx = r->cores[x], cnt = 0;
+        const int32_t *nb = r->pool + r->starts[x];
+        for (int32_t j = 0; j < r->lens[x]; j++) {
+            int32_t w = nb[j], cw = r->cores[w];
+            if (a.visited[w]) {
+                cnt += cw >= cx;  /* both cores moved */
+            } else {
+                cnt += cw >= cx + step;
+                if (cw == cx + above)
+                    r->support[w] += step;
+            }
+        }
+        r->support[x] = cnt;
+    }
+    for (int64_t i = 0; i < total; i++)
+        a.visited[r->out[i]] = 0;
+}
+
 /* The level indices of a round in claim order: most pairs first, ties by
    ascending level (so by index, the levels ascending).  Returns NULL when
    the buffer (also the sort's scratch) cannot be allocated. */
@@ -686,13 +733,18 @@ static int64_t *claim_order(int64_t levels, const int64_t *offsets)
    row of rows (ROW int64, zeroed here first); a failed level's count is
    its error return.  Once every level has finished, the moved ids of each
    level lie in out (room for n ids), in the task's visit order, level
-   after level in ascending level order.  Returns their count; BAD_ORDER,
-   before any level runs, unless the levels and offsets are as described;
-   ALLOC_FAILED if the claim order cannot be allocated; or the error of
-   the lowest failed level. */
+   after level in ascending level order.  support, the maintained support
+   from before the round's pairs, is kept as _kernels_py's docstring says:
+   each task counts its pairs in (count_pairs); then, if no level failed
+   and no riser peel left survivors, shift_support brings it up to date
+   for the moved ids, and each level's sup_evals is its moved count; else
+   the levels that ran count their pairs out again.  Returns the moved
+   count; BAD_ORDER, before any level runs, unless the levels and offsets
+   are as described; ALLOC_FAILED if the claim order cannot be allocated;
+   or the error of the lowest failed level. */
 int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
                       const int32_t *lens, const int32_t *pool,
-                      const int32_t *cores, int64_t levels,
+                      const int32_t *cores, int32_t *support, int64_t levels,
                       const int64_t *ks, const int64_t *offsets, int64_t m,
                       const int32_t *us, const int32_t *vs,
                       int64_t helpers_wanted, OwnArena *caller, int32_t *out,
@@ -710,7 +762,8 @@ int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
     if (!claim)
         return ALLOC_FAILED;
     Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
-               .pool = pool, .cores = cores, .levels = levels, .ks = ks,
+               .pool = pool, .cores = cores, .support = support,
+               .levels = levels, .ks = ks,
                .offsets = offsets, .us = us, .vs = vs, .claim = claim,
                .out = out, .rows = rows};
     atomic_init(&r.next, 1);  /* the caller holds the heaviest level */
@@ -740,12 +793,22 @@ int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
         pthread_mutex_unlock(&lock);
     }
     free(claim);
-    int64_t total = 0;
+    int64_t total = 0, failed = 0, survivors = 0;
     for (int64_t i = 0; i < levels; i++) {
-        if (rows[i * ROW + R_COUNT] < 0)
-            return rows[i * ROW + R_COUNT];
-        total += rows[i * ROW + R_COUNT];
+        int64_t *row = rows + i * ROW;
+        if (row[R_COUNT] < 0 && !failed)
+            failed = row[R_COUNT];
+        total += row[R_COUNT];
+        survivors |= row[R_SURVIVORS];
     }
+    if (failed || survivors)  /* the support as it was found */
+        for (int64_t i = 0; i < levels; i++)
+            if (rows[i * ROW + R_COUNT] >= 0)
+                count_pairs(&r, (int32_t)ks[i], offsets[i + 1] - offsets[i],
+                            us + offsets[i], vs + offsets[i],
+                            insert ? -1 : 1);
+    if (failed)
+        return failed;
     /* the levels wrote their ids as they finished; lay them out in level
        order through the caller's order list, free now and (the caller
        having run a level) grown to n */
@@ -758,6 +821,11 @@ int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
         at += row[R_COUNT];
     }
     memcpy(out, laid, (size_t)total * sizeof *out);
+    if (!survivors) {
+        shift_support(&r, total, caller->a);
+        for (int64_t i = 0; i < levels; i++)
+            rows[i * ROW + R_CTR + 3] = rows[i * ROW + R_COUNT];
+    }
     return total;
 }
 

@@ -54,8 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels_py import (_ORDER, COUNT, COUNTERS, OFFSET, ROW,
-                          LevelTaskError, _check_len, _check_round)
+from ._kernels_py import (_ORDER, COUNT, OFFSET, ROW, LevelTaskError,
+                          _check_len, _check_round, _check_support,
+                          _one_level)
 
 try:
     import cffi
@@ -116,7 +117,7 @@ _ffi = cffi.FFI()
 _ffi.cdef("""
 typedef struct {
     uint8_t *visited, *removed;
-    int32_t *slack, *sup, *csup;
+    int32_t *slack, *csup;
     int32_t *order, *stack, *cascade, *dirty;
 } Arena;
 typedef struct {
@@ -126,9 +127,12 @@ typedef struct {
 void cm_arena_drop(OwnArena *o);
 int cm_peel(int64_t n, const int64_t *starts, const int32_t *lens,
             const int32_t *pool, int32_t *out);
+void cm_count_support(int64_t n, const int64_t *starts, const int32_t *lens,
+                      const int32_t *pool, const int32_t *cores,
+                      int32_t *out);
 int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
                       const int32_t *lens, const int32_t *pool,
-                      const int32_t *cores, int64_t levels,
+                      const int32_t *cores, int32_t *support, int64_t levels,
                       const int64_t *ks, const int64_t *offsets, int64_t m,
                       const int32_t *us, const int32_t *vs,
                       int64_t helpers_wanted, OwnArena *caller, int32_t *out,
@@ -257,26 +261,25 @@ def peel_kernel(n, starts, lens, pool):
     return cores
 
 
-def _one_level(mode, starts, lens, pool, cores, k, eu, ev):
-    """Level k alone, as a one-level round on the calling thread."""
-    try:
-        moved, rows = run_levels(mode, starts, lens, pool, cores,
-                                 np.array([k], dtype=np.int64),
-                                 np.array([0, len(eu)], dtype=np.int64),
-                                 eu, ev, 1)
-    except LevelTaskError as exc:
-        raise exc.__cause__ from None
-    return moved, tuple(rows[0, COUNTERS].tolist())
+def count_support(starts, lens, pool, cores):
+    """As ``_kernels_py.count_support``."""
+    n, *graph = _graph_ptrs(starts, lens, pool)
+    support = np.empty(n, dtype=np.int32)
+    _lib.cm_count_support(n, *graph, _ptr("cores", cores, _I32, n),
+                          _buf(_CTYPES[_I32], support))
+    return support
 
 
-def insert_level(starts, lens, pool, cores, k, eu, ev):
+def insert_level(starts, lens, pool, cores, support, k, eu, ev):
     """As ``_kernels_py.insert_level``."""
-    return _one_level("insert", starts, lens, pool, cores, k, eu, ev)
+    return _one_level(run_levels, "insert", starts, lens, pool, cores,
+                      support, k, eu, ev)
 
 
-def delete_level(starts, lens, pool, cores, k, eu, ev):
+def delete_level(starts, lens, pool, cores, support, k, eu, ev):
     """As ``_kernels_py.delete_level``."""
-    return _one_level("delete", starts, lens, pool, cores, k, eu, ev)
+    return _one_level(run_levels, "delete", starts, lens, pool, cores,
+                      support, k, eu, ev)
 
 
 def _out_buffer(n: int):
@@ -289,8 +292,8 @@ def _out_buffer(n: int):
     return t.out, t.out_ptr
 
 
-def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
-               workers):
+def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
+               vs, workers):
     """As ``_kernels_py.run_levels``, in one foreign call: the calling
     thread runs the heaviest level, and it and up to ``min(workers,
     levels) - 1`` helper threads claim the rest.  Each level's ids are
@@ -298,6 +301,8 @@ def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
     _check_round(mode, workers)
     n, *graph = _graph_ptrs(starts, lens, pool)
     cores_ptr = _held("cores", cores, _I32, n)
+    support_ptr = _held("support", support, _I32, n)
+    _check_support(support, n)
     levels, m = len(ks), len(us)
     args = (levels, _held("ks", ks, _I64), _held("offsets", offsets, _I64,
                                                  levels + 1),
@@ -309,7 +314,7 @@ def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
         return np.zeros(0, dtype=np.int32), rows
     out, out_ptr = _out_buffer(n)
     total = _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr,
-                               *args, min(workers, levels) - 1,
+                               support_ptr, *args, min(workers, levels) - 1,
                                _threads.arena, out_ptr,
                                _buf(_CTYPES[_I64], rows))
     if total < 0:

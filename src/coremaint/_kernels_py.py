@@ -1,17 +1,22 @@
 """Pure-Python kernel backend: the reference lane, and the contract that
 every kernel backend keeps.
 
-A kernel backend is a module with eight functions:
+A kernel backend is a module with nine functions:
 
 - ``peel_kernel(n, starts, lens, pool)``: the core number of every vertex.
-- ``insert_level``/``delete_level(starts, lens, pool, cores, k, eu, ev)``:
-  the vertices of core level k whose core rises (falls) once the level's
-  edges (eu, ev) are in (out of) the adjacency arrays, as (ascending id
-  array, counter tuple).  A failed call raises the level's own error.
-- ``run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
-  workers)``: the level task of every level of one round given as a flat
-  plan (below), at most ``workers`` at a time; every insert task ends
-  with a peel of its risers (``riser_peel``).  Returns one moved-id array
+- ``count_support(starts, lens, pool, cores)``: the support (below) of
+  every vertex, counted from the blocks, as an int32 array.
+- ``insert_level``/``delete_level(starts, lens, pool, cores, support, k,
+  eu, ev)``: the vertices of core level k whose core rises (falls) once
+  the level's edges (eu, ev) are in (out of) the adjacency arrays, as
+  (ascending id array, counter tuple): ``run_levels`` on that one-level
+  round with one worker, so ``support`` is written as there.  A failed
+  call raises the level's own error.
+- ``run_levels(mode, starts, lens, pool, cores, support, ks, offsets,
+  us, vs, workers)``: the level task of every level of one round given
+  as a flat plan (below), at most ``workers`` at a time; every insert
+  task ends with a peel of its risers (``riser_peel``).  It keeps
+  ``support`` up to date, in place (below).  Returns one moved-id array
   and one row per level (as described at its definition below).  A
   failed level raises ``LevelTaskError`` naming it, once no level of the
   round is running; an interrupt propagates as it is.
@@ -37,10 +42,32 @@ order within a level.  ``plan_scan`` returns it, and the engine hands the
 same arrays to ``Graph``'s mutation and to ``run_levels``, with no
 repacking between layers.
 
+A vertex's support is the number of its neighbours whose core is at
+least its own (the max-core degree of Sariyüce et al., VLDB 2013).  The
+level kernels prune with it and never count it: they read the support
+the engine keeps.  ``run_levels`` takes it (int32, writable, one entry a
+vertex) as it stood before the round's pairs went into (out of) the
+arrays, under ``cores``, and writes it in place:
+
+- each level task first moves the support of its pairs' endpoints at
+  its level by one, up on insert and down on delete; a pair at level k
+  changes no other vertex's support, so the tasks write disjoint entries;
+- once every task is done, if the round commits (no level failed and no
+  riser peel left survivors), the calling thread recounts each moved
+  vertex from its block under the new cores (each moved id's core moved
+  by one), and moves the support of each unmoved neighbour w of a moved
+  x by one: up on insert where cores[w] is x's old core plus one, down on
+  delete where cores[w] is x's old core.  The support then matches the
+  arrays and the cores as the engine shifts them;
+- otherwise the support is put back as it was found.
+
 Every backend has the same signatures and produces identical results
 *and* counters, and every backend raises ValueError for the same bad
 values.  Counter tuple layout:
     (visited, removed, neg_touches, sup_evals, csup_evals)
+``sup_evals`` counts the supports recounted from a block: a committed
+level's moved count, else 0.  ``csup_evals`` counts the constrained
+supports a level task counted.
 
 A backend may keep the level kernels' per-vertex scratch in an arena that
 one thread owns and keeps across calls, so concurrent tasks never share
@@ -65,7 +92,7 @@ import numpy as np
 NAME = "python"
 
 # the columns of a run_levels row (int64)
-LEVEL, COUNT, OFFSET, COUNTERS = 0, 1, 2, slice(3, 8)
+LEVEL, COUNT, OFFSET, COUNTERS, SUP_EVALS = 0, 1, 2, slice(3, 8), 6
 WALL, CPU, WORKER, SURVIVORS, ROW = 8, 9, 10, 11, 12
 _ORDER = ("levels must ascend, with offsets rising from 0 to the pair "
           "count")
@@ -148,7 +175,19 @@ def peel_kernel(n, starts, lens, pool) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# per-level maintenance tasks
+# support, and the per-level maintenance tasks
+
+
+def count_support(starts, lens, pool, cores) -> np.ndarray:
+    """Every vertex's support, the number of its neighbours whose core is
+    at least its own, as an int32 array: one pass over the blocks."""
+    n = len(starts)
+    _check_len("lens", lens, n)
+    _check_len("cores", cores, n)
+    blens = lens.astype(np.int64)
+    nbrs = pool[_block_slots(starts, blens)]
+    mine = cores[nbrs] >= cores.repeat(blens)
+    return _segment_counts(mine, blens).astype(np.int32)
 
 
 @dataclass
@@ -157,14 +196,15 @@ class TaskState:
 
     ``slack`` tracks each vertex's remaining support as the traversal rules
     vertices out; it may go negative for vertices touched before being
-    visited, which the seeding rules account for.
+    visited, which the seeding rules account for.  ``support`` is the
+    round's maintained support, the level's pairs counted in.
     """
 
     level: int
+    support: np.ndarray | None = None
     visited: set = field(default_factory=set)
     removed: set = field(default_factory=set)
     slack: dict = field(default_factory=dict)
-    sup: dict = field(default_factory=dict)
     csup: dict = field(default_factory=dict)
     visit_order: list = field(default_factory=list)
     visits: int = 0
@@ -193,18 +233,10 @@ class _Adj:
         return self.pool[s : s + self.lens[v]].tolist()
 
 
-def _support(adj, cores, st: TaskState, u: int) -> int:
-    """Number of u's neighbors whose core is at least u's own (cached)."""
-    s = st.sup.get(u)
-    if s is None:
-        cu = cores[u]
-        s = 0
-        for x in adj(u):
-            if cores[x] >= cu:
-                s += 1
-        st.sup[u] = s
-        st.sup_evals += 1
-    return s
+def _support(st: TaskState, u: int) -> int:
+    """Number of u's neighbors whose core is at least u's own: read from
+    the maintained support, never counted."""
+    return int(st.support[u])
 
 
 def _constrained_support(adj, cores, st: TaskState, u: int) -> int:
@@ -221,7 +253,7 @@ def _constrained_support(adj, cores, st: TaskState, u: int) -> int:
             cx = cores[x]
             if cx > cu:
                 c += 1
-            elif cx == cu and _support(adj, cores, st, x) > cu:
+            elif cx == cu and _support(st, x) > cu:
                 c += 1
         st.csup[u] = c
         st.csup_evals += 1
@@ -258,28 +290,24 @@ def rule_out_cascade(adj, cores, st: TaskState, r: int):
                     st.removals += 1
 
 
-def _check_level(starts, lens, cores, k, eu, ev):
-    """The level kernels' input checks: lengths, endpoints in range, and
-    each edge at level k (its lower endpoint core), so that the tasks of a
-    round move disjoint vertex sets."""
-    n = len(starts)
-    _check_len("lens", lens, n)
-    _check_len("cores", cores, n)
-    _check_len("ev", ev, len(eu))
+def _check_level(n, cores, k, eu, ev):
+    """A level task's input checks: endpoints in 0..n-1, and each edge at
+    level k (its lower endpoint core), so that the tasks of a round move
+    disjoint vertex sets."""
     _check_endpoints(n, eu, ev)
     if len(eu) and (np.minimum(cores[eu], cores[ev]) != k).any():
         raise ValueError(f"edge not at level {k}")
 
 
-def insert_level(starts, lens, pool, cores, k, eu, ev):
+def _insert_task(starts, lens, pool, cores, support, k, eu, ev):
     """Find the vertices of core level k that rise after inserting the
-    level's edges (the edges must already be present in the arrays).
+    level's edges (the edges must already be present in the arrays, and
+    counted into ``support``).
 
     Returns (ascending vertex id array, counter tuple).
     """
-    _check_level(starts, lens, cores, k, eu, ev)
     adj = _Adj(starts, lens, pool)
-    st = TaskState(k)
+    st = TaskState(k, support)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
     ev_l = ev.tolist() if hasattr(ev, "tolist") else list(ev)
     for a, b in zip(eu_l, ev_l):
@@ -296,7 +324,7 @@ def insert_level(starts, lens, pool, cores, k, eu, ev):
             if st.slack[v] > k:
                 for w in adj(v):
                     if cores[w] == k and w not in st.visited:
-                        if _support(adj, cores, st, w) > k:
+                        if _support(st, w) > k:
                             _mark_visited(st, w)
                             cw = _constrained_support(adj, cores, st, w)
                             st.slack[w] = st.slack.get(w, 0) + cw
@@ -323,8 +351,7 @@ def drop_cascade(adj, cores, st: TaskState, r: int):
             if cores[w] == k:
                 if w not in st.visited:
                     _mark_visited(st, w)
-                    st.slack[w] = st.slack.get(w, 0) + \
-                        _support(adj, cores, st, w)
+                    st.slack[w] = st.slack.get(w, 0) + _support(st, w)
                 st.slack[w] -= 1
                 st.neg_touches += 1
                 if st.slack[w] < k and w not in st.removed:
@@ -333,22 +360,22 @@ def drop_cascade(adj, cores, st: TaskState, r: int):
                     st.removals += 1
 
 
-def delete_level(starts, lens, pool, cores, k, eu, ev):
+def _delete_task(starts, lens, pool, cores, support, k, eu, ev):
     """Find the vertices of core level k that fall after deleting the
-    level's edges (the edges must already be gone from the arrays).
+    level's edges (the edges must already be gone from the arrays, and
+    counted out of ``support``).
 
     Returns (ascending vertex id array, counter tuple).
     """
-    _check_level(starts, lens, cores, k, eu, ev)
     adj = _Adj(starts, lens, pool)
-    st = TaskState(k)
+    st = TaskState(k, support)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
     ev_l = ev.tolist() if hasattr(ev, "tolist") else list(ev)
 
     def check(r):
         if r not in st.visited:
             _mark_visited(st, r)
-            st.slack[r] = _support(adj, cores, st, r)
+            st.slack[r] = _support(st, r)
         if r not in st.removed and st.slack[r] < k:
             drop_cascade(adj, cores, st, r)
 
@@ -413,14 +440,50 @@ def _check_plan(ks, offsets, us, vs):
     return ks, offsets
 
 
-def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
-               workers):
-    """Run the level task of every level of a round: ``insert_level`` or
-    ``delete_level`` (``mode`` "insert" or "delete") on each level ks[i]
-    with its pairs of the flat plan (module docstring), with at most
-    ``workers`` at a time.  An insert task ends with ``riser_peel`` over
-    its moved ids; at a level where the strict rule held, nothing survives
-    (``batch``'s docstring).
+def _check_support(support, n: int):
+    """``run_levels`` writes the support: it must cover the n vertices and
+    be writable."""
+    _check_len("support", support, n)
+    if not support.flags.writeable:
+        raise ValueError("support must be writable")
+
+
+def _count_in(support, cores, k: int, eu, ev, step: int):
+    """Move the support of the level-k endpoints of the pairs (eu, ev) by
+    ``step``, in place."""
+    ends = np.concatenate((eu, ev))
+    np.add.at(support, ends[cores[ends] == k], step)
+
+
+def _shift_support(starts, lens, pool, cores, support, moved, step: int):
+    """Bring ``support`` up to date for the ``moved`` ids' cores moving by
+    ``step`` (``cores`` are the old ones): recount each moved vertex from
+    its block under the new cores, and move by ``step`` the support of each
+    unmoved neighbour w of a moved x whose core is x's old core plus one
+    (insert) or x's old core (delete)."""
+    if not len(moved):
+        return
+    is_moved = np.zeros(len(cores), dtype=bool)
+    is_moved[moved] = True
+    blens = lens[moved].astype(np.int64)
+    nbrs = pool[_block_slots(starts[moved], blens)]
+    old = cores[moved].astype(np.int64).repeat(blens)
+    near, both = cores[nbrs].astype(np.int64), is_moved[nbrs]
+    support[moved] = _segment_counts(near + step * both >= old + step, blens)
+    lone = ~both & (near == old + (step > 0))
+    np.add.at(support, nbrs[lone], step)
+
+
+def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
+               vs, workers):
+    """Run the level task of every level of a round (``mode`` "insert" or
+    "delete") on each level ks[i] with its pairs of the flat plan (module
+    docstring), with at most ``workers`` at a time, and keep ``support``
+    up to date (the module docstring has the rule).  A task checks its
+    pairs, counts them into the support, and finds the vertices of core
+    level k that rise (fall) once they are in (out of) the arrays.  An
+    insert task ends with ``riser_peel`` over its moved ids; at a level
+    where the strict rule held, nothing survives (``batch``'s docstring).
 
     Returns (moved, rows).  ``moved`` holds every level's moved ids, level
     after level in ascending level order, each level's ascending.
@@ -435,21 +498,28 @@ def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
     kernels hold the GIL.
     """
     _check_round(mode, workers)
-    _check_len("lens", lens, len(starts))
-    _check_len("cores", cores, len(starts))
+    n = len(starts)
+    _check_len("lens", lens, n)
+    _check_len("cores", cores, n)
+    _check_support(support, n)
     ks, offsets = _check_plan(ks, offsets, us, vs)
     insert = mode == "insert"
-    kernel = insert_level if insert else delete_level
+    step = 1 if insert else -1
+    task = _insert_task if insert else _delete_task
     rows = np.zeros((len(ks), ROW), dtype=np.int64)
     parts = [None] * len(ks)
-    failed = {}
+    failed, counted = {}, []
     for i in sorted(range(len(ks)),
                     key=lambda i: (offsets[i] - offsets[i + 1], i)):
-        k, a, b = ks[i], offsets[i], offsets[i + 1]
+        k, pairs = ks[i], (us[offsets[i]:offsets[i + 1]],
+                           vs[offsets[i]:offsets[i + 1]])
         wall, cpu = time.perf_counter_ns(), time.thread_time_ns()
         try:
-            moved, counters = kernel(starts, lens, pool, cores, k, us[a:b],
-                                     vs[a:b])
+            _check_level(n, cores, k, *pairs)
+            _count_in(support, cores, k, *pairs, step)
+            counted.append(i)
+            moved, counters = task(starts, lens, pool, cores, support, k,
+                                   *pairs)
             survivors = (riser_peel(starts, lens, pool, cores, k, moved)
                          if insert else 0)
         except Exception as exc:
@@ -459,12 +529,49 @@ def run_levels(mode, starts, lens, pool, cores, ks, offsets, us, vs,
         rows[i] = (k, len(moved), 0, *counters,
                    time.perf_counter_ns() - wall,
                    time.thread_time_ns() - cpu, 0, survivors)
+    commit = not failed and not rows[:, SURVIVORS].any()
+    if not commit:  # the support as it was found
+        for i in counted:
+            _count_in(support, cores, ks[i], us[offsets[i]:offsets[i + 1]],
+                      vs[offsets[i]:offsets[i + 1]], -step)
     if failed:
         i = min(failed)
         raise LevelTaskError(ks[i], failed[i]) from failed[i]
     counts = rows[:, COUNT]
     rows[:, OFFSET] = np.cumsum(counts) - counts
-    return np.concatenate([np.zeros(0, np.int32), *parts]), rows
+    moved = np.concatenate([np.zeros(0, np.int32), *parts])
+    if commit:
+        _shift_support(starts, lens, pool, cores, support, moved, step)
+        rows[:, SUP_EVALS] = counts
+    return moved, rows
+
+
+def _one_level(run, mode, starts, lens, pool, cores, support, k, eu, ev):
+    """Level k alone: ``run`` (a backend's ``run_levels``) on the
+    one-level round (k, eu, ev) with one worker.  Returns (moved ids,
+    counter tuple); a failed level raises its own error."""
+    try:
+        moved, rows = run(mode, starts, lens, pool, cores, support,
+                          np.array([k], dtype=np.int64),
+                          np.array([0, len(eu)], dtype=np.int64), eu, ev, 1)
+    except LevelTaskError as exc:
+        raise exc.__cause__ from None
+    return moved, tuple(rows[0, COUNTERS].tolist())
+
+
+def insert_level(starts, lens, pool, cores, support, k, eu, ev):
+    """The vertices of core level k that rise once the level's edges (eu,
+    ev) are in the arrays, as (ascending id array, counter tuple): the
+    one-level round of ``run_levels``, which writes ``support``."""
+    return _one_level(run_levels, "insert", starts, lens, pool, cores,
+                      support, k, eu, ev)
+
+
+def delete_level(starts, lens, pool, cores, support, k, eu, ev):
+    """As ``insert_level``, for the vertices that fall once the level's
+    edges are out of the arrays."""
+    return _one_level(run_levels, "delete", starts, lens, pool, cores,
+                      support, k, eu, ev)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ from ._kernels_py import COUNTERS, SURVIVORS, _check_round
 from .batch import BatchError, EdgeBatch, RoundPlan, edge_lists, plan_round
 from .graph import Graph
 from .kernels import get_backend
-from .static_core import CoreMap, peel
+from .static_core import CoreMap
 
 
 @dataclass
@@ -87,21 +87,23 @@ class LevelTaskResult:
     survivors: int  # risers left by an insert task's peel; 0 on delete
 
 
-def run_level_tasks(be, mode: str, starts, lens, pool, cores, ks, offsets,
-                    us, vs, workers: int) -> tuple[np.ndarray, np.ndarray]:
+def run_level_tasks(be, mode: str, starts, lens, pool, cores, support, ks,
+                    offsets, us, vs,
+                    workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Run the level task of every level of the flat plan (ks, offsets,
     us, vs) with backend ``be``, at most ``workers`` at a time, and return
     its ``run_levels`` result: the moved ids, level after level, and one
     row per level, both in ascending level order.  Every insert task ends
-    with the peel of its risers.
+    with the peel of its risers.  ``support`` is kept up to date in place
+    (the rule is in ``_kernels_py``'s docstring).
 
     Results are identical for every worker count: tasks neither share
     mutable state nor observe each other.  A failed task raises
     ``LevelTaskError`` naming its level, and only once every task of the
     round has finished, so a rollback never runs beside a live task.
     """
-    return be.run_levels(mode, starts, lens, pool, cores, ks, offsets, us,
-                         vs, workers)
+    return be.run_levels(mode, starts, lens, pool, cores, support, ks,
+                         offsets, us, vs, workers)
 
 
 @dataclass
@@ -238,7 +240,7 @@ def _check_cores(g: Graph, cores: CoreMap, be):
     ``fit_to`` would pad it) equals a fresh ``peel`` of ``g``."""
     fitted = cores.copy()
     fitted.fit_to(g)
-    expect = peel(g, backend=be).values
+    expect = be.peel_kernel(g.vertex_count, *g.adjacency_arrays())
     wrong = (fitted.values != expect).nonzero()[0]
     if len(wrong):
         v = int(wrong[0])
@@ -246,6 +248,25 @@ def _check_cores(g: Graph, cores: CoreMap, be):
             f"core map does not match the graph: vertex {g.label_of(v)} "
             f"has core {int(fitted.values[v])}, peel gives {int(expect[v])} "
             f"({len(wrong)} vertices differ)")
+
+
+def _support_of(g: Graph, cores: CoreMap, be) -> np.ndarray:
+    """The map's support, counted again (one backend call) unless it was
+    counted for ``g``'s edges as they stand."""
+    if cores.counted_for is not g.edge_state:
+        cores.support = be.count_support(*g.adjacency_arrays(), cores.values)
+    return cores.support
+
+
+def _audit_support(log: MaintenanceLog, g: Graph, cores: CoreMap, be,
+                   when: str):
+    fresh = be.count_support(*g.adjacency_arrays(), cores.values)
+    wrong = (cores.support != fresh).nonzero()[0]
+    if len(wrong):
+        log.audit_violations.append(
+            f"{when}: support of vertex {int(wrong[0])} is "
+            f"{int(cores.support[wrong[0]])}, a fresh count gives "
+            f"{int(fresh[wrong[0]])}")
 
 
 def _first_pair(batch: EdgeBatch, cores: CoreMap, backend=None) -> RoundPlan:
@@ -272,12 +293,16 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
     if audit:
         _check_cores(g, cores, be)
     cores.fit_to(g)  # kept on failure: the zero padding of new vertices
+    support = _support_of(g, cores, be)
+    cores.counted_for = None  # until the batch returns (module docstring)
     step = 1 if insert else -1
     remove = partial(g._remove_dense, backend=be)
     apply, undo = ((g._add_dense, remove) if insert
                    else (remove, g._add_dense))
     log = MaintenanceLog(mode=mode, batch_size=batch.size,
                          max_multiplicity=batch.max_multiplicity)
+    if audit:
+        _audit_support(log, g, cores, be, "batch start")
     dropped = _check_pairs(g, batch, insert, be)
     log.dropped_existing = len(dropped)
     pending = batch.remaining
@@ -291,8 +316,8 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             start = time.perf_counter_ns()
             try:
                 moved, rows = run_level_tasks(
-                    be, mode, *g.adjacency_arrays(), cores.values, plan.ks,
-                    plan.offsets, plan.us, plan.vs, workers)
+                    be, mode, *g.adjacency_arrays(), cores.values, support,
+                    plan.ks, plan.offsets, plan.us, plan.vs, workers)
             except BaseException:  # interrupts too: re-playable round
                 undo(plan.us, plan.vs)
                 raise
@@ -314,9 +339,11 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             if audit:
                 _audit_round(log, pre, cores.values, rec.levels, step,
                              rec.index)
+                _audit_support(log, g, cores, be, f"round {rec.index}")
     except BaseException:  # the pairs found present are pending again
         batch.alive[dropped] = True
         raise
+    cores.counted_for = g.edge_state
     return log
 
 

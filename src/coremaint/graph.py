@@ -20,7 +20,11 @@ reused.  Mutations must happen in exclusive phases; between mutations
 the arrays may be read concurrently.  ``adjacency_arrays`` returns the
 same view objects until a vertex is added or an array is replaced, so
 the compiled lane makes their C pointers once per array
-(``_kernels_c``).
+(``_kernels_c``).  Every edge mutation (``from_edges``, ``_add_dense``,
+``_remove_dense``, and so ``add_edge`` and ``remove_edge``) gives the
+graph a fresh ``edge_state`` token; a copy shares its original's, and
+adding isolated vertices keeps it.  ``CoreMap`` keeps the token that its
+support was counted for.
 
 ``from_edges`` builds the pool with one sort.  Each vertex's block lists
 its larger neighbours in ascending order, then its smaller neighbours in
@@ -185,6 +189,9 @@ class Graph:
         self._label_index = None
         self.vertex_count = 0
         self.edge_count = 0
+        # a token that every edge mutation replaces: equal tokens mean
+        # equal edge sets (``CoreMap.counted_for`` keeps one)
+        self.edge_state = object()
         self._views = self._adjacency_views()
 
     # ------------------------------------------------------------------
@@ -268,6 +275,7 @@ class Graph:
         g._label_index = self._label_index  # never written in place
         g.vertex_count = self.vertex_count
         g.edge_count = self.edge_count
+        g.edge_state = self.edge_state  # the same edges
         return g
 
     # ------------------------------------------------------------------
@@ -434,6 +442,7 @@ class Graph:
             keys % n
         self._lens[touched] = need
         self.edge_count += len(src) // 2
+        self.edge_state = object()
 
     def _relocate(self, vs: np.ndarray, need: np.ndarray):
         """Move the blocks of ``vs`` to the pool tail, each capacity doubled
@@ -470,6 +479,7 @@ class Graph:
             *self.adjacency_arrays(), us,
             np.ascontiguousarray(vs, dtype=np.int32))
         self.edge_count -= len(us)
+        self.edge_state = object()
 
     def _has_dense(self, us, vs, backend=None) -> np.ndarray:
         """Bool mask over the pairs: is {us[i], vs[i]} an edge?

@@ -1,7 +1,19 @@
 """Static core decomposition by linear-time peeling, and core files.
 
 ``peel`` is the initializer and the correctness yardstick for the dynamic
-engines.
+engines.  It also counts each vertex's support: the number of its
+neighbours whose core is at least its own (the max-core degree of
+Sariyüce et al., VLDB 2013).  The level kernels prune with it, and the
+engines keep it up to date round by round instead of counting it again.
+
+A ``CoreMap``'s support is valid for the graph whose ``edge_state`` token
+it keeps in ``counted_for``, and for the cores it holds.  ``peel`` and
+the engines set that token; a copy of the map keeps it, as a copy of the
+graph keeps the graph's; any edge mutation outside the engines gives the
+graph a new token.  An engine recounts the support (one backend call)
+when the tokens differ, clears ``counted_for`` while a batch runs, and
+sets it again when the batch returns, so a batch that raised leaves the
+next one to recount.
 """
 
 from __future__ import annotations
@@ -17,12 +29,18 @@ from .kernels import get_backend
 
 @dataclass
 class CoreMap:
-    """Per-vertex core numbers, indexed by dense vertex id."""
+    """Per-vertex core numbers, indexed by dense vertex id, and the
+    support that goes with them (module docstring)."""
 
     values: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    # per vertex: its neighbours of core at least its own (int32), or None
+    support: np.ndarray | None = field(default=None, repr=False)
+    # the ``Graph.edge_state`` the support was counted for; None: recount
+    counted_for: object = field(default=None, repr=False)
 
     def copy(self) -> "CoreMap":
-        return CoreMap(self.values.copy())
+        support = None if self.support is None else self.support.copy()
+        return CoreMap(self.values.copy(), support, self.counted_for)
 
     def of(self, g: Graph, label: int) -> int:
         return int(self.values[g.dense_of(label)])
@@ -31,7 +49,8 @@ class CoreMap:
         return dict(zip(g.labels().tolist(), self.values.tolist()))
 
     def fit_to(self, g: Graph):
-        """Extend with core 0 for vertices created since the map was made.
+        """Extend with core 0, and support 0, for vertices created since
+        the map was made.
 
         Raises ValueError, changing nothing, if the map has more entries
         than ``g`` has vertices or if a vertex it would pad has edges.
@@ -45,11 +64,12 @@ class CoreMap:
             if lens[have:].any():
                 raise ValueError(f"core map covers {have} of {n} vertices "
                                  f"and a vertex beyond it has edges")
-            out = np.zeros(n, dtype=np.int32)
-            out[:have] = self.values
-            self.values = out
+            self.values = _padded(self.values, n)
+            if self.support is not None:
+                self.support = _padded(self.support, n)
 
     def __eq__(self, other):
+        """Equal core numbers; the support follows from them."""
         if not isinstance(other, CoreMap):
             return NotImplemented
         return np.array_equal(self.values, other.values)
@@ -58,11 +78,19 @@ class CoreMap:
         return len(self.values)
 
 
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros(n, dtype=np.int32)
+    out[:len(a)] = a
+    return out
+
+
 def peel(g: Graph, backend: str | None = None) -> CoreMap:
-    """Exact core numbers by bucket peeling, O(n + m)."""
-    starts, lens, pool = g.adjacency_arrays()
+    """Exact core numbers by bucket peeling, O(n + m), and their support
+    (one more pass over the edges)."""
+    arrays = g.adjacency_arrays()
     kern = get_backend(backend)
-    return CoreMap(kern.peel_kernel(g.vertex_count, starts, lens, pool))
+    values = kern.peel_kernel(g.vertex_count, *arrays)
+    return CoreMap(values, kern.count_support(*arrays, values), g.edge_state)
 
 
 # ----------------------------------------------------------------------

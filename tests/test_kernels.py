@@ -105,7 +105,7 @@ def test_drop_cascade_around_a_cycle():
     g = Graph.from_edges([(i, (i + 1) % n) for i in range(n)],
                          num_vertices=n, dense_labels=True)
     cores = np.full(n, 2, dtype=np.int32)
-    st = TaskState(level=2)
+    st = TaskState(level=2, support=np.full(n, 2, dtype=np.int32))
     st.visited.add(0)
     st.slack[0] = 1  # seeded below the level, as the caller guarantees
     drop_cascade(adj_of(g), cores, st, 0)
@@ -177,14 +177,16 @@ def test_compiled_scratch_is_reusable_and_clean():
     starts, lens, pool = g.adjacency_arrays()
     eu = np.array([2], dtype=np.int32)
     ev = np.array([3], dtype=np.int32)
-    first = be.delete_level(starts, lens, pool, cores.values, 2, eu, ev)
-    second = be.delete_level(starts, lens, pool, cores.values, 2, eu, ev)
+    first, second = (be.delete_level(starts, lens, pool, cores.values,
+                                     cores.support.copy(), 2, eu, ev)
+                     for _ in range(2))
     assert first[0].tolist() == second[0].tolist()
     assert first[1] == second[1]
 
 
-CONTRACT = ("peel_kernel", "insert_level", "delete_level", "run_levels",
-            "plan_scan", "remove_edges", "has_edges", "parse_pairs")
+CONTRACT = ("peel_kernel", "count_support", "insert_level", "delete_level",
+            "run_levels", "plan_scan", "remove_edges", "has_edges",
+            "parse_pairs")
 
 
 def parameters(fn):
@@ -239,8 +241,7 @@ def test_arena_grows_with_the_graph():
                 arena = be._threads.arena
                 cap = arena.cap
                 for field, reset in [("visited", 0), ("removed", 0),
-                                     ("slack", 0), ("sup", -1),
-                                     ("csup", -1)]:
+                                     ("slack", 0), ("csup", -1)]:
                     values = be._ffi.unpack(getattr(arena.a, field), cap)
                     assert set(values) <= {reset}, field
                 if any(task.worker == 0 for r in log.rounds
@@ -264,7 +265,7 @@ def test_a_task_that_rules_out_a_whole_level_fits_a_fresh_arena():
     # vertex 2 visits all of them, with 1, next to 0, popped last; 0 is
     # the one vertex without the support to rise, so ruling out 1 starts a
     # cascade that rules out every visited vertex and touches 0.  Its work
-    # lists run long (about 3n dirty entries, n/4 on the stack and on the
+    # lists run long (about 2n dirty entries, n/4 on the stack and on the
     # cascade) in the arena of a fresh thread, grown to this graph alone.
     m = 1 << 15
     n = 2 * m + 1
@@ -272,19 +273,25 @@ def test_a_task_that_rules_out_a_whole_level_fits_a_fresh_arena():
     k5 = n + np.array([(i, j) for i in range(5) for j in range(i + 1, 5)])
     g = Graph.from_edges(np.concatenate([path, k5, [[0, n], [n - 1, n + 1]]]),
                          dense_labels=True)
-    cores = peel(g).values
+    before = peel(g)
+    cores = before.values
     assert set(cores[:n].tolist()) == {2}
     i = np.arange(2, m + 1)
     chords = np.concatenate([np.stack([i + m, i], 1), [[1 + m, 1]]])
     g._add_dense(chords[:, 0], chords[:, 1])
     args = (*g.adjacency_arrays(), cores, 2, chords[:, 0].astype(np.int32),
             chords[:, 1].astype(np.int32))
+
+    def insert_level(lane):  # on a copy of the support from before
+        return get_backend(lane).insert_level(*args[:4],
+                                              before.support.copy(),
+                                              *args[4:])
     got, errors = [], []
 
     def run():
         try:
             be = get_backend("c")
-            moved, counters = be.insert_level(*args)
+            moved, counters = insert_level("c")
             got.append((moved.tolist(), counters, be._threads.arena.cap))
         except BaseException as exc:
             errors.append(exc)
@@ -296,7 +303,7 @@ def test_a_task_that_rules_out_a_whole_level_fits_a_fresh_arena():
     moved, counters, cap = got[0]
     assert cap == g.vertex_count
     assert moved == [] and counters[:2] == (n - 1, n - 1)
-    python = get_backend("python").insert_level(*args)
+    python = insert_level("python")
     assert (moved, counters) == (python[0].tolist(), python[1])
 
 
@@ -390,11 +397,13 @@ def cut_tail(n):
     starts, lens, pool = g.adjacency_arrays()
     cores = np.zeros(n, np.int32)
     cores[:4] = [2, 2, 2, 1]
+    support = np.zeros(n, np.int32)
+    support[:4] = [2, 2, 2, 1]  # from before the cut
     eu, ev = np.array([2], np.int32), np.array([3], np.int32)
 
     def call():
-        moved, counters = be.delete_level(starts, lens, pool, cores, 1, eu,
-                                          ev)
+        moved, counters = be.delete_level(starts, lens, pool, cores, support,
+                                          1, eu, ev)
         return moved.tolist(), counters
     return call
 
@@ -473,8 +482,9 @@ def test_library_exports_only_its_entry_points():
                              check=True).stdout
     exported = {ln.split()[-1] for ln in symbols.splitlines()}
     assert {s for s in exported if s.startswith("cm_")} == {
-        "cm_arena_drop", "cm_has_edges", "cm_parse_pairs", "cm_peel",
-        "cm_plan_scan", "cm_remove_edges", "cm_run_levels"}
+        "cm_arena_drop", "cm_count_support", "cm_has_edges",
+        "cm_parse_pairs", "cm_peel", "cm_plan_scan", "cm_remove_edges",
+        "cm_run_levels"}
 
 
 @needs_c
@@ -552,7 +562,7 @@ def level_call_args():
     g.remove_edge(2, 3)
     starts, lens, pool = g.adjacency_arrays()
     return dict(starts=starts, lens=lens, pool=pool, cores=cores.values,
-                k=1, eu=np.array([2], dtype=np.int32),
+                support=cores.support, k=1, eu=np.array([2], dtype=np.int32),
                 ev=np.array([3], dtype=np.int32))
 
 
@@ -560,9 +570,11 @@ def level_call_args():
 @pytest.mark.parametrize("field, bad, error", [
     ("cores", lambda a: a.astype(np.int64), TypeError),
     ("pool", lambda a: np.repeat(a, 2)[::2], TypeError),
+    ("support", lambda a: a.astype(np.int64), TypeError),
     ("ev", lambda a: np.array([4], dtype=np.int32), ValueError),
     ("eu", lambda a: np.array([-1], dtype=np.int32), ValueError),
     ("lens", lambda a: a[:-1], ValueError),
+    ("support", lambda a: a[:-1], ValueError),
     ("k", lambda k: k + 1, ValueError),  # the edge is not at level k
 ])
 def test_compiled_lane_rejects_bad_inputs(field, bad, error):

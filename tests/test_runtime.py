@@ -52,12 +52,13 @@ def unflat(ks, offsets, us, vs):
             for k, a, b in zip(ks.tolist(), bounds, bounds[1:])}
 
 
-def run_round(be, mode, starts, lens, pool, cores, level_edges, workers):
-    """``run_levels`` of backend ``be`` on the round ``level_edges``, as one
-    (level, moved ids, counters, wall ns, CPU ns, worker, survivors) tuple
-    per level, ascending."""
+def run_round(be, mode, starts, lens, pool, cores, support, level_edges,
+              workers):
+    """``run_levels`` of backend ``be`` on the round ``level_edges``, on a
+    copy of ``support``, as one (level, moved ids, counters, wall ns, CPU
+    ns, worker, survivors) tuple per level, ascending."""
     moved, rows = be.run_levels(mode, starts, lens, pool, cores,
-                                *flat(level_edges), workers)
+                                support.copy(), *flat(level_edges), workers)
     return [(k, moved[at:at + count], tuple(counters), wall, cpu, worker,
              survivors)
             for k, count, at, *counters, wall, cpu, worker, survivors
@@ -66,12 +67,14 @@ def run_round(be, mode, starts, lens, pool, cores, level_edges, workers):
 
 def planned_round(g, cores, mode, pairs):
     """The first round of a batch of ``pairs``, applied to ``g``: the
-    arguments of ``run_round`` without backend, mode and workers."""
+    arguments of ``run_round`` without backend, mode and workers (the
+    support from before the round)."""
     insert = mode == "insert"
     batch = (build_insert_batch if insert else build_delete_batch)(g, pairs)
     plan = plan_round(batch, cores)
     (g._add_dense if insert else g._remove_dense)(plan.us, plan.vs)
-    return (*g.adjacency_arrays(), cores.values, plan.level_edges)
+    return (*g.adjacency_arrays(), cores.values, cores.support,
+            plan.level_edges)
 
 
 def random_round(seed, mode, n=600, size=80):
@@ -119,17 +122,20 @@ def circulant_round(sizes=(1 << 18, 1 << 17), degrees=(8, 4)):
         at += 2 * d * size
     starts, lens, pool, cores = map(np.concatenate,
                                     (starts, lens, pool, cores))
+    support = lens.copy()  # every neighbour has the same core
     us, vs = (np.concatenate(ends) for ends in zip(*level_edges.values()))
     get_backend("python").remove_edges(starts, lens, pool, us, vs)
-    return starts, lens, pool, cores, level_edges
+    return starts, lens, pool, cores, support, level_edges
 
 
-def per_level(be, mode, starts, lens, pool, cores, level_edges):
-    """{level: (moved ids, counters)} from one level-kernel call each."""
+def per_level(be, mode, starts, lens, pool, cores, support, level_edges):
+    """{level: (moved ids, counters)} from one one-level call each, on a
+    copy of ``support``."""
     kernel = be.insert_level if mode == "insert" else be.delete_level
     return {k: (moved.tolist(), counters)
             for k, (moved, counters) in (
-                (k, kernel(starts, lens, pool, cores, k, eu, ev))
+                (k, kernel(starts, lens, pool, cores, support.copy(), k, eu,
+                           ev))
                 for k, (eu, ev) in level_edges.items())}
 
 
@@ -178,42 +184,48 @@ def test_worker_limit_validation():
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_failure_names_the_level(workers):
-    starts, lens, pool, cores, level_edges = random_round(2, "delete")
+    starts, lens, pool, cores, support, level_edges = random_round(2,
+                                                                   "delete")
     clean = {k: level_edges[k] for k in level_edges}
     k = sorted(level_edges)[1]
     eu, ev = level_edges[k]
     level_edges[k] = (eu, np.concatenate([ev[:-1], [len(starts) + 5]])
                       .astype(np.int32))
     for be in lanes():
+        kept = support.copy()
         with pytest.raises(LevelTaskError) as err:
-            run_round(be, "delete", starts, lens, pool, cores, level_edges,
-                          workers)
+            be.run_levels("delete", starts, lens, pool, cores, kept,
+                          *flat(level_edges), workers)
         assert err.value.level == k
         assert isinstance(err.value.__cause__, ValueError)
-        # no arena kept a trace of the failed round
-        rows = run_round(be, "delete", starts, lens, pool, cores, clean,
-                             workers)
+        # the support is as it was found, and no arena kept a trace of the
+        # failed round
+        assert np.array_equal(kept, support)
+        rows = run_round(be, "delete", starts, lens, pool, cores, support,
+                         clean, workers)
         assert outcome(rows) == per_level(be, "delete", starts, lens, pool,
-                                          cores, clean)
+                                          cores, support, clean)
 
 
 def test_an_edge_off_its_level_is_rejected():
     # the tasks of a round move disjoint vertex sets only if each edge lies
     # at its level
-    starts, lens, pool, cores, level_edges = random_round(5, "insert")
+    starts, lens, pool, cores, support, level_edges = random_round(5,
+                                                                   "insert")
     low, high = sorted(level_edges)[:2]
     moved = dict(level_edges)
     moved[high] = tuple(np.concatenate([a[:1], b]) for a, b in
                         zip(level_edges[low], level_edges[high]))
     for be in lanes():
         with pytest.raises(LevelTaskError) as err:
-            run_round(be, "insert", starts, lens, pool, cores, moved, 2)
+            run_round(be, "insert", starts, lens, pool, cores, support,
+                      moved, 2)
         assert err.value.level == high
         assert "not at level" in str(err.value.__cause__)
-        rows = run_round(be, "insert", starts, lens, pool, cores,
-                             level_edges, 2)
+        rows = run_round(be, "insert", starts, lens, pool, cores, support,
+                         level_edges, 2)
         assert outcome(rows) == per_level(be, "insert", starts, lens, pool,
-                                          cores, level_edges)
+                                          cores, support, level_edges)
 
 
 @pytest.mark.parametrize("lane", LANES)
@@ -230,7 +242,7 @@ def test_free_level_task_reports_its_peel_survivors(lane):
                        np.array([1, 2, 2], np.int32)),
                    1: (np.array([4], np.int32), np.array([5], np.int32))}
     be = get_backend(lane)
-    args = (*g.adjacency_arrays(), cores.values, level_edges)
+    args = (*g.adjacency_arrays(), cores.values, cores.support, level_edges)
     for workers in (1, 2):
         rows = run_round(be, "insert", *args, workers)
         assert [len(r) for r in rows] == [7, 7]
@@ -244,7 +256,7 @@ def test_free_level_task_reports_its_peel_survivors(lane):
                    2: (np.array([0], np.int32), np.array([1], np.int32))}
     for workers in (1, 2):
         rows = run_round(be, "delete", *g.adjacency_arrays(), cores.values,
-                             level_edges, workers)
+                         cores.support, level_edges, workers)
         assert [(r[0], r[1].tolist(), r[6]) for r in rows] == [
             (1, [], 0), (2, [0, 1, 2], 0)]
 
@@ -294,9 +306,9 @@ def timed(be, *args):
     (RuntimeError, LevelTaskError), (KeyboardInterrupt, KeyboardInterrupt)])
 def test_failure_waits_for_the_whole_round(error, raised):
     be = get_backend("c")
-    starts, lens, pool, cores, level_edges = circulant_round()
+    starts, lens, pool, cores, support, level_edges = circulant_round()
     expect = outcome(run_round(be, "delete", starts, lens, pool, cores,
-                                   level_edges, 2))
+                               support, level_edges, 2))
     if error is RuntimeError:
         # a level with an endpoint out of range fails at once, claimed
         # first (it has the most edges), while the big levels still run;
@@ -304,11 +316,12 @@ def test_failure_waits_for_the_whole_round(error, raised):
         bad = dict(level_edges)
         bad[1] = (np.array([0, 1], dtype=np.int32),
                   np.array([2, len(starts)], dtype=np.int32))
-        clean = min(timed(be, starts, lens, pool, cores, level_edges)
-                    for _ in range(3))
+        clean = min(timed(be, starts, lens, pool, cores, support,
+                          level_edges) for _ in range(3))
         start = time.perf_counter()
         with pytest.raises(raised) as err:
-            run_round(be, "delete", starts, lens, pool, cores, bad, 2)
+            run_round(be, "delete", starts, lens, pool, cores, support, bad,
+                      2)
         assert err.value.level == 1
         assert time.perf_counter() - start > clean / 2
     else:
@@ -320,10 +333,11 @@ def test_failure_waits_for_the_whole_round(error, raised):
             interrupter.start()
             while time.perf_counter() < deadline:
                 calls.append(run_round(be, "delete", starts, lens, pool,
-                                           cores, level_edges, 2))
+                                       cores, support, level_edges, 2))
         interrupter.join(timeout=10)
         assert all(outcome(rows) == expect for rows in calls)
-    again = run_round(be, "delete", starts, lens, pool, cores, level_edges, 2)
+    again = run_round(be, "delete", starts, lens, pool, cores, support,
+                      level_edges, 2)
     assert outcome(again) == expect
 
 
@@ -378,11 +392,12 @@ class Counting:
 @needs_c
 def test_a_round_is_one_foreign_call(monkeypatch):
     be = get_backend("c")
-    starts, lens, pool, cores, level_edges = random_round(3, "insert")
+    starts, lens, pool, cores, support, level_edges = random_round(3,
+                                                                   "insert")
     calls = []
     monkeypatch.setattr(be, "_lib", Counting(be._lib, calls))
     _, rows = run_level_tasks(be, "insert", starts, lens, pool, cores,
-                              *flat(level_edges), 2)
+                              support, *flat(level_edges), 2)
     assert calls == ["cm_run_levels"]
     assert rows[:, LEVEL].tolist() == sorted(level_edges)
 
@@ -613,10 +628,10 @@ def bad_backend(error):
     it is)."""
     real = get_backend()
 
-    def failing(mode, starts, lens, pool, cores, ks, offsets, us, vs,
-                workers):
+    def failing(mode, starts, lens, pool, cores, support, ks, offsets, us,
+                vs, workers):
         level_edges = unflat(ks, offsets, us, vs)
-        rows = real.run_levels(mode, starts, lens, pool, cores,
+        rows = real.run_levels(mode, starts, lens, pool, cores, support,
                                *flat({k: e for k, e in level_edges.items()
                                       if k != 2}), workers)
         if 2 in level_edges:
@@ -628,6 +643,7 @@ def bad_backend(error):
 
     class BadBackend:
         NAME = "bad"
+        count_support = staticmethod(real.count_support)
         plan_scan = staticmethod(real.plan_scan)
         remove_edges = staticmethod(real.remove_edges)
         has_edges = staticmethod(real.has_edges)
