@@ -32,7 +32,13 @@
    and list a level task uses, each sized by its bound, so a task
    allocates only when it grows its arena, and once that succeeds it
    cannot fail.  Each task records the slots it writes on its dirty list
-   and resets them before it returns. */
+   and resets them before it returns.
+
+   A round reads and keeps each vertex's support, the caller's array: a
+   task counts its own pairs in, at its own level only, and once every
+   task is done the calling thread brings it up to date for the moved
+   vertices (shift_support) or, when the round does not commit, counts
+   the pairs out again. */
 
 #define _POSIX_C_SOURCE 200809L
 
@@ -763,9 +769,8 @@ int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
         return ALLOC_FAILED;
     Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
                .pool = pool, .cores = cores, .support = support,
-               .levels = levels, .ks = ks,
-               .offsets = offsets, .us = us, .vs = vs, .claim = claim,
-               .out = out, .rows = rows};
+               .levels = levels, .ks = ks, .offsets = offsets, .us = us,
+               .vs = vs, .claim = claim, .out = out, .rows = rows};
     atomic_init(&r.next, 1);  /* the caller holds the heaviest level */
     atomic_init(&r.used, 0);
     int64_t want = helpers_wanted < MAX_HELPERS ? helpers_wanted : MAX_HELPERS;

@@ -27,8 +27,8 @@ Each layer of a round is one foreign call, and the round's flat plan
 crosses as the arrays ``plan_scan`` returned.  Every entry point checks
 dtypes, contiguity and lengths (``parse_pairs``: that it was given
 ``bytes``) before it calls into C.  The long-lived arrays (a graph's
-``starts``, ``lens`` and ``pool``, and the cores) are checked and given a
-C pointer once per array object: ``_held`` keeps, per argument name, a
+``starts``, ``lens`` and ``pool``, the cores and their support) are
+checked and given a C pointer once per array object: ``_held`` keeps, per argument name, a
 weak reference to the last array seen and a bare pointer to its data,
 which keeps nothing alive.  The pointer is used only while the caller
 passes that same live array again, and numpy refuses to resize a weakly

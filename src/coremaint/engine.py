@@ -32,10 +32,21 @@ the whole fan-out, and builds its per-level view (each task's moved
 vertices, counters, wall time, thread-CPU time and worker slot), its
 changed vertices and its counters when they are read.
 
+The level tasks prune with each vertex's support (its neighbours of core
+at least its own), which the core map carries (``static_core``) and
+``run_levels`` keeps up to date round by round, so no task counts it.
+The map's support is valid while ``cores.counted_for`` is the graph's
+``edge_state``: a batch counts it again (one backend call) when the
+tokens differ, clears ``counted_for`` while it runs and sets it when it
+returns.  A batch that raised, or an edge edit outside the engines,
+thus leaves the next batch to recount; copies of a graph and its map
+share their tokens and recount nothing.
+
 With ``audit=True`` the engine first checks the core map against a fresh
 ``peel`` of the graph and raises ValueError, changing nothing, when they
-differ; without it, keeping the map in step with the graph is the
-caller's job.
+differ; it also records an audit violation when the support differs from
+a fresh count at the start of the batch or after a round.  Without it,
+keeping the map in step with the graph is the caller's job.
 
 ``sequential_baseline`` runs the same round loop with one-edge rounds:
 each round takes the first live pair in canonical order, alone, at its
