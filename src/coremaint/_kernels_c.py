@@ -28,9 +28,9 @@ crosses as the arrays ``plan_scan`` returned.  Every entry point checks
 dtypes, contiguity and lengths (``parse_pairs``: that it was given
 ``bytes``) before it calls into C.  The long-lived arrays (a graph's
 ``starts``, ``lens`` and ``pool``, the cores and their support) are
-checked and given a C pointer once per array object: ``_held`` keeps, per argument name, a
-weak reference to the last array seen and a bare pointer to its data,
-which keeps nothing alive.  The pointer is used only while the caller
+checked and given a C pointer once per array object: ``_held`` keeps,
+per argument name, a weak reference to the last array seen and a bare
+pointer to its data, which keeps nothing alive.  The pointer is used only while the caller
 passes that same live array again, and numpy refuses to resize a weakly
 referenced array in place, so its data cannot have moved; a
 replaced array (a grown pool, a relocated block table, a padded core
@@ -301,7 +301,7 @@ def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
     _check_round(mode, workers)
     n, *graph = _graph_ptrs(starts, lens, pool)
     cores_ptr = _held("cores", cores, _I32, n)
-    support_ptr = _held("support", support, _I32, n)
+    support_ptr = _held("support", support, _I32)
     _check_support(support, n)
     levels, m = len(ks), len(us)
     args = (levels, _held("ks", ks, _I64), _held("offsets", offsets, _I64,
