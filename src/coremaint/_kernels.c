@@ -13,7 +13,9 @@
    of the process, then claim the other levels from an atomic cursor.  A
    fork() child forgets the parent's helpers and starts its own.  Every
    insert task ends with a peel of its risers and reports how many
-   survive (see batch.py).
+   survive (see batch.py).  The task of a round's free level may give up
+   its traversal for a peel of its whole level from the maintained
+   support (level_peel), which finds the same risers.
 
    Every entry point that takes vertex ids checks that they lie in 0..n-1
    before it writes anything and returns BAD_ENDPOINT otherwise (a round
@@ -115,7 +117,8 @@ static void radix_sort(uint64_t *a, uint64_t *tmp, int64_t c, int lowest)
    once, pushed on stack when visited, and on cascade when removed.  It
    enters dirty at most three times: when its csup is cached, when it is
    visited, and when a cascade first touches it unvisited (its slack then
-   only falls, so it leaves 0 once). */
+   only falls, so it leaves 0 once).  A level peel starts order and stack
+   over, and a vertex enters each of them at most once there too. */
 typedef struct {
     uint8_t *visited, *removed;
     int32_t *slack, *csup;
@@ -129,14 +132,25 @@ typedef struct {
 } OwnArena;
 
 typedef struct {
+    int64_t n;
     const int64_t *starts;
     const int32_t *lens, *pool, *cores, *support;
     Arena a;
     int32_t k;
+    int free;  /* the round's free level: the traversal may turn to a peel */
+    int64_t level_size;  /* |V_k| once counted, else UNSET */
     int64_t visits, cascaded, dirtied;  /* entries of a.order, a.cascade
                                            and a.dirty */
     int64_t *ctr;
 } Task;
+
+/* When a free level's traversal turns to a peel of the whole level
+   (level_peel): once its visits reach n >> LEVEL_PEEL_SHIFT it counts
+   |V_k|, and from then on it peels once visits * LEVEL_PEEL_RATIO >
+   |V_k|.  _kernels_py keeps the same two constants and gives their
+   derivation. */
+#define LEVEL_PEEL_SHIFT 8
+#define LEVEL_PEEL_RATIO 32
 
 /* ------------------------------------------------------------------
    static peeling (bucket sort by effective degree, ties by ascending id) */
@@ -325,6 +339,20 @@ static void delete_check(Task *t, int32_t r)
         drop_cascade(t, r);
 }
 
+/* Resets every arena slot the task has written so far. */
+static void reset_slots(Task *t)
+{
+    Arena a = t->a;
+    for (int64_t i = 0; i < t->dirtied; i++) {
+        int32_t v = a.dirty[i];
+        a.visited[v] = 0;
+        a.removed[v] = 0;
+        a.slack[v] = 0;
+        a.csup[v] = UNSET;
+    }
+    t->dirtied = 0;
+}
+
 /* Keeps, in visit order, the visited vertices whose removed flag equals
    keep_removed, and resets every touched arena slot.  Returns the kept
    count (the ids are left at the front of t->a.order). */
@@ -337,12 +365,77 @@ static int64_t finish(Task *t, int keep_removed)
         if ((a.removed[v] != 0) == keep_removed)
             a.order[cnt++] = v;
     }
-    for (int64_t i = 0; i < t->dirtied; i++) {
-        int32_t v = a.dirty[i];
+    reset_slots(t);
+    return cnt;
+}
+
+/* Should a free level's traversal, at t->visits visits, turn to
+   level_peel?  Counts |V_k| once the visits reach the floor. */
+static int peel_due(Task *t)
+{
+    if (!t->free || t->visits < t->n >> LEVEL_PEEL_SHIFT)
+        return 0;
+    if (t->level_size == UNSET) {
+        int64_t size = 0;
+        for (int64_t v = 0; v < t->n; v++)
+            size += t->cores[v] == t->k;
+        t->level_size = size;
+    }
+    return t->visits * LEVEL_PEEL_RATIO > t->level_size;
+}
+
+/* The level-k risers as a peel of the whole level V_k at threshold
+   k + 1, in place of the traversal: each vertex of V_k starts from its
+   maintained support (the level's pairs counted in), those below k + 1
+   go, in ascending id order onto a stack, and each one popped takes one
+   from each neighbour still in the level; cores above k stay fixed and
+   cores below k are ignored.  The survivors are V_k within the new
+   (k+1)-core (batch.py).  A vertex's visited slot holds 1 while it is in
+   the level and 2 once peeled, so the inner loop reads one byte per
+   neighbour; its slack holds its count, the stack the worklist (each
+   vertex enters once) and order the level.  Resets the traversal's slots
+   first and its own last.  Counts |V_k| visits, the peeled vertices as
+   removed and each decrement as a neg touch.  Returns the survivor count,
+   the ids left ascending at the front of t->a.order. */
+static int64_t level_peel(Task *t)
+{
+    reset_slots(t);
+    Arena a = t->a;
+    int32_t k = t->k;
+    int64_t size = 0, top = 0;
+    for (int64_t v = 0; v < t->n; v++) {
+        if (t->cores[v] != k)
+            continue;
+        a.order[size++] = (int32_t)v;
+        a.slack[v] = t->support[v];
+        a.visited[v] = a.slack[v] > k ? 1 : 2;
+        if (a.visited[v] == 2)
+            a.stack[top++] = (int32_t)v;
+    }
+    t->ctr[0] += size;
+    t->ctr[1] += top;
+    while (top) {
+        int32_t v = a.stack[--top];
+        const int32_t *nb = t->pool + t->starts[v];
+        for (int32_t j = 0; j < t->lens[v]; j++) {
+            int32_t w = nb[j];
+            if (a.visited[w] != 1)
+                continue;
+            t->ctr[2]++;
+            if (--a.slack[w] <= k) {
+                a.visited[w] = 2;
+                a.stack[top++] = w;
+                t->ctr[1]++;
+            }
+        }
+    }
+    int64_t cnt = 0;
+    for (int64_t i = 0; i < size; i++) {
+        int32_t v = a.order[i];
+        if (a.visited[v] == 1)
+            a.order[cnt++] = v;
         a.visited[v] = 0;
-        a.removed[v] = 0;
         a.slack[v] = 0;
-        a.csup[v] = UNSET;
     }
     return cnt;
 }
@@ -350,7 +443,9 @@ static int64_t finish(Task *t, int keep_removed)
 /* Vertices of core level t->k that rise after the level's p edges (eu,
    ev), all in range and at the level, were inserted into the adjacency
    arrays.  Returns their count and leaves them, in visit order, at the
-   front of t->a.order; t->ctr receives the five counters. */
+   front of t->a.order; t->ctr receives the five counters.  A free
+   level's traversal checks peel_due before each pop, and turns to
+   level_peel when it holds. */
 static int64_t cm_insert_level(Task *t, int64_t p, const int32_t *eu,
                                const int32_t *ev)
 {
@@ -367,6 +462,8 @@ static int64_t cm_insert_level(Task *t, int64_t p, const int32_t *eu,
         int64_t top = 0;
         a.stack[top++] = r;
         while (top) {
+            if (peel_due(t))
+                return level_peel(t);
             int32_t v = a.stack[--top];
             if (a.slack[v] > k) {
                 const int32_t *nb = t->pool + t->starts[v];
@@ -429,6 +526,7 @@ typedef struct Round {
     const int64_t *ks, *offsets;  /* level i is ks[i], with the pairs
                                      offsets[i] .. offsets[i + 1] - 1 */
     const int32_t *us, *vs;
+    int64_t free_level;  /* the level whose task may peel (-1: none) */
     const int64_t *claim;  /* the level indices in claim order */
     int32_t *out;
     int64_t *rows;
@@ -556,7 +654,8 @@ static void count_pairs(const Round *r, int32_t k, int64_t p,
 /* Runs the level r claims c-th with arena o (NULL: it could not be
    grown) and fills its row.  The task first counts its pairs into the
    support, and an insert task ends with riser_peel over its moved ids,
-   once they are copied out. */
+   once they are copied out.  Only the task of r's free level may turn
+   its traversal to a peel of the level. */
 static void run_level(Round *r, int64_t c, int64_t slot, OwnArena *o)
 {
     int64_t i = r->claim[c], *row = r->rows + i * ROW;
@@ -573,8 +672,9 @@ static void run_level(Round *r, int64_t c, int64_t slot, OwnArena *o)
         cnt = ALLOC_FAILED;
     else {
         count_pairs(r, k, p, eu, ev, r->insert ? 1 : -1);
-        Task t = {r->starts, r->lens, r->pool, r->cores, r->support, o->a, k,
-                  0, 0, 0, row + R_CTR};
+        Task t = {r->n, r->starts, r->lens, r->pool, r->cores, r->support,
+                  o->a, k, r->insert && k == r->free_level, UNSET, 0, 0, 0,
+                  row + R_CTR};
         cnt = (r->insert ? cm_insert_level : cm_delete_level)(&t, p, eu, ev);
     }
     if (cnt > 0) {
@@ -747,14 +847,15 @@ static int64_t *claim_order(int64_t levels, const int64_t *offsets)
    the levels that ran count their pairs out again.  Returns the moved
    count; BAD_ORDER, before any level runs, unless the levels and offsets
    are as described; ALLOC_FAILED if the claim order cannot be allocated;
-   or the error of the lowest failed level. */
+   or the error of the lowest failed level.  free_level (-1: none) is the
+   round's free level, whose insert task may peel its level (peel_due). */
 int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
                       const int32_t *lens, const int32_t *pool,
                       const int32_t *cores, int32_t *support, int64_t levels,
                       const int64_t *ks, const int64_t *offsets, int64_t m,
                       const int32_t *us, const int32_t *vs,
-                      int64_t helpers_wanted, OwnArena *caller, int32_t *out,
-                      int64_t *rows)
+                      int64_t free_level, int64_t helpers_wanted,
+                      OwnArena *caller, int32_t *out, int64_t *rows)
 {
     memset(rows, 0, (size_t)levels * ROW * sizeof *rows);
     if (offsets[0] != 0 || offsets[levels] != m)
@@ -770,7 +871,8 @@ int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
     Round r = {.insert = insert, .n = n, .starts = starts, .lens = lens,
                .pool = pool, .cores = cores, .support = support,
                .levels = levels, .ks = ks, .offsets = offsets, .us = us,
-               .vs = vs, .claim = claim, .out = out, .rows = rows};
+               .vs = vs, .free_level = free_level, .claim = claim,
+               .out = out, .rows = rows};
     atomic_init(&r.next, 1);  /* the caller holds the heaviest level */
     atomic_init(&r.used, 0);
     int64_t want = helpers_wanted < MAX_HELPERS ? helpers_wanted : MAX_HELPERS;

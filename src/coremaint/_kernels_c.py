@@ -14,8 +14,10 @@ releases the GIL for the duration of each foreign call.
 tasks of a round in one foreign call, the calling thread taking the
 heaviest level and, with up to ``min(workers, levels) - 1`` helper
 threads of the C code, the rest.  The helpers start on first need and
-serve every later round of the process.  ``insert_level`` and
-``delete_level`` are one-level rounds on the calling thread.  The C code
+serve every later round of the process; the task of the round's
+``free`` level may peel its level (``level_peel``) in place of its
+traversal.  ``insert_level`` and ``delete_level`` are one-level rounds
+on the calling thread.  The C code
 owns every arena and grows it; a level task allocates nothing else, and
 ``remove_edges`` groups its entries by source with a stable radix sort
 of the sources and marks each group's targets in the calling thread's
@@ -135,8 +137,8 @@ int64_t cm_run_levels(int insert, int64_t n, const int64_t *starts,
                       const int32_t *cores, int32_t *support, int64_t levels,
                       const int64_t *ks, const int64_t *offsets, int64_t m,
                       const int32_t *us, const int32_t *vs,
-                      int64_t helpers_wanted, OwnArena *caller, int32_t *out,
-                      int64_t *rows);
+                      int64_t free_level, int64_t helpers_wanted,
+                      OwnArena *caller, int32_t *out, int64_t *rows);
 int64_t cm_plan_scan(int64_t m, const int32_t *us, const int32_t *vs,
                      const uint8_t *alive, const int32_t *cores, int64_t n,
                      int64_t hold, int64_t free_level, int64_t *index,
@@ -293,7 +295,7 @@ def _out_buffer(n: int):
 
 
 def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
-               vs, workers):
+               vs, workers, free=-1):
     """As ``_kernels_py.run_levels``, in one foreign call: the calling
     thread runs the heaviest level, and it and up to ``min(workers,
     levels) - 1`` helper threads claim the rest.  Each level's ids are
@@ -314,9 +316,9 @@ def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
         return np.zeros(0, dtype=np.int32), rows
     out, out_ptr = _out_buffer(n)
     total = _lib.cm_run_levels(mode == "insert", n, *graph, cores_ptr,
-                               support_ptr, *args, min(workers, levels) - 1,
-                               _threads.arena, out_ptr,
-                               _buf(_CTYPES[_I64], rows))
+                               support_ptr, *args, free,
+                               min(workers, levels) - 1, _threads.arena,
+                               out_ptr, _buf(_CTYPES[_I64], rows))
     if total < 0:
         failed = (rows[:, COUNT] < 0).nonzero()[0]
         if not len(failed):

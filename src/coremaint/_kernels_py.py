@@ -13,9 +13,11 @@ A kernel backend is a module with nine functions:
   round with one worker, so ``support`` is written as there.  A failed
   call raises the level's own error.
 - ``run_levels(mode, starts, lens, pool, cores, support, ks, offsets,
-  us, vs, workers)``: the level task of every level of one round given
-  as a flat plan (below), at most ``workers`` at a time; every insert
-  task ends with a peel of its risers (``riser_peel``).  It keeps
+  us, vs, workers, free=-1)``: the level task of every level of one
+  round given as a flat plan (below), at most ``workers`` at a time;
+  every insert task ends with a peel of its risers (``riser_peel``), and
+  the insert task of level ``free`` (the round's free level; -1: none)
+  may peel its whole level instead of traversing it (below).  It keeps
   ``support`` up to date, in place (below).  Returns one moved-id array
   and one row per level (as described at its definition below).  A
   failed level raises ``LevelTaskError`` naming it, once no level of the
@@ -61,6 +63,25 @@ arrays, under ``cores``, and writes it in place:
   arrays and the cores as the engine shifts them;
 - otherwise the support is put back as it was found.
 
+An insert task traverses from its pairs' lower endpoints through the
+level's vertices of support above k (Sariyüce et al.).  On a free level
+that traversal can sweep most of a giant level and raise nothing, so the
+free level's task checks before each pop from its stack (``_peel_due``):
+once its visits reach n >> ``LEVEL_PEEL_SHIFT`` it counts |V_k|, the
+vertices of core k, once, and from then on, as soon as visits *
+``LEVEL_PEEL_RATIO`` > |V_k|, it drops the traversal's state and runs
+``level_peel``: a peel of all of V_k at threshold k + 1, each vertex
+starting from its maintained support (the level's pairs counted in),
+cores above k fixed and cores below k ignored.  The survivors are V_k
+within the new (k+1)-core, the traversal's risers (``batch``'s
+docstring), and the riser peel at k + 2 follows as for any insert task.
+The two constants are the same in both lanes (their derivation is at
+their definition).  A strict task, ``insert_level`` and so the
+edge-by-edge baseline never switch.  A switched task's counters are the
+traversal's up to the switch, plus the peel's: |V_k| visits, each peeled
+vertex removed, each decrement a neg touch, and no constrained support;
+so a task switched iff its visits exceed its ``csup_evals``, by |V_k|.
+
 Every backend has the same signatures and produces identical results
 *and* counters, and every backend raises ValueError for the same bad
 values.  Counter tuple layout:
@@ -97,6 +118,28 @@ WALL, CPU, WORKER, SURVIVORS, ROW = 8, 9, 10, 11, 12
 _ORDER = ("levels must ascend, with offsets rising from 0 to the pair "
           "count")
 _PLAIN_BYTES = b"0123456789 \t\r\n"  # what parse_pairs reads outside comments
+# When a free level's traversal turns to level_peel (module docstring):
+# it counts |V_k| once its visits reach n >> LEVEL_PEEL_SHIFT, and peels
+# once visits * LEVEL_PEEL_RATIO > |V_k|.  Costs of the compiled lane on
+# er(2^16, 8)'s free level (k = 11, |V_k| = 57k), 1000-edge inserts, on a
+# 2-vCPU VM: a traversal visit ~330 ns, a peeled level vertex ~115 ns (a
+# third of a visit, its share of the pass that lists V_k included), and
+# counting V_k ~0.17 ns a vertex of the graph.
+# - The floor, n / 256 visits, is ~1.3 ns of traversal per vertex of the
+#   graph, so counting V_k costs at most an eighth of the traversal it
+#   follows, and a traversal that stays below the floor never pays it.
+# - Switching at V = |V_k| / R visits costs V visits plus the peel, about
+#   V (1 + R / 3) visits: it pays once the traversal would have gone past
+#   about |V_k| (1 / R + 1 / 3) visits, and costs at most 1 + R / 3 times
+#   a traversal that would have stopped at V.  In a sweep of R over 1 to
+#   128 (floor n / 256), er-insert-bulk-shaped batches took 8-9 ms for R
+#   in 8..128 against 15-18 ms unswitched and 9-14 ms for R in 1..4 (a
+#   free traversal there raises nothing yet visits three quarters of the
+#   level); 100- and 10,000-edge inserts into ER(2^15, 8) and
+#   BA(2^15, 4) (``benchmarks/paper_comparison.py``'s shapes) were flat
+#   across 8..128.  R = 32 is the middle of that plateau.  Shifts of 4 to 12 also tied; 2 came
+#   too late and 16 (no floor at this n) paid the passes on small levels.
+LEVEL_PEEL_SHIFT, LEVEL_PEEL_RATIO = 8, 32
 
 
 class LevelTaskError(RuntimeError):
@@ -202,6 +245,8 @@ class TaskState:
 
     level: int
     support: np.ndarray | None = None
+    free: bool = False  # the round's free level: may turn to level_peel
+    level_size: int | None = None  # |V_k| once counted
     visited: set = field(default_factory=set)
     removed: set = field(default_factory=set)
     slack: dict = field(default_factory=dict)
@@ -299,15 +344,56 @@ def _check_level(n, cores, k, eu, ev):
         raise ValueError(f"edge not at level {k}")
 
 
-def _insert_task(starts, lens, pool, cores, support, k, eu, ev):
+def _peel_due(cores, st: TaskState) -> bool:
+    """Should a free level's traversal, at ``st.visits`` visits, turn to
+    ``level_peel``?  Counts |V_k| once the visits reach the floor."""
+    if not st.free or st.visits < len(cores) >> LEVEL_PEEL_SHIFT:
+        return False
+    if st.level_size is None:
+        st.level_size = int(np.count_nonzero(cores == st.level))
+    return st.visits * LEVEL_PEEL_RATIO > st.level_size
+
+
+def level_peel(adj, cores, st: TaskState) -> list[int]:
+    """The level-k risers as a peel of the whole level V_k at threshold
+    k + 1, in place of the traversal (module docstring): each vertex of V_k
+    starts from its maintained support, those below k + 1 go, in ascending
+    id order onto a stack, and each one popped takes one from each
+    neighbour still in the level.  Counts |V_k| visits, the peeled vertices
+    as removed and each decrement as a neg touch.  Returns the survivors,
+    ascending."""
+    k = st.level
+    level = np.flatnonzero(cores == k)
+    count = st.support[level]
+    slack = dict(zip(level.tolist(), count.tolist()))
+    stack = level[count <= k].tolist()
+    peeled = set(stack)
+    st.visits += len(level)
+    st.removals += len(stack)
+    while stack:
+        for w in adj(stack.pop()):
+            if w in slack and w not in peeled:
+                st.neg_touches += 1
+                slack[w] -= 1
+                if slack[w] <= k:
+                    peeled.add(w)
+                    st.removals += 1
+                    stack.append(w)
+    return [v for v in slack if v not in peeled]
+
+
+def _insert_task(starts, lens, pool, cores, support, k, eu, ev,
+                 free=False):
     """Find the vertices of core level k that rise after inserting the
     level's edges (the edges must already be present in the arrays, and
-    counted into ``support``).
+    counted into ``support``).  The task of a round's ``free`` level
+    checks ``_peel_due`` before each pop and turns to ``level_peel`` when
+    it holds.
 
     Returns (ascending vertex id array, counter tuple).
     """
     adj = _Adj(starts, lens, pool)
-    st = TaskState(k, support)
+    st = TaskState(k, support, free)
     eu_l = eu.tolist() if hasattr(eu, "tolist") else list(eu)
     ev_l = ev.tolist() if hasattr(ev, "tolist") else list(ev)
     for a, b in zip(eu_l, ev_l):
@@ -320,6 +406,9 @@ def _insert_task(starts, lens, pool, cores, support, k, eu, ev):
         _mark_visited(st, r)
         stack = [r]
         while stack:
+            if _peel_due(cores, st):
+                rising = level_peel(adj, cores, st)
+                return np.asarray(rising, dtype=np.int32), st.counters()
             v = stack.pop()
             if st.slack[v] > k:
                 for w in adj(v):
@@ -475,15 +564,17 @@ def _shift_support(starts, lens, pool, cores, support, moved, step: int):
 
 
 def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
-               vs, workers):
+               vs, workers, free=-1):
     """Run the level task of every level of a round (``mode`` "insert" or
     "delete") on each level ks[i] with its pairs of the flat plan (module
     docstring), with at most ``workers`` at a time, and keep ``support``
     up to date (the module docstring has the rule).  A task checks its
     pairs, counts them into the support, and finds the vertices of core
-    level k that rise (fall) once they are in (out of) the arrays.  An
-    insert task ends with ``riser_peel`` over its moved ids; at a level
-    where the strict rule held, nothing survives (``batch``'s docstring).
+    level k that rise (fall) once they are in (out of) the arrays; the
+    insert task of level ``free`` may turn to ``level_peel`` (module
+    docstring).  An insert task ends with ``riser_peel`` over its moved
+    ids; at a level where the strict rule held, nothing survives
+    (``batch``'s docstring).
 
     Returns (moved, rows).  ``moved`` holds every level's moved ids, level
     after level in ascending level order, each level's ascending.
@@ -505,7 +596,6 @@ def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
     ks, offsets = _check_plan(ks, offsets, us, vs)
     insert = mode == "insert"
     step = 1 if insert else -1
-    task = _insert_task if insert else _delete_task
     rows = np.zeros((len(ks), ROW), dtype=np.int64)
     parts = [None] * len(ks)
     failed, counted = {}, []
@@ -518,8 +608,9 @@ def run_levels(mode, starts, lens, pool, cores, support, ks, offsets, us,
             _check_level(n, cores, k, *pairs)
             _count_in(support, cores, k, *pairs, step)
             counted.append(i)
-            moved, counters = task(starts, lens, pool, cores, support, k,
-                                   *pairs)
+            args = (starts, lens, pool, cores, support, k, *pairs)
+            moved, counters = (_insert_task(*args, k == free) if insert
+                               else _delete_task(*args))
             survivors = (riser_peel(starts, lens, pool, cores, k, moved)
                          if insert else 0)
         except Exception as exc:

@@ -65,6 +65,28 @@ h moved by two: it is in T and keeps at least h + 2 neighbours in T, so
 it survives the peel.  Hence an empty peel means no vertex moved by two,
 and then every level's moved set is exact, as under the strict rule.
 
+Why a peel of the level finds the same risers.  The free level's task
+may find its risers by peeling all of V_h, the vertices of old core h,
+at threshold h + 1 instead of traversing from its pairs (``level_peel``
+in ``_kernels_py``): each vertex of V_h starts from its support in G'
+(its neighbours of old core h or more) and loses one for each neighbour
+in V_h that the peel removes.  So the survivors S are the largest set
+within V_h whose every vertex has at least h + 1 neighbours in S or in
+C, the old (h+1)-core.  Let R be V_h within the new (h+1)-core.
+
+- S lies within R: S | C has minimum degree h + 1 or more in G'.
+- R lies within S: the new (h+1)-core holds no vertex of old core below
+  h, none of which rises by two (above), so it lies within R | C; each
+  vertex of R has h + 1 neighbours in it, and the peel keeps R.
+
+The traversal's risers are R too.  Take a connected part X of R.  If no
+round pair joined X to X | C, then X | C would have had minimum degree
+h + 1 in G as well, and X would have been in C.  Such a pair's lower
+endpoint, which the task traverses from, lies in X, and the traversal
+keeps the vertices it reaches that survive the same peel of its region
+(Sariyüce et al.).  So the switch changes no moved set, and the riser
+peel that follows decides the replay as before.
+
 The round bound.  A batch of maximum multiplicity M commits at most
 B = 2M - 1 rounds.  The scan blocks a pair only for an adjacent pair
 before it in canonical order that it selected at the same level.  Give

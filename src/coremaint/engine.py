@@ -10,7 +10,10 @@ pair of one free level (``batch``'s docstring has the rule and its
 proof).  Every insert task ends with a peel of its risers, of which only
 the free level's can leave survivors; when one survives, the engine
 undoes the round and plans it, and the rest of the batch, by the strict
-rule, counting one replayed round.
+rule, counting one replayed round.  The engine names the round's free
+level to the fan-out, whose task there may peel the whole level from the
+support once its traversal has grown large (``_kernels_py``'s docstring);
+strict rounds and the baseline's one-edge rounds always traverse.
 
 Before its first round the engine looks the batch's live pairs up in the
 graph once: an insert batch drops the pairs already present, and a delete
@@ -99,14 +102,16 @@ class LevelTaskResult:
 
 
 def run_level_tasks(be, mode: str, starts, lens, pool, cores, support, ks,
-                    offsets, us, vs,
-                    workers: int) -> tuple[np.ndarray, np.ndarray]:
+                    offsets, us, vs, workers: int,
+                    free: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Run the level task of every level of the flat plan (ks, offsets,
     us, vs) with backend ``be``, at most ``workers`` at a time, and return
     its ``run_levels`` result: the moved ids, level after level, and one
     row per level, both in ascending level order.  Every insert task ends
-    with the peel of its risers.  ``support`` is kept up to date in place
-    (the rule is in ``_kernels_py``'s docstring).
+    with the peel of its risers; the task of the ``free`` level (-1: none)
+    may peel its whole level instead of traversing it.  ``support`` is
+    kept up to date in place (the rule is in ``_kernels_py``'s
+    docstring).
 
     Results are identical for every worker count: tasks neither share
     mutable state nor observe each other.  A failed task raises
@@ -114,7 +119,7 @@ def run_level_tasks(be, mode: str, starts, lens, pool, cores, support, ks,
     round has finished, so a rollback never runs beside a live task.
     """
     return be.run_levels(mode, starts, lens, pool, cores, support, ks,
-                         offsets, us, vs, workers)
+                         offsets, us, vs, workers, free)
 
 
 @dataclass
@@ -325,10 +330,12 @@ def _run_batch(g: Graph, cores: CoreMap, batch: EdgeBatch, mode: str, *,
             pre = cores.values.copy() if audit else None
             apply(plan.us, plan.vs)
             start = time.perf_counter_ns()
+            free_level = -1 if plan.free_level is None else plan.free_level
             try:
                 moved, rows = run_level_tasks(
                     be, mode, *g.adjacency_arrays(), cores.values, support,
-                    plan.ks, plan.offsets, plan.us, plan.vs, workers)
+                    plan.ks, plan.offsets, plan.us, plan.vs, workers,
+                    free_level)
             except BaseException:  # interrupts too: re-playable round
                 undo(plan.us, plan.vs)
                 raise

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coremaint.kernels import available_backends
@@ -41,6 +42,25 @@ def test_paper_comparison_rows(mode):
         assert r["counters"]["visited"] > 0
         assert r["runtime.parallelism"] > 0
         assert 0 < r["runtime.straggler_share"] <= 1
+
+
+@pytest.mark.parametrize("mode", ["insert", "delete"])
+def test_paper_comparison_vertex_rows(mode):
+    # the batch is every edge of the two top-degree vertices, removed or
+    # put back, on the default backend alone
+    case = pc.Case("ba", 200, 3, mode, batch=0, sample=5, vertices=2)
+    g = pc.generate_graph("ba", 200, 3, 3)
+    edges = pc.vertex_edges(g, 2)
+    hubs = set(np.argsort(-g.adjacency_arrays()[1], kind="stable")[:2])
+    assert all(u in hubs or v in hubs for u, v in edges)
+    assert len(edges) == sum(g.degree(v) for v in hubs) - g.has_edge(*hubs)
+    rows = pc.report(3, cases=(case,))["results"]
+    assert [(r["backend"], r["workers"]) for r in rows] == [
+        (pc.cm.default_backend_name(), w) for w in pc.WORKERS]
+    for r in rows:
+        assert r["correct"], r
+        assert (r["batch"], r["sample"], r["vertices"]) == (len(edges), 5, 2)
+        assert r["counters"]["visited"] > 0
 
 
 def test_paper_comparison_flags_wrong_cores(monkeypatch):

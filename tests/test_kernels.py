@@ -3,6 +3,7 @@ ensuring the compiled backend reproduces results and counters exactly, the
 backends' shared contract and input checks, the compiled lane's per-thread
 arena, and its build and fallback."""
 
+import ctypes
 import importlib.util
 import inspect
 import os
@@ -466,17 +467,50 @@ def test_failed_removal_allocation_writes_nothing():
     run_limited(REMOVAL_FAILURE)
 
 
+def loaded_build(cache: Path, copy: Path) -> Path:
+    """The one kernel build this process has mapped from ``cache``,
+    copied to ``copy`` through its ``/proc/self/map_files`` entry, which
+    stays readable after the file is unlinked: a newer build removes the
+    older ones (``_remove_stale``), and ``/proc/self/maps`` then lists the
+    mapped file with a `` (deleted)`` suffix."""
+    mapped = {}
+    with open("/proc/self/maps") as fh:
+        for ln in fh:
+            fields = ln.rstrip("\n").split(maxsplit=5)
+            path = fields[-1].removesuffix(" (deleted)") if len(fields) == 6 \
+                else ""
+            if Path(path).parent == cache and path.endswith(".so"):
+                mapped.setdefault(path, fields[0])
+    (span,) = mapped.values()
+    copy.write_bytes(Path(f"/proc/self/map_files/{span}").read_bytes())
+    return copy
+
+
+@needs_c
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="finds the loaded library in /proc")
+def test_a_mapped_build_is_found_after_its_file_is_removed(tmp_path):
+    # a copy of the loaded build stands for one that a newer build removed
+    # while this process had it mapped
+    real = loaded_build(get_backend("c")._CACHE.resolve(),
+                        tmp_path / "real.so").read_bytes()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    build = cache / "_kernels.0.so"
+    build.write_bytes(real)
+    ctypes.CDLL(str(build))  # mapped for the rest of the process
+    build.unlink()
+    assert loaded_build(cache, tmp_path / "copy.so").read_bytes() == real
+
+
 @needs_c
 @pytest.mark.skipif(shutil.which("nm") is None, reason="nm is not installed")
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="finds the loaded library in /proc")
-def test_library_exports_only_its_entry_points():
+def test_library_exports_only_its_entry_points(tmp_path):
     # the level kernels stay static: a round is their only way in
-    cache = get_backend("c")._CACHE.resolve()
-    with open("/proc/self/maps") as fh:
-        loaded = {Path(ln.split()[-1]) for ln in fh
-                  if ln.rstrip().endswith(".so")}
-    library, = [p for p in loaded if p.parent == cache]
+    library = loaded_build(get_backend("c")._CACHE.resolve(),
+                           tmp_path / "loaded.so")
     symbols = subprocess.run(["nm", "-D", "--defined-only", str(library)],
                              capture_output=True, text=True,
                              check=True).stdout

@@ -629,11 +629,11 @@ def bad_backend(error):
     real = get_backend()
 
     def failing(mode, starts, lens, pool, cores, support, ks, offsets, us,
-                vs, workers):
+                vs, workers, free=-1):
         level_edges = unflat(ks, offsets, us, vs)
         rows = real.run_levels(mode, starts, lens, pool, cores, support,
                                *flat({k: e for k, e in level_edges.items()
-                                      if k != 2}), workers)
+                                      if k != 2}), workers, free)
         if 2 in level_edges:
             exc = error("injected")
             if isinstance(exc, Exception):

@@ -111,18 +111,18 @@ def bad_backend(real, error, level):
                 return super().__getattr__(name)
 
             def failing(mode, starts, lens, pool, cores, support, ks,
-                        offsets, us, vs, workers):
+                        offsets, us, vs, workers, free=-1):
                 keep = ks != level
                 if keep.all():
                     return real.run_levels(mode, starts, lens, pool, cores,
                                            support, ks, offsets, us, vs,
-                                           workers)
+                                           workers, free)
                 counts = np.diff(offsets)
                 picked = np.repeat(keep, counts)
                 kept = np.concatenate(([0], counts[keep].cumsum()))
                 real.run_levels(mode, starts, lens, pool, cores, support,
                                 ks[keep], kept, us[picked], vs[picked],
-                                workers)
+                                workers, free)
                 exc = error("injected")
                 if isinstance(exc, Exception):
                     raise LevelTaskError(level, exc) from exc
