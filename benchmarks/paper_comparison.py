@@ -9,7 +9,12 @@ a batch size), every available kernel backend and every worker count of
 ``WORKERS``, it runs ``insert_edges``/``delete_edges`` and
 ``sequential_baseline`` on copies of the same graph and batch.  The
 baseline runs a seeded sample of the batch (``Case.sample`` edges), as
-acceptance test A9 does.  Both are timed around the maintenance call
+acceptance test A9 does.  A vertex case (``Case.vertices`` > 0) takes as
+its batch every edge of the graph's ``vertices`` highest-degree vertices
+(ties by id): a delete removes those vertices, and an insert puts them
+back after an untimed removal.  Its rows give the batch size it found.
+Vertex cases run on the default backend alone: the Python lane's strict
+re-insertion rounds of a BA hub would take minutes.  Both are timed around the maintenance call
 alone and reported in milliseconds per edge; ``speedup`` is the baseline's
 figure over the engine's.  ``rounds`` counts the engine's committed
 rounds and ``replayed_rounds`` its free rounds undone and run again by
@@ -54,18 +59,32 @@ class Case(NamedTuple):
     n: int
     deg: int  # edges per vertex
     mode: str  # "insert" or "delete"
-    batch: int  # edges in the batch
-    sample: int  # batch edges the baseline runs
+    batch: int  # edges in the batch (a vertex case finds its own)
+    sample: int  # batch edges the baseline runs (at most the batch)
+    vertices: int = 0  # > 0: the edges of that many top-degree vertices
 
 
 # n=2^15 keeps a full run within a few minutes on two cores: the Python
 # lane's baseline takes ~0.5 s per ER insert edge there, which is also why
 # the baseline runs a sample of the 10,000-edge batches
-CASES = tuple(Case(model, n, deg, mode, batch, sample)
+CASES = tuple(Case(model, n, deg, mode, batch, sample, vertices)
               for model, n, deg in (("er", 1 << 15, 8), ("ba", 1 << 15, 4))
               for mode in ("insert", "delete")
-              for batch, sample in ((100, 100), (10_000, 100)))
+              for batch, sample, vertices in ((100, 100, 0),
+                                              (10_000, 100, 0),
+                                              (0, 100, 1), (0, 100, 10)))
 WORKERS = (1, 2)
+
+
+def vertex_edges(g, count: int) -> list[tuple[int, int]]:
+    """Every edge of ``g``'s ``count`` highest-degree vertices (ties by
+    id), as sorted label pairs."""
+    starts, lens, pool = g.adjacency_arrays()
+    top = np.argsort(-lens, kind="stable")[:count]
+    us = np.repeat(top, lens[top])
+    vs = np.concatenate([pool[starts[v]:starts[v] + lens[v]] for v in top])
+    pairs = np.unique(np.sort(np.stack([us, vs], 1), axis=1), axis=0)
+    return list(map(tuple, g.labels()[pairs].tolist()))
 
 
 def fan_out(log) -> tuple[float, float]:
@@ -84,8 +103,16 @@ def run_case(case: Case, backend: str, seed: int) -> list[dict]:
     g0 = generate_graph(case.model, case.n, case.deg, seed)
     cores0 = cm.peel(g0, backend=backend)
     insert = case.mode == "insert"
-    edges = (sample_new_edges if insert else sample_existing_edges)(
-        g0, case.batch, seed)
+    if case.vertices:
+        edges = vertex_edges(g0, case.vertices)
+        if insert:  # the vertices' removal, untimed, then their return
+            cm.delete_edges(g0, cores0, cm.build_delete_batch(g0, edges),
+                            backend=backend)
+    else:
+        edges = (sample_new_edges if insert else sample_existing_edges)(
+            g0, case.batch, seed)
+    case = case._replace(batch=len(edges),
+                         sample=min(case.sample, len(edges)))
     picked = np.random.default_rng(seed).choice(len(edges), case.sample,
                                                 replace=False)
     subset = [edges[i] for i in np.sort(picked)]
@@ -139,7 +166,9 @@ def report(seed: int, cases=CASES) -> dict:
         "cases": [c._asdict() for c in cases],
         "workers": list(WORKERS),
         "results": [row for case in cases
-                    for backend in cm.available_backends()
+                    for backend in (cm.available_backends()
+                                    if not case.vertices
+                                    else [cm.default_backend_name()])
                     for row in run_case(case, backend, seed)],
     }
 
