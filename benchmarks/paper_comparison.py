@@ -9,12 +9,7 @@ a batch size), every available kernel backend and every worker count of
 ``WORKERS``, it runs ``insert_edges``/``delete_edges`` and
 ``sequential_baseline`` on copies of the same graph and batch.  The
 baseline runs a seeded sample of the batch (``Case.sample`` edges), as
-acceptance test A9 does.  A vertex case (``Case.vertices`` > 0) takes as
-its batch every edge of the graph's ``vertices`` highest-degree vertices
-(ties by id): a delete removes those vertices, and an insert puts them
-back after an untimed removal.  Its rows give the batch size it found.
-Vertex cases run on the default backend alone: the Python lane's strict
-re-insertion rounds of a BA hub would take minutes.  Both are timed around the maintenance call
+acceptance test A9 does.  Both are timed around the maintenance call
 alone and reported in milliseconds per edge; ``speedup`` is the baseline's
 figure over the engine's.  ``rounds`` counts the engine's committed
 rounds and ``replayed_rounds`` its free rounds undone and run again by
@@ -24,6 +19,13 @@ wall time) and ``runtime.straggler_share`` (the slowest level task's
 share of the fan-out), summed over the rounds.  Every run is checked against a fresh
 ``peel``; a row whose runs did not all match has ``"correct": false`` and
 the script exits 1.
+
+A vertex case (``Case.vertices`` > 0) takes as its batch every edge of
+the graph's ``vertices`` highest-degree vertices (ties by id): a delete
+removes those vertices, and an insert puts them back after an untimed
+removal.  Its rows give the batch size it found.  Vertex cases run on the
+default backend alone: the Python lane's strict re-insertion rounds of a
+BA hub would take minutes.
 
 Writes one JSON document to ``--out`` (default: standard output).  The
 program is imported from this checkout's ``src/``, whatever the working

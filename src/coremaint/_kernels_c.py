@@ -17,8 +17,8 @@ threads of the C code, the rest.  The helpers start on first need and
 serve every later round of the process; the task of the round's
 ``free`` level may peel its level (``level_peel``) in place of its
 traversal.  ``insert_level`` and ``delete_level`` are one-level rounds
-on the calling thread.  The C code
-owns every arena and grows it; a level task allocates nothing else, and
+on the calling thread.  The C code owns every arena and grows it; a
+level task allocates nothing else, and
 ``remove_edges`` groups its entries by source with a stable radix sort
 of the sources and marks each group's targets in the calling thread's
 arena.  This module only holds each calling thread's arena as an

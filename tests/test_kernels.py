@@ -3,9 +3,9 @@ ensuring the compiled backend reproduces results and counters exactly, the
 backends' shared contract and input checks, the compiled lane's per-thread
 arena, and its build and fallback."""
 
-import ctypes
 import importlib.util
 import inspect
+import mmap
 import os
 import re
 import shutil
@@ -475,11 +475,10 @@ def loaded_build(cache: Path, copy: Path) -> Path:
     mapped file with a `` (deleted)`` suffix."""
     mapped = {}
     with open("/proc/self/maps") as fh:
-        for ln in fh:
-            fields = ln.rstrip("\n").split(maxsplit=5)
-            path = fields[-1].removesuffix(" (deleted)") if len(fields) == 6 \
-                else ""
-            if Path(path).parent == cache and path.endswith(".so"):
+        for fields in (ln.split(maxsplit=5) for ln in fh):
+            path = fields[-1].rstrip("\n").removesuffix(" (deleted)")
+            if (len(fields) == 6 and path.endswith(".so")
+                    and Path(path).parent == cache):
                 mapped.setdefault(path, fields[0])
     (span,) = mapped.values()
     copy.write_bytes(Path(f"/proc/self/map_files/{span}").read_bytes())
@@ -490,17 +489,19 @@ def loaded_build(cache: Path, copy: Path) -> Path:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="finds the loaded library in /proc")
 def test_a_mapped_build_is_found_after_its_file_is_removed(tmp_path):
-    # a copy of the loaded build stands for one that a newer build removed
-    # while this process had it mapped
+    # a mapped copy of the loaded build stands for one that a newer build
+    # removed while this process had it mapped
     real = loaded_build(get_backend("c")._CACHE.resolve(),
                         tmp_path / "real.so").read_bytes()
     cache = tmp_path / "cache"
     cache.mkdir()
     build = cache / "_kernels.0.so"
     build.write_bytes(real)
-    ctypes.CDLL(str(build))  # mapped for the rest of the process
-    build.unlink()
-    assert loaded_build(cache, tmp_path / "copy.so").read_bytes() == real
+    with open(build, "rb") as fh, \
+            mmap.mmap(fh.fileno(), 0, prot=mmap.PROT_READ) as mapping:
+        build.unlink()
+        assert loaded_build(cache, tmp_path / "copy.so").read_bytes() == real
+        assert mapping[:4] == b"\x7fELF"
 
 
 @needs_c
