@@ -137,8 +137,9 @@ _PLAIN_BYTES = b"0123456789 \t\r\n"  # what parse_pairs reads outside comments
 #   free traversal there raises nothing yet visits three quarters of the
 #   level); 100- and 10,000-edge inserts into ER(2^15, 8) and
 #   BA(2^15, 4) (``benchmarks/paper_comparison.py``'s shapes) were flat
-#   across 8..128.  R = 32 is the middle of that plateau.  Shifts of 4 to 12 also tied; 2 came
-#   too late and 16 (no floor at this n) paid the passes on small levels.
+#   across 8..128.  R = 32 is the middle of that plateau.  Shifts of 4
+#   to 12 also tied; 2 came too late and 16 (no floor at this n) paid
+#   the passes on small levels.
 LEVEL_PEEL_SHIFT, LEVEL_PEEL_RATIO = 8, 32
 
 
